@@ -7,8 +7,9 @@ Runs three subcommands into subdirectories of ``--out``:
   identities on flat and conformal tori;
 * ``bernstein-audit`` — profile toolkit, pointwise inequalities,
   exponent identities, level-set bounds;
-* ``constants`` — embedding-constant search, second-derivative ratios,
-  and continuity-argument scalars.
+* ``constants`` — the closed-form embedding-constant bound ``sigma_hat``
+  (the constant field's Sobolev quotient, vol^(-1/d)), second-derivative
+  ratios, and continuity-argument scalars.
 """
 
 import argparse

@@ -29,7 +29,7 @@ from .fields import (
     gradient,
     lq_norm,
 )
-from .geometry import DomainSpec, MetricSpec, build_grid, ricci_lower_bound
+from .geometry import DomainSpec, MetricSpec, build_grid
 from .hjb import (
     ProblemSpec,
     SolverConfig,
@@ -151,25 +151,6 @@ def _build_source(cfg: RunConfig, grid, q_norm: float = 2.0):
     return ScalarField(grid, prob["source_amplitude"] * base.values)
 
 
-def _gate_block(grid, seed: int, drift_info=None, K=None, c_v=None) -> dict:
-    gates = {
-        "kappa": ricci_lower_bound(grid),
-        "rho": float(
-            max(grid.domain.extents)
-            if grid.coord_system == "cartesian"
-            else grid.domain.radius
-        ),
-        "sigma_hat": estimates.sobolev_constant_estimate(grid, starts=2, iters=40, seed=seed)
-        if grid.dim >= 3
-        else None,
-        "theta": (drift_info or {}).get("theta", 0.0),
-        "s": (drift_info or {}).get("s"),
-        "K": K,
-        "C_V": c_v,
-    }
-    return gates
-
-
 def _report_skeleton(subcommand: str, seed: int) -> dict:
     return {
         "schema": 1,
@@ -206,7 +187,6 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
         grid=grid,
         gamma=prob_blk["gamma"],
         c1=prob_blk["c1"],
-        c2=prob_blk["c2"],
         drift=drift,
         shift=shift,
         source=source,
@@ -218,7 +198,7 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
         _fail(report, "solve did not converge: " + rep.message)
     fq = lq_norm(source, 2.0).value if source is not None else 0.0
     grad1 = lq_norm(gradient(rep.u), 1.0).value
-    report["gates"] = _gate_block(grid, seed, drift_info, K=fq + grad1)
+    report["gates"] = estimates.gate_block(grid, drift_info, K=fq + grad1)
     report["results"] = {
         "converged": rep.converged,
         "iterations": rep.iterations,
@@ -283,7 +263,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
         "orders": orders,
         "symbolic_source": symbolic,
     }
-    report["gates"] = _gate_block(last_grid, seed) if last_grid is not None else {}
+    report["gates"] = estimates.gate_block(last_grid) if last_grid is not None else {}
     if symbolic:
         if not orders or orders[-1] < 1.9:
             _fail(report, "convergence order below 1.9")
@@ -427,7 +407,7 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
             _fail(report, "exactness check failed: " + n)
     report["results"] = results
     grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(16, 16, 8)), MetricSpec.euclidean())
-    report["gates"] = _gate_block(grid, seed)
+    report["gates"] = estimates.gate_block(grid)
     _write_csv(os.path.join(out, "refinement.csv"), ("case", "n", "residual_sup"), rows)
     if cfg["output"]["plots"]:
         series = []
@@ -553,7 +533,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     entry("level_set_monotone", float(mono_viol), mono_viol == 0)
 
     report["results"] = {"audit": audit, "delta": delta, "samples": samples}
-    report["gates"] = _gate_block(grid, seed)
+    report["gates"] = estimates.gate_block(grid)
     _write_csv(
         os.path.join(out, "audit.csv"),
         ("name", "max_violation", "passed"),
@@ -614,16 +594,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
 
     if sweep.aborted:
         _fail(report, "sweep aborted: " + sweep.message)
-    gates = dict(sweep.gates)
-    report["gates"] = {
-        "kappa": gates.get("kappa"),
-        "rho": gates.get("rho"),
-        "sigma_hat": gates.get("sigma_hat"),
-        "theta": gates.get("theta", 0.0),
-        "s": gates.get("s"),
-        "K": gates.get("K"),
-        "C_V": None,
-    }
+    report["gates"] = sweep.gates
     report["results"] = {
         "q": q,
         "r": getattr(spec, "r", None),
@@ -669,9 +640,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("constants", seed)
     grid = _build_grid(cfg)
     exp = cfg["experiment"]
-    sigma = estimates.sobolev_constant_estimate(
-        grid, starts=exp["starts"], iters=exp["iters"], seed=seed
-    )
+    sigma = estimates.sobolev_constant_estimate(grid)
     fields_bl = [estimates.random_band_limited(grid, seed=seed + i) for i in range(50)]
     cz2 = estimates.cz_ratio(fields_bl, 2.0)
     cz4 = estimates.cz_ratio(fields_bl, 4.0)
@@ -705,8 +674,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     if not math.isfinite(cz4):
         _fail(report, "p=4 ratio not finite")
     report["results"] = results
-    report["gates"] = _gate_block(grid, seed)
-    report["gates"]["sigma_hat"] = sigma
+    report["gates"] = estimates.gate_block(grid)
     rows = [
         ("sigma_hat", sigma),
         ("cz_ratio_p2", cz2),
@@ -753,7 +721,7 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         _fail(report, "coupling energy exceeds the shift curvature bound")
     if mrep.lp_bounds and not mrep.lp_bounds.get("bound_ok", True):
         _fail(report, "smoothed-density gradient energy exceeds its bound")
-    report["gates"] = _gate_block(grid, seed, K=None, c_v=blk["c_v"])
+    report["gates"] = estimates.gate_block(grid, c_v=blk["c_v"])
     report["results"] = {
         "converged": mrep.converged,
         "outer_iterations": mrep.outer_iterations,
@@ -801,6 +769,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0, threads: i
     except (ConfigError, ValueError) as exc:
         print("rejected: " + str(exc), file=sys.stderr)
         return 2
+    report["warnings"] = list(cfg.warnings)
     _write_json(os.path.join(out_dir, "report.json"), report)
     return 0 if report["passed"] else 1
 

@@ -35,7 +35,6 @@ _SCHEMAS = {
     "problem": {
         "gamma": "float",
         "c1": "float",
-        "c2": "float",
         "ergodic": "bool",
         "drift_kind": "str",
         "drift_amplitude": "float",
@@ -47,7 +46,6 @@ _SCHEMAS = {
         "shift_axis": "int",
         "source_kind": "str",
         "source_amplitude": "float",
-        "source_axis": "int",
         "manufactured": "str",
     },
     "experiment": {
@@ -58,8 +56,6 @@ _SCHEMAS = {
         "delta": "float",
         "zeta_c": "float",
         "resolutions": "ints",
-        "starts": "int",
-        "iters": "int",
         "samples": "int",
     },
     "mfg": {
@@ -93,7 +89,6 @@ _DEFAULTS = {
     "problem": {
         "gamma": 2.0,
         "c1": 1.0,
-        "c2": 0.0,
         "ergodic": False,
         "drift_kind": "none",
         "drift_amplitude": 1.0,
@@ -105,7 +100,6 @@ _DEFAULTS = {
         "shift_axis": 1,
         "source_kind": "none",
         "source_amplitude": 1.0,
-        "source_axis": 1,
         "manufactured": "none",
     },
     "experiment": {
@@ -116,8 +110,6 @@ _DEFAULTS = {
         "delta": 0.3,
         "zeta_c": 1.0,
         "resolutions": (17, 33, 65),
-        "starts": 8,
-        "iters": 80,
         "samples": 100_000,
     },
     "mfg": {

@@ -6,13 +6,14 @@ than the data norm) and maximal integrability (Laplacian and gradient
 power land in the same Lebesgue space as the source).  "Bounded constant"
 is operationalized as a log-log slope threshold on amplitude sweeps,
 since the underlying constants are nonconstructive.  The module also
-measures lower bounds for the Sobolev embedding constant (Rayleigh
-quotient ascent) and the second-derivative/Laplacian norm ratio.
+records a lower bound for the Sobolev embedding constant (the quotient of
+the constant field), measures the second-derivative/Laplacian norm ratio,
+and builds the gate block that every report carries.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -30,7 +31,6 @@ from .fields import (
 )
 from .geometry import Grid, ricci_lower_bound
 from .hjb import ProblemSpec, SolveReport, SolverConfig, solve_ergodic
-from .stencils import apply_along_axis
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +151,28 @@ def _drift_gate(spec: SweepSpec) -> dict:
     return gates
 
 
-def _common_gates(spec: SweepSpec, K: float, sobolev: Optional[float]) -> dict:
-    grid = spec.grid
-    gates = {
+def gate_block(grid: Grid, drift_info: Optional[dict] = None, K=None, c_v=None) -> dict:
+    """Structural quantities recorded in every report's gate block.
+
+    kappa is the Ricci lower bound, rho the largest extent (the radius on
+    the disc), sigma_hat the Sobolev constant bound (None below d = 3),
+    theta and s the drift bound and its exponent, K the data-plus-gradient
+    size of a solve and C_V the coupling comparison constant.
+    """
+    drift_info = drift_info or {}
+    return {
         "kappa": ricci_lower_bound(grid),
-        "rho": float(max(grid.domain.extents) if grid.coord_system == "cartesian" else grid.domain.radius),
-        "sigma_hat": sobolev,
+        "rho": float(
+            max(grid.domain.extents)
+            if grid.coord_system == "cartesian"
+            else grid.domain.radius
+        ),
+        "sigma_hat": sobolev_constant_estimate(grid) if grid.dim >= 3 else None,
+        "theta": drift_info.get("theta", 0.0),
+        "s": drift_info.get("s"),
         "K": K,
+        "C_V": c_v,
     }
-    gates.update(_drift_gate(spec))
-    return gates
 
 
 def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
@@ -182,18 +194,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
             source=f_field,
             ergodic=True,
         )
-        run_cfg = SolverConfig(
-            residual_tol=cfg.residual_tol,
-            max_iter=cfg.max_iter,
-            min_step=cfg.min_step,
-            eps_reg=cfg.eps_reg,
-            picard_fallback=cfg.picard_fallback,
-            gmres_restart=cfg.gmres_restart,
-            gmres_maxiter=cfg.gmres_maxiter,
-            grad_exponents=cfg.grad_exponents,
-            other_exponents=cfg.other_exponents,
-            initial_guess=warm,
-        )
+        run_cfg = dataclasses.replace(cfg, initial_guess=warm)
         rep = solve_ergodic(prob, run_cfg)
         convs.append(rep.converged)
         if not rep.converged:
@@ -227,8 +228,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
                 "residual": rep.residual,
             }
         )
-    sob = sobolev_constant_estimate(spec.grid, starts=3, iters=60)
-    gates = _common_gates(spec, K, sob)
+    gates = gate_block(spec.grid, _drift_gate(spec), K=K)
     ratio_at_one = None
     for t, r in zip(ts, ratios):
         if abs(t - 1.0) <= 1e-12:
@@ -315,7 +315,7 @@ def source_family(
 
 
 # ---------------------------------------------------------------------------
-# Sobolev embedding constant (Rayleigh quotient ascent)
+# Sobolev embedding constant
 
 
 def sobolev_ratio(u: ScalarField) -> float:
@@ -331,75 +331,15 @@ def sobolev_ratio(u: ScalarField) -> float:
     return num / den
 
 
-def _quotient_gradient(u: ScalarField) -> np.ndarray:
-    """Nodal ascent direction of the quotient (adjoint differentiation)."""
-    grid = u.grid
-    d = grid.dim
-    m = 2.0 * d / (d - 2.0)
-    w = grid.weights
-    vals = u.values
-    num = lq_norm(u, m).value
-    l2 = lq_norm(u, 2.0).value
-    g2 = lq_norm(gradient(u), 2.0).value
-    den = g2 + l2
-    dnum = w * np.sign(vals) * np.abs(vals) ** (m - 1.0) / max(num, 1e-300) ** (m - 1.0)
-    dl2 = w * vals / max(l2, 1e-300)
-    scale = grid.conformal_factor(-2.0) if not grid.is_flat else 1.0
-    dg2 = np.zeros(grid.shape)
-    for a in range(len(grid.shape)):
-        da = grid.partial(vals, a)
-        dg2 += apply_along_axis(grid.d1(a).T.tocsr(), w * scale * da, a)
-    dg2 = dg2 / max(g2, 1e-300)
-    return (dnum * den - num * (dg2 + dl2)) / den**2
+def sobolev_constant_estimate(grid: Grid) -> float:
+    """Lower bound for the embedding constant: the constant field's quotient.
 
-
-def sobolev_ascent(grid: Grid, start: np.ndarray, iters: int = 120):
-    """Monotone normalized gradient ascent; returns (field, history)."""
-    vals = np.array(start, dtype=float)
-    nrm = math.sqrt(float(np.sum(grid.weights * vals**2)))
-    vals = vals / max(nrm, 1e-300)
-    u = ScalarField(grid, vals)
-    history = [sobolev_ratio(u)]
-    step = 0.5
-    for _ in range(iters):
-        direction = _quotient_gradient(u)
-        dn = math.sqrt(float(np.sum(direction**2)))
-        if dn == 0.0:
-            break
-        direction = direction / dn
-        improved = False
-        while step >= 1e-12:
-            trial = u.values + step * direction
-            tn = math.sqrt(float(np.sum(grid.weights * trial**2)))
-            trial_u = ScalarField(grid, trial / max(tn, 1e-300))
-            r = sobolev_ratio(trial_u)
-            if r > history[-1]:
-                u = trial_u
-                history.append(r)
-                improved = True
-                step = min(step * 2.0, 1.0)
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return u, history
-
-
-def sobolev_constant_estimate(
-    grid: Grid, starts: int = 20, iters: int = 120, seed: int = 0
-) -> float:
-    """Best Rayleigh quotient found from random starts plus the constant.
-
-    A lower bound for the embedding constant; the constant field alone
-    already gives vol^{1/d'} scaling (exactly 1 on the unit box).
+    That quotient is vol^{-1/d} (exactly 1 on the unit box and torus).  No
+    search is run because the constant field is a strict local maximum of
+    R: a mean-zero perturbation raises ||grad u||_2 at first order but
+    moves ||u||_{2d/(d-2)} / ||u||_2 only at second order.
     """
-    rng = np.random.default_rng(seed)
-    best = sobolev_ratio(ScalarField(grid, np.ones(grid.shape)))
-    for _ in range(starts):
-        start = rng.normal(size=grid.shape)
-        _, history = sobolev_ascent(grid, start, iters)
-        best = max(best, history[-1])
-    return float(best)
+    return float(sobolev_ratio(ScalarField(grid, np.ones(grid.shape))))
 
 
 # ---------------------------------------------------------------------------

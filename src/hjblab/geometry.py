@@ -9,7 +9,6 @@ so that sum(weights) reproduces vol(Omega, g).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -419,27 +418,3 @@ def second_fundamental_form(grid: Grid) -> SecondFundamentalForm:
     eigs = np.linalg.eigvalsh(mats)
     o_plus = bool(np.min(eigs) >= -1e-12) if mats.size else True
     return SecondFundamentalForm(grid=grid, values=vals, o_plus=o_plus)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_grid_csv(grid: Grid, path: str) -> None:
-    """Node table: index, cartesian coordinates, weight, boundary flag."""
-    coords = grid.cartesian_coords()
-    ncoord = coords.shape[0]
-    flat_coords = coords.reshape(ncoord, -1)
-    flat_w = grid.weights.reshape(-1)
-    flat_b = grid.boundary_mask.reshape(-1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["node"] + [f"x{i+1}" for i in range(ncoord)] + ["weight", "boundary"]
-        )
-        for i in range(flat_w.size):
-            writer.writerow(
-                [i]
-                + [repr(float(flat_coords[c, i])) for c in range(ncoord)]
-                + [repr(float(flat_w[i])), int(flat_b[i])]
-            )

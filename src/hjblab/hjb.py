@@ -49,7 +49,6 @@ class ProblemSpec:
     grid: Grid
     gamma: float
     c1: float = 1.0
-    c2: float = 0.0
     drift: Optional[VectorField] = None
     shift: Optional[ScalarField] = None     # additive zeroth-order data b
     source: Optional[ScalarField] = None    # right-hand side f
@@ -81,7 +80,6 @@ class SolverConfig:
     grad_exponents: tuple = (2.0,)
     other_exponents: tuple = (2.0,)
     initial_guess: Optional[ScalarField] = None
-    verbose: bool = False
 
 
 @dataclass
@@ -118,12 +116,6 @@ class _Ops:
             self.d2.append(d2_matrix(grid.shape[a], grid.spacings[a], bc1))
         if not grid.is_flat and not all(grid.periodic):
             raise NotImplementedError("conformal solving is supported on tori only")
-        if grid.is_flat:
-            self.dphi = None
-        else:
-            self.dphi = np.stack(
-                [apply_along_axis(self.d1[a], grid.phi, a) for a in range(self.naxes)]
-            )
 
     def grad(self, vals: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -143,7 +135,7 @@ class _Ops:
         if dvals is None:
             dvals = self.grad(vals)
         d = self.grid.dim
-        corr = (d - 2.0) * np.sum(self.dphi * dvals, axis=0)
+        corr = (d - 2.0) * np.sum(self.grid.phi_gradient() * dvals, axis=0)
         return self.grid.conformal_factor(-2.0) * (flat + corr)
 
     def transport_apply(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -179,31 +171,18 @@ class _FlatInverter:
         if not self.periodic and any(grid.periodic):
             raise ValueError("mixed periodic/box axes are not supported")
         shape = grid.shape
-        sym = np.zeros(shape)
+        self.sym = 0.0
         for a, (n, h) in enumerate(zip(shape, grid.spacings)):
             if self.periodic:
-                k = np.arange(n)
+                # real FFT shrinks the last axis
+                k = np.arange(n // 2 + 1 if a == len(shape) - 1 else n)
                 s = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h**2
             else:
                 k = np.arange(n)
                 s = (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / h**2
             sh = [1] * len(shape)
-            sh[a] = n
-            sym = sym + s.reshape(sh)
-        if self.periodic:
-            # real FFT shrinks the last axis
-            self.sym = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
-            for a, (n, h) in enumerate(zip(shape, grid.spacings)):
-                if a == len(shape) - 1:
-                    k = np.arange(n // 2 + 1)
-                else:
-                    k = np.arange(n)
-                s = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h**2
-                sh = [1] * len(shape)
-                sh[a] = len(k)
-                self.sym = self.sym + s.reshape(sh)
-        else:
-            self.sym = sym
+            sh[a] = len(k)
+            self.sym = self.sym + s.reshape(sh)
         self.inv_sym = np.zeros_like(self.sym)
         mask = self.sym > 1e-14
         self.inv_sym[mask] = 1.0 / self.sym[mask]
@@ -282,26 +261,18 @@ def transport_coefficient(spec: ProblemSpec, uvals: np.ndarray, eps_reg: float) 
     return coeff
 
 
-_OPS_CACHE: dict = {}
-_INV_CACHE: dict = {}
-
-
 def _ops_for(grid: Grid) -> _Ops:
-    key = id(grid)
-    if key not in _OPS_CACHE or _OPS_CACHE[key][0]() is None:
-        import weakref
-
-        _OPS_CACHE[key] = (weakref.ref(grid), _Ops(grid))
-    return _OPS_CACHE[key][1]
+    """Solver operators of `grid`, built on first use and kept on the grid."""
+    if "solver_ops" not in grid._cache:
+        grid._cache["solver_ops"] = _Ops(grid)
+    return grid._cache["solver_ops"]
 
 
 def _inverter_for(grid: Grid) -> _FlatInverter:
-    key = id(grid)
-    if key not in _INV_CACHE or _INV_CACHE[key][0]() is None:
-        import weakref
-
-        _INV_CACHE[key] = (weakref.ref(grid), _FlatInverter(grid))
-    return _INV_CACHE[key][1]
+    """Preconditioner of `grid`, built on first use and kept on the grid."""
+    if "flat_inverter" not in grid._cache:
+        grid._cache["flat_inverter"] = _FlatInverter(grid)
+    return grid._cache["flat_inverter"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ instead of clipping.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -50,7 +51,12 @@ from .hjb import (
 
 @dataclass
 class MfgSpec:
-    """One stationary game: exponents, coupling, shift, and iteration knobs."""
+    """One stationary game: exponents, coupling, shift, and iteration knobs.
+
+    `solver` configures the inner value solves; the game overrides two of
+    its fields, `eps_reg` with this spec's and `initial_guess` with the
+    previous outer iterate.
+    """
 
     grid: Grid
     gamma: float
@@ -356,18 +362,28 @@ def mfg_fixed_point(spec: MfgSpec):
                 source=v_eps,
                 ergodic=True,
             )
-            cfg = SolverConfig(
-                residual_tol=base_cfg.residual_tol,
-                max_iter=base_cfg.max_iter,
-                eps_reg=spec.eps_reg,
-                initial_guess=ScalarField(grid, uvals),
+            cfg = dataclasses.replace(
+                base_cfg, eps_reg=spec.eps_reg, initial_guess=ScalarField(grid, uvals)
             )
             rep = solve_ergodic(prob, cfg)
             if not rep.converged:
                 message = "inner value solve failed to converge"
                 break
-            m_new = fp_solve(rep.u, grid, spec.gamma, spec.eps_reg)
-            peclet = max(peclet, fp_peclet(grid, optimal_drift(rep.u, spec.gamma, spec.eps_reg)))
+            pec = fp_peclet(grid, optimal_drift(rep.u, spec.gamma, spec.eps_reg))
+            peclet = max(peclet, pec)
+            # The density solve rejects such a drift; a valid request that
+            # drives it there is a failed run, not a rejected one.
+            if pec > 1.0:
+                message = (
+                    "advection mesh number " + repr(pec)
+                    + " exceeds 1 at mollifier radius " + repr(eps)
+                )
+                break
+            try:
+                m_new = fp_solve(rep.u, grid, spec.gamma, spec.eps_reg)
+            except RuntimeError as exc:
+                message = str(exc) + " at mollifier radius " + repr(eps)
+                break
             m_next = (1.0 - tau) * mvals + tau * m_new.values
             change = _state_change(
                 grid, (rep.u.values, rep.lam, m_next), (uvals, lam, mvals)
@@ -504,7 +520,7 @@ def lp_bound_check(state: MfgState, spec: MfgSpec) -> dict:
     bound = _hessian_sup_norm(spec.shift, grid)
     from .estimates import sobolev_constant_estimate
 
-    sigma = sobolev_constant_estimate(grid, starts=2, iters=40)
+    sigma = sobolev_constant_estimate(grid)
     return {
         "exponent": expo,
         "density_norm": norm,

@@ -34,6 +34,10 @@ def test_defaults_parse_and_build():
         ("[domain]\nnonsense\n", "line 2: expected key = value"),
         ("[nope]\n", "line 1: unknown section"),
         ("[domain]\nwidth = 3\n", "unknown key"),
+        ("[problem]\nc2 = 0.5\n", "unknown key"),
+        ("[problem]\nsource_axis = 2\n", "unknown key"),
+        ("[experiment]\nstarts = 4\n", "unknown key"),
+        ("[experiment]\niters = 40\n", "unknown key"),
         ("[domain]\ndim = 3\ndim = 2\n", "duplicate key"),
         ("[domain]\ndim = wide\n", "cannot parse"),
         ("dim = 3\n", "outside any"),
@@ -168,6 +172,8 @@ def test_ergodic_report_schema_and_outputs(tmp_path):
     assert report["failures"] == []
     assert report["passed"] is True
     assert '"passed": true' in text  # booleans survive serialization
+    # gamma = 2 in d = 3 misses the unenforced growth side of (MFG3)
+    assert any("MFG3" in w for w in report["warnings"])
     for key in ("C_V", "K", "kappa", "rho", "s", "sigma_hat", "theta"):
         assert key in report["gates"]
     assert report["results"]["converged"] is True
@@ -221,6 +227,21 @@ def test_game_subcommand_reports_and_dumps_fields(tmp_path):
     assert (out / "u.csv").exists() and (out / "m.csv").exists()
 
 
+def test_over_advected_game_fails_with_a_report(tmp_path):
+    cfg = write(
+        tmp_path,
+        "strong.ini",
+        "[domain]\nkind = torus\ndim = 2\nresolution = 16\n"
+        "[problem]\nshift_kind = mode\nshift_amplitude = 2000\n",
+    )
+    out = tmp_path / "out"
+    rc = main(["mfg", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert any("advection mesh number" in f for f in report["failures"])
+
+
 def test_constants_runs_are_deterministic(tmp_path):
     cfg = write(tmp_path, "c.ini", "[domain]\nkind = torus\ndim = 3\nresolution = 12\n")
     outs = []
@@ -242,7 +263,7 @@ def test_seed_changes_the_searched_constants(tmp_path):
         assert main(["constants", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
         reports.append(json.loads((out / "report.json").read_text()))
     assert reports[0]["seed"] != reports[1]["seed"]
-    # closed-form entries agree even though the random searches differ
+    # closed-form entries agree even though the random samples differ
     assert (
         reports[0]["results"]["continuity"]["y_star"]
         == reports[1]["results"]["continuity"]["y_star"]

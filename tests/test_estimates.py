@@ -1,4 +1,4 @@
-"""Scaling experiments, exponent bookkeeping, embedding-constant search,
+"""Scaling experiments, exponent bookkeeping, embedding-constant bound,
 second-derivative norm ratios, and seeded source families."""
 
 import numpy as np
@@ -10,7 +10,6 @@ from hjblab.estimates import (
     SweepSpec,
     cz_ratio,
     random_band_limited,
-    sobolev_ascent,
     sobolev_constant_estimate,
     sobolev_ratio,
     source_family,
@@ -19,7 +18,7 @@ from hjblab.estimates import (
     thm2_sweep,
 )
 from hjblab.fields import ScalarField, VectorField
-from hjblab.geometry import DomainSpec, build_grid
+from hjblab.geometry import DomainSpec, MetricSpec, build_grid
 from hjblab.hjb import SolverConfig
 
 TWO_PI = 2.0 * np.pi
@@ -203,7 +202,7 @@ def test_unknown_source_family_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# embedding-constant search
+# embedding-constant bound
 
 
 def test_quotient_of_the_constant_field_on_the_unit_box_is_one():
@@ -228,19 +227,15 @@ def test_quotient_input_gates():
         sobolev_ratio(ScalarField(g, np.zeros(g.shape)))
 
 
-def test_ascent_history_is_strictly_monotone():
-    g = torus(10)
-    rng = np.random.default_rng(1)
-    _, history = sobolev_ascent(g, rng.normal(size=g.shape), iters=40)
-    assert len(history) >= 2
-    assert all(b > a for a, b in zip(history, history[1:]))
-
-
-def test_constant_estimate_dominates_the_constant_baseline():
-    g = box(10)
-    best = sobolev_constant_estimate(g, starts=2, iters=40)
-    assert np.isfinite(best)
-    assert best >= 1.0
+def test_constant_estimate_is_the_constant_field_quotient():
+    conformal = build_grid(
+        DomainSpec(kind="conformal_torus", dim=3, resolution=(10,)),
+        MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0])),
+    )
+    for g in (box(10), torus(10), conformal):
+        assert sobolev_constant_estimate(g) == sobolev_ratio(ScalarField(g, np.ones(g.shape)))
+    for g in (box(10), torus(10)):
+        assert abs(sobolev_constant_estimate(g) - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Stationary solver: gates, residual conventions, manufactured problems, and
 an independent time-marching oracle for the ergodic pair (u, lambda)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -261,3 +264,13 @@ def test_ergodic_entry_point_requires_the_flag():
     grid = torus(12, dim=2)
     with pytest.raises(ValueError):
         solve_ergodic(ProblemSpec(grid, gamma=2.0, ergodic=False))
+
+
+def test_grid_is_collected_after_a_solve():
+    grid = torus(12)
+    ref = weakref.ref(grid)
+    spec = ProblemSpec(grid, gamma=2.0, shift=first_mode_shift(grid), ergodic=True)
+    assert solve_ergodic(spec).converged
+    del grid, spec
+    gc.collect()
+    assert ref() is None
