@@ -32,9 +32,9 @@ from .fields import (
 from .geometry import DomainSpec, MetricSpec, build_grid
 from .hjb import (
     ProblemSpec,
-    SolverConfig,
     manufactured_solution,
     manufactured_source,
+    solution_norm_table,
     solve,
     solve_ergodic,
 )
@@ -192,23 +192,23 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
         source=source,
         ergodic=ergodic or prob_blk["ergodic"],
     )
-    scfg = SolverConfig()
-    rep = solve_ergodic(spec, scfg) if spec.ergodic else solve(spec, scfg)
+    rep = solve_ergodic(spec) if spec.ergodic else solve(spec)
     if not rep.converged:
         _fail(report, "solve did not converge: " + rep.message)
     fq = lq_norm(source, 2.0).value if source is not None else 0.0
     grad1 = lq_norm(gradient(rep.u), 1.0).value
     report["gates"] = estimates.gate_block(grid, drift_info, K=fq + grad1)
+    norms = solution_norm_table(spec, rep.u)
     report["results"] = {
         "converged": rep.converged,
         "iterations": rep.iterations,
         "residual": rep.residual,
         "lambda": rep.lam,
         "compat_defect": rep.compat_defect,
-        "norms": rep.norms,
+        "norms": norms,
     }
     rows = []
-    for family, table in sorted(rep.norms.items()):
+    for family, table in sorted(norms.items()):
         for expo, value in sorted(table.items()):
             rows.append((family, expo, value))
     _write_csv(os.path.join(out, "norms.csv"), ("family", "exponent", "value"), rows)
@@ -240,7 +240,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
         last_grid = grid
         ustar, f = manufactured_source(grid, gamma, c1, symbolic=symbolic)
         spec = ProblemSpec(grid=grid, gamma=gamma, c1=c1, source=f)
-        rep = solve(spec, SolverConfig())
+        rep = solve(spec)
         if not rep.converged:
             _fail(report, "solve did not converge at n = " + str(n))
             break

@@ -16,7 +16,9 @@ Solver stencils are narrow: three-point second differences and centered
 first differences with mirror (even-reflection) closures, so the Jacobian
 keeps the classical M-matrix sparsity.  Linear solves are matrix-free
 GMRES preconditioned by an exact fast-transform inverse of the flat
-constrained Laplacian (FFT on tori, DCT-I on boxes).
+constrained Laplacian (FFT on tori, DCT-I on boxes).  A solve either
+converges or stops with a named reason: the Newton budget is exhausted,
+a linear solve fails, or the line search reaches its backtracking floor.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .fields import (
     hessian,
     laplace_beltrami,
     lq_norm,
+    pointwise_norm,
 )
 from .geometry import Grid
 from .stencils import apply_along_axis, d1_matrix, d2_matrix
@@ -68,17 +71,15 @@ class ProblemSpec:
         return self.gamma / (self.gamma - 1.0)
 
 
+# eps in (|grad u|^2 + eps^2)^{(gamma-2)/2}, shared by the linearized
+# transport here and the game's optimal drift.
+EPS_REG = 1e-8
+
+
 @dataclass
 class SolverConfig:
     residual_tol: float = 1e-10
     max_iter: int = 60
-    min_step: float = 2.0**-20
-    eps_reg: float = 1e-8
-    picard_fallback: int = 20
-    gmres_restart: int = 80
-    gmres_maxiter: int = 400
-    grad_exponents: tuple = (2.0,)
-    other_exponents: tuple = (2.0,)
     initial_guess: Optional[ScalarField] = None
 
 
@@ -90,7 +91,6 @@ class SolveReport:
     u: ScalarField
     lam: float
     compat_defect: float
-    norms: dict
     history: list = dataclass_field(default_factory=list)
     message: str = ""
     wall_time: float = 0.0
@@ -114,6 +114,8 @@ class _Ops:
             bc1 = "periodic" if grid.periodic[a] else "mirror"
             self.d1.append(d1_matrix(grid.shape[a], grid.spacings[a], bc1))
             self.d2.append(d2_matrix(grid.shape[a], grid.spacings[a], bc1))
+        self.d1t = [m.T.tocsr() for m in self.d1]
+        self.d2t = [m.T.tocsr() for m in self.d2]
         if not grid.is_flat and not all(grid.periodic):
             raise NotImplementedError("conformal solving is supported on tori only")
 
@@ -152,8 +154,8 @@ class _Ops:
             raise NotImplementedError("transpose transport is used on flat grids only")
         out = np.zeros(g.shape)
         for a in range(self.naxes):
-            out -= apply_along_axis(self.d2[a].T.tocsr(), vals, a)
-            out += apply_along_axis(self.d1[a].T.tocsr(), coeff[a] * vals, a)
+            out -= apply_along_axis(self.d2t[a], vals, a)
+            out += apply_along_axis(self.d1t[a], coeff[a] * vals, a)
         return out
 
 
@@ -161,8 +163,7 @@ class _FlatInverter:
     """Exact fast-transform inverse of the flat constrained Laplacian.
 
     Solves  -Lap x + mu = r,  <x>_w = c  for (x, mu); used as the GMRES
-    preconditioner for the bordered Newton systems (and as the exact
-    linear solver inside Picard fallback sweeps on flat grids).
+    preconditioner for the bordered Newton and density systems.
     """
 
     def __init__(self, grid: Grid):
@@ -242,7 +243,7 @@ def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray) -> np.ndarra
     return out
 
 
-def transport_coefficient(spec: ProblemSpec, uvals: np.ndarray, eps_reg: float) -> np.ndarray:
+def transport_coefficient(spec: ProblemSpec, uvals: np.ndarray) -> np.ndarray:
     """Lattice coefficient of the linearized first-order term.
 
     a_i = c1 e^{-gamma phi} (|du|^2 + eps^2)^{(gamma-2)/2} du_i + B_i; the
@@ -252,7 +253,7 @@ def transport_coefficient(spec: ProblemSpec, uvals: np.ndarray, eps_reg: float) 
     ops = _ops_for(spec.grid)
     dvals = ops.grad(uvals)
     sq = np.sum(dvals**2, axis=0)
-    amp = spec.c1 * (sq + eps_reg**2) ** ((spec.gamma - 2.0) / 2.0)
+    amp = spec.c1 * (sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
     if not spec.grid.is_flat:
         amp = amp * spec.grid.conformal_factor(-spec.gamma)
     coeff = amp * dvals
@@ -290,8 +291,6 @@ def bordered_solve(
     rhs_field: np.ndarray,
     rhs_constraint: float,
     rtol: float,
-    restart: int = 80,
-    maxiter: int = 400,
 ):
     """Constrained system [[A, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
 
@@ -320,7 +319,7 @@ def bordered_solve(
     b = np.concatenate([rhs_field.reshape(-1), [rhs_constraint]])
     z0 = psolve(b)
     sol, info = gmres(
-        A, b, x0=z0, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, M=M
+        A, b, x0=z0, rtol=rtol, atol=0.0, restart=80, maxiter=400, M=M
     )
     return sol[:-1].reshape(shape), float(sol[-1]), int(info)
 
@@ -344,7 +343,6 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         uvals = np.zeros(grid.shape)
     lam = 0.0
     history = []
-    picard_used = False
     message = ""
 
     def F(uv, lv):
@@ -358,7 +356,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     converged = res_norm <= cfg.residual_tol
 
     while not converged and iters < cfg.max_iter:
-        coeff = transport_coefficient(spec, uvals, cfg.eps_reg)
+        coeff = transport_coefficient(spec, uvals)
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         delta_u, delta_lam, info = bordered_solve(
             grid,
@@ -367,12 +365,16 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             -res,
             -float(np.sum(grid.weights * uvals)),
             rtol,
-            restart=cfg.gmres_restart,
-            maxiter=cfg.gmres_maxiter,
         )
+        if info != 0:
+            message = (
+                "linear solve failed at Newton step " + str(iters + 1)
+                + " (GMRES info " + str(info) + ")"
+            )
+            break
         alpha = 1.0
         accepted = False
-        while alpha >= cfg.min_step:
+        while alpha >= 2.0**-20:
             trial_u = uvals + alpha * delta_u
             trial_lam = lam + alpha * delta_lam
             trial_res = F(trial_u, trial_lam)
@@ -381,44 +383,27 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
                 accepted = True
                 break
             alpha *= 0.5
-        if accepted:
-            uvals, lam, res, res_norm = trial_u, trial_lam, trial_res, trial_norm
-            iters += 1
-            history.append(res_norm)
-            converged = res_norm <= cfg.residual_tol
-            continue
-        # Newton stalled: damped fixed-point sweeps, then retry Newton once
-        if picard_used:
-            message = "stalled: backtracking floor reached twice"
+        if not accepted:
+            message = "stalled: backtracking floor reached"
             break
-        picard_used = True
-        for _ in range(cfg.picard_fallback):
-            rhs = -(_residual_core(spec, ops, uvals) - (-ops.lap_metric(uvals)))
-            # rhs = f - b - H(grad u) - B.grad u; solve -Lap v + mu = rhs
-            v, mu = inv.solve(rhs, 0.0)
-            uvals = uvals + 0.5 * (v - uvals)
-            lam = lam + 0.5 * (mu - lam)
-        res = F(uvals, lam)
-        res_norm = _weighted_norm(grid, res)
-        history.append(res_norm)
+        uvals, lam, res, res_norm = trial_u, trial_lam, trial_res, trial_norm
         iters += 1
+        history.append(res_norm)
+        converged = res_norm <= cfg.residual_tol
 
     # exact gauge fix: constants do not change the residual
     mean = float(np.sum(grid.weights * uvals)) / grid.vol
     uvals = uvals - mean
 
-    u_field = ScalarField(grid, uvals)
-    norms = solution_norm_table(spec, u_field, cfg)
     if not converged and not message:
         message = "iteration budget exhausted"
     return SolveReport(
         converged=bool(converged),
         iterations=iters,
         residual=res_norm,
-        u=u_field,
+        u=ScalarField(grid, uvals),
         lam=float(lam) if spec.ergodic else 0.0,
         compat_defect=0.0 if spec.ergodic else float(lam),
-        norms=norms,
         history=history,
         message=message,
         wall_time=time.perf_counter() - t0,
@@ -431,27 +416,17 @@ def solve_ergodic(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> Solv
     return solve(spec, cfg)
 
 
-def solution_norm_table(spec: ProblemSpec, u: ScalarField, cfg: SolverConfig) -> dict:
-    """Gradient/laplacian/Hamiltonian/Hessian norms via the analysis calculus."""
+def solution_norm_table(spec: ProblemSpec, u: ScalarField) -> dict:
+    """L^2 norms of grad u, Lap u, |grad u|^gamma and Hess u via the
+    analysis calculus, as {family: {"2.0": norm}}."""
     gradu = gradient(u)
-    lap = laplace_beltrami(u)
-    hess = hessian(u)
-    from .fields import pointwise_norm
-
-    ham = ScalarField(u.grid, pointwise_norm(gradu) ** spec.gamma)
-    out = {"grad": {}, "lap": {}, "grad_pow_gamma": {}, "hess": {}}
-    for r in cfg.grad_exponents:
-        out["grad"][_fmt_exp(r)] = lq_norm(gradu, r).value
-    for q in cfg.other_exponents:
-        out["lap"][_fmt_exp(q)] = lq_norm(lap, q).value
-        out["grad_pow_gamma"][_fmt_exp(q)] = lq_norm(ham, q).value
-        out["hess"][_fmt_exp(q)] = lq_norm(hess, q).value
-    return out
-
-
-def _fmt_exp(q: float) -> str:
-    q = float(q)
-    return "inf" if np.isinf(q) else repr(q)
+    families = {
+        "grad": gradu,
+        "lap": laplace_beltrami(u),
+        "grad_pow_gamma": ScalarField(u.grid, pointwise_norm(gradu) ** spec.gamma),
+        "hess": hessian(u),
+    }
+    return {name: {"2.0": lq_norm(f, 2.0).value} for name, f in families.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ instead of clipping.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -36,6 +35,7 @@ from .fields import (
 )
 from .geometry import Grid
 from .hjb import (
+    EPS_REG,
     ProblemSpec,
     SolverConfig,
     _inverter_for,
@@ -53,9 +53,8 @@ from .hjb import (
 class MfgSpec:
     """One stationary game: exponents, coupling, shift, and iteration knobs.
 
-    `solver` configures the inner value solves; the game overrides two of
-    its fields, `eps_reg` with this spec's and `initial_guess` with the
-    previous outer iterate.
+    The inner value solves run at the default `SolverConfig`, warm-started
+    from the previous outer iterate.
     """
 
     grid: Grid
@@ -67,8 +66,6 @@ class MfgSpec:
     tau: float = 0.5                      # outer damping
     max_outer: int = 60
     outer_tol: float = 1e-9
-    eps_reg: float = 1e-8
-    solver: Optional[SolverConfig] = None
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -243,12 +240,12 @@ def smoothed_density(m: ScalarField, eps: float) -> ScalarField:
 # stationary Fokker-Planck solve
 
 
-def optimal_drift(u: ScalarField, gamma: float, eps_reg: float = 1e-8) -> np.ndarray:
+def optimal_drift(u: ScalarField, gamma: float) -> np.ndarray:
     """a(grad u) = |grad u|^{gamma-2} grad u on the solver stencils."""
     ops = _ops_for(u.grid)
     d = ops.grad(u.values)
     sq = np.sum(d**2, axis=0)
-    return (sq + eps_reg**2) ** ((gamma - 2.0) / 2.0) * d
+    return (sq + EPS_REG**2) ** ((gamma - 2.0) / 2.0) * d
 
 
 def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
@@ -259,13 +256,7 @@ def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
     return pec
 
 
-def fp_solve(
-    u: ScalarField,
-    grid: Optional[Grid] = None,
-    gamma: float = 2.0,
-    eps_reg: float = 1e-8,
-    rtol: float = 1e-10,
-) -> ScalarField:
+def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
     """Invariant density of the transport generated by the value field.
 
     Solves the quadrature adjoint of the linearized value-equation
@@ -274,14 +265,12 @@ def fp_solve(
     operator.  Positivity is an M-matrix consequence, checked via the
     advection mesh number, never enforced by clipping.
     """
-    grid = grid or u.grid
-    if grid is not u.grid:
-        raise ValueError("field and grid arguments disagree")
+    grid = u.grid
     if not grid.is_flat or grid.coord_system != "cartesian":
         raise ValueError("density solves run on flat box/torus lattices only")
     ops = _ops_for(grid)
     inv = _inverter_for(grid)
-    drift = optimal_drift(u, gamma, eps_reg)
+    drift = optimal_drift(u, gamma)
     pec = fp_peclet(grid, drift)
     if pec > 1.0:
         raise ValueError(
@@ -295,7 +284,7 @@ def fp_solve(
         return ops.transport_transpose_apply(w * mvals, drift) / w
 
     mvals, mu, info = bordered_solve(
-        grid, adjoint_apply, inv, np.zeros(grid.shape), 1.0, rtol
+        grid, adjoint_apply, inv, np.zeros(grid.shape), 1.0, 1e-10
     )
     if info != 0:
         raise RuntimeError("density linear solve did not converge")
@@ -347,7 +336,6 @@ def mfg_fixed_point(spec: MfgSpec):
     tau = spec.tau
     peclet = 0.0
     message = ""
-    base_cfg = spec.solver or SolverConfig()
 
     for eps in stages:
         stage_converged = False
@@ -362,14 +350,11 @@ def mfg_fixed_point(spec: MfgSpec):
                 source=v_eps,
                 ergodic=True,
             )
-            cfg = dataclasses.replace(
-                base_cfg, eps_reg=spec.eps_reg, initial_guess=ScalarField(grid, uvals)
-            )
-            rep = solve_ergodic(prob, cfg)
+            rep = solve_ergodic(prob, SolverConfig(initial_guess=ScalarField(grid, uvals)))
             if not rep.converged:
                 message = "inner value solve failed to converge"
                 break
-            pec = fp_peclet(grid, optimal_drift(rep.u, spec.gamma, spec.eps_reg))
+            pec = fp_peclet(grid, optimal_drift(rep.u, spec.gamma))
             peclet = max(peclet, pec)
             # The density solve rejects such a drift; a valid request that
             # drives it there is a failed run, not a rejected one.
@@ -380,7 +365,7 @@ def mfg_fixed_point(spec: MfgSpec):
                 )
                 break
             try:
-                m_new = fp_solve(rep.u, grid, spec.gamma, spec.eps_reg)
+                m_new = fp_solve(rep.u, spec.gamma)
             except RuntimeError as exc:
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break
@@ -469,8 +454,8 @@ def duality_identity_residual(state: MfgState, spec: MfgSpec) -> dict:
     gradu = gradient(state.u)
     hess = hessian(state.u)
     p_sq = np.sum(gradu.values**2, axis=0)
-    amp = (p_sq + spec.eps_reg**2) ** ((spec.gamma - 2.0) / 2.0)
-    amp2 = (p_sq + spec.eps_reg**2) ** ((spec.gamma - 4.0) / 2.0)
+    amp = (p_sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
+    amp2 = (p_sq + EPS_REG**2) ** ((spec.gamma - 4.0) / 2.0)
     hess_sq_frob = np.einsum("ij...,ij...->...", hess.values, hess.values)
     hp = np.einsum("ij...,j...->i...", hess.values, gradu.values)
     p_h2_p = np.sum(hp**2, axis=0)

@@ -285,7 +285,6 @@ def test_criterion_10_game_nontrivial_run_with_certificates():
         alpha=1.0,
         shift=first_mode(g, 0.5),
         eps=0.05,
-        solver=SolverConfig(),
     )
     state, report = mfg_fixed_point(spec)
     assert report.converged

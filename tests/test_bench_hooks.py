@@ -1,0 +1,61 @@
+"""The benchmark's tracer wraps package functions by name and relies on the
+positional signature of `bordered_solve`; a rename or signature change in
+the package must fail here, not only under `bench/run.py --trace 1`."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Run in a fresh interpreter: installing the tracer rebinds module
+# attributes for the rest of the process.
+SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, per_layer_metrics
+
+tracer = Tracer()
+tracer.install()
+from hjblab import hjb, mfg
+from hjblab.fields import ScalarField
+from hjblab.geometry import DomainSpec, build_grid
+
+grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(12,)))
+source = ScalarField(grid, np.cos(2.0 * np.pi * grid.mesh()[0]))
+spec = hjb.ProblemSpec(grid, gamma=2.0, source=source, ergodic=True)
+rep = hjb.solve_ergodic(spec)
+hjb.solution_norm_table(spec, rep.u)
+mfg.fp_solve(rep.u, 2.0)
+metrics = per_layer_metrics(tracer.spans, tracer.counts)
+metrics["converged"] = rep.converged
+print(json.dumps(metrics))
+"""
+
+
+def test_bench_tracer_installs_and_records_every_hooked_layer():
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "bench")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    m = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert m["converged"]
+    assert m["hjb.solve.calls"] == 1 and m["hjb.solve.newton_steps"] >= 1
+    assert m["hjb.bordered_solve.calls"] == m["hjb.solve.newton_steps"] + 1
+    for name in ("hjb.jacobian_apply", "hjb.adjoint_apply", "hjb.precond"):
+        assert m[name + ".calls"] >= 1, name
+    assert m["hjb.bordered_solve.info_nonzero"] == 0
+    assert m["hjb.solution_norm_table.s"] > 0.0
+    assert m["hjb.transport_coefficient.s"] > 0.0
+    assert m["mfg.fp_solve.calls"] == 1
+    assert m["mfg.peclet_max"] > 0.0
+    assert m["stencils.apply_along_axis.calls"] > 0

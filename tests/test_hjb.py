@@ -7,14 +7,15 @@ import weakref
 import numpy as np
 import pytest
 
-from hjblab.fields import ScalarField, VectorField
+from hjblab import hjb
+from hjblab.fields import ScalarField, VectorField, gradient, lq_norm
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
 from hjblab.hjb import (
     ProblemSpec,
-    SolverConfig,
     manufactured_solution,
     manufactured_source,
     residual,
+    solution_norm_table,
     solve,
     solve_ergodic,
 )
@@ -217,13 +218,12 @@ def test_superquadratic_problem_with_drift_converges():
         source=ScalarField(grid, 10.0 * np.cos(TWO_PI * mesh[0])),
         ergodic=True,
     )
-    cfg = SolverConfig(grad_exponents=(2.0, np.inf), other_exponents=(2.0,))
-    rep = solve_ergodic(spec, cfg)
+    rep = solve_ergodic(spec)
     assert rep.converged and rep.residual <= 1e-10
-    for table in rep.norms.values():
+    for table in solution_norm_table(spec, rep.u).values():
         for val in table.values():
             assert np.isfinite(val)
-    assert rep.norms["grad"]["inf"] > 0.0
+    assert lq_norm(gradient(rep.u), np.inf).value > 0.0
 
 
 def test_stronger_sources_steepen_the_solution():
@@ -237,10 +237,9 @@ def test_stronger_sources_steepen_the_solution():
             source=ScalarField(grid, amp * np.cos(TWO_PI * mesh[0])),
             ergodic=True,
         )
-        cfg = SolverConfig(grad_exponents=(np.inf,))
-        rep = solve_ergodic(spec, cfg)
+        rep = solve_ergodic(spec)
         assert rep.converged
-        sup_grads.append(rep.norms["grad"]["inf"])
+        sup_grads.append(lq_norm(gradient(rep.u), np.inf).value)
     assert sup_grads[1] > sup_grads[0] > 0.0
 
 
@@ -274,3 +273,40 @@ def test_grid_is_collected_after_a_solve():
     del grid, spec
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# named stops: a solve that cannot make progress says why
+
+
+def _source_spec():
+    grid = torus(12)
+    mesh = grid.mesh()
+    return ProblemSpec(
+        grid, gamma=2.0, source=ScalarField(grid, np.cos(TWO_PI * mesh[0])), ergodic=True
+    )
+
+
+def _fake_bordered_solve(info):
+    def fake(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+        return np.zeros(grid.shape), 0.0, info
+
+    return fake
+
+
+def test_failed_linear_solve_stops_newton(monkeypatch):
+    spec = _source_spec()
+    assert solve_ergodic(spec).converged
+    monkeypatch.setattr(hjb, "bordered_solve", _fake_bordered_solve(info=1))
+    rep = solve_ergodic(spec)
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert rep.message == "linear solve failed at Newton step 1 (GMRES info 1)"
+
+
+def test_zero_newton_step_stops_at_the_backtracking_floor(monkeypatch):
+    monkeypatch.setattr(hjb, "bordered_solve", _fake_bordered_solve(info=0))
+    rep = solve_ergodic(_source_spec())
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert rep.message == "stalled: backtracking floor reached"

@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from hjblab import mfg
 from hjblab.fields import ScalarField
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
-from hjblab.hjb import SolverConfig
 from hjblab.mfg import (
     MfgSpec,
     MfgState,
@@ -175,11 +175,6 @@ def test_density_solve_runs_on_boxes_with_positive_output():
 
 
 def test_density_solve_input_gates():
-    g = torus(16, dim=2)
-    other = torus(12, dim=2)
-    u = ScalarField(g, np.zeros(g.shape))
-    with pytest.raises(ValueError, match="disagree"):
-        fp_solve(u, grid=other)
     conf = build_grid(
         DomainSpec(kind="torus", dim=2, resolution=(16,)),
         MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0])),
@@ -362,7 +357,6 @@ def test_nontrivial_torus_game_with_certificates():
         alpha=1.0,
         shift=first_mode_shift(g, amp=0.5),
         eps=0.1,
-        solver=SolverConfig(),
     )
     state, report = mfg_fixed_point(spec)
     assert report.converged
@@ -399,6 +393,20 @@ def test_box_game_converges_without_boundary_certificates():
     assert report.min_density > 0.0
     assert report.duality == {}  # the pairing identity is a torus diagnostic
     state.validate()
+
+
+def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
+    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+        return np.zeros(grid.shape), 0.0, 1
+
+    monkeypatch.setattr(mfg, "bordered_solve", failing)
+    g = torus(16, dim=2)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
+    _, report = mfg_fixed_point(spec)
+    assert not report.converged
+    assert report.outer_iterations == 0
+    assert report.message == "density linear solve did not converge at mollifier radius 0.1"
+    assert report.duality == {} and report.lp_bounds == {}
 
 
 def test_duality_diagnostic_rejects_boxes():
