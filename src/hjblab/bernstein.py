@@ -23,6 +23,7 @@ import numpy as np
 
 from .fields import (
     ScalarField,
+    _metric_trace,
     gradient,
     hessian,
     laplace_beltrami,
@@ -187,11 +188,11 @@ def bochner_residual(u: ScalarField, metric: Optional[MetricSpec] = None) -> Sca
     gradu = gradient(u)
     w = energy_density(u)
     lapw = laplace_beltrami(w)
-    lapu = laplace_beltrami(u)
-    glap = gradient(lapu)
+    hess = hessian(u)
+    glap = gradient(_metric_trace(hess))
     scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
     inner = scale2 * np.sum(glap.values * gradu.values, axis=0)
-    hsq = pointwise_norm(hessian(u)) ** 2
+    hsq = pointwise_norm(hess) ** 2
     ric = _ricci_quadratic(grid, gradu.values)
     return ScalarField(grid, lapw.values - inner - hsq - ric)
 
@@ -223,11 +224,10 @@ def weighted_bochner_residual(
     w = energy_density(u)
     z = ScalarField(grid, h(w.values))
     lapz = laplace_beltrami(z)
-    lapu = laplace_beltrami(u)
-    glap = gradient(lapu)
+    hess = hessian(u)
+    glap = gradient(_metric_trace(hess))
     scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
     inner = scale2 * np.sum(glap.values * gradu.values, axis=0)
-    hess = hessian(u)
     hsq = pointwise_norm(hess) ** 2
     ric = _ricci_quadratic(grid, gradu.values)
     # |Hess u (grad u)|^2 in the metric, from covariant Hessian and

@@ -23,6 +23,7 @@ from .bernstein import MaxRegParams, maxreg_params
 from .fields import (
     ScalarField,
     VectorField,
+    _metric_trace,
     gradient,
     hessian,
     laplace_beltrami,
@@ -199,7 +200,9 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
         convs.append(rep.converged)
         if not rep.converged:
             aborted = True
-            message = "solve failed to converge at amplitude " + repr(t)
+            message = (
+                "solve failed to converge at amplitude " + repr(t) + ": " + rep.message
+            )
             break
         warm = rep.u
         fq = lq_norm(f_field, spec.q).value
@@ -356,10 +359,11 @@ def cz_ratio(samples, p: float) -> float:
         raise ValueError("norm exponent must exceed 1")
     best = None
     for u in samples:
-        lap = lq_norm(laplace_beltrami(u), p).value
+        H = hessian(u)
+        lap = lq_norm(_metric_trace(H), p).value
         if lap <= 1e-300:
             continue
-        hess = lq_norm(hessian(u), p).value
+        hess = lq_norm(H, p).value
         val = hess / lap
         best = val if best is None else max(best, val)
     if best is None:

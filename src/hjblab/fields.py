@@ -6,7 +6,12 @@ derivatives are compositions of two first-derivative applications.  The
 composition choice is what makes three structural identities hold to
 round-off rather than to O(h^2):
 
-  * laplacian == metric trace of the Hessian, node-wise,
+  * laplacian == metric trace of the Hessian, node-wise and bit for bit:
+    `laplace_beltrami` builds only the diagonal entries, in the operation
+    order `hessian` uses for them, so the off-diagonal second partials are
+    never formed to take a Laplacian; callers that need both operators of
+    one field take the trace of the Hessian they already hold
+    (`_metric_trace`),
   * divergence == negative adjoint of the gradient under the quadrature
     inner product on tori (summation by parts), and div(grad u) == lap u
     on flat tori,
@@ -76,7 +81,14 @@ class VectorField:
 
 @dataclass
 class SymTensorField:
-    """Covariant symmetric 2-tensor, shape (d, d, *grid.shape)."""
+    """Covariant symmetric 2-tensor, shape (d, d, *grid.shape).
+
+    Values that are symmetric to round-off (within 1e-10 of the largest
+    entry) are stored as the average of the tensor and its transpose;
+    anything further from symmetric is rejected.  Values equal to their
+    transpose, such as every flat-grid `hessian`, are stored as given:
+    averaging them would return the same numbers, 0.5 * (x + x) == x.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -87,6 +99,8 @@ class SymTensorField:
         if self.values.shape != (d, d) + self.grid.shape:
             raise ValueError("tensor values must have shape (d, d, *grid.shape)")
         swapped = np.swapaxes(self.values, 0, 1)
+        if np.array_equal(self.values, swapped):
+            return
         if not np.allclose(self.values, swapped, rtol=0.0, atol=1e-10 * (1.0 + np.max(np.abs(self.values)))):
             raise ValueError("tensor is not symmetric")
         self.values = 0.5 * (self.values + swapped)
@@ -151,13 +165,35 @@ def hessian(u: ScalarField) -> SymTensorField:
 
 
 def laplace_beltrami(u: ScalarField) -> ScalarField:
-    """Metric trace of the Hessian (identical arithmetic, so the trace
-    identity holds node-wise to round-off)."""
+    """Laplace-Beltrami operator: the metric trace of `hessian(u)`.
+
+    Only the diagonal second partials d_a(d_a u) are formed.  On conformal
+    grids each one takes the diagonal of the Hessian's correction,
+    -2 d_a phi d_a u + <dphi, du>, in the order `hessian` applies it, so the
+    result equals `_metric_trace(hessian(u))` bit for bit.
+    """
     g = u.grid
-    H = hessian(u).values
+    if g.coord_system == "polar":
+        raise NotImplementedError("laplace_beltrami on the polar disc is not supported")
+    tr = np.zeros(g.shape)
+    if g.is_flat:
+        for a in range(g.dim):
+            tr += g.partial(g.partial(u.values, a), a)
+        return ScalarField(g, tr)
+    du = np.stack([g.partial(u.values, a) for a in range(g.dim)])
+    dphi = g.phi_gradient()
+    inner = np.sum(dphi * du, axis=0)
+    for a in range(g.dim):
+        tr += g.partial(du[a], a) - dphi[a] * du[a] - du[a] * dphi[a] + inner
+    return ScalarField(g, tr * g.conformal_factor(-2.0))
+
+
+def _metric_trace(H: SymTensorField) -> ScalarField:
+    """Metric trace of a covariant 2-tensor; of a Hessian, the Laplacian."""
+    g = H.grid
     tr = np.zeros(g.shape)
     for a in range(g.dim):
-        tr += H[a, a]
+        tr += H.values[a, a]
     if not g.is_flat:
         tr = tr * g.conformal_factor(-2.0)
     return ScalarField(g, tr)

@@ -35,9 +35,9 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _metric_trace,
     gradient,
     hessian,
-    laplace_beltrami,
     lq_norm,
     pointwise_norm,
 )
@@ -141,10 +141,23 @@ class _Ops:
         return self.grid.conformal_factor(-2.0) * (flat + corr)
 
     def transport_apply(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        """(-Lap_g + coeff . D) vals, the linearized operator."""
-        dvals = self.grad(vals)
-        out = -self.lap_metric(vals, dvals)
-        out += np.sum(coeff * dvals, axis=0)
+        """(-Lap_g + coeff . D) vals, the linearized operator.
+
+        On flat grids coeff . D vals is summed axis by axis, in the order of
+        np.sum(coeff * dvals, axis=0), with no (d, *shape) temporaries.
+        Stacked, they made glibc trim and re-fault several MB of heap on
+        every GMRES iteration at 48^3.
+        """
+        if not self.grid.is_flat:
+            dvals = self.grad(vals)
+            out = -self.lap_metric(vals, dvals)
+            out += np.sum(coeff * dvals, axis=0)
+            return out
+        adv = coeff[0] * apply_along_axis(self.d1[0], vals, 0)
+        for a in range(1, self.naxes):
+            adv += coeff[a] * apply_along_axis(self.d1[a], vals, a)
+        out = -self.lap_flat(vals)
+        out += adv
         return out
 
     def transport_transpose_apply(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -304,15 +317,17 @@ def bordered_solve(
 
     def matvec(z):
         v = z[:-1].reshape(shape)
-        mu = z[-1]
-        top = apply_fn(v) + mu
-        return np.concatenate([top.reshape(-1), [float(np.sum(w * v))]])
+        out = np.empty(n + 1)
+        np.add(apply_fn(v).reshape(-1), z[-1], out=out[:-1])
+        out[-1] = np.sum(w * v)
+        return out
 
     def psolve(z):
-        r = z[:-1].reshape(shape)
-        c = z[-1]
-        x, mu = inv.solve(r, c)
-        return np.concatenate([x.reshape(-1), [mu]])
+        x, mu = inv.solve(z[:-1].reshape(shape), z[-1])
+        out = np.empty(n + 1)
+        out[:-1] = x.reshape(-1)
+        out[-1] = mu
+        return out
 
     A = LinearOperator((n + 1, n + 1), matvec=matvec)
     M = LinearOperator((n + 1, n + 1), matvec=psolve)
@@ -420,11 +435,12 @@ def solution_norm_table(spec: ProblemSpec, u: ScalarField) -> dict:
     """L^2 norms of grad u, Lap u, |grad u|^gamma and Hess u via the
     analysis calculus, as {family: {"2.0": norm}}."""
     gradu = gradient(u)
+    hess = hessian(u)
     families = {
         "grad": gradu,
-        "lap": laplace_beltrami(u),
+        "lap": _metric_trace(hess),
         "grad_pow_gamma": ScalarField(u.grid, pointwise_norm(gradu) ** spec.gamma),
-        "hess": hessian(u),
+        "hess": hess,
     }
     return {name: {"2.0": lq_norm(f, 2.0).value} for name, f in families.items()}
 

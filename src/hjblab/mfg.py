@@ -352,7 +352,7 @@ def mfg_fixed_point(spec: MfgSpec):
             )
             rep = solve_ergodic(prob, SolverConfig(initial_guess=ScalarField(grid, uvals)))
             if not rep.converged:
-                message = "inner value solve failed to converge"
+                message = "inner value solve failed to converge: " + rep.message
                 break
             pec = fp_peclet(grid, optimal_drift(rep.u, spec.gamma))
             peclet = max(peclet, pec)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hjblab import hjb
 from hjblab.bernstein import maxreg_params
 from hjblab.estimates import (
     SweepSpec,
@@ -164,6 +165,22 @@ def test_maximal_integrability_sweep_runs_and_rejects_drift():
         thm2_sweep(
             SweepSpec(g, 3.0, f0, (1.0,), q=2.5, drift=shear_drift(g), drift_s=4.0)
         )
+
+
+def test_failed_solve_names_its_reason_in_the_sweep_report(monkeypatch):
+    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+        return np.zeros(grid.shape), 0.0, 1
+
+    monkeypatch.setattr(hjb, "bordered_solve", failing)
+    g = torus(8)
+    f0 = source_family(g, "mode", 2.5)
+    rep = thm2_sweep(SweepSpec(g, 3.0, f0, (1.0, 3.0), q=2.5))
+    assert rep.aborted
+    assert rep.converged == (False,)
+    assert rep.message == (
+        "solve failed to converge at amplitude 1.0: "
+        "linear solve failed at Newton step 1 (GMRES info 1)"
+    )
 
 
 def test_maximal_integrability_gate_rejects_small_data_exponents():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjblab.estimates import random_band_limited
+from hjblab.bernstein import bochner_residual, weighted_bochner_residual
+from hjblab.estimates import cz_ratio, random_band_limited
 from hjblab.fields import (
     ScalarField,
     SymTensorField,
@@ -20,7 +21,7 @@ from hjblab.fields import (
     normal_derivative,
     pointwise_norm,
 )
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.geometry import DomainSpec, Grid, MetricSpec, build_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,6 +159,46 @@ def test_trace_identity_between_hessian_and_laplacian():
     tr = (H[0, 0] + H[1, 1] + H[2, 2]) * g.conformal_factor(-2.0)
     lap = laplace_beltrami(u).values
     assert np.max(np.abs(tr - lap)) <= 1e-12 * max(1.0, float(np.max(np.abs(lap))))
+
+
+@pytest.mark.parametrize("kind", ["flat torus", "box", "conformal torus"])
+def test_laplacian_is_the_metric_trace_of_the_hessian_bit_for_bit(kind):
+    g = {
+        "flat torus": torus(12, dim=3),
+        "box": box(11),  # one-sided rows on every face
+        "conformal torus": torus(12, dim=3, metric=conformal_metric()),
+    }[kind]
+    u = ScalarField(g, np.random.default_rng(4).normal(size=g.shape))
+    H = hessian(u).values
+    tr = sum(H[a, a] for a in range(g.dim))
+    if not g.is_flat:
+        tr = tr * g.conformal_factor(-2.0)
+    assert np.array_equal(laplace_beltrami(u).values, tr)
+
+
+def test_second_derivative_operators_form_each_partial_once(monkeypatch):
+    # Building the full Hessian to take each Laplacian would cost 9, 36, 36
+    # and 18 partials here.
+    g = torus(8, dim=3)
+    u = random_band_limited(g, seed=2)
+    calls = []
+    partial = Grid.partial
+
+    def counting(self, values, axis):
+        calls.append(axis)
+        return partial(self, values, axis)
+
+    monkeypatch.setattr(Grid, "partial", counting)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(laplace_beltrami, u) == 6
+    assert count(bochner_residual, u) == 24
+    assert count(weighted_bochner_residual, u, 0.5) == 24
+    assert count(cz_ratio, [u], 2.0) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +364,19 @@ def test_csv_dump_has_header_and_node_rows(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 64
     assert lines[0].split(",")[0] == "node"
+
+
+def test_symmetric_tensors_are_kept_and_round_off_asymmetry_is_averaged():
+    g = torus(8, dim=3)
+    A = np.random.default_rng(6).normal(size=(3, 3) + g.shape)
+    sym = A + np.swapaxes(A, 0, 1)  # exactly symmetric: a + b == b + a
+    assert np.array_equal(SymTensorField(g, sym.copy()).values, sym)
+    near = sym.copy()
+    near[1, 0] *= 1.0 + 1e-14
+    kept = SymTensorField(g, near.copy()).values
+    assert np.array_equal(kept[0, 1], kept[1, 0])
+    assert np.array_equal(kept[0, 1], 0.5 * (near[0, 1] + near[1, 0]))
+    assert not np.array_equal(kept[0, 1], sym[0, 1])
 
 
 def test_tensor_symmetry_is_enforced():

@@ -294,6 +294,19 @@ def _fake_bordered_solve(info):
     return fake
 
 
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_flat_linearized_operator_equals_its_stacked_form_bit_for_bit(kind):
+    grid = torus(12, dim=3) if kind == "torus" else box(11, dim=3)
+    ops = hjb._ops_for(grid)
+    rng = np.random.default_rng(8)
+    vals = rng.normal(size=grid.shape)
+    coeff = rng.normal(size=(3,) + grid.shape)
+    dvals = ops.grad(vals)
+    ref = -ops.lap_metric(vals, dvals)
+    ref += np.sum(coeff * dvals, axis=0)
+    assert np.array_equal(ops.transport_apply(vals, coeff), ref)
+
+
 def test_failed_linear_solve_stops_newton(monkeypatch):
     spec = _source_spec()
     assert solve_ergodic(spec).converged

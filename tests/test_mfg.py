@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from hjblab import mfg
+from hjblab import hjb, mfg
 from hjblab.fields import ScalarField
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
 from hjblab.mfg import (
@@ -407,6 +407,22 @@ def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
     assert report.outer_iterations == 0
     assert report.message == "density linear solve did not converge at mollifier radius 0.1"
     assert report.duality == {} and report.lp_bounds == {}
+
+
+def test_failed_value_solve_stops_the_game_with_its_reason(monkeypatch):
+    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+        return np.zeros(grid.shape), 0.0, 1
+
+    monkeypatch.setattr(hjb, "bordered_solve", failing)
+    g = torus(8, dim=3)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
+    _, report = mfg_fixed_point(spec)
+    assert not report.converged
+    assert report.outer_iterations == 0
+    assert report.message == (
+        "inner value solve failed to converge: "
+        "linear solve failed at Newton step 1 (GMRES info 1)"
+    )
 
 
 def test_duality_diagnostic_rejects_boxes():
