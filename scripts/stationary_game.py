@@ -26,9 +26,6 @@ shift_amplitude = {amp}
 [mfg]
 alpha = {alpha}
 eps = {eps}
-
-[output]
-dump_fields = true
 """
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .fields import (
     normal_derivative,
     pointwise_norm,
 )
-from .geometry import Grid, MetricSpec, conformal_ricci, second_fundamental_form
+from .geometry import Grid, conformal_ricci, second_fundamental_form
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +162,6 @@ class BernsteinState:
         return {"derivative_recovery_dev": dev}
 
 
-def _metric_arg(u: ScalarField, metric: Optional[MetricSpec]) -> None:
-    if metric is not None and metric != u.grid.metric:
-        raise ValueError("metric argument disagrees with the grid's metric")
-
-
 def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
     """Ric(X, X) for the contravariant vector X on this grid."""
     if grid.is_flat:
@@ -175,7 +170,7 @@ def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,i...,j...->...", ric, gradu_vals, gradu_vals)
 
 
-def bochner_residual(u: ScalarField, metric: Optional[MetricSpec] = None) -> ScalarField:
+def bochner_residual(u: ScalarField) -> ScalarField:
     """Defect of the curvature identity for w = |grad u|^2/2.
 
     Returns  Lap w - g(grad(Lap u), grad u) - |Hess u|^2 - Ric(grad u, grad u)
@@ -183,7 +178,6 @@ def bochner_residual(u: ScalarField, metric: Optional[MetricSpec] = None) -> Sca
     affine and quadratic u on flat grids; O(h) or better under refinement
     otherwise.
     """
-    _metric_arg(u, metric)
     grid = u.grid
     gradu = gradient(u)
     w = energy_density(u)
@@ -197,28 +191,17 @@ def bochner_residual(u: ScalarField, metric: Optional[MetricSpec] = None) -> Sca
     return ScalarField(grid, lapw.values - inner - hsq - ric)
 
 
-def weighted_bochner_residual(
-    u: ScalarField,
-    delta: float,
-    metric: Optional[MetricSpec] = None,
-    h_funcs: Optional[tuple] = None,
-) -> ScalarField:
+def weighted_bochner_residual(u: ScalarField, delta: float) -> ScalarField:
     """Defect of the curvature identity for z = h(w).
 
     Returns  Lap z - h'(w) [ g(grad(Lap u), grad u) + |Hess u|^2 + Ric(grad u,grad u) ]
                    - h''(w) |Hess u (grad u)|^2.
-    delta = 1 (or an explicit h_funcs triple) selects the affine profile,
-    for which the result coincides with bochner_residual.  Exact for
-    constant and affine u; the nonlinear chain rule leaves an O(h^2)
-    defect for curved profiles even on quadratics.
+    delta = 1 selects the affine profile, for which the result coincides
+    with bochner_residual.  Exact for constant and affine u; the nonlinear
+    chain rule leaves an O(h^2) defect for curved profiles even on
+    quadratics.
     """
-    if h_funcs is None:
-        if delta != 1.0:
-            _check_delta(delta)
-        h, h1, h2 = _h_triple(delta)
-    else:
-        h, h1, h2 = h_funcs
-    _metric_arg(u, metric)
+    h, h1, h2 = _h_triple(delta)
     grid = u.grid
     gradu = gradient(u)
     w = energy_density(u)
@@ -256,22 +239,17 @@ class BoundarySignReport:
     convex_boundary: bool
 
 
-def boundary_sign_check(
-    u: ScalarField, grid: Optional[Grid] = None, tol: Optional[float] = None
-) -> BoundarySignReport:
+def boundary_sign_check(u: ScalarField) -> BoundarySignReport:
     """Compare d_nu w with -II(grad u, grad u) on the boundary.
 
     For convex boundaries the second fundamental form is nonnegative, so
-    the relation forces d_nu w <= 0; nodes violating that beyond tol are
-    counted.  Raises on closed (boundary-free) domains.
+    the relation forces d_nu w <= 0; nodes violating that beyond
+    tol = 5 h^2 are counted.  Raises on closed (boundary-free) domains.
     """
-    grid = grid or u.grid
-    if grid is not u.grid:
-        raise ValueError("field and grid arguments disagree")
+    grid = u.grid
     if not bool(grid.boundary_mask.any()):
         raise ValueError("domain has no boundary")
-    if tol is None:
-        tol = 5.0 * max(grid.spacings) ** 2
+    tol = 5.0 * max(grid.spacings) ** 2
     w = energy_density(u)
     dnu = normal_derivative(w)
     ii = second_fundamental_form(grid)

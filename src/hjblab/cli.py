@@ -32,7 +32,6 @@ from .fields import (
 from .geometry import DomainSpec, MetricSpec, build_grid
 from .hjb import (
     ProblemSpec,
-    manufactured_solution,
     manufactured_source,
     solution_norm_table,
     solve,
@@ -130,7 +129,7 @@ def _build_drift(cfg: RunConfig, grid):
     vals[0] = prob["drift_amplitude"] * np.sin(2.0 * np.pi * mesh[axis] / L)
     drift = VectorField(grid, vals)
     s = prob["drift_s"]
-    norm = lq_norm(drift, s).value
+    norm = lq_norm(drift, s)
     theta = prob["drift_theta"] if prob["drift_theta"] is not None else norm
     if norm > theta * (1.0 + 1e-12):
         raise ConfigError(
@@ -195,8 +194,8 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
     rep = solve_ergodic(spec) if spec.ergodic else solve(spec)
     if not rep.converged:
         _fail(report, "solve did not converge: " + rep.message)
-    fq = lq_norm(source, 2.0).value if source is not None else 0.0
-    grad1 = lq_norm(gradient(rep.u), 1.0).value
+    fq = lq_norm(source, 2.0) if source is not None else 0.0
+    grad1 = lq_norm(gradient(rep.u), 1.0)
     report["gates"] = estimates.gate_block(grid, drift_info, K=fq + grad1)
     norms = solution_norm_table(spec, rep.u)
     report["results"] = {

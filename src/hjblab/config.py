@@ -298,6 +298,9 @@ def _build(sections: dict) -> RunConfig:
     if prob["drift_kind"] != "none":
         if not (1 <= prob["drift_axis"] <= domain.dim):
             raise ConfigError("problem block: drift_axis out of range")
+    if prob["shift_kind"] != "none":
+        if not (1 <= prob["shift_axis"] <= domain.dim):
+            raise ConfigError("problem block: shift_axis out of range")
 
     exp = sections["experiment"]
     if not (0.0 < exp["delta"] < 1.0):

@@ -31,7 +31,7 @@ from .fields import (
     pointwise_norm,
 )
 from .geometry import Grid, ricci_lower_bound
-from .hjb import ProblemSpec, SolveReport, SolverConfig, solve_ergodic
+from .hjb import ProblemSpec, SolverConfig, solve_ergodic
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +84,9 @@ class SweepSpec:
     q: float
     r: Optional[float] = None               # gradient exponent (first sweep kind)
     params: Optional[MaxRegParams] = None   # exponent set (second sweep kind)
-    c1: float = 1.0
     drift: Optional[VectorField] = None
     drift_s: Optional[float] = None         # integrability exponent of the drift bound
     drift_theta: Optional[float] = None     # declared bound for ||B||_{L^s}
-    shift: Optional[ScalarField] = None
     cfg: Optional[SolverConfig] = None
 
     def __post_init__(self):
@@ -143,7 +141,7 @@ def _drift_gate(spec: SweepSpec) -> dict:
         raise ValueError(
             "drift integrability gate: need s > d when a drift is present"
         )
-    norm = lq_norm(spec.drift, spec.drift_s).value
+    norm = lq_norm(spec.drift, spec.drift_s)
     theta = spec.drift_theta if spec.drift_theta is not None else norm
     if norm > theta * (1.0 + 1e-12):
         raise ValueError("drift bound gate: ||B||_{L^s} exceeds the declared theta")
@@ -177,6 +175,7 @@ def gate_block(grid: Grid, drift_info: Optional[dict] = None, K=None, c_v=None) 
 
 
 def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
+    drift_info = _drift_gate(spec)  # fail fast before any solve
     cfg = spec.cfg or SolverConfig()
     ts, ratios, lambdas, convs, rows = [], [], [], [], []
     K = 0.0
@@ -189,9 +188,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
         prob = ProblemSpec(
             grid=spec.grid,
             gamma=spec.gamma,
-            c1=spec.c1,
             drift=spec.drift,
-            shift=spec.shift,
             source=f_field,
             ergodic=True,
         )
@@ -205,16 +202,16 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
             )
             break
         warm = rep.u
-        fq = lq_norm(f_field, spec.q).value
+        fq = lq_norm(f_field, spec.q)
         gradu = gradient(rep.u)
-        grad1 = lq_norm(gradu, 1.0).value
+        grad1 = lq_norm(gradu, 1.0)
         K = max(K, fq + grad1)
         if kind == "gradient-integrability":
-            num = lq_norm(gradu, spec.r).value
+            num = lq_norm(gradu, spec.r)
         else:
-            lap_q = lq_norm(laplace_beltrami(rep.u), spec.q).value
+            lap_q = lq_norm(laplace_beltrami(rep.u), spec.q)
             ham = ScalarField(spec.grid, pointwise_norm(gradu) ** spec.gamma)
-            ham_q = lq_norm(ham, spec.q).value
+            ham_q = lq_norm(ham, spec.q)
             num = lap_q + ham_q
         ratio = num / (1.0 + fq)
         ts.append(t)
@@ -231,7 +228,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
                 "residual": rep.residual,
             }
         )
-    gates = gate_block(spec.grid, _drift_gate(spec), K=K)
+    gates = gate_block(spec.grid, drift_info, K=K)
     ratio_at_one = None
     for t, r in zip(ts, ratios):
         if abs(t - 1.0) <= 1e-12:
@@ -258,7 +255,6 @@ def thm1_sweep(spec: SweepSpec) -> ScalingReport:
     """Amplitude sweep of the gradient r-norm against the data q-norm."""
     if spec.r is None:
         raise ValueError("this sweep needs the gradient exponent r")
-    _drift_gate(spec)  # fail fast before any solve
     return _run_sweep(spec, "gradient-integrability")
 
 
@@ -280,7 +276,6 @@ def source_family(
     grid: Grid,
     kind: str,
     q_norm: float,
-    seed: int = 0,
     power_exponent: Optional[float] = None,
 ) -> ScalarField:
     """Smooth base profiles f0, normalized to unit L^q norm.
@@ -313,7 +308,7 @@ def source_family(
     else:
         raise ValueError("unknown source family: " + repr(kind))
     f = ScalarField(grid, vals)
-    scale = lq_norm(f, q_norm).value
+    scale = lq_norm(f, q_norm)
     return ScalarField(grid, vals / scale)
 
 
@@ -327,8 +322,8 @@ def sobolev_ratio(u: ScalarField) -> float:
     if d < 3:
         raise ValueError("dimension must be at least 3")
     m = 2.0 * d / (d - 2.0)
-    num = lq_norm(u, m).value
-    den = lq_norm(gradient(u), 2.0).value + lq_norm(u, 2.0).value
+    num = lq_norm(u, m)
+    den = lq_norm(gradient(u), 2.0) + lq_norm(u, 2.0)
     if den == 0.0:
         raise ValueError("zero field has no quotient")
     return num / den
@@ -360,10 +355,10 @@ def cz_ratio(samples, p: float) -> float:
     best = None
     for u in samples:
         H = hessian(u)
-        lap = lq_norm(_metric_trace(H), p).value
+        lap = lq_norm(_metric_trace(H), p)
         if lap <= 1e-300:
             continue
-        hess = lq_norm(H, p).value
+        hess = lq_norm(H, p)
         val = hess / lap
         best = val if best is None else max(best, val)
     if best is None:

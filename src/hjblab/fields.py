@@ -25,11 +25,13 @@ covariant slot).
 
 Boundary closures here never assume a boundary condition; solvers impose
 Neumann conditions through their own mirrored operators.
+
+Norms are plain floats (`lq_norm`); fields are written out as CSV node
+tables (`dump_field_csv`).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +53,6 @@ class ScalarField:
         if self.values.shape != self.grid.shape:
             raise ValueError("scalar values must match the grid shape")
 
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "ScalarField":
-        """Evaluate fn on the lattice mesh (cartesian axes, or (r, theta))."""
-        return ScalarField(grid, np.asarray(fn(*grid.mesh()), dtype=float))
-
-    @staticmethod
-    def zero(grid: Grid) -> "ScalarField":
-        return ScalarField(grid, np.zeros(grid.shape))
-
 
 @dataclass
 class VectorField:
@@ -73,10 +66,6 @@ class VectorField:
         naxes = len(self.grid.shape)
         if self.values.shape != (naxes,) + self.grid.shape:
             raise ValueError("vector values must have shape (naxes, *grid.shape)")
-
-    @staticmethod
-    def zero(grid: Grid) -> "VectorField":
-        return VectorField(grid, np.zeros((len(grid.shape),) + grid.shape))
 
 
 @dataclass
@@ -104,17 +93,6 @@ class SymTensorField:
         if not np.allclose(self.values, swapped, rtol=0.0, atol=1e-10 * (1.0 + np.max(np.abs(self.values)))):
             raise ValueError("tensor is not symmetric")
         self.values = 0.5 * (self.values + swapped)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """One quadrature norm evaluation with the family and exponent that produced it."""
-
-    exponent: float
-    value: float
-    resolution: tuple
-    metric_kind: str
-    field_kind: str = "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +237,18 @@ def pointwise_norm(field) -> np.ndarray:
     raise TypeError(f"unsupported field type {type(field)!r}")
 
 
-def lq_norm(field, q: float) -> NormReport:
-    """Quadrature L^q norm, q in [1, inf]."""
+def lq_norm(field, q: float) -> float:
+    """Quadrature L^q norm of the pointwise frame norm, q in [1, inf]."""
     if q != np.inf and q < 1:
         raise ValueError("norm exponent must be >= 1 (or inf)")
-    g = field.grid
     mag = pointwise_norm(field)
     if q == np.inf:
-        value = float(np.max(mag))
-    else:
-        value = float(np.sum(g.weights * mag**q) ** (1.0 / q))
-    kind = {ScalarField: "scalar", VectorField: "vector", SymTensorField: "tensor"}[
-        type(field)
-    ]
-    return NormReport(
-        exponent=float(q),
-        value=value,
-        resolution=g.shape,
-        metric_kind=g.metric.kind,
-        field_kind=kind,
-    )
+        return float(np.max(mag))
+    return float(np.sum(field.grid.weights * mag**q) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
 # dumps
-
-_MAGIC = b"FLD1"
-_KIND_CODE = {"scalar": 0, "vector": 1, "tensor": 2}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
 def dump_field_csv(field, path: str) -> None:
@@ -319,40 +281,3 @@ def dump_field_csv(field, path: str) -> None:
                 + [repr(float(comps[c, i])) for c in range(comps.shape[0])]
             )
 
-
-def dump_field_binary(field, path: str) -> None:
-    """16-byte header (magic, kind, rank, ncomp, shape) + float64 payload."""
-    g = field.grid
-    if isinstance(field, ScalarField):
-        kind, ncomp = "scalar", 1
-    elif isinstance(field, VectorField):
-        kind, ncomp = "vector", field.values.shape[0]
-    else:
-        kind, ncomp = "tensor", field.values.shape[0] * field.values.shape[1]
-    shape4 = list(g.shape) + [0] * (4 - len(g.shape))
-    header = struct.pack(
-        "<4sBBH4H", _MAGIC, _KIND_CODE[kind], len(g.shape), ncomp, *shape4
-    )
-    assert len(header) == 16
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def load_field_binary(path: str, grid: Grid):
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        magic, code, rank, ncomp, *shape4 = struct.unpack("<4sBBH4H", header)
-        if magic != _MAGIC:
-            raise ValueError("not a field dump")
-        shape = tuple(s for s in shape4[:rank])
-        if shape != grid.shape:
-            raise ValueError("dump shape does not match the grid")
-        data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    kind = _CODE_KIND[code]
-    if kind == "scalar":
-        return ScalarField(grid, data.reshape(shape))
-    if kind == "vector":
-        return VectorField(grid, data.reshape((ncomp,) + shape))
-    d = len(shape)
-    return SymTensorField(grid, data.reshape((d, d) + shape))

@@ -10,7 +10,7 @@ so that sum(weights) reproduces vol(Omega, g).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -98,35 +98,6 @@ class MetricSpec:
 
 
 @dataclass
-class GeometryBounds:
-    """Quantities entering the structural hypotheses of the estimates.
-
-    kappa: Ricci lower-bound magnitude (Ric >= -kappa g),
-    rho: volume, sigma: Sobolev constant estimate,
-    theta: L^s norm of the drift field, s: its integrability exponent.
-    """
-
-    kappa: float = 0.0
-    rho: float = 1.0
-    sigma: float = 1.0
-    theta: float = 0.0
-    s: float = np.inf
-
-    def validate(self, dim: int) -> None:
-        if self.theta > 0 and not self.s > dim:
-            raise ValueError("drift integrability gate: need s > d when a drift is present")
-
-    def as_dict(self) -> dict:
-        return {
-            "kappa": float(self.kappa),
-            "rho": float(self.rho),
-            "sigma": float(self.sigma),
-            "theta": float(self.theta),
-            "s": float(self.s) if np.isfinite(self.s) else "inf",
-        }
-
-
-@dataclass
 class Grid:
     domain: DomainSpec
     metric: MetricSpec
@@ -195,9 +166,6 @@ class Grid:
                 [self.partial(self.phi, a) for a in range(len(self.shape))]
             )
         return self._cache["dphi"]
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -329,13 +297,13 @@ def _build_disc(domain: DomainSpec, metric: MetricSpec) -> Grid:
 # curvature
 
 
-def conformal_ricci(grid: Grid, normalized: bool = True) -> np.ndarray:
+def conformal_ricci(grid: Grid) -> np.ndarray:
     """Covariant Ricci components of g = e^{2 phi} id in lattice coordinates.
 
     Ric = -(d-2)(Hess phi - dphi x dphi) - (Lap phi + (d-2)|dphi|^2) id,
-    with all derivatives Euclidean.  Constant shifts of phi drop out; when
-    `normalized`, downstream eigenvalue normalization uses the mean-zero
-    gauge so that reported curvature bounds are invariant under them.
+    with all derivatives Euclidean.  Constant shifts of phi drop out, and
+    `ricci_lower_bound` normalizes eigenvalues in the mean-zero gauge, so
+    reported curvature bounds are invariant under them.
     """
     if grid.coord_system != "cartesian":
         raise ValueError("curvature is only computed on cartesian lattices")

@@ -33,7 +33,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fields import (
     ScalarField,
-    SymTensorField,
     VectorField,
     _metric_trace,
     gradient,
@@ -56,7 +55,6 @@ class ProblemSpec:
     shift: Optional[ScalarField] = None     # additive zeroth-order data b
     source: Optional[ScalarField] = None    # right-hand side f
     ergodic: bool = False
-    lam: float = 0.0
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -65,14 +63,13 @@ class ProblemSpec:
             raise ValueError("gradient growth gate (In1): need c1 > 0")
         if self.grid.coord_system != "cartesian":
             raise ValueError("solver runs on box/torus lattices only")
-
-    @property
-    def gamma_conj(self) -> float:
-        return self.gamma / (self.gamma - 1.0)
+        if not self.grid.is_flat and not all(self.grid.periodic):
+            raise ValueError("conformal solving is supported on tori only")
 
 
-# eps in (|grad u|^2 + eps^2)^{(gamma-2)/2}, shared by the linearized
-# transport here and the game's optimal drift.
+# eps in (|grad u|^2 + eps^2)^{(gamma-2)/2} of `transport_coefficient`,
+# which is also the game's optimal drift, and of the game's duality
+# certificate.
 EPS_REG = 1e-8
 
 
@@ -101,11 +98,15 @@ class SolveReport:
 
 
 class _Ops:
-    """Narrow-stencil operators of one grid, with Neumann mirror closures."""
+    """Narrow-stencil operators of one grid, with Neumann mirror closures.
+
+    `transport_apply` is the Newton Jacobian J of the value equation with
+    its transport coefficient frozen; `adjoint_apply` is its quadrature
+    adjoint W^{-1} J^T W, the game's density operator.  The grid is one a
+    `ProblemSpec` accepts: a box or a (conformal) torus.
+    """
 
     def __init__(self, grid: Grid):
-        if grid.coord_system != "cartesian":
-            raise ValueError("solver operators need a cartesian lattice")
         self.grid = grid
         self.naxes = len(grid.shape)
         self.d1 = []
@@ -116,8 +117,6 @@ class _Ops:
             self.d2.append(d2_matrix(grid.shape[a], grid.spacings[a], bc1))
         self.d1t = [m.T.tocsr() for m in self.d1]
         self.d2t = [m.T.tocsr() for m in self.d2]
-        if not grid.is_flat and not all(grid.periodic):
-            raise NotImplementedError("conformal solving is supported on tori only")
 
     def grad(self, vals: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -160,16 +159,19 @@ class _Ops:
         out += adv
         return out
 
-    def transport_transpose_apply(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        """Plain matrix transpose of transport_apply (same coeff frozen)."""
+    def adjoint_apply(self, m: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """W^{-1} J^T W m, the adjoint of transport_apply (same coeff frozen)
+        under the quadrature inner product <v, m>_W = sum(w * v * m)."""
         g = self.grid
         if not g.is_flat:
-            raise NotImplementedError("transpose transport is used on flat grids only")
+            raise NotImplementedError("the adjoint transport is used on flat grids only")
+        w = g.weights
+        wm = w * m
         out = np.zeros(g.shape)
         for a in range(self.naxes):
-            out -= apply_along_axis(self.d2t[a], vals, a)
-            out += apply_along_axis(self.d1t[a], coeff[a] * vals, a)
-        return out
+            out -= apply_along_axis(self.d2t[a], wm, a)
+            out += apply_along_axis(self.d1t[a], coeff[a] * wm, a)
+        return out / w
 
 
 class _FlatInverter:
@@ -227,16 +229,11 @@ def _metric_grad_norm_sq(spec: ProblemSpec, dvals: np.ndarray) -> np.ndarray:
     return spec.grid.conformal_factor(-2.0) * sq
 
 
-def residual(u: ScalarField, spec: ProblemSpec, lam: Optional[float] = None) -> ScalarField:
+def residual(u: ScalarField, spec: ProblemSpec, lam: float = 0.0) -> ScalarField:
     """Node-wise residual of the stationary equation (solver stencils)."""
     if u.grid is not spec.grid and u.grid.shape != spec.grid.shape:
         raise ValueError("field and problem live on different grids")
-    ops = _ops_for(spec.grid)
-    if lam is None:
-        lam_val = spec.lam if spec.ergodic else 0.0
-    else:
-        lam_val = lam
-    vals = _residual_core(spec, ops, u.values) + lam_val
+    vals = _residual_core(spec, _ops_for(spec.grid), u.values) + lam
     return ScalarField(spec.grid, vals)
 
 
@@ -261,7 +258,7 @@ def transport_coefficient(spec: ProblemSpec, uvals: np.ndarray) -> np.ndarray:
 
     a_i = c1 e^{-gamma phi} (|du|^2 + eps^2)^{(gamma-2)/2} du_i + B_i; the
     regularization keeps the coefficient finite at critical points when
-    gamma < 2.
+    gamma < 2.  With c1 = 1 and no drift it is the game's optimal drift.
     """
     ops = _ops_for(spec.grid)
     dvals = ops.grad(uvals)
@@ -442,7 +439,7 @@ def solution_norm_table(spec: ProblemSpec, u: ScalarField) -> dict:
         "grad_pow_gamma": ScalarField(u.grid, pointwise_norm(gradu) ** spec.gamma),
         "hess": hess,
     }
-    return {name: {"2.0": lq_norm(f, 2.0).value} for name, f in families.items()}
+    return {name: {"2.0": lq_norm(f, 2.0)} for name, f in families.items()}
 
 
 # ---------------------------------------------------------------------------

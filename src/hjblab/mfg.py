@@ -8,11 +8,12 @@ function u with a stationary Fokker-Planck equation for the density m:
 
 where a(p) = |p|^{gamma-2} p is the optimal drift and V_eps smooths the
 power coupling V(m) = m^alpha by a double convolution with a compact
-symmetric bump.  The transport operator of the density equation is built
-as the exact quadrature adjoint of the value equation's linearized
-transport, which makes the discrete duality identity hold up to
-truncation error and lets positivity emerge from the M-matrix structure
-instead of clipping.
+symmetric bump.  The drift is the value solver's own transport
+coefficient, `hjb.transport_coefficient`, and the density operator is the
+quadrature adjoint W^{-1} J^T W of the solver's Newton Jacobian J
+(`hjb._Ops.adjoint_apply`).  That makes the discrete duality identity
+hold up to truncation error and lets positivity emerge from the M-matrix
+structure instead of clipping.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .hjb import (
     _ops_for,
     bordered_solve,
     solve_ergodic,
+    transport_coefficient,
 )
 
 
@@ -100,10 +102,6 @@ class MfgSpec:
                     "shift monotonicity gate (MFG2): need outward derivative "
                     "of the shift nonnegative on the boundary"
                 )
-
-    @property
-    def gamma_conj(self) -> float:
-        return self.gamma / (self.gamma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -240,14 +238,6 @@ def smoothed_density(m: ScalarField, eps: float) -> ScalarField:
 # stationary Fokker-Planck solve
 
 
-def optimal_drift(u: ScalarField, gamma: float) -> np.ndarray:
-    """a(grad u) = |grad u|^{gamma-2} grad u on the solver stencils."""
-    ops = _ops_for(u.grid)
-    d = ops.grad(u.values)
-    sq = np.sum(d**2, axis=0)
-    return (sq + EPS_REG**2) ** ((gamma - 2.0) / 2.0) * d
-
-
 def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
     """Largest advection mesh number |a_i| h_i / 2 (M-matrix iff <= 1)."""
     pec = 0.0
@@ -259,18 +249,20 @@ def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
 def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
     """Invariant density of the transport generated by the value field.
 
-    Solves the quadrature adjoint of the linearized value-equation
-    transport, with unit-mass constraint; the bordered multiplier comes
-    out zero automatically because constants annihilate the forward
-    operator.  Positivity is an M-matrix consequence, checked via the
-    advection mesh number, never enforced by clipping.
+    The drift is `transport_coefficient` of the plain value problem with
+    exponent gamma, and the operator is its quadrature adjoint
+    `_Ops.adjoint_apply`, W^{-1} J^T W, solved with unit-mass constraint;
+    the bordered multiplier comes out zero automatically because
+    constants annihilate the forward operator.  Positivity is an M-matrix
+    consequence, checked via the advection mesh number, never enforced by
+    clipping.
     """
     grid = u.grid
     if not grid.is_flat or grid.coord_system != "cartesian":
         raise ValueError("density solves run on flat box/torus lattices only")
     ops = _ops_for(grid)
     inv = _inverter_for(grid)
-    drift = optimal_drift(u, gamma)
+    drift = transport_coefficient(ProblemSpec(grid, gamma), u.values)
     pec = fp_peclet(grid, drift)
     if pec > 1.0:
         raise ValueError(
@@ -278,18 +270,13 @@ def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
             + repr(pec)
             + " exceeds 1"
         )
-    w = grid.weights
-
-    def adjoint_apply(mvals):
-        return ops.transport_transpose_apply(w * mvals, drift) / w
-
     mvals, mu, info = bordered_solve(
-        grid, adjoint_apply, inv, np.zeros(grid.shape), 1.0, 1e-10
+        grid, lambda m: ops.adjoint_apply(m, drift), inv, np.zeros(grid.shape), 1.0, 1e-10
     )
     if info != 0:
         raise RuntimeError("density linear solve did not converge")
     # exact mass normalization (GMRES leaves round-off in the constraint)
-    mvals = mvals / float(np.sum(w * mvals))
+    mvals = mvals / float(np.sum(grid.weights * mvals))
     return ScalarField(grid, mvals)
 
 
@@ -297,7 +284,7 @@ def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
 # outer fixed point
 
 
-def _state_change(grid: Grid, a, b) -> float:
+def _state_change(a, b) -> float:
     du = float(np.max(np.abs(a[0] - b[0])))
     dl = abs(a[1] - b[1])
     dm = float(np.max(np.abs(a[2] - b[2])))
@@ -345,7 +332,6 @@ def mfg_fixed_point(spec: MfgSpec):
             prob = ProblemSpec(
                 grid=grid,
                 gamma=spec.gamma,
-                c1=1.0,
                 shift=spec.shift,
                 source=v_eps,
                 ergodic=True,
@@ -354,7 +340,7 @@ def mfg_fixed_point(spec: MfgSpec):
             if not rep.converged:
                 message = "inner value solve failed to converge: " + rep.message
                 break
-            pec = fp_peclet(grid, optimal_drift(rep.u, spec.gamma))
+            pec = fp_peclet(grid, transport_coefficient(prob, rep.u.values))
             peclet = max(peclet, pec)
             # The density solve rejects such a drift; a valid request that
             # drives it there is a failed run, not a rejected one.
@@ -370,9 +356,7 @@ def mfg_fixed_point(spec: MfgSpec):
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break
             m_next = (1.0 - tau) * mvals + tau * m_new.values
-            change = _state_change(
-                grid, (rep.u.values, rep.lam, m_next), (uvals, lam, mvals)
-            )
+            change = _state_change((rep.u.values, rep.lam, m_next), (uvals, lam, mvals))
             if change > prev_change and tau > 2.0**-10:
                 tau *= 0.5
             prev_change = change
@@ -428,7 +412,7 @@ def mfg_fixed_point(spec: MfgSpec):
 # diagnostics
 
 
-def _hessian_sup_norm(b: Optional[ScalarField], grid: Grid) -> float:
+def _hessian_sup_norm(b: Optional[ScalarField]) -> float:
     if b is None:
         return 0.0
     return float(np.max(pointwise_norm(hessian(b))))
@@ -474,7 +458,7 @@ def duality_identity_residual(state: MfgState, spec: MfgSpec) -> dict:
     grad_me = gradient(m_eps)
     vprime = spec.alpha * np.abs(m_eps.values) ** (spec.alpha - 1.0)
     energy = float(np.sum(w * vprime * np.sum(grad_me.values**2, axis=0)))
-    bound = _hessian_sup_norm(spec.shift, grid)
+    bound = _hessian_sup_norm(spec.shift)
     return {
         "identity_lhs": lhs,
         "identity_rhs": rhs,
@@ -499,10 +483,10 @@ def lp_bound_check(state: MfgState, spec: MfgSpec) -> dict:
         raise ValueError("dimension must be at least 3")
     expo = d * (spec.alpha + 1.0) / (d - 2.0)
     m_eps = smoothed_density(state.m, spec.eps)
-    norm = lq_norm(m_eps, expo).value
+    norm = lq_norm(m_eps, expo)
     root = ScalarField(grid, np.abs(m_eps.values) ** ((spec.alpha + 1.0) / 2.0))
-    energy = lq_norm(gradient(root), 2.0).value ** 2
-    bound = _hessian_sup_norm(spec.shift, grid)
+    energy = lq_norm(gradient(root), 2.0) ** 2
+    bound = _hessian_sup_norm(spec.shift)
     from .estimates import sobolev_constant_estimate
 
     sigma = sobolev_constant_estimate(grid)

@@ -170,15 +170,6 @@ def test_affine_profile_limit_recovers_plain_identity():
     assert np.max(np.abs(plain - affine)) <= 1e-12 * max(1.0, float(np.max(np.abs(plain))))
 
 
-def test_explicit_profile_triple_matches_builtin():
-    g = torus(16, dim=2)
-    u = random_band_limited(g, seed=4)
-    tk = h_toolkit(0.3)
-    via_delta = weighted_bochner_residual(u, 0.3).values
-    via_funcs = weighted_bochner_residual(u, 0.3, h_funcs=(tk.h, tk.h1, tk.h2)).values
-    assert np.array_equal(via_delta, via_funcs)
-
-
 def _pair_order(errs, ns):
     return np.log(errs[-2] / errs[-1]) / np.log(ns[-1] / ns[-2])
 
@@ -217,14 +208,6 @@ def test_weighted_identity_refines_on_flat_smooth_data():
         u = ScalarField(g, np.cos(TWO_PI * mesh[0]) * np.cos(TWO_PI * mesh[1]))
         errs.append(float(np.max(np.abs(weighted_bochner_residual(u, 0.3).values))))
     assert _pair_order(errs, ns) >= 1.5
-
-
-def test_metric_argument_must_agree_with_grid():
-    g = torus(16, dim=2)
-    other = MetricSpec.conformal(lambda c: 0.2 * np.cos(TWO_PI * c[0]))
-    u = random_band_limited(g, seed=1)
-    with pytest.raises(ValueError, match="metric"):
-        bochner_residual(u, metric=other)
 
 
 # ---------------------------------------------------------------------------

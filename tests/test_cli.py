@@ -46,6 +46,8 @@ def test_defaults_parse_and_build():
         ("[experiment]\ndelta = 1.5\n", "delta must lie in"),
         ("[experiment]\nresolutions = 4\n", "at least 8"),
         ("[domain]\ndim = 5\n", "dimension must be 2 or 3"),
+        ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "shift_axis out of range"),
+        ("[problem]\nshift_kind = mode\nshift_axis = 4\n", "shift_axis out of range"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
@@ -128,6 +130,14 @@ def test_disc_solves_cite_the_convexity_gate(tmp_path, capsys):
     assert "(D1)" in capsys.readouterr().err
     rc2 = main(["mfg", "--config", cfg, "--out", str(tmp_path / "out2")])
     assert rc2 == 2
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "ergodic", "thm1-sweep", "thm2-sweep"])
+def test_conformal_box_solves_are_rejected(tmp_path, capsys, subcommand):
+    cfg = write(tmp_path, "cbox.ini", "[domain]\nkind = box\n[metric]\nkind = conformal\n")
+    rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "rejected: conformal solving is supported on tori only" in capsys.readouterr().err
 
 
 def test_drifted_maximal_sweep_is_rejected_at_dispatch(tmp_path, capsys):

@@ -209,7 +209,7 @@ def test_source_profiles_have_unit_data_norm(kind):
     from hjblab.fields import lq_norm
 
     f = source_family(g, kind, q)
-    assert abs(lq_norm(f, q).value - 1.0) <= 1e-12
+    assert abs(lq_norm(f, q) - 1.0) <= 1e-12
     assert np.all(np.isfinite(f.values))
 
 

@@ -122,11 +122,12 @@ def test_explicit_multiplier_shifts_residual_additively():
     assert np.max(np.abs(r1 - r0 - 0.3)) <= 1e-15
 
 
-def test_plain_mode_ignores_stored_multiplier():
+def test_residual_without_lam_equals_lam_zero():
     grid = torus(12, dim=2)
-    spec = ProblemSpec(grid, gamma=2.0, lam=5.0, ergodic=False)
-    u = ScalarField(grid, np.zeros(grid.shape))
-    assert np.max(np.abs(residual(u, spec).values)) == 0.0
+    u = ScalarField(grid, 0.1 * np.cos(TWO_PI * grid.mesh()[0]))
+    for ergodic in (False, True):
+        spec = ProblemSpec(grid, gamma=2.0, shift=first_mode_shift(grid), ergodic=ergodic)
+        assert np.array_equal(residual(u, spec).values, residual(u, spec, lam=0.0).values)
 
 
 def test_residual_rejects_mismatched_grids():
@@ -223,7 +224,7 @@ def test_superquadratic_problem_with_drift_converges():
     for table in solution_norm_table(spec, rep.u).values():
         for val in table.values():
             assert np.isfinite(val)
-    assert lq_norm(gradient(rep.u), np.inf).value > 0.0
+    assert lq_norm(gradient(rep.u), np.inf) > 0.0
 
 
 def test_stronger_sources_steepen_the_solution():
@@ -239,7 +240,7 @@ def test_stronger_sources_steepen_the_solution():
         )
         rep = solve_ergodic(spec)
         assert rep.converged
-        sup_grads.append(lq_norm(gradient(rep.u), np.inf).value)
+        sup_grads.append(lq_norm(gradient(rep.u), np.inf))
     assert sup_grads[1] > sup_grads[0] > 0.0
 
 
@@ -305,6 +306,25 @@ def test_flat_linearized_operator_equals_its_stacked_form_bit_for_bit(kind):
     ref = -ops.lap_metric(vals, dvals)
     ref += np.sum(coeff * dvals, axis=0)
     assert np.array_equal(ops.transport_apply(vals, coeff), ref)
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_density_operator_is_the_weighted_adjoint_of_the_jacobian(kind, dim):
+    grid = torus(12, dim=dim) if kind == "torus" else box(11, dim=dim)
+    ops = hjb._ops_for(grid)
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=grid.shape)
+    coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), u)
+    v = rng.normal(size=grid.shape)
+    m = rng.normal(size=grid.shape)
+    w = grid.weights
+    jv = ops.transport_apply(v, coeff)
+    lhs = float(np.sum(w * m * jv))
+    rhs = float(np.sum(w * v * ops.adjoint_apply(m, coeff)))
+    # relative to the Cauchy-Schwarz bound of the pairing
+    scale = float(np.sqrt(np.sum(w * jv**2) * np.sum(w * m**2)))
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_failed_linear_solve_stops_newton(monkeypatch):

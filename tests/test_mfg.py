@@ -20,7 +20,6 @@ from hjblab.mfg import (
     fp_solve,
     mfg_fixed_point,
     mollify_coupling,
-    optimal_drift,
     smoothed_density,
 )
 
@@ -187,7 +186,7 @@ def test_strong_advection_is_rejected_not_clipped():
     g = torus(8, dim=2)
     mesh = g.mesh()
     u = ScalarField(g, 10.0 * np.cos(TWO_PI * mesh[0]))
-    drift = optimal_drift(u, 2.0)
+    drift = hjb.transport_coefficient(hjb.ProblemSpec(g, gamma=2.0), u.values)
     assert fp_peclet(g, drift) > 1.0
     with pytest.raises(ValueError, match="advection mesh number"):
         fp_solve(u, gamma=2.0)
