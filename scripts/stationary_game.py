@@ -26,6 +26,9 @@ shift_amplitude = {amp}
 [mfg]
 alpha = {alpha}
 eps = {eps}
+
+[output]
+dump_fields = true
 """
 
 

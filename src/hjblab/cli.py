@@ -567,6 +567,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
             amplitudes=amplitudes,
             q=q,
             r=r,
+            c1=prob_blk["c1"],
             drift=drift,
             drift_s=drift_info.get("s"),
             drift_theta=drift_info.get("theta"),
@@ -587,6 +588,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
             source=f0,
             amplitudes=amplitudes,
             q=q,
+            c1=prob_blk["c1"],
             params=params,
         )
         sweep = estimates.thm2_sweep(spec)
@@ -695,6 +697,10 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("mfg", seed)
     if cfg.domain.kind == "disc":
         raise ConfigError("assumption gate (D1) violated: the system needs a box or a torus")
+    if cfg["problem"]["c1"] != 1.0:
+        raise ConfigError(
+            "mfg: [problem] c1 must be 1: the game's Hamiltonian is |p|^gamma / gamma"
+        )
     grid = _build_grid(cfg)
     blk = cfg["mfg"]
     shift = _build_shift(cfg, grid)
@@ -734,8 +740,9 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         "peclet": mrep.peclet,
         "stages": mrep.stages,
     }
-    dump_field_csv(state.u, os.path.join(out, "u.csv"))
-    dump_field_csv(state.m, os.path.join(out, "m.csv"))
+    if cfg["output"]["dump_fields"]:
+        dump_field_csv(state.u, os.path.join(out, "u.csv"))
+        dump_field_csv(state.m, os.path.join(out, "m.csv"))
     return report
 
 

@@ -119,7 +119,8 @@ def hessian(u: ScalarField) -> SymTensorField:
     """Covariant metric Hessian.
 
     Conformal correction: Hess_g u = Hess u - dphi x du - du x dphi
-    + <dphi, du> id, all in lattice components.
+    + <dphi, du> id, all in lattice components.  Each entry with a <= b is
+    formed once and mirrored, so the result is symmetric bit for bit.
     """
     g = u.grid
     if g.coord_system == "polar":
@@ -134,10 +135,10 @@ def hessian(u: ScalarField) -> SymTensorField:
     if not g.is_flat:
         dphi = g.phi_gradient()
         inner = np.sum(dphi * du, axis=0)
-        out = out - np.einsum("i...,j...->ij...", dphi, du) - np.einsum(
-            "i...,j...->ij...", du, dphi
-        )
         for a in range(d):
+            for b in range(a, d):
+                out[a, b] = out[a, b] - dphi[a] * du[b] - du[a] * dphi[b]
+                out[b, a] = out[a, b]
             out[a, a] += inner
     return SymTensorField(g, out)
 

@@ -15,21 +15,27 @@ up to truncation, for manufactured sources).
 Solver stencils are narrow: three-point second differences and centered
 first differences with mirror (even-reflection) closures, so the Jacobian
 keeps the classical M-matrix sparsity.  Linear solves are matrix-free
-GMRES preconditioned by an exact fast-transform inverse of the flat
-constrained Laplacian (FFT on tori, DCT-I on boxes).  A solve either
-converges or stops with a named reason: the Newton budget is exhausted,
-a linear solve fails, or the line search reaches its backtracking floor.
+restarted GMRES, right-preconditioned by an exact fast-transform inverse
+of the flat constrained Laplacian (FFT on tori, DCT-I on boxes).  Right
+preconditioning makes the residual GMRES minimizes the true one; a solve
+still stops only on the recomputed true residual.  Its Krylov basis is one
+array per grid, kept beside the grid's operators and reused by every
+solve, and a total iteration budget bounds each solve.  A Newton solve
+either converges or stops with a named reason: the Newton budget is
+exhausted, a linear solve fails, or the line search reaches its
+backtracking floor.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import get_blas_funcs, solve_triangular
 
 from .fields import (
     ScalarField,
@@ -71,6 +77,16 @@ class ProblemSpec:
 # which is also the game's optimal drift, and of the game's duality
 # certificate.
 EPS_REG = 1e-8
+
+# GMRES restart length and the total iteration budget of one bordered solve.
+# The budget sits above the largest count a converging solve has needed,
+# 1599 (the 32^3 `bump` sweep at t = 3000, Newton step 5), so a solve that
+# cannot converge stops with its named reason instead of running on.
+_RESTART = 80
+_MAX_ITERATIONS = 2000
+
+_dot, _axpy, _nrm2, _scal = get_blas_funcs(("dot", "axpy", "nrm2", "scal"), dtype=np.float64)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -294,6 +310,16 @@ def _weighted_norm(grid: Grid, vals: np.ndarray) -> float:
     return float(np.sqrt(np.sum(grid.weights * vals**2)))
 
 
+def _basis_for(grid: Grid) -> np.ndarray:
+    """Krylov basis of `grid`'s bordered solves, built on first use and kept
+    on the grid: _RESTART + 1 rows of n + 1 entries.  Rows are written only
+    as a solve reaches them, so a short solve touches few pages."""
+    if "krylov_basis" not in grid._cache:
+        n = int(np.prod(grid.shape))
+        grid._cache["krylov_basis"] = np.empty((_RESTART + 1, n + 1))
+    return grid._cache["krylov_basis"]
+
+
 def bordered_solve(
     grid: Grid,
     apply_fn,
@@ -304,36 +330,95 @@ def bordered_solve(
 ):
     """Constrained system [[A, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
 
-    apply_fn maps a node array to A x; the preconditioner is the exact
-    inverse of the flat constrained Laplacian.  Returns (x, mu, info)
-    with info = 0 on GMRES success.
+    apply_fn maps a node array to A x.  The loop is restarted GMRES(_RESTART)
+    from x0 = 0, right-preconditioned by the exact inverse M of the flat
+    constrained Laplacian: it builds an orthonormal basis of the Krylov space
+    of A M by modified Gram-Schmidt in place, in the grid's reused basis
+    array, and ends each cycle with x += M (V y).  The least-squares
+    residual it minimizes is then the true one, but only the recomputed
+    b - A x decides convergence: ||b - A x|| <= rtol ||b||.  Every operator
+    apply is one apply_fn call and every preconditioner apply one inv.solve
+    call.  Returns (x, mu, info): info = 0 on convergence, else the number
+    of iterations run, when the _MAX_ITERATIONS budget is spent or the
+    Krylov space stops growing short of the tolerance.
     """
     shape = grid.shape
-    n = int(np.prod(shape))
     w = grid.weights
+    V = _basis_for(grid)
+    m = _RESTART
+    b = np.concatenate([rhs_field.reshape(-1), [rhs_constraint]])
+    bnorm = _nrm2(b)
+    if bnorm == 0.0:
+        return np.zeros(shape), 0.0, 0
+    tol = rtol * bnorm
 
-    def matvec(z):
+    def apply_bordered(z, out):
         v = z[:-1].reshape(shape)
-        out = np.empty(n + 1)
         np.add(apply_fn(v).reshape(-1), z[-1], out=out[:-1])
         out[-1] = np.sum(w * v)
-        return out
 
-    def psolve(z):
-        x, mu = inv.solve(z[:-1].reshape(shape), z[-1])
-        out = np.empty(n + 1)
-        out[:-1] = x.reshape(-1)
+    def precond(z, out):
+        xf, mu = inv.solve(z[:-1].reshape(shape), z[-1])
+        out[:-1] = xf.reshape(-1)
         out[-1] = mu
         return out
 
-    A = LinearOperator((n + 1, n + 1), matvec=matvec)
-    M = LinearOperator((n + 1, n + 1), matvec=psolve)
-    b = np.concatenate([rhs_field.reshape(-1), [rhs_constraint]])
-    z0 = psolve(b)
-    sol, info = gmres(
-        A, b, x0=z0, rtol=rtol, atol=0.0, restart=80, maxiter=400, M=M
-    )
-    return sol[:-1].reshape(shape), float(sol[-1]), int(info)
+    x = np.zeros_like(b)
+    r = b.copy()
+    beta = bnorm
+    z = np.empty_like(b)
+    H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    iters = 0
+    while True:
+        np.multiply(r, 1.0 / beta, out=V[0])
+        g[:] = 0.0
+        g[0] = beta
+        k = 0
+        invariant = False
+        for j in range(min(m, _MAX_ITERATIONS - iters)):
+            vj = V[j + 1]
+            apply_bordered(precond(V[j], z), vj)
+            iters += 1
+            h0 = _nrm2(vj)
+            for i in range(j + 1):
+                H[i, j] = _dot(V[i], vj)
+                _axpy(V[i], vj, a=-H[i, j])
+            hn = _nrm2(vj)
+            if hn <= _EPS * h0:
+                # A M v_j lies in the basis: the Krylov space is invariant
+                hn = 0.0
+            for i in range(j):
+                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                H[i + 1, j] = cs[i] * H[i + 1, j] - sn[i] * H[i, j]
+                H[i, j] = t
+            rjj = math.hypot(H[j, j], hn)
+            if rjj > 0.0:  # else A M v_j = 0 and column j is dropped
+                cs[j] = H[j, j] / rjj
+                sn[j] = hn / rjj
+                H[j, j] = rjj
+                g[j + 1] = -sn[j] * g[j]
+                g[j] = cs[j] * g[j]
+                k = j + 1
+            if hn == 0.0:
+                invariant = True
+                break
+            _scal(1.0 / hn, vj)
+            if abs(g[j + 1]) <= tol:
+                break
+        if k:
+            y = solve_triangular(H[:k, :k], g[:k])
+            x += precond(V[:k].T @ y, z)
+            apply_bordered(x, r)
+            np.subtract(b, r, out=r)
+            beta = _nrm2(r)
+            if beta <= tol:
+                return x[:-1].reshape(shape), float(x[-1]), 0
+        # Restarting from an invariant Krylov space cannot reduce the residual.
+        if invariant or iters >= _MAX_ITERATIONS:
+            return x[:-1].reshape(shape), float(x[-1]), iters
 
 
 def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:

@@ -364,6 +364,26 @@ def test_symmetric_tensors_are_kept_and_round_off_asymmetry_is_averaged():
     assert not np.array_equal(kept[0, 1], sym[0, 1])
 
 
+def test_conformal_hessian_takes_the_exact_symmetry_path(monkeypatch):
+    # phi varies along every axis, so every off-diagonal correction is nonzero
+    metric = MetricSpec.conformal(
+        lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
+    )
+    g = torus(10, dim=3, metric=metric)
+    u = random_band_limited(g, seed=3)
+    calls = []
+    allclose = np.allclose
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return allclose(*args, **kwargs)
+
+    monkeypatch.setattr(np, "allclose", spy)
+    H = hessian(u).values
+    assert calls == []  # array_equal held, so no round-off check or averaging
+    assert np.array_equal(H, np.swapaxes(H, 0, 1))
+
+
 def test_tensor_symmetry_is_enforced():
     g = torus(8, dim=2)
     bad = np.zeros((2, 2) + g.shape)

@@ -2,6 +2,7 @@
 an independent time-marching oracle for the ergodic pair (u, lambda)."""
 
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -264,6 +265,97 @@ def test_ergodic_entry_point_requires_the_flag():
     grid = torus(12, dim=2)
     with pytest.raises(ValueError):
         solve_ergodic(ProblemSpec(grid, gamma=2.0, ergodic=False))
+
+
+# ---------------------------------------------------------------------------
+# bordered Krylov solve
+
+
+def _bordered_case(kind):
+    grid = {
+        "2-torus": lambda: torus(12, dim=2),
+        "3-torus": lambda: torus(8, dim=3),
+        "3-box": lambda: box(9, dim=3),
+    }[kind]()
+    ops = hjb._ops_for(grid)
+    rng = np.random.default_rng(5)
+    # mesh Peclet number about 2-3: advection-dominated, still one cycle
+    coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), 0.3 * rng.normal(size=grid.shape))
+    calls = []
+
+    def apply_fn(v):
+        calls.append(1)
+        return ops.transport_apply(v, coeff)
+
+    return grid, apply_fn, calls, rng.normal(size=grid.shape), 0.3
+
+
+def _dense_bordered(grid, apply_fn):
+    n = int(np.prod(grid.shape))
+    A = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        A[:n, k] = apply_fn(e.reshape(grid.shape)).reshape(-1)
+    A[:n, n] = 1.0
+    A[n, :n] = grid.weights.reshape(-1)
+    return A
+
+
+@pytest.mark.parametrize("kind", ["2-torus", "3-torus", "3-box"])
+def test_bordered_solve_meets_its_tolerance_and_matches_a_dense_solve(kind):
+    grid, apply_fn, _, rhs, c = _bordered_case(kind)
+    rtol = 1e-12
+    x, mu, info = hjb.bordered_solve(grid, apply_fn, hjb._inverter_for(grid), rhs, c, rtol)
+    assert info == 0
+    A = _dense_bordered(grid, apply_fn)
+    b = np.concatenate([rhs.reshape(-1), [c]])
+    sol = np.concatenate([x.reshape(-1), [mu]])
+    assert np.linalg.norm(b - A @ sol) <= rtol * np.linalg.norm(b)
+    assert np.max(np.abs(sol - np.linalg.solve(A, b))) <= 1e-8
+
+
+def test_bordered_solve_converges_across_restarts(monkeypatch):
+    monkeypatch.setattr(hjb, "_RESTART", 5)
+    grid, apply_fn, calls, rhs, c = _bordered_case("3-torus")
+    rtol = 1e-10
+    x, mu, info = hjb.bordered_solve(grid, apply_fn, hjb._inverter_for(grid), rhs, c, rtol)
+    assert info == 0
+    assert len(calls) > 2 * (5 + 1)  # at least three cycles of 5 plus a residual each
+    A = _dense_bordered(grid, apply_fn)
+    b = np.concatenate([rhs.reshape(-1), [c]])
+    sol = np.concatenate([x.reshape(-1), [mu]])
+    assert np.linalg.norm(b - A @ sol) <= rtol * np.linalg.norm(b)
+
+
+def test_bordered_solve_stops_at_its_iteration_budget(monkeypatch):
+    monkeypatch.setattr(hjb, "_MAX_ITERATIONS", 10)
+    grid, apply_fn, calls, rhs, c = _bordered_case("3-torus")
+    _, _, info = hjb.bordered_solve(grid, apply_fn, hjb._inverter_for(grid), rhs, c, 1e-14)
+    assert info == 10
+    assert len(calls) == 10 + 1  # ten iterations, then the true residual
+
+
+def test_singular_bordered_system_fails_fast():
+    grid = torus(16, dim=3)
+    rhs = np.random.default_rng(6).normal(size=grid.shape)  # not a constant: outside the range
+    t0 = time.perf_counter()
+    _, _, info = hjb.bordered_solve(
+        grid, lambda v: np.zeros_like(v), hjb._inverter_for(grid), rhs, 0.0, 1e-10
+    )
+    assert info != 0
+    assert 0 < info <= hjb._MAX_ITERATIONS
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_bordered_solves_on_one_grid_share_one_basis():
+    grid, apply_fn, _, rhs, c = _bordered_case("3-torus")
+    inv = hjb._inverter_for(grid)
+    assert hjb.bordered_solve(grid, apply_fn, inv, rhs, c, 1e-10)[2] == 0
+    basis = grid._cache["krylov_basis"]
+    assert basis.shape == (hjb._RESTART + 1, grid.weights.size + 1)
+    assert hjb.bordered_solve(grid, apply_fn, inv, 2.0 * rhs, -c, 1e-10)[2] == 0
+    assert grid._cache["krylov_basis"] is basis
 
 
 def test_grid_is_collected_after_a_solve():
