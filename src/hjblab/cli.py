@@ -545,6 +545,11 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     report = _report_skeleton(kind, seed)
     if cfg.domain.kind == "disc":
         raise ConfigError("assumption gate (D1) violated: sweeps need a box or a torus")
+    if cfg["problem"]["c1"] != 1.0:
+        # u -> c1^{1/(gamma-1)} u turns c1 into a factor on the amplitudes
+        raise ConfigError(
+            kind + ": [problem] c1 must be 1: it only rescales the swept amplitudes"
+        )
     grid = _build_grid(cfg)
     prob_blk = cfg["problem"]
     exp = cfg["experiment"]
@@ -567,7 +572,6 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
             amplitudes=amplitudes,
             q=q,
             r=r,
-            c1=prob_blk["c1"],
             drift=drift,
             drift_s=drift_info.get("s"),
             drift_theta=drift_info.get("theta"),
@@ -588,7 +592,6 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
             source=f0,
             amplitudes=amplitudes,
             q=q,
-            c1=prob_blk["c1"],
             params=params,
         )
         sweep = estimates.thm2_sweep(spec)

@@ -82,7 +82,6 @@ class SweepSpec:
     source: ScalarField                     # base profile f0
     amplitudes: tuple
     q: float
-    c1: float = 1.0                         # Hamiltonian coefficient of each solve
     r: Optional[float] = None               # gradient exponent (first sweep kind)
     params: Optional[MaxRegParams] = None   # exponent set (second sweep kind)
     drift: Optional[VectorField] = None
@@ -189,7 +188,6 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
         prob = ProblemSpec(
             grid=spec.grid,
             gamma=spec.gamma,
-            c1=spec.c1,
             drift=spec.drift,
             source=f_field,
             ergodic=True,

@@ -18,12 +18,10 @@ keeps the classical M-matrix sparsity.  Linear solves are matrix-free
 restarted GMRES, right-preconditioned by an exact fast-transform inverse
 of the flat constrained Laplacian (FFT on tori, DCT-I on boxes).  Right
 preconditioning makes the residual GMRES minimizes the true one; a solve
-still stops only on the recomputed true residual.  Its Krylov basis is one
-array per grid, kept beside the grid's operators and reused by every
-solve, and a total iteration budget bounds each solve.  A Newton solve
-either converges or stops with a named reason: the Newton budget is
-exhausted, a linear solve fails, or the line search reaches its
-backtracking floor.
+still stops only on the recomputed true residual, and a total iteration
+budget bounds it.  A Newton solve either converges or stops with a named
+reason: the Newton budget is exhausted, a linear solve fails, or the line
+search reaches its backtracking floor.
 """
 
 from __future__ import annotations
@@ -79,10 +77,12 @@ class ProblemSpec:
 EPS_REG = 1e-8
 
 # GMRES restart length and the total iteration budget of one bordered solve.
-# The budget sits above the largest count a converging solve has needed,
-# 1599 (the 32^3 `bump` sweep at t = 3000, Newton step 5), so a solve that
-# cannot converge stops with its named reason instead of running on.
-_RESTART = 80
+# On small systems at mesh Peclet numbers of 10 and more, restarts after 80
+# iterations stagnated where restarts after 120 converged.  The budget sits
+# well above the largest count a converging solve has needed, 461 (the 32^3
+# `bump` sweep at t = 3000, Newton step 5), so a solve that cannot converge
+# stops with its named reason instead of running on.
+_RESTART = 120
 _MAX_ITERATIONS = 2000
 
 _dot, _axpy, _nrm2, _scal = get_blas_funcs(("dot", "axpy", "nrm2", "scal"), dtype=np.float64)
@@ -310,16 +310,6 @@ def _weighted_norm(grid: Grid, vals: np.ndarray) -> float:
     return float(np.sqrt(np.sum(grid.weights * vals**2)))
 
 
-def _basis_for(grid: Grid) -> np.ndarray:
-    """Krylov basis of `grid`'s bordered solves, built on first use and kept
-    on the grid: _RESTART + 1 rows of n + 1 entries.  Rows are written only
-    as a solve reaches them, so a short solve touches few pages."""
-    if "krylov_basis" not in grid._cache:
-        n = int(np.prod(grid.shape))
-        grid._cache["krylov_basis"] = np.empty((_RESTART + 1, n + 1))
-    return grid._cache["krylov_basis"]
-
-
 def bordered_solve(
     grid: Grid,
     apply_fn,
@@ -330,27 +320,29 @@ def bordered_solve(
 ):
     """Constrained system [[A, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
 
-    apply_fn maps a node array to A x.  The loop is restarted GMRES(_RESTART)
-    from x0 = 0, right-preconditioned by the exact inverse M of the flat
-    constrained Laplacian: it builds an orthonormal basis of the Krylov space
-    of A M by modified Gram-Schmidt in place, in the grid's reused basis
-    array, and ends each cycle with x += M (V y).  The least-squares
-    residual it minimizes is then the true one, but only the recomputed
-    b - A x decides convergence: ||b - A x|| <= rtol ||b||.  Every operator
-    apply is one apply_fn call and every preconditioner apply one inv.solve
-    call.  Returns (x, mu, info): info = 0 on convergence, else the number
-    of iterations run, when the _MAX_ITERATIONS budget is spent or the
-    Krylov space stops growing short of the tolerance.
+    apply_fn maps a node array to A x.  The loop is restarted GMRES(m) from
+    x0 = 0 with m = min(_RESTART, n + 1) for n nodes, so a small system runs
+    unrestarted.  It is right-preconditioned by the exact inverse M of the
+    flat constrained Laplacian: it builds an orthonormal basis of the
+    Krylov space of A M by modified Gram-Schmidt in place, in one
+    (m + 1, n + 1) array allocated per call, and ends each cycle with
+    x += M (V y).  The least-squares residual it minimizes is then the true
+    one, but only the recomputed b - A x decides convergence:
+    ||b - A x|| <= rtol ||b||.  Every operator apply is one apply_fn call
+    and every preconditioner apply one inv.solve call.  Returns
+    (x, mu, info): info = 0 on convergence, else the number of iterations
+    run, when the _MAX_ITERATIONS budget is spent or the Krylov space stops
+    growing short of the tolerance.
     """
     shape = grid.shape
     w = grid.weights
-    V = _basis_for(grid)
-    m = _RESTART
     b = np.concatenate([rhs_field.reshape(-1), [rhs_constraint]])
     bnorm = _nrm2(b)
     if bnorm == 0.0:
         return np.zeros(shape), 0.0, 0
     tol = rtol * bnorm
+    m = min(_RESTART, b.size)
+    V = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
 
     def apply_bordered(z, out):
         v = z[:-1].reshape(shape)
