@@ -15,11 +15,14 @@ up to truncation, for manufactured sources).
 Solver stencils are narrow: three-point second differences and centered
 first differences with mirror (even-reflection) closures, so the Jacobian
 keeps the classical M-matrix sparsity.  Linear solves are matrix-free
-restarted GMRES, right-preconditioned by an exact fast-transform inverse
-of the flat constrained Laplacian (FFT on tori, DCT-I on boxes).  Right
+restarted GMRES, right-preconditioned by the exact fast-transform inverse
+M of the bordered flat Laplacian L (FFT on tori, DCT-I on boxes).  A
+linear operator is passed as its remainder R = A - L: since A M = I + R M,
+a Krylov step costs one M and one R apply and no Laplacian.  Right
 preconditioning makes the residual GMRES minimizes the true one; a solve
-still stops only on the recomputed true residual, and a total iteration
-budget bounds it.  A Newton solve either converges or stops with a named
+still stops only on the true residual, recomputed with the full operator
+L + R at the end of each restart cycle, and a total iteration budget
+bounds it.  A Newton solve either converges or stops with a named
 reason: the Newton budget is exhausted, a linear solve fails, or the line
 search reaches its backtracking floor.
 """
@@ -87,6 +90,14 @@ _MAX_ITERATIONS = 2000
 
 _dot, _axpy, _nrm2, _scal = get_blas_funcs(("dot", "axpy", "nrm2", "scal"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
+# An Arnoldi step forms A M v = v + R M v for a unit v.  When the part left
+# after orthogonalization is within this many round-offs of the terms summed
+# (about 1 + ||A M v||), A M v lies in the basis.  A singular A cancels v
+# against R M v down to a few eps of noise, which a test relative to
+# ||A M v|| alone would keep extending until the budget.  In the test suite
+# and the benchmark workloads, every step that a converging solve went on
+# from kept more than 8e-5 of 1 + ||A M v||.
+_INVARIANCE_TOL = 1e3 * _EPS
 
 
 @dataclass
@@ -116,10 +127,12 @@ class SolveReport:
 class _Ops:
     """Narrow-stencil operators of one grid, with Neumann mirror closures.
 
-    `transport_apply` is the Newton Jacobian J of the value equation with
-    its transport coefficient frozen; `adjoint_apply` is its quadrature
-    adjoint W^{-1} J^T W, the game's density operator.  The grid is one a
-    `ProblemSpec` accepts: a box or a (conformal) torus.
+    The Newton Jacobian J of the value equation, with its transport
+    coefficient frozen, and its quadrature adjoint W^{-1} J^T W, the game's
+    density operator, both split as L + R: L = -Lap_flat is the operator
+    the preconditioner inverts exactly, and `jacobian_rest` and
+    `adjoint_rest` apply the remainders R.  The grid is one a `ProblemSpec`
+    accepts: a box or a (conformal) torus.
     """
 
     def __init__(self, grid: Grid):
@@ -132,7 +145,12 @@ class _Ops:
             self.d1.append(d1_matrix(grid.shape[a], grid.spacings[a], bc1))
             self.d2.append(d2_matrix(grid.shape[a], grid.spacings[a], bc1))
         self.d1t = [m.T.tocsr() for m in self.d1]
-        self.d2t = [m.T.tocsr() for m in self.d2]
+        if not grid.is_flat:
+            # -Lap_g = -e^{-2 phi} (Lap_flat + (d - 2) grad phi . grad), so
+            # -Lap_g - L = (1 - e^{-2 phi}) Lap_flat - e^{-2 phi} (d - 2) grad phi . grad
+            shrink = grid.conformal_factor(-2.0)
+            self.conformal_lap = 1.0 - shrink
+            self.conformal_drift = (grid.dim - 2.0) * shrink * grid.phi_gradient()
 
     def grad(self, vals: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -155,46 +173,48 @@ class _Ops:
         corr = (d - 2.0) * np.sum(self.grid.phi_gradient() * dvals, axis=0)
         return self.grid.conformal_factor(-2.0) * (flat + corr)
 
-    def transport_apply(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        """(-Lap_g + coeff . D) vals, the linearized operator.
+    def jacobian_rest(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """R vals = (-Lap_g + coeff . D) vals + Lap_flat vals.
 
-        On flat grids coeff . D vals is summed axis by axis, in the order of
-        np.sum(coeff * dvals, axis=0), with no (d, *shape) temporaries.
-        Stacked, they made glibc trim and re-fault several MB of heap on
-        every GMRES iteration at 48^3.
+        On flat grids this is the transport term coeff . D vals; on
+        conformal tori it adds (1 - e^{-2 phi}) Lap_flat vals and the metric's
+        first-order term, for one flat Laplacian in all.  coeff . D vals is
+        summed axis by axis, in the order of np.sum(coeff * dvals, axis=0),
+        with no (d, *shape) temporaries.  Stacked, they made glibc trim and
+        re-fault several MB of heap on every GMRES iteration at 48^3.
         """
         if not self.grid.is_flat:
-            dvals = self.grad(vals)
-            out = -self.lap_metric(vals, dvals)
-            out += np.sum(coeff * dvals, axis=0)
-            return out
-        adv = coeff[0] * apply_along_axis(self.d1[0], vals, 0)
+            coeff = coeff - self.conformal_drift
+        out = coeff[0] * apply_along_axis(self.d1[0], vals, 0)
         for a in range(1, self.naxes):
-            adv += coeff[a] * apply_along_axis(self.d1[a], vals, a)
-        out = -self.lap_flat(vals)
-        out += adv
+            out += coeff[a] * apply_along_axis(self.d1[a], vals, a)
+        if not self.grid.is_flat:
+            out += self.conformal_lap * self.lap_flat(vals)
         return out
 
-    def adjoint_apply(self, m: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        """W^{-1} J^T W m, the adjoint of transport_apply (same coeff frozen)
-        under the quadrature inner product <v, m>_W = sum(w * v * m)."""
+    def adjoint_rest(self, m: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """R m = W^{-1} sum_a D_a^T (coeff_a W m), the transport part of the
+        density operator W^{-1} J^T W (same coeff frozen), with
+        <v, m>_W = sum(w * v * m).  Its diffusion part W^{-1} D2^T W equals
+        D2 on flat tori and boxes, so it is the L that M inverts."""
         g = self.grid
         if not g.is_flat:
             raise NotImplementedError("the adjoint transport is used on flat grids only")
         w = g.weights
         wm = w * m
-        out = np.zeros(g.shape)
-        for a in range(self.naxes):
-            out -= apply_along_axis(self.d2t[a], wm, a)
+        out = apply_along_axis(self.d1t[0], coeff[0] * wm, 0)
+        for a in range(1, self.naxes):
             out += apply_along_axis(self.d1t[a], coeff[a] * wm, a)
-        return out / w
+        out /= w
+        return out
 
 
 class _FlatInverter:
     """Exact fast-transform inverse of the flat constrained Laplacian.
 
     Solves  -Lap x + mu = r,  <x>_w = c  for (x, mu); used as the GMRES
-    preconditioner for the bordered Newton and density systems.
+    preconditioner M for the bordered Newton and density systems.  `apply`
+    is the forward operator L = -Lap_flat that M inverts.
     """
 
     def __init__(self, grid: Grid):
@@ -220,17 +240,35 @@ class _FlatInverter:
         self.inv_sym[mask] = 1.0 / self.sym[mask]
         self.w = grid.weights
         self.vol = grid.vol
+        # mu makes r - mu orthogonal to the left null vector of Lap_flat:
+        # the flat quadrature weights, which a conformal factor rescales
+        self.w_flat = self.w if grid.is_flat else self.w * grid.conformal_factor(-grid.dim)
+        self.vol_flat = float(np.sum(self.w_flat))
+        self.ops = _ops_for(grid)
+        self.work = np.empty(shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L x = -Lap_flat x, the solver stencil that `solve` inverts."""
+        out = self.ops.lap_flat(x)
+        np.negative(out, out=out)
+        return out
 
     def solve(self, r: np.ndarray, c: float = 0.0):
-        mu = float(np.sum(self.w * r)) / self.vol
-        r0 = r - mu
+        # Every temporary but the transform and x lives in `work`; x is
+        # fresh, so a later call leaves it alone.
+        work = self.work
+        mu = float(np.sum(np.multiply(self.w_flat, r, out=work))) / self.vol_flat
+        np.subtract(r, mu, out=work)
         if self.periodic:
-            rhat = sfft.rfftn(r0)
-            x = sfft.irfftn(rhat * self.inv_sym, s=self.grid.shape)
+            rhat = sfft.rfftn(work, overwrite_x=True)
+            rhat *= self.inv_sym
+            x = sfft.irfftn(rhat, s=self.grid.shape, overwrite_x=True)
         else:
-            rhat = sfft.dctn(r0, type=1)
-            x = sfft.idctn(rhat * self.inv_sym, type=1)
-        x = x + (c - float(np.sum(self.w * x))) / self.vol
+            # the in-place DCT may return `work` itself, so x is transformed out of place
+            rhat = sfft.dctn(work, type=1, overwrite_x=True)
+            rhat *= self.inv_sym
+            x = sfft.idctn(rhat, type=1)
+        x += (c - float(np.sum(np.multiply(self.w, x, out=work)))) / self.vol
         return x, mu
 
 
@@ -318,21 +356,23 @@ def bordered_solve(
     rhs_constraint: float,
     rtol: float,
 ):
-    """Constrained system [[A, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
+    """Constrained system [[L + R, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
 
-    apply_fn maps a node array to A x.  The loop is restarted GMRES(m) from
-    x0 = 0 with m = min(_RESTART, n + 1) for n nodes, so a small system runs
-    unrestarted.  It is right-preconditioned by the exact inverse M of the
-    flat constrained Laplacian: it builds an orthonormal basis of the
-    Krylov space of A M by modified Gram-Schmidt in place, in one
-    (m + 1, n + 1) array allocated per call, and ends each cycle with
-    x += M (V y).  The least-squares residual it minimizes is then the true
-    one, but only the recomputed b - A x decides convergence:
-    ||b - A x|| <= rtol ||b||.  Every operator apply is one apply_fn call
-    and every preconditioner apply one inv.solve call.  Returns
-    (x, mu, info): info = 0 on convergence, else the number of iterations
-    run, when the _MAX_ITERATIONS budget is spent or the Krylov space stops
-    growing short of the tolerance.
+    L = -Lap_flat is the operator inv inverts and `inv.apply` applies;
+    apply_fn maps a node array to R x, the rest of the operator A = L + R.
+    The loop is restarted GMRES(m) from x0 = 0 with m = min(_RESTART, n + 1)
+    for n nodes, so a small system runs unrestarted.  It is right-
+    preconditioned by the exact inverse M of the bordered flat Laplacian, so
+    A M = I + [R; 0] M: each Arnoldi step forms (x, mu) = M v and
+    v + [R x; 0], with no Laplacian, and orthonormalizes it against the
+    basis by modified Gram-Schmidt in place, in one (m + 1, n + 1) array
+    allocated per call.  Each cycle ends with x += M (V y) and the true
+    residual b - A x, recomputed with the full operator L + R; only that
+    residual decides convergence: ||b - A x|| <= rtol ||b||.  Every R apply
+    is one apply_fn call and every preconditioner apply one inv.solve call.
+    Returns (x, mu, info): info = 0 on convergence, else the number of
+    iterations run, when the _MAX_ITERATIONS budget is spent or the Krylov
+    space stops growing short of the tolerance.
     """
     shape = grid.shape
     w = grid.weights
@@ -346,8 +386,15 @@ def bordered_solve(
 
     def apply_bordered(z, out):
         v = z[:-1].reshape(shape)
-        np.add(apply_fn(v).reshape(-1), z[-1], out=out[:-1])
+        av = inv.apply(v)
+        av += apply_fn(v)
+        np.add(av.reshape(-1), z[-1], out=out[:-1])
         out[-1] = np.sum(w * v)
+
+    def apply_preconditioned(z, out):
+        xf, _ = inv.solve(z[:-1].reshape(shape), z[-1])
+        np.add(z[:-1], apply_fn(xf).reshape(-1), out=out[:-1])
+        out[-1] = z[-1]
 
     def precond(z, out):
         xf, mu = inv.solve(z[:-1].reshape(shape), z[-1])
@@ -372,14 +419,14 @@ def bordered_solve(
         invariant = False
         for j in range(min(m, _MAX_ITERATIONS - iters)):
             vj = V[j + 1]
-            apply_bordered(precond(V[j], z), vj)
+            apply_preconditioned(V[j], vj)
             iters += 1
             h0 = _nrm2(vj)
             for i in range(j + 1):
                 H[i, j] = _dot(V[i], vj)
                 _axpy(V[i], vj, a=-H[i, j])
             hn = _nrm2(vj)
-            if hn <= _EPS * h0:
+            if hn <= _INVARIANCE_TOL * (1.0 + h0):
                 # A M v_j lies in the basis: the Krylov space is invariant
                 hn = 0.0
             for i in range(j):
@@ -449,7 +496,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         delta_u, delta_lam, info = bordered_solve(
             grid,
-            lambda v: ops.transport_apply(v, coeff),
+            lambda v: ops.jacobian_rest(v, coeff),
             inv,
             -res,
             -float(np.sum(grid.weights * uvals)),

@@ -8,12 +8,12 @@ function u with a stationary Fokker-Planck equation for the density m:
 
 where a(p) = |p|^{gamma-2} p is the optimal drift and V_eps smooths the
 power coupling V(m) = m^alpha by a double convolution with a compact
-symmetric bump.  The drift is the value solver's own transport
-coefficient, `hjb.transport_coefficient`, and the density operator is the
-quadrature adjoint W^{-1} J^T W of the solver's Newton Jacobian J
-(`hjb._Ops.adjoint_apply`).  That makes the discrete duality identity
-hold up to truncation error and lets positivity emerge from the M-matrix
-structure instead of clipping.
+symmetric bump, applied by FFT.  The drift is the value solver's own
+transport coefficient, `hjb.transport_coefficient`, and the density
+operator is the quadrature adjoint W^{-1} J^T W of the solver's Newton
+Jacobian J (its transport part is `hjb._Ops.adjoint_rest`).  That makes
+the discrete duality identity hold up to truncation error and lets
+positivity emerge from the M-matrix structure instead of clipping.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
+import scipy.fft as sfft
 
 from .fields import (
     ScalarField,
@@ -200,16 +200,62 @@ def _mollifier_kernel(grid: Grid, eps: float) -> Optional[np.ndarray]:
     return kern / total
 
 
-def _convolve(grid: Grid, vals: np.ndarray, kern: Optional[np.ndarray]) -> np.ndarray:
-    if kern is None:
+def _kernel_transform(grid: Grid, eps: float):
+    """(rfft of the kernel, FFT shape, clipped-mass denominator) of radius
+    eps, or None when the kernel is a single node; kept on the grid per
+    radius.
+
+    The kernel's offsets wrap onto an array of the FFT shape: the grid's
+    own on tori, where the product of transforms is the circular
+    convolution; on boxes each axis is zero-padded by at least the kernel's
+    half width, so nothing wraps onto the n nodes kept.  The box
+    denominator is the kernel mass each node sees inside the box.
+    """
+    key = ("mollifier", float(eps))
+    if key not in grid._cache:
+        kern = _mollifier_kernel(grid, eps)
+        if kern is None:
+            grid._cache[key] = None
+        else:
+            halves = [(k - 1) // 2 for k in kern.shape]
+            if all(grid.periodic):
+                fshape = grid.shape
+            else:
+                fshape = tuple(sfft.next_fast_len(n + hw, real=True) for n, hw in zip(grid.shape, halves))
+            emb = np.zeros(fshape)
+            # add.at: on a torus as narrow as the kernel, offsets +-n/2 land on one node
+            np.add.at(emb, np.ix_(*[np.arange(-hw, hw + 1) % n for hw, n in zip(halves, fshape)]), kern)
+            khat = sfft.rfftn(emb)
+            den = None
+            if not all(grid.periodic):
+                den = _fft_convolve(np.ones(grid.shape), khat, fshape)
+            grid._cache[key] = (khat, fshape, den)
+    return grid._cache[key]
+
+
+def _fft_convolve(vals: np.ndarray, khat: np.ndarray, fshape: tuple) -> np.ndarray:
+    out = sfft.irfftn(sfft.rfftn(vals, s=fshape) * khat, s=fshape, overwrite_x=True)
+    if out.shape != vals.shape:
+        out = np.ascontiguousarray(out[tuple(slice(0, n) for n in vals.shape)])
+    return out
+
+
+def _convolve(grid: Grid, vals: np.ndarray, eps: float) -> np.ndarray:
+    """vals smoothed by the radius-eps kernel, as a product of FFTs.
+
+    On tori the convolution is circular.  On boxes the kernel is clipped
+    at the boundary and renormalized by the clipped mass, so the kernel
+    seen by each node still integrates to one.  The kernel's transform and
+    the clipped mass are computed once per grid and radius.
+    """
+    ker = _kernel_transform(grid, eps)
+    if ker is None:
         return np.array(vals, dtype=float)
-    if all(grid.periodic):
-        return ndimage.convolve(vals, kern, mode="wrap")
-    # boxes: clipped kernel, renormalized by the clipped mass so the
-    # kernel seen by each node still integrates to one
-    num = ndimage.convolve(vals, kern, mode="constant", cval=0.0)
-    den = ndimage.convolve(np.ones_like(vals), kern, mode="constant", cval=0.0)
-    return num / den
+    khat, fshape, den = ker
+    out = _fft_convolve(vals, khat, fshape)
+    if den is not None:
+        out /= den
+    return out
 
 
 def mollify_coupling(m: ScalarField, eps: float, alpha: float) -> ScalarField:
@@ -217,21 +263,20 @@ def mollify_coupling(m: ScalarField, eps: float, alpha: float) -> ScalarField:
 
     eps = 0 reduces to the plain power coupling.  The kernel is a
     positive symmetric compact bump with unit discrete mass, so constants
-    are preserved exactly.
+    are preserved up to round-off; both smoothings are FFT convolutions
+    (`_convolve`), circular on tori and clipped and renormalized on boxes.
     """
     if alpha <= 0:
         raise ValueError("coupling exponent must be positive")
     grid = m.grid
-    kern = _mollifier_kernel(grid, eps)
-    smoothed = _convolve(grid, m.values, kern)
+    smoothed = _convolve(grid, m.values, eps)
     powered = np.abs(smoothed) ** alpha * np.sign(smoothed)
-    return ScalarField(grid, _convolve(grid, powered, kern))
+    return ScalarField(grid, _convolve(grid, powered, eps))
 
 
 def smoothed_density(m: ScalarField, eps: float) -> ScalarField:
     """Single convolution m * kernel (the inner smoothing alone)."""
-    kern = _mollifier_kernel(m.grid, eps)
-    return ScalarField(m.grid, _convolve(m.grid, m.values, kern))
+    return ScalarField(m.grid, _convolve(m.grid, m.values, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +295,13 @@ def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
     """Invariant density of the transport generated by the value field.
 
     The drift is `transport_coefficient` of the plain value problem with
-    exponent gamma, and the operator is its quadrature adjoint
-    `_Ops.adjoint_apply`, W^{-1} J^T W, solved with unit-mass constraint;
-    the bordered multiplier comes out zero automatically because
-    constants annihilate the forward operator.  Positivity is an M-matrix
-    consequence, checked via the advection mesh number, never enforced by
-    clipping.
+    exponent gamma, and the operator is its quadrature adjoint W^{-1} J^T W,
+    solved with unit-mass constraint.  `bordered_solve` takes its transport
+    part `_Ops.adjoint_rest`: the diffusion part is the Laplacian that its
+    preconditioner inverts.  The bordered multiplier comes out zero
+    automatically because constants annihilate the forward operator.
+    Positivity is an M-matrix consequence, checked via the advection mesh
+    number, never enforced by clipping.
     """
     grid = u.grid
     if not grid.is_flat or grid.coord_system != "cartesian":
@@ -271,7 +317,7 @@ def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
             + " exceeds 1"
         )
     mvals, mu, info = bordered_solve(
-        grid, lambda m: ops.adjoint_apply(m, drift), inv, np.zeros(grid.shape), 1.0, 1e-10
+        grid, lambda m: ops.adjoint_rest(m, drift), inv, np.zeros(grid.shape), 1.0, 1e-10
     )
     if info != 0:
         raise RuntimeError("density linear solve did not converge")

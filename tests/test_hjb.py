@@ -2,11 +2,13 @@
 an independent time-marching oracle for the ergodic pair (u, lambda)."""
 
 import gc
+import re
 import time
 import weakref
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from hjblab import hjb
 from hjblab.fields import ScalarField, VectorField, gradient, lq_norm
@@ -20,6 +22,7 @@ from hjblab.hjb import (
     solve,
     solve_ergodic,
 )
+from hjblab.stencils import apply_along_axis
 
 TWO_PI = 2.0 * np.pi
 
@@ -273,7 +276,8 @@ def test_ergodic_entry_point_requires_the_flag():
 
 def _advected_case(grid, peclet=None):
     """Random gamma = 3 coefficient, scaled to the given mesh Peclet number
-    if one is given; returns apply_fn, its call log, a rhs and a constraint."""
+    if one is given; returns apply_fn (the rest R = J - L of the Jacobian),
+    its call log, a rhs and a constraint."""
     ops = hjb._ops_for(grid)
     rng = np.random.default_rng(5)
     coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), 0.3 * rng.normal(size=grid.shape))
@@ -283,28 +287,41 @@ def _advected_case(grid, peclet=None):
 
     def apply_fn(v):
         calls.append(1)
-        return ops.transport_apply(v, coeff)
+        return ops.jacobian_rest(v, coeff)
 
     return apply_fn, calls, rng.normal(size=grid.shape), 0.3
 
 
+def _conformal_torus():
+    phi = MetricSpec.conformal(
+        lambda coords: 0.1 * np.cos(TWO_PI * coords[0]) + 0.05 * np.sin(TWO_PI * (coords[1] + coords[2]))
+    )
+    return build_grid(DomainSpec(kind="torus", dim=3, resolution=(8,)), phi)
+
+
+_GRIDS = {
+    "2-torus": lambda: torus(12, dim=2),
+    "3-torus": lambda: torus(8, dim=3),
+    "3-box": lambda: box(9, dim=3),
+    "conformal-torus": _conformal_torus,
+}
+
+
 def _bordered_case(kind):
-    grid = {
-        "2-torus": lambda: torus(12, dim=2),
-        "3-torus": lambda: torus(8, dim=3),
-        "3-box": lambda: box(9, dim=3),
-    }[kind]()
+    grid = _GRIDS[kind]()
     # unscaled, the mesh Peclet number is about 2-3: advection-dominated, still one cycle
     return (grid, *_advected_case(grid))
 
 
 def _dense_bordered(grid, apply_fn):
+    """The bordered matrix of A = L + R, with R applied by apply_fn."""
+    inv = hjb._inverter_for(grid)
     n = int(np.prod(grid.shape))
     A = np.zeros((n + 1, n + 1))
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        A[:n, k] = apply_fn(e.reshape(grid.shape)).reshape(-1)
+        A[:n, k] = (inv.apply(e.reshape(grid.shape)) + apply_fn(e.reshape(grid.shape))).reshape(-1)
     A[:n, n] = 1.0
     A[n, :n] = grid.weights.reshape(-1)
     return A
@@ -373,12 +390,94 @@ def test_singular_bordered_system_fails_fast():
     grid = torus(16, dim=3)
     rhs = np.random.default_rng(6).normal(size=grid.shape)  # not a constant: outside the range
     t0 = time.perf_counter()
+    # R = Lap_flat cancels L = -Lap_flat, so A = 0
     _, _, info = hjb.bordered_solve(
-        grid, lambda v: np.zeros_like(v), hjb._inverter_for(grid), rhs, 0.0, 1e-10
+        grid, hjb._ops_for(grid).lap_flat, hjb._inverter_for(grid), rhs, 0.0, 1e-10
     )
     assert info != 0
     assert 0 < info <= hjb._MAX_ITERATIONS
     assert time.perf_counter() - t0 < 1.0
+
+
+def _full_jacobian(ops, x, coeff):
+    return -ops.lap_metric(x) + np.sum(coeff * ops.grad(x), axis=0)
+
+
+def _full_density_operator(ops, m, coeff):
+    w = ops.grid.weights
+    out = np.zeros(m.shape)
+    for a in range(ops.naxes):
+        out -= apply_along_axis(ops.d2[a].T.tocsr(), w * m, a)
+        out += apply_along_axis(ops.d1[a].T.tocsr(), coeff[a] * w * m, a)
+    return out / w
+
+
+@pytest.mark.parametrize("kind", list(_GRIDS))
+def test_preconditioned_step_equals_the_full_bordered_operator(kind):
+    # A M v = v + [R M v; 0], because M inverts the bordered L exactly
+    grid = _GRIDS[kind]()
+    ops = hjb._ops_for(grid)
+    inv = hjb._inverter_for(grid)
+    rng = np.random.default_rng(12)
+    coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), 0.3 * rng.normal(size=grid.shape))
+    v = rng.normal(size=grid.shape)
+    vc = float(rng.normal())
+    x, mu = inv.solve(v, vc)
+    pairs = [(ops.jacobian_rest, _full_jacobian)]
+    if grid.is_flat:
+        pairs.append((ops.adjoint_rest, _full_density_operator))
+    for rest, full in pairs:
+        step = np.concatenate([(v + rest(x, coeff)).reshape(-1), [vc]])
+        want = np.concatenate([(full(ops, x, coeff) + mu).reshape(-1), [np.sum(grid.weights * x)]])
+        assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want), rest.__name__
+
+
+def test_bordered_solve_applies_the_laplacian_once_per_cycle(monkeypatch):
+    monkeypatch.setattr(hjb, "_RESTART", 5)
+    grid, apply_fn, _, rhs, c = _bordered_case("3-torus")
+    inv = hjb._inverter_for(grid)
+    events = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            events.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(inv, "apply", spy("L", inv.apply))
+    monkeypatch.setattr(inv, "solve", spy("M", inv.solve))
+    _, _, info = hjb.bordered_solve(grid, spy("R", apply_fn), inv, rhs, c, 1e-10)
+    assert info == 0
+    seq = "".join(events)
+    # Arnoldi steps are M R; each cycle ends with x += M (V y) and the true residual L + R
+    assert re.fullmatch(r"(?:(?:MR)+MLR)+", seq), seq
+    assert seq.count("L") >= 3
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_flat_inverter_reuses_its_work_array_bit_for_bit(kind):
+    grid = torus(12, dim=3) if kind == "torus" else box(11, dim=3)
+    inv = hjb._inverter_for(grid)
+    rng = np.random.default_rng(13)
+    r1, r2 = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+    w, vol = grid.weights, grid.vol
+    # the allocating expression the work array replaced
+    mu = float(np.sum(w * r1)) / vol
+    r0 = r1 - mu
+    if kind == "torus":
+        x = sfft.irfftn(sfft.rfftn(r0) * inv.inv_sym, s=grid.shape)
+    else:
+        x = sfft.idctn(sfft.dctn(r0, type=1) * inv.inv_sym, type=1)
+    x = x + (0.4 - float(np.sum(w * x))) / vol
+    r1_copy = r1.copy()
+    got, got_mu = inv.solve(r1, 0.4)
+    assert got_mu == mu
+    assert np.array_equal(got, x)
+    assert np.array_equal(r1, r1_copy)
+    kept = got.copy()
+    inv.solve(r2, -1.0)
+    assert np.array_equal(got, kept)
 
 
 def test_grid_is_collected_after_a_solve():
@@ -420,7 +519,7 @@ def test_flat_linearized_operator_equals_its_stacked_form_bit_for_bit(kind):
     dvals = ops.grad(vals)
     ref = -ops.lap_metric(vals, dvals)
     ref += np.sum(coeff * dvals, axis=0)
-    assert np.array_equal(ops.transport_apply(vals, coeff), ref)
+    assert np.array_equal(hjb._inverter_for(grid).apply(vals) + ops.jacobian_rest(vals, coeff), ref)
 
 
 @pytest.mark.parametrize("kind", ["torus", "box"])
@@ -434,9 +533,10 @@ def test_density_operator_is_the_weighted_adjoint_of_the_jacobian(kind, dim):
     v = rng.normal(size=grid.shape)
     m = rng.normal(size=grid.shape)
     w = grid.weights
-    jv = ops.transport_apply(v, coeff)
+    inv = hjb._inverter_for(grid)
+    jv = inv.apply(v) + ops.jacobian_rest(v, coeff)
     lhs = float(np.sum(w * m * jv))
-    rhs = float(np.sum(w * v * ops.adjoint_apply(m, coeff)))
+    rhs = float(np.sum(w * v * (inv.apply(m) + ops.adjoint_rest(m, coeff))))
     # relative to the Cauchy-Schwarz bound of the pairing
     scale = float(np.sqrt(np.sum(w * jv**2) * np.sum(w * m**2)))
     assert abs(lhs - rhs) <= 1e-12 * scale

@@ -82,6 +82,34 @@ def test_coupling_matches_oracle_in_three_dimensions():
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+def _oracle_clipped_convolve(grid, vals, eps):
+    """Box smoothing: each node sums the kernel over the offsets that stay in
+    the box and divides by the kernel mass it kept."""
+    offsets, weights = _oracle_kernel(grid, eps)
+    num = np.zeros_like(vals)
+    den = np.zeros_like(vals)
+    for off, wgt in zip(offsets, weights):
+        # node i collects vals[i + off] when i + off lies in the box
+        src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(off, vals.shape))
+        dst = tuple(slice(max(-o, 0), n + min(-o, 0)) for o, n in zip(off, vals.shape))
+        num[dst] += wgt * vals[src]
+        den[dst] += wgt
+    return num / den
+
+
+@pytest.mark.parametrize("n, dim, radii", [(16, 2, (0.1, 0.2)), (12, 3, (0.2, 0.3))])
+def test_box_coupling_matches_clipped_direct_summation(n, dim, radii):
+    g = box(n, dim=dim)
+    mesh = g.mesh()
+    m = ScalarField(g, 1.0 + 0.4 * np.cos(np.pi * mesh[0]) * np.sin(TWO_PI * mesh[-1]))
+    # two radii on one grid, then the first again: each keeps its own kernel
+    for eps in radii + radii[:1]:
+        inner = _oracle_clipped_convolve(g, m.values, eps)
+        assert np.max(np.abs(smoothed_density(m, eps).values - inner)) <= 1e-10
+        want = _oracle_clipped_convolve(g, inner**1.5, eps)
+        assert np.max(np.abs(mollify_coupling(m, eps, 1.5).values - want)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # oracle 2: invariant density against a dense bordered linear system
 
