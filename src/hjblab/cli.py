@@ -704,6 +704,14 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         raise ConfigError(
             "mfg: [problem] c1 must be 1: the game's Hamiltonian is |p|^gamma / gamma"
         )
+    if cfg["problem"]["drift_kind"] != "none":
+        raise ConfigError(
+            "mfg: [problem] drift_kind must be none: the game's value equation has no drift"
+        )
+    if cfg["problem"]["source_kind"] != "none":
+        raise ConfigError(
+            "mfg: [problem] source_kind must be none: the game's source is the coupling V_eps(m)"
+        )
     grid = _build_grid(cfg)
     blk = cfg["mfg"]
     shift = _build_shift(cfg, grid)

@@ -30,8 +30,7 @@ search reaches its backtracking floor.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,9 +114,7 @@ class SolveReport:
     u: ScalarField
     lam: float
     compat_defect: float
-    history: list = dataclass_field(default_factory=list)
     message: str = ""
-    wall_time: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +284,13 @@ def residual(u: ScalarField, spec: ProblemSpec, lam: float = 0.0) -> ScalarField
     """Node-wise residual of the stationary equation (solver stencils)."""
     if u.grid is not spec.grid and u.grid.shape != spec.grid.shape:
         raise ValueError("field and problem live on different grids")
-    vals = _residual_core(spec, _ops_for(spec.grid), u.values) + lam
-    return ScalarField(spec.grid, vals)
+    vals, _ = _residual_core(spec, _ops_for(spec.grid), u.values)
+    return ScalarField(spec.grid, vals + lam)
 
 
-def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray) -> np.ndarray:
-    """-Lap_g u + (c1/gamma)|grad u|^gamma + g(B, grad u) + b - f."""
+def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray):
+    """-Lap_g u + (c1/gamma)|grad u|^gamma + g(B, grad u) + b - f, and the
+    lattice gradient ops.grad(u) it was formed from."""
     dvals = ops.grad(uvals)
     out = -ops.lap_metric(uvals, dvals)
     gn2 = _metric_grad_norm_sq(spec, dvals)
@@ -304,18 +302,22 @@ def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray) -> np.ndarra
         out += spec.shift.values
     if spec.source is not None:
         out -= spec.source.values
-    return out
+    return out, dvals
 
 
-def transport_coefficient(spec: ProblemSpec, uvals: np.ndarray) -> np.ndarray:
+def transport_coefficient(
+    spec: ProblemSpec, uvals: np.ndarray, dvals: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Lattice coefficient of the linearized first-order term.
 
     a_i = c1 e^{-gamma phi} (|du|^2 + eps^2)^{(gamma-2)/2} du_i + B_i; the
     regularization keeps the coefficient finite at critical points when
     gamma < 2.  With c1 = 1 and no drift it is the game's optimal drift.
+    A caller that already holds the lattice gradient of u (the one
+    `_residual_core` returns) passes it as dvals, and it is not formed again.
     """
-    ops = _ops_for(spec.grid)
-    dvals = ops.grad(uvals)
+    if dvals is None:
+        dvals = _ops_for(spec.grid).grad(uvals)
     sq = np.sum(dvals**2, axis=0)
     amp = spec.c1 * (sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
     if not spec.grid.is_flat:
@@ -355,21 +357,29 @@ def bordered_solve(
     rhs_field: np.ndarray,
     rhs_constraint: float,
     rtol: float,
+    x0=None,
 ):
     """Constrained system [[L + R, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
 
     L = -Lap_flat is the operator inv inverts and `inv.apply` applies;
     apply_fn maps a node array to R x, the rest of the operator A = L + R.
-    The loop is restarted GMRES(m) from x0 = 0 with m = min(_RESTART, n + 1)
-    for n nodes, so a small system runs unrestarted.  It is right-
-    preconditioned by the exact inverse M of the bordered flat Laplacian, so
+    The loop is restarted GMRES(m) with m = min(_RESTART, n + 1) for n
+    nodes, so a small system runs unrestarted.  It is right-preconditioned
+    by the exact inverse M of the bordered flat Laplacian, so
     A M = I + [R; 0] M: each Arnoldi step forms (x, mu) = M v and
     v + [R x; 0], with no Laplacian, and orthonormalizes it against the
     basis by modified Gram-Schmidt in place, in one (m + 1, n + 1) array
     allocated per call.  Each cycle ends with x += M (V y) and the true
     residual b - A x, recomputed with the full operator L + R; only that
-    residual decides convergence: ||b - A x|| <= rtol ||b||.  Every R apply
-    is one apply_fn call and every preconditioner apply one inv.solve call.
+    residual decides convergence: ||b - A x|| <= rtol ||b||.
+    The solve starts from x = 0, or from x0 = (field, mu) when one is
+    given.  Its first residual is then the true b - A x0, formed like the
+    residual at the end of a cycle (one apply_fn call, no preconditioner
+    apply), and a start that already meets the tolerance is returned at
+    once.  The test stays relative to ||b||, not to the start's residual,
+    so a started solve is judged exactly like one from zero.
+    Every R apply is one apply_fn call and every preconditioner apply one
+    inv.solve call.
     Returns (x, mu, info): info = 0 on convergence, else the number of
     iterations run, when the _MAX_ITERATIONS budget is spent or the Krylov
     space stops growing short of the tolerance.
@@ -402,9 +412,21 @@ def bordered_solve(
         out[-1] = mu
         return out
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    beta = bnorm
+    def true_residual(x, r):
+        apply_bordered(x, r)
+        np.subtract(b, r, out=r)
+        return _nrm2(r)
+
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+        beta = bnorm
+    else:
+        x = np.concatenate([np.ravel(x0[0]), [x0[1]]])
+        r = np.empty_like(b)
+        beta = true_residual(x, r)
+        if beta <= tol:
+            return x[:-1].reshape(shape), float(x[-1]), 0
     z = np.empty_like(b)
     H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
@@ -450,9 +472,7 @@ def bordered_solve(
         if k:
             y = solve_triangular(H[:k, :k], g[:k])
             x += precond(V[:k].T @ y, z)
-            apply_bordered(x, r)
-            np.subtract(b, r, out=r)
-            beta = _nrm2(r)
+            beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0
         # Restarting from an invariant Krylov space cannot reduce the residual.
@@ -470,7 +490,6 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     grid = spec.grid
     ops = _ops_for(grid)
     inv = _inverter_for(grid)
-    t0 = time.perf_counter()
 
     if cfg.initial_guess is not None:
         uvals = np.array(cfg.initial_guess.values, dtype=float)
@@ -478,21 +497,22 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     else:
         uvals = np.zeros(grid.shape)
     lam = 0.0
-    history = []
     message = ""
 
     def F(uv, lv):
-        return _residual_core(spec, ops, uv) + lv
+        # the residual at (uv, lv) and the gradient of uv it was formed from
+        res, dvals = _residual_core(spec, ops, uv)
+        res += lv
+        return res, dvals
 
-    res = F(uvals, lam)
+    res, dvals = F(uvals, lam)
     res_norm = _weighted_norm(grid, res)
     res0 = max(res_norm, 1e-30)
-    history.append(res_norm)
     iters = 0
     converged = res_norm <= cfg.residual_tol
 
     while not converged and iters < cfg.max_iter:
-        coeff = transport_coefficient(spec, uvals)
+        coeff = transport_coefficient(spec, uvals, dvals)
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         delta_u, delta_lam, info = bordered_solve(
             grid,
@@ -513,7 +533,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         while alpha >= 2.0**-20:
             trial_u = uvals + alpha * delta_u
             trial_lam = lam + alpha * delta_lam
-            trial_res = F(trial_u, trial_lam)
+            trial_res, trial_dvals = F(trial_u, trial_lam)
             trial_norm = _weighted_norm(grid, trial_res)
             if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= cfg.residual_tol:
                 accepted = True
@@ -522,9 +542,8 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         if not accepted:
             message = "stalled: backtracking floor reached"
             break
-        uvals, lam, res, res_norm = trial_u, trial_lam, trial_res, trial_norm
+        uvals, lam, res, res_norm, dvals = trial_u, trial_lam, trial_res, trial_norm, trial_dvals
         iters += 1
-        history.append(res_norm)
         converged = res_norm <= cfg.residual_tol
 
     # exact gauge fix: constants do not change the residual
@@ -540,9 +559,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         u=ScalarField(grid, uvals),
         lam=float(lam) if spec.ergodic else 0.0,
         compat_defect=0.0 if spec.ergodic else float(lam),
-        history=history,
         message=message,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -589,7 +606,7 @@ def manufactured_source(spec_grid: Grid, gamma: float, c1: float = 1.0, symbolic
     if not symbolic:
         spec = ProblemSpec(grid, gamma=gamma, c1=c1)
         ops = _ops_for(grid)
-        vals = _residual_core(spec, ops, ustar.values)
+        vals, _ = _residual_core(spec, ops, ustar.values)
         return ustar, ScalarField(grid, vals)
     lap = np.zeros(grid.shape)
     grad_sq = np.zeros(grid.shape)

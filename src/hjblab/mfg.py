@@ -19,7 +19,6 @@ positivity emerge from the M-matrix structure instead of clipping.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -56,7 +55,8 @@ class MfgSpec:
     """One stationary game: exponents, coupling, shift, and iteration knobs.
 
     The inner value solves run at the default `SolverConfig`, warm-started
-    from the previous outer iterate.
+    from the previous outer iterate; each density solve after the first is
+    warm-started from the previous undamped density.
     """
 
     grid: Grid
@@ -127,7 +127,6 @@ class MfgReport:
     converged: bool
     outer_iterations: int
     outer_residual: float
-    history: list = dataclass_field(default_factory=list)
     mass: float = 1.0
     min_density: float = 0.0
     lam: float = 0.0
@@ -137,7 +136,6 @@ class MfgReport:
     peclet: float = 0.0
     stages: list = dataclass_field(default_factory=list)
     message: str = ""
-    wall_time: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,13 @@ def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
     return pec
 
 
-def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
+def fp_solve(
+    u: ScalarField,
+    gamma: float = 2.0,
+    *,
+    drift: Optional[np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+) -> ScalarField:
     """Invariant density of the transport generated by the value field.
 
     The drift is `transport_coefficient` of the plain value problem with
@@ -302,13 +306,19 @@ def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
     automatically because constants annihilate the forward operator.
     Positivity is an M-matrix consequence, checked via the advection mesh
     number, never enforced by clipping.
+
+    A caller that has already formed that drift from u passes it as
+    `drift`; it is checked all the same.  `start` is a density to start the
+    solve from (with multiplier 0) instead of zero; the game loop passes
+    the previous one.  The solve stops on the same tolerance either way.
     """
     grid = u.grid
     if not grid.is_flat or grid.coord_system != "cartesian":
         raise ValueError("density solves run on flat box/torus lattices only")
     ops = _ops_for(grid)
     inv = _inverter_for(grid)
-    drift = transport_coefficient(ProblemSpec(grid, gamma), u.values)
+    if drift is None:
+        drift = transport_coefficient(ProblemSpec(grid, gamma), u.values)
     pec = fp_peclet(grid, drift)
     if pec > 1.0:
         raise ValueError(
@@ -317,7 +327,13 @@ def fp_solve(u: ScalarField, gamma: float = 2.0) -> ScalarField:
             + " exceeds 1"
         )
     mvals, mu, info = bordered_solve(
-        grid, lambda m: ops.adjoint_rest(m, drift), inv, np.zeros(grid.shape), 1.0, 1e-10
+        grid,
+        lambda m: ops.adjoint_rest(m, drift),
+        inv,
+        np.zeros(grid.shape),
+        1.0,
+        1e-10,
+        x0=None if start is None else (start, 0.0),
     )
     if info != 0:
         raise RuntimeError("density linear solve did not converge")
@@ -343,8 +359,13 @@ def mfg_fixed_point(spec: MfgSpec):
     Returns (MfgState, MfgReport).  The mollifier radius is continued
     from 0.1 down to the target when the target is smaller and the data
     are nontrivial, mirroring the vanishing-smoothing construction.
+
+    Each outer iteration forms the drift of the new value function once,
+    checks its Péclet number and hands it to the density solve.  The value
+    solve starts from the previous value function and the density solve
+    from the previous undamped density, across mollifier stages too; the
+    first density solve of a game starts from zero.
     """
-    t0 = time.perf_counter()
     grid = spec.grid
     gate = exponent_gate(grid.dim, spec.gamma, spec.alpha)
     b_max = 0.0 if spec.shift is None else float(np.max(np.abs(spec.shift.values)))
@@ -362,7 +383,7 @@ def mfg_fixed_point(spec: MfgSpec):
     uvals = np.zeros(grid.shape)
     lam = 0.0
     mvals = np.full(grid.shape, 1.0 / vol)
-    history = []
+    m_start = None  # the last undamped density, where the next density solve starts
     total_iters = 0
     converged = False
     change = math.inf
@@ -386,7 +407,8 @@ def mfg_fixed_point(spec: MfgSpec):
             if not rep.converged:
                 message = "inner value solve failed to converge: " + rep.message
                 break
-            pec = fp_peclet(grid, transport_coefficient(prob, rep.u.values))
+            drift = transport_coefficient(prob, rep.u.values)
+            pec = fp_peclet(grid, drift)
             peclet = max(peclet, pec)
             # The density solve rejects such a drift; a valid request that
             # drives it there is a failed run, not a rejected one.
@@ -397,10 +419,11 @@ def mfg_fixed_point(spec: MfgSpec):
                 )
                 break
             try:
-                m_new = fp_solve(rep.u, spec.gamma)
+                m_new = fp_solve(rep.u, spec.gamma, drift=drift, start=m_start)
             except RuntimeError as exc:
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break
+            m_start = m_new.values
             m_next = (1.0 - tau) * mvals + tau * m_new.values
             change = _state_change((rep.u.values, rep.lam, m_next), (uvals, lam, mvals))
             if change > prev_change and tau > 2.0**-10:
@@ -408,15 +431,6 @@ def mfg_fixed_point(spec: MfgSpec):
             prev_change = change
             uvals, lam, mvals = rep.u.values, rep.lam, m_next
             total_iters += 1
-            history.append(
-                {
-                    "eps": eps,
-                    "change": change,
-                    "lambda": lam,
-                    "mass": float(np.sum(grid.weights * mvals)),
-                    "min_m": float(np.min(mvals)),
-                }
-            )
             if change < spec.outer_tol:
                 stage_converged = True
                 break
@@ -436,7 +450,6 @@ def mfg_fixed_point(spec: MfgSpec):
         converged=converged,
         outer_iterations=total_iters,
         outer_residual=float(change),
-        history=history,
         mass=float(np.sum(grid.weights * mvals)),
         min_density=float(np.min(mvals)),
         lam=float(lam),
@@ -444,7 +457,6 @@ def mfg_fixed_point(spec: MfgSpec):
         peclet=peclet,
         stages=[float(s) for s in stages],
         message=message,
-        wall_time=time.perf_counter() - t0,
     )
     if converged:
         if all(grid.periodic):

@@ -263,6 +263,22 @@ def test_hamiltonian_coefficient_is_rejected(tmp_path, capsys, subcommand):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "block,key",
+    [
+        ("drift_kind = shear\ndrift_amplitude = 5\ndrift_s = 3.0\n", "drift_kind"),
+        ("source_kind = mode\nsource_amplitude = 100\n", "source_kind"),
+    ],
+)
+def test_game_rejects_value_equation_data_it_has_no_place_for(tmp_path, capsys, block, key):
+    # the game's value equation has no drift, and its source is the coupling
+    cfg = write(tmp_path, "g.ini", "[domain]\ndim = 2\nresolution = 16\n[problem]\n" + block)
+    out = tmp_path / "out"
+    assert main(["mfg", "--config", cfg, "--out", str(out)]) == 2
+    assert "rejected: mfg: [problem] " + key + " must be none" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_over_advected_game_fails_with_a_report(tmp_path):
     cfg = write(
         tmp_path,

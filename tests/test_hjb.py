@@ -455,6 +455,104 @@ def test_bordered_solve_applies_the_laplacian_once_per_cycle(monkeypatch):
     assert seq.count("L") >= 3
 
 
+def _counting_inverter(monkeypatch, grid):
+    inv = hjb._inverter_for(grid)
+    solves = []
+    orig = inv.solve
+
+    def spy(*args):
+        solves.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(inv, "solve", spy)
+    return inv, solves
+
+
+@pytest.mark.parametrize("kind", ["2-torus", "3-torus", "3-box"])
+def test_bordered_solve_started_at_its_solution_returns_at_once(monkeypatch, kind):
+    grid, apply_fn, calls, rhs, c = _bordered_case(kind)
+    A = _dense_bordered(grid, apply_fn)
+    b = np.concatenate([rhs.reshape(-1), [c]])
+    sol = np.linalg.solve(A, b)
+    inv, solves = _counting_inverter(monkeypatch, grid)
+    calls.clear()
+    x, mu, info = hjb.bordered_solve(
+        grid, apply_fn, inv, rhs, c, 1e-10, (sol[:-1].reshape(grid.shape), sol[-1])
+    )
+    assert info == 0
+    assert len(calls) == 1 and not solves  # the true residual b - A x0, and nothing else
+    assert np.array_equal(np.concatenate([x.reshape(-1), [mu]]), sol)
+
+
+@pytest.mark.parametrize("kind", ["2-torus", "3-torus", "3-box"])
+def test_bordered_solve_from_a_near_start_meets_the_same_bound_in_fewer_applies(monkeypatch, kind):
+    grid, apply_fn, calls, rhs, c = _bordered_case(kind)
+    rtol = 1e-12
+    A = _dense_bordered(grid, apply_fn)
+    b = np.concatenate([rhs.reshape(-1), [c]])
+    sol = np.linalg.solve(A, b)
+    # 1e-3 relative along the solution: the start's residual is 1e-3 b, so a
+    # test relative to that residual instead of b would need the cold count
+    start = sol * (1.0 + 1e-3)
+    inv, _ = _counting_inverter(monkeypatch, grid)
+    calls.clear()
+    cold = hjb.bordered_solve(grid, apply_fn, inv, rhs, c, rtol)
+    cold_applies = len(calls)
+    calls.clear()
+    x, mu, info = hjb.bordered_solve(
+        grid, apply_fn, inv, rhs, c, rtol, (start[:-1].reshape(grid.shape), start[-1])
+    )
+    assert info == 0 and cold[2] == 0
+    warm = np.concatenate([x.reshape(-1), [mu]])
+    # judged on ||b||, like the cold solve, not on the start's residual
+    assert np.linalg.norm(b - A @ warm) <= rtol * np.linalg.norm(b)
+    assert np.max(np.abs(warm - np.concatenate([cold[0].reshape(-1), [cold[1]]]))) <= 1e-8
+    assert len(calls) < cold_applies
+
+
+def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
+    grid = torus(10, dim=3)
+    mesh = grid.mesh()
+    spec = ProblemSpec(
+        grid, gamma=3.0, source=ScalarField(grid, 30.0 * np.cos(TWO_PI * mesh[0]) * np.cos(TWO_PI * mesh[1])),
+        ergodic=True,
+    )
+    # the same solve, with every transport coefficient formed from scratch
+    tc = hjb.transport_coefficient
+    monkeypatch.setattr(hjb, "transport_coefficient", lambda sp, uvals, dvals=None: tc(sp, uvals))
+    ref = solve(spec)
+    monkeypatch.undo()
+
+    counts = {"grad": 0, "residual": 0, "grad_in_coefficient": 0}
+    grad, core = hjb._Ops.grad, hjb._residual_core
+    inside = []
+
+    def grad_spy(self, vals):
+        counts["grad"] += 1
+        counts["grad_in_coefficient"] += bool(inside)
+        return grad(self, vals)
+
+    def core_spy(*args):
+        counts["residual"] += 1
+        return core(*args)
+
+    def coefficient_spy(*args):
+        inside.append(1)
+        try:
+            return tc(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hjb._Ops, "grad", grad_spy)
+    monkeypatch.setattr(hjb, "_residual_core", core_spy)
+    monkeypatch.setattr(hjb, "transport_coefficient", coefficient_spy)
+    rep = solve(spec)
+    assert rep.converged and rep.iterations >= 3
+    assert counts["grad"] == counts["residual"]
+    assert counts["grad_in_coefficient"] == 0
+    assert np.array_equal(rep.u.values, ref.u.values) and rep.lam == ref.lam
+
+
 @pytest.mark.parametrize("kind", ["torus", "box"])
 def test_flat_inverter_reuses_its_work_array_bit_for_bit(kind):
     grid = torus(12, dim=3) if kind == "torus" else box(11, dim=3)

@@ -422,8 +422,53 @@ def test_box_game_converges_without_boundary_certificates():
     state.validate()
 
 
+def test_started_density_solves_leave_the_game_unchanged(monkeypatch):
+    g = torus(16, dim=2)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
+    starts = []
+    orig = mfg.bordered_solve
+
+    def counting(*args, x0=None):
+        starts.append(x0 is not None)
+        return orig(*args, x0=x0)
+
+    monkeypatch.setattr(mfg, "bordered_solve", counting)
+    _, warm = mfg_fixed_point(spec)
+    # every density solve but the first starts from the last density
+    assert starts == [False] + [True] * (warm.outer_iterations - 1)
+    monkeypatch.setattr(mfg, "bordered_solve", lambda *args, x0=None: orig(*args))
+    _, cold = mfg_fixed_point(spec)
+    assert warm.converged and cold.converged
+    pairs = [(warm.lam, cold.lam), (warm.mass, cold.mass)]
+    pairs += [(warm.duality[k], cold.duality[k]) for k in ("identity_lhs", "identity_rhs", "coupling_energy")]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-9 * abs(b)
+
+
+def test_game_forms_one_drift_per_outer_iteration(monkeypatch):
+    drifts, handed = [], []
+    tc, fp = mfg.transport_coefficient, mfg.fp_solve
+
+    def coefficient_spy(*args):
+        drifts.append(tc(*args))
+        return drifts[-1]
+
+    def fp_spy(u, gamma, **kwargs):
+        handed.append(kwargs.get("drift"))
+        return fp(u, gamma, **kwargs)
+
+    # the value solve forms its coefficients through hjb's own binding, not these
+    monkeypatch.setattr(mfg, "transport_coefficient", coefficient_spy)
+    monkeypatch.setattr(mfg, "fp_solve", fp_spy)
+    g = torus(16, dim=2)
+    _, report = mfg_fixed_point(MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1))
+    assert report.converged
+    assert len(drifts) == report.outer_iterations
+    assert len(handed) == len(drifts) and all(h is d for h, d in zip(handed, drifts))
+
+
 def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
-    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return np.zeros(grid.shape), 0.0, 1
 
     monkeypatch.setattr(mfg, "bordered_solve", failing)
