@@ -471,7 +471,11 @@ def bordered_solve(
                 break
         if k:
             y = solve_triangular(H[:k, :k], g[:k])
-            x += precond(V[:k].T @ y, z)
+            # V^T y by elementwise numpy arithmetic, not a BLAS gemv: a
+            # threaded gemv rounds differently at different positions, which
+            # breaks exact lattice symmetries of the data (a one-axis
+            # solution picks up variation along its constant axes)
+            x += precond(np.einsum("ij,i->j", V[:k], y), z)
             beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0

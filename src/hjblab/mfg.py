@@ -54,9 +54,11 @@ from .hjb import (
 class MfgSpec:
     """One stationary game: exponents, coupling, shift, and iteration knobs.
 
-    The inner value solves run at the default `SolverConfig`, warm-started
-    from the previous outer iterate; each density solve after the first is
-    warm-started from the previous undamped density.
+    The inner value solves are warm-started from the previous outer
+    iterate, and each density solve after the first from the previous
+    undamped density.  Both solve only as tightly as the outer loop has
+    converged (see `mfg_fixed_point`); the iteration the loop stops on
+    meets `SolverConfig().residual_tol` and the density solve's 1e-10.
     """
 
     grid: Grid
@@ -281,6 +283,10 @@ def smoothed_density(m: ScalarField, eps: float) -> ScalarField:
 # stationary Fokker-Planck solve
 
 
+# the density solve's tolerance on the bordered residual
+_DENSITY_RTOL = 1e-10
+
+
 def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
     """Largest advection mesh number |a_i| h_i / 2 (M-matrix iff <= 1)."""
     pec = 0.0
@@ -295,6 +301,7 @@ def fp_solve(
     *,
     drift: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
+    rtol: float = _DENSITY_RTOL,
 ) -> ScalarField:
     """Invariant density of the transport generated by the value field.
 
@@ -310,7 +317,10 @@ def fp_solve(
     A caller that has already formed that drift from u passes it as
     `drift`; it is checked all the same.  `start` is a density to start the
     solve from (with multiplier 0) instead of zero; the game loop passes
-    the previous one.  The solve stops on the same tolerance either way.
+    the previous one.  The solve stops on the same tolerance either way:
+    the bordered residual at most `rtol`, relative to the unit mass
+    constraint.  The game loop loosens `rtol` while its own change is
+    large.
     """
     grid = u.grid
     if not grid.is_flat or grid.coord_system != "cartesian":
@@ -332,7 +342,7 @@ def fp_solve(
         inv,
         np.zeros(grid.shape),
         1.0,
-        1e-10,
+        rtol,
         x0=None if start is None else (start, 0.0),
     )
     if info != 0:
@@ -344,6 +354,20 @@ def fp_solve(
 
 # ---------------------------------------------------------------------------
 # outer fixed point
+
+# Inexact inner solves (Dembo-Eisenstat-Steihaug forcing): an outer
+# iteration after a change c solves the value and density equations to
+# max(final tolerance, _FORCING * c); solving them tighter would not move
+# the next iterate by more than the outer loop still moves it.
+_FORCING = 1e-2
+
+
+def _density_residual(grid: Grid, mvals: np.ndarray, drift: np.ndarray) -> float:
+    """||(L + R) m||_2: the residual of `fp_solve`'s bordered system at a
+    unit-mass m with multiplier 0, in the norm of its stopping test."""
+    r = _inverter_for(grid).apply(mvals)
+    r += _ops_for(grid).adjoint_rest(mvals, drift)
+    return float(np.linalg.norm(r))
 
 
 def _state_change(a, b) -> float:
@@ -365,6 +389,18 @@ def mfg_fixed_point(spec: MfgSpec):
     solve starts from the previous value function and the density solve
     from the previous undamped density, across mollifier stages too; the
     first density solve of a game starts from zero.
+
+    The inner solves run only as tightly as the loop has converged.  After
+    an outer change c, the value solve's residual tolerance is
+    max(SolverConfig().residual_tol, _FORCING c) and the density solve's
+    max(1e-10, _FORCING c).  The first iteration of each mollifier stage
+    has no previous change and runs at the final tolerances.  The loop
+    stops only on an iteration whose inner solves met the final
+    tolerances.  When the change falls below `outer_tol` after a looser
+    iteration, the loop checks what that iteration's solves returned: the
+    value solve's reported residual and the density equation's residual
+    at the new density.  If either misses its final tolerance, one more
+    iteration runs at the final tolerances.
     """
     grid = spec.grid
     gate = exponent_gate(grid.dim, spec.gamma, spec.alpha)
@@ -391,10 +427,15 @@ def mfg_fixed_point(spec: MfgSpec):
     peclet = 0.0
     message = ""
 
+    value_tol = SolverConfig().residual_tol
     for eps in stages:
         stage_converged = False
         prev_change = math.inf
         for _ in range(spec.max_outer):
+            # a stage's first iteration, and one after a change that already
+            # met outer_tol, run at the final tolerances
+            slack = _FORCING * prev_change if spec.outer_tol <= prev_change < math.inf else 0.0
+            final = slack <= min(value_tol, _DENSITY_RTOL)
             v_eps = mollify_coupling(ScalarField(grid, mvals), eps, spec.alpha)
             prob = ProblemSpec(
                 grid=grid,
@@ -403,7 +444,8 @@ def mfg_fixed_point(spec: MfgSpec):
                 source=v_eps,
                 ergodic=True,
             )
-            rep = solve_ergodic(prob, SolverConfig(initial_guess=ScalarField(grid, uvals)))
+            cfg = SolverConfig(residual_tol=max(value_tol, slack), initial_guess=ScalarField(grid, uvals))
+            rep = solve_ergodic(prob, cfg)
             if not rep.converged:
                 message = "inner value solve failed to converge: " + rep.message
                 break
@@ -419,7 +461,9 @@ def mfg_fixed_point(spec: MfgSpec):
                 )
                 break
             try:
-                m_new = fp_solve(rep.u, spec.gamma, drift=drift, start=m_start)
+                m_new = fp_solve(
+                    rep.u, spec.gamma, drift=drift, start=m_start, rtol=max(_DENSITY_RTOL, slack)
+                )
             except RuntimeError as exc:
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break
@@ -431,7 +475,12 @@ def mfg_fixed_point(spec: MfgSpec):
             prev_change = change
             uvals, lam, mvals = rep.u.values, rep.lam, m_next
             total_iters += 1
-            if change < spec.outer_tol:
+            # a loose iteration counts when what its solves returned meets the
+            # final tolerances anyway; otherwise one more runs at them
+            if change < spec.outer_tol and (
+                final
+                or (rep.residual <= value_tol and _density_residual(grid, m_new.values, drift) <= _DENSITY_RTOL)
+            ):
                 stage_converged = True
                 break
         if message:

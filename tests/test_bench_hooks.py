@@ -35,19 +35,59 @@ print(json.dumps(metrics))
 """
 
 
-def test_bench_tracer_installs_and_records_every_hooked_layer():
+# A game's density solves count as `hjb.adjoint_apply` only inside an
+# `mfg.fp_solve` span, so the loop must reach them through `mfg.fp_solve`.
+# Every R apply of a value solve is one `_Ops.jacobian_rest` call and every
+# one of a density solve one `_Ops.adjoint_rest` call; both are counted here
+# independently of the tracer.
+GAME_SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, per_layer_metrics
+from hjblab import hjb
+
+applies = {"jacobian_rest": 0, "adjoint_rest": 0}
+for name in applies:
+    def counted(self, *args, _orig=getattr(hjb._Ops, name), _name=name):
+        applies[_name] += 1
+        return _orig(self, *args)
+    setattr(hjb._Ops, name, counted)
+
+tracer = Tracer()
+tracer.install()
+from hjblab import mfg
+from hjblab.fields import ScalarField
+from hjblab.geometry import DomainSpec, build_grid
+
+grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)))
+shift = ScalarField(grid, 0.3 * np.cos(2.0 * np.pi * grid.mesh()[0]))
+_, report = mfg.mfg_fixed_point(mfg.MfgSpec(grid, gamma=2.0, alpha=1.0, shift=shift, eps=0.1))
+metrics = per_layer_metrics(tracer.spans, tracer.counts)
+metrics["converged"] = report.converged
+metrics["outer_iterations"] = report.outer_iterations
+metrics["applies"] = applies
+print(json.dumps(metrics))
+"""
+
+
+def _run_traced(script):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "bench")],
+        [sys.executable, "-c", script, os.path.join(ROOT, "bench")],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    m = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_bench_tracer_installs_and_records_every_hooked_layer():
+    m = _run_traced(SCRIPT)
     assert m["converged"]
     assert m["hjb.solve.calls"] == 1 and m["hjb.solve.newton_steps"] >= 1
     assert m["hjb.bordered_solve.calls"] == m["hjb.solve.newton_steps"] + 1
@@ -59,3 +99,12 @@ def test_bench_tracer_installs_and_records_every_hooked_layer():
     assert m["mfg.fp_solve.calls"] == 1
     assert m["mfg.peclet_max"] > 0.0
     assert m["stencils.apply_along_axis.calls"] > 0
+
+
+def test_game_density_solves_are_traced_as_adjoint_applies():
+    m = _run_traced(GAME_SCRIPT)
+    assert m["converged"] and m["outer_iterations"] >= 2
+    assert m["mfg.mfg_fixed_point.outer_iterations"] == m["outer_iterations"]
+    assert m["mfg.fp_solve.calls"] == m["outer_iterations"]
+    assert m["hjb.adjoint_apply.calls"] == m["applies"]["adjoint_rest"] >= m["outer_iterations"]
+    assert m["hjb.jacobian_apply.calls"] == m["applies"]["jacobian_rest"]

@@ -2,7 +2,10 @@
 an independent time-marching oracle for the ergodic pair (u, lambda)."""
 
 import gc
+import os
 import re
+import subprocess
+import sys
 import time
 import weakref
 
@@ -551,6 +554,46 @@ def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
     assert counts["grad"] == counts["residual"]
     assert counts["grad_in_coefficient"] == 0
     assert np.array_equal(rep.u.values, ref.u.values) and rep.lam == ref.lam
+
+
+# One-axis data on a 48^3 torus: the exact solution is constant along axes
+# 1 and 2.  Rounding that depends on the lattice position, as a threaded BLAS
+# product's does, shows as spread along those axes (about 2e-20 for both).
+ONE_AXIS_SOLVES = """
+import sys
+import numpy as np
+from hjblab import hjb
+from hjblab.geometry import DomainSpec, build_grid
+
+grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(48,)))
+x = grid.mesh()[0]
+ops = hjb._ops_for(grid)
+for gamma, amp in ((2.0, 1000.0), (3.0, 10.0)):
+    u = amp * (np.cos(2.0 * np.pi * x) + 0.1 * np.sin(4.0 * np.pi * x))
+    coeff = hjb.transport_coefficient(hjb.ProblemSpec(grid, gamma=gamma), u)
+    v, mu, info = hjb.bordered_solve(
+        grid, lambda z: ops.jacobian_rest(z, coeff), hjb._inverter_for(grid),
+        np.cos(2.0 * np.pi * x) + np.sin(6.0 * np.pi * x), 0.0, 1e-10,
+    )
+    print(info, float(np.max(np.ptp(v, axis=(1, 2)))))
+"""
+
+
+def test_krylov_update_keeps_one_axis_symmetry_under_threaded_blas():
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "2"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_AXIS_SOLVES], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        info, spread = line.split()
+        assert int(info) == 0
+        assert float(spread) == 0.0, line
 
 
 @pytest.mark.parametrize("kind", ["torus", "box"])

@@ -467,6 +467,104 @@ def test_game_forms_one_drift_per_outer_iteration(monkeypatch):
     assert len(handed) == len(drifts) and all(h is d for h, d in zip(handed, drifts))
 
 
+FINAL_TOL = hjb.SolverConfig().residual_tol  # the value solve's final tolerance; the density solve's is 1e-10
+
+
+def _spy_on_inner_tolerances(monkeypatch, change=None):
+    """Lists, one entry per outer iteration, of the mollifier radius, the
+    value solve's residual_tol, the density solve's rtol and the change.
+
+    `change`, if given, maps (call index, true change) to the change the
+    loop sees."""
+    log = {"eps": [], "value": [], "density": [], "change": []}
+    mc, se, fp, sc = mfg.mollify_coupling, mfg.solve_ergodic, mfg.fp_solve, mfg._state_change
+
+    def mollify_spy(m, eps, alpha):
+        log["eps"].append(eps)
+        return mc(m, eps, alpha)
+
+    def value_spy(prob, cfg):
+        log["value"].append(cfg.residual_tol)
+        return se(prob, cfg)
+
+    def density_spy(u, gamma, **kwargs):
+        log["density"].append(kwargs["rtol"])
+        return fp(u, gamma, **kwargs)
+
+    def change_spy(a, b):
+        c = sc(a, b)
+        log["change"].append(c if change is None else change(len(log["change"]), c))
+        return log["change"][-1]
+
+    monkeypatch.setattr(mfg, "mollify_coupling", mollify_spy)
+    monkeypatch.setattr(mfg, "solve_ergodic", value_spy)
+    monkeypatch.setattr(mfg, "fp_solve", density_spy)
+    monkeypatch.setattr(mfg, "_state_change", change_spy)
+    return log
+
+
+def test_inner_tolerances_follow_the_outer_change(monkeypatch):
+    g = torus(16, dim=2)
+    # a radius below 0.1 with a shift runs two mollifier stages, 0.1 and 0.05
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.05)
+    log = _spy_on_inner_tolerances(monkeypatch)
+    _, report = mfg_fixed_point(spec)
+    n = report.outer_iterations
+    assert report.converged and report.stages == [0.1, 0.05]
+    eps = log["eps"][:n]  # the certificates smooth the final density once more
+    assert len(log["value"]) == len(log["density"]) == len(log["change"]) == n
+    firsts = [i for i in range(n) if i == 0 or eps[i] != eps[i - 1]]
+    assert len(firsts) == 2
+    for i in range(n):
+        prev = log["change"][i - 1]
+        slack = 0.0 if i in firsts or prev < spec.outer_tol else mfg._FORCING * prev
+        assert log["value"][i] == max(FINAL_TOL, slack)
+        assert log["density"][i] == max(1e-10, slack)
+    # each stage ends on an iteration at the final tolerances, and most ran looser
+    for last in [f - 1 for f in firsts[1:]] + [n - 1]:
+        assert log["value"][last] == FINAL_TOL and log["density"][last] == 1e-10
+    assert sum(t > FINAL_TOL for t in log["value"]) > n // 2
+
+
+def test_game_stops_only_after_an_iteration_at_the_final_tolerances(monkeypatch):
+    g = torus(16, dim=2)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1, outer_tol=1e-4)
+    drop = 0.5 * spec.outer_tol  # forcing would still leave 5e-7 of slack after it
+    # the fourth change falls below outer_tol abruptly, after a loose iteration
+    log = _spy_on_inner_tolerances(monkeypatch, change=lambda i, c: c if i < 3 else drop)
+    _, report = mfg_fixed_point(spec)
+    assert report.converged
+    assert log["change"][2] > spec.outer_tol
+    assert log["value"][3] == mfg._FORCING * log["change"][2] > FINAL_TOL
+    # one more iteration, at the final tolerances, and the loop stops there;
+    # a loose iteration whose solves met the final tolerances anyway may
+    # stop at once, which the constant-state games check (two iterations)
+    assert report.outer_iterations == 5
+    assert log["value"][4] == FINAL_TOL and log["density"][4] == 1e-10
+
+
+def test_inexact_inner_solves_leave_the_game_unchanged(monkeypatch):
+    g = torus(16, dim=3)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g, amp=0.5), eps=0.1)
+    _, inexact = mfg_fixed_point(spec)
+    monkeypatch.setattr(mfg, "_FORCING", 0.0)
+    _, exact = mfg_fixed_point(spec)
+    assert inexact.converged and exact.converged
+    assert inexact.outer_iterations == exact.outer_iterations
+    pairs = [(inexact.lam, exact.lam, exact.lam), (inexact.mass, exact.mass, exact.mass)]
+    for block in ("duality", "lp_bounds"):
+        for key, b in getattr(exact, block).items():
+            a = getattr(inexact, block)[key]
+            if isinstance(b, bool):
+                assert a == b, key
+            elif isinstance(b, float):
+                # lhs - rhs cancels, so it is judged on the scale of lhs
+                scale = exact.duality["identity_lhs"] if key == "identity_residual" else b
+                pairs.append((a, b, scale))
+    for a, b, scale in pairs:
+        assert abs(a - b) <= 1e-9 * abs(scale)
+
+
 def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
     def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return np.zeros(grid.shape), 0.0, 1
