@@ -18,7 +18,8 @@ keeps the classical M-matrix sparsity.  Linear solves are matrix-free
 restarted GMRES, right-preconditioned by the exact fast-transform inverse
 M of the bordered flat Laplacian L (FFT on tori, DCT-I on boxes).  A
 linear operator is passed as its remainder R = A - L: since A M = I + R M,
-a Krylov step costs one M and one R apply and no Laplacian.  Right
+a Krylov step costs one M and one R apply and no Laplacian.  A short
+cycle keeps each step's M v and so ends without another M apply.  Right
 preconditioning makes the residual GMRES minimizes the true one; a solve
 still stops only on the true residual, recomputed with the full operator
 L + R at the end of each restart cycle, and a total iteration budget
@@ -86,6 +87,13 @@ EPS_REG = 1e-8
 # stops with its named reason instead of running on.
 _RESTART = 120
 _MAX_ITERATIONS = 2000
+# A cycle keeps the preconditioned directions M v_j of its first K =
+# min(_KEPT, m // 2) Arnoldi steps, in basis rows K + 1 ... 2K, so a cycle
+# that ends within K steps updates x without a preconditioner apply (flexible
+# GMRES keeps them all; Saad 1993).  A longer cycle overwrites those rows with
+# basis vectors, as it would anyway, and applies M once more at its end.  The
+# game's cycles run at most 5 steps; the longest 48^3 sweep cycle runs 46.
+_KEPT = 8
 
 _dot, _axpy, _nrm2, _scal = get_blas_funcs(("dot", "axpy", "nrm2", "scal"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
@@ -369,8 +377,12 @@ def bordered_solve(
     A M = I + [R; 0] M: each Arnoldi step forms (x, mu) = M v and
     v + [R x; 0], with no Laplacian, and orthonormalizes it against the
     basis by modified Gram-Schmidt in place, in one (m + 1, n + 1) array
-    allocated per call.  Each cycle ends with x += M (V y) and the true
-    residual b - A x, recomputed with the full operator L + R; only that
+    allocated per call.  The first K = min(_KEPT, m // 2) steps of a cycle
+    keep z_j = M v_j in rows K + 1 ... 2K of that array.  A cycle that ends
+    within K steps updates x += Z y, which equals M (V y) because M is a
+    fixed linear map; a longer cycle has overwritten those rows and updates
+    x += M (V y), one more preconditioner apply.  Every cycle ends with the
+    true residual b - A x, recomputed with the full operator L + R; only that
     residual decides convergence: ||b - A x|| <= rtol ||b||.
     The solve starts from x = 0, or from x0 = (field, mu) when one is
     given.  Its first residual is then the true b - A x0, formed like the
@@ -392,6 +404,7 @@ def bordered_solve(
         return np.zeros(shape), 0.0, 0
     tol = rtol * bnorm
     m = min(_RESTART, b.size)
+    kept = min(_KEPT, m // 2)
     V = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
 
     def apply_bordered(z, out):
@@ -401,16 +414,17 @@ def bordered_solve(
         np.add(av.reshape(-1), z[-1], out=out[:-1])
         out[-1] = np.sum(w * v)
 
-    def apply_preconditioned(z, out):
-        xf, _ = inv.solve(z[:-1].reshape(shape), z[-1])
-        np.add(z[:-1], apply_fn(xf).reshape(-1), out=out[:-1])
-        out[-1] = z[-1]
-
     def precond(z, out):
         xf, mu = inv.solve(z[:-1].reshape(shape), z[-1])
         out[:-1] = xf.reshape(-1)
         out[-1] = mu
         return out
+
+    def apply_preconditioned(v, out, mv):
+        # out = A M v = v + [R M v; 0], with M v left in mv
+        precond(v, mv)
+        np.add(v[:-1], apply_fn(mv[:-1].reshape(shape)).reshape(-1), out=out[:-1])
+        out[-1] = v[-1]
 
     def true_residual(x, r):
         apply_bordered(x, r)
@@ -441,7 +455,8 @@ def bordered_solve(
         invariant = False
         for j in range(min(m, _MAX_ITERATIONS - iters)):
             vj = V[j + 1]
-            apply_preconditioned(V[j], vj)
+            short = j < kept  # every step of the cycle so far kept its M v_j
+            apply_preconditioned(V[j], vj, V[kept + 1 + j] if short else z)
             iters += 1
             h0 = _nrm2(vj)
             for i in range(j + 1):
@@ -471,11 +486,14 @@ def bordered_solve(
                 break
         if k:
             y = solve_triangular(H[:k, :k], g[:k])
-            # V^T y by elementwise numpy arithmetic, not a BLAS gemv: a
+            # Z y and V y by elementwise numpy arithmetic, not a BLAS gemv: a
             # threaded gemv rounds differently at different positions, which
             # breaks exact lattice symmetries of the data (a one-axis
             # solution picks up variation along its constant axes)
-            x += precond(np.einsum("ij,i->j", V[:k], y), z)
+            if short:
+                x += np.einsum("ij,i->j", V[kept + 1 : kept + 1 + k], y)
+            else:
+                x += precond(np.einsum("ij,i->j", V[:k], y), z)
             beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0

@@ -2,6 +2,7 @@
 positional signature of `bordered_solve`; a rename or signature change in
 the package must fail here, not only under `bench/run.py --trace 1`."""
 
+import functools
 import json
 import os
 import subprocess
@@ -39,7 +40,9 @@ print(json.dumps(metrics))
 # `mfg.fp_solve` span, so the loop must reach them through `mfg.fp_solve`.
 # Every R apply of a value solve is one `_Ops.jacobian_rest` call and every
 # one of a density solve one `_Ops.adjoint_rest` call; both are counted here
-# independently of the tracer.
+# independently of the tracer, and so is every Laplacian apply
+# (`_FlatInverter.apply`), each of which pairs with one R apply in a true
+# residual.
 GAME_SCRIPT = """
 import json, sys
 import numpy as np
@@ -47,12 +50,16 @@ sys.path.insert(0, sys.argv[1])
 from tracing import Tracer, per_layer_metrics
 from hjblab import hjb
 
-applies = {"jacobian_rest": 0, "adjoint_rest": 0}
-for name in applies:
-    def counted(self, *args, _orig=getattr(hjb._Ops, name), _name=name):
-        applies[_name] += 1
+applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0}
+for cls, name, key in (
+    (hjb._Ops, "jacobian_rest", "jacobian_rest"),
+    (hjb._Ops, "adjoint_rest", "adjoint_rest"),
+    (hjb._FlatInverter, "apply", "laplacian"),
+):
+    def counted(self, *args, _orig=getattr(cls, name), _key=key):
+        applies[_key] += 1
         return _orig(self, *args)
-    setattr(hjb._Ops, name, counted)
+    setattr(cls, name, counted)
 
 tracer = Tracer()
 tracer.install()
@@ -71,6 +78,7 @@ print(json.dumps(metrics))
 """
 
 
+@functools.lru_cache(maxsize=None)
 def _run_traced(script):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
@@ -108,3 +116,16 @@ def test_game_density_solves_are_traced_as_adjoint_applies():
     assert m["mfg.fp_solve.calls"] == m["outer_iterations"]
     assert m["hjb.adjoint_apply.calls"] == m["applies"]["adjoint_rest"] >= m["outer_iterations"]
     assert m["hjb.jacobian_apply.calls"] == m["applies"]["jacobian_rest"]
+
+
+def test_game_cycles_end_without_a_preconditioner_apply():
+    # Every cycle of this game ends within the kept window, so each
+    # preconditioner apply belongs to one Arnoldi step.  An R apply is either
+    # an Arnoldi step or half of a true residual L + R, so the steps are the
+    # R applies less the L applies.
+    m = _run_traced(GAME_SCRIPT)
+    assert m["converged"]
+    a = m["applies"]
+    steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
+    assert steps > m["hjb.bordered_solve.calls"] > 0
+    assert m["hjb.precond.calls"] == steps

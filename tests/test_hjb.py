@@ -435,9 +435,8 @@ def test_preconditioned_step_equals_the_full_bordered_operator(kind):
         assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want), rest.__name__
 
 
-def test_bordered_solve_applies_the_laplacian_once_per_cycle(monkeypatch):
-    monkeypatch.setattr(hjb, "_RESTART", 5)
-    grid, apply_fn, _, rhs, c = _bordered_case("3-torus")
+def _call_sequence(monkeypatch, grid, apply_fn, rhs, c, rtol):
+    """The solve's L, M and R applies in order, as one string."""
     inv = hjb._inverter_for(grid)
     events = []
 
@@ -450,12 +449,57 @@ def test_bordered_solve_applies_the_laplacian_once_per_cycle(monkeypatch):
 
     monkeypatch.setattr(inv, "apply", spy("L", inv.apply))
     monkeypatch.setattr(inv, "solve", spy("M", inv.solve))
-    _, _, info = hjb.bordered_solve(grid, spy("R", apply_fn), inv, rhs, c, 1e-10)
+    _, _, info = hjb.bordered_solve(grid, spy("R", apply_fn), inv, rhs, c, rtol)
     assert info == 0
-    seq = "".join(events)
-    # Arnoldi steps are M R; each cycle ends with x += M (V y) and the true residual L + R
-    assert re.fullmatch(r"(?:(?:MR)+MLR)+", seq), seq
-    assert seq.count("L") >= 3
+    return "".join(events)
+
+
+def test_a_cycle_within_the_kept_window_ends_without_a_preconditioner_apply(monkeypatch):
+    # weak advection: one cycle of a few Arnoldi steps M R, then x += Z y
+    # from the kept directions and the true residual L + R
+    grid = torus(8, dim=3)
+    apply_fn, _, rhs, c = _advected_case(grid, 0.05)
+    seq = _call_sequence(monkeypatch, grid, apply_fn, rhs, c, 1e-10)
+    assert re.fullmatch(r"(?:MR)+LR", seq), seq
+    assert 3 <= seq.count("MR") <= hjb._KEPT
+
+
+@pytest.mark.parametrize("restart, kept", [(5, None), (8, 3)])
+def test_a_cycle_past_the_kept_window_ends_with_one_preconditioner_apply(monkeypatch, restart, kept):
+    # With _RESTART = 5 the window is min(_KEPT, 5 // 2) = 2 steps, so every
+    # full cycle of 5 runs past it and ends with x += M (V y).
+    monkeypatch.setattr(hjb, "_RESTART", restart)
+    if kept is not None:
+        monkeypatch.setattr(hjb, "_KEPT", kept)
+    window = min(hjb._KEPT, restart // 2)
+    grid, apply_fn, _, rhs, c = _bordered_case("3-torus")
+    seq = _call_sequence(monkeypatch, grid, apply_fn, rhs, c, 1e-10)
+    assert re.fullmatch(r"(?:(?:MR)+M?LR)+", seq), seq
+    cycles = re.findall(r"((?:MR)+)(M?)LR", seq)
+    assert len(cycles) >= 3
+    for steps, end in cycles:
+        assert (end == "M") == (len(steps) // 2 > window), seq
+
+
+@pytest.mark.parametrize("kind", list(_GRIDS))
+def test_kept_directions_update_like_the_preconditioned_basis(monkeypatch, kind):
+    # Z y equals M (V y) because M is a fixed linear map.  Half the restart
+    # length, the widest window a cycle can keep, covers these solves, so
+    # each ends within it; _KEPT = 0 forces every cycle onto M (V y).
+    runs = []
+    for kept in (hjb._RESTART // 2, 0):
+        monkeypatch.setattr(hjb, "_KEPT", kept)
+        grid, apply_fn, calls, rhs, c = _bordered_case(kind)
+        inv, solves = _counting_inverter(monkeypatch, grid)
+        x, mu, info = hjb.bordered_solve(grid, apply_fn, inv, rhs, c, 1e-12)
+        runs.append((np.concatenate([x.reshape(-1), [mu]]), info, len(calls), len(solves)))
+        monkeypatch.undo()
+    (kept_x, kept_info, kept_r, kept_m), (fb_x, fb_info, fb_r, fb_m) = runs
+    assert kept_info == fb_info == 0
+    assert kept_r == fb_r
+    assert kept_m == kept_r - 1  # one per Arnoldi step; the true residual needs none
+    assert fb_m == fb_r  # one per step, and one more at the end of the cycle
+    assert np.linalg.norm(kept_x - fb_x) <= 1e-12 * np.linalg.norm(fb_x)
 
 
 def _counting_inverter(monkeypatch, grid):
@@ -558,7 +602,12 @@ def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
 
 # One-axis data on a 48^3 torus: the exact solution is constant along axes
 # 1 and 2.  Rounding that depends on the lattice position, as a threaded BLAS
-# product's does, shows as spread along those axes (about 2e-20 for both).
+# product's does, shows as spread along those axes (about 2e-20 for the first
+# two).  The first two solves run cycles past the kept window and end them
+# with x += M (V y).  The last two end their one cycle within the window,
+# with x += Z y: a weakly advected solve, and the first solve again with the
+# window widened to half the restart length.  Each line prints info, the
+# spread, the number of Arnoldi steps and the window.
 ONE_AXIS_SOLVES = """
 import sys
 import numpy as np
@@ -568,14 +617,24 @@ from hjblab.geometry import DomainSpec, build_grid
 grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(48,)))
 x = grid.mesh()[0]
 ops = hjb._ops_for(grid)
-for gamma, amp in ((2.0, 1000.0), (3.0, 10.0)):
+default = hjb._KEPT
+for gamma, amp, kept in ((2.0, 1000.0, default), (3.0, 10.0, default), (2.0, 0.01, default),
+                         (2.0, 1000.0, hjb._RESTART // 2)):
+    hjb._KEPT = kept
     u = amp * (np.cos(2.0 * np.pi * x) + 0.1 * np.sin(4.0 * np.pi * x))
     coeff = hjb.transport_coefficient(hjb.ProblemSpec(grid, gamma=gamma), u)
+    calls = []
+
+    def apply_fn(z):
+        calls.append(1)
+        return ops.jacobian_rest(z, coeff)
+
     v, mu, info = hjb.bordered_solve(
-        grid, lambda z: ops.jacobian_rest(z, coeff), hjb._inverter_for(grid),
+        grid, apply_fn, hjb._inverter_for(grid),
         np.cos(2.0 * np.pi * x) + np.sin(6.0 * np.pi * x), 0.0, 1e-10,
     )
-    print(info, float(np.max(np.ptp(v, axis=(1, 2)))))
+    # the last R apply is the true residual
+    print(info, float(np.max(np.ptp(v, axis=(1, 2)))), len(calls) - 1, kept)
 """
 
 
@@ -589,11 +648,12 @@ def test_krylov_update_keeps_one_axis_symmetry_under_threaded_blas():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        info, spread = line.split()
+    assert len(lines) == 4
+    for i, line in enumerate(lines):
+        info, spread, steps, window = line.split()
         assert int(info) == 0
         assert float(spread) == 0.0, line
+        assert (int(steps) > int(window)) == (i < 2), line
 
 
 @pytest.mark.parametrize("kind", ["torus", "box"])
