@@ -614,7 +614,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     }
     _write_csv(
         os.path.join(out, "sweep.csv"),
-        ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual"),
+        ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual", "peclet"),
         [
             (
                 row["t"],
@@ -624,10 +624,12 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
                 row["grad_l1"],
                 row["iterations"],
                 row["residual"],
+                row["peclet"],
             )
             for row in sweep.norm_rows
         ],
     )
+    report["warnings"] = list(sweep.warnings)
     if cfg["output"]["plots"] and sweep.ratios:
         line_plot(
             os.path.join(out, "sweep.svg"),
@@ -786,7 +788,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0, threads: i
     except (ConfigError, ValueError) as exc:
         print("rejected: " + str(exc), file=sys.stderr)
         return 2
-    report["warnings"] = list(cfg.warnings)
+    report["warnings"] = list(cfg.warnings) + report.get("warnings", [])
     _write_json(os.path.join(out_dir, "report.json"), report)
     return 0 if report["passed"] else 1
 

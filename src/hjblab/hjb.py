@@ -19,13 +19,19 @@ restarted GMRES, right-preconditioned by the exact fast-transform inverse
 M of the bordered flat Laplacian L (FFT on tori, DCT-I on boxes).  A
 linear operator is passed as its remainder R = A - L: since A M = I + R M,
 a Krylov step costs one M and one R apply and no Laplacian.  A short
-cycle keeps each step's M v and so ends without another M apply.  Right
-preconditioning makes the residual GMRES minimizes the true one; a solve
-still stops only on the true residual, recomputed with the full operator
-L + R at the end of each restart cycle, and a total iteration budget
-bounds it.  A Newton solve either converges or stops with a named
-reason: the Newton budget is exhausted, a linear solve fails, or the line
-search reaches its backtracking floor.
+cycle keeps each step's M v and so ends without another M apply.  M takes
+the multiplier and the mean constraint from the transform's zero mode.
+Right preconditioning makes the residual GMRES minimizes the true one; a
+solve still stops only on the true residual, recomputed with the full
+operator L + R at the end of each restart cycle.  A total iteration
+budget bounds it, and so does a stall test: a cycle whose Arnoldi
+estimate met the tolerance while the true residual fell by less than half
+has reached round-off, and the solve stops there with a named reason.
+Each Newton step solves its linear system only as tightly as the Newton
+stop needs (inexact Newton with Kelley's termination safeguard).  A Newton
+solve either converges or stops with a named reason: the Newton budget is
+exhausted, a linear solve fails, or the line search reaches its
+backtracking floor.
 """
 
 from __future__ import annotations
@@ -116,6 +122,11 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """What `solve` returns.  `gradient` is the lattice gradient of the last
+    accepted iterate, before the gauge shift (which changes it only by
+    round-off), and `peclet` the mesh Peclet number of the last Jacobian
+    the solve formed, 0 when it formed none."""
+
     converged: bool
     iterations: int
     residual: float
@@ -123,6 +134,25 @@ class SolveReport:
     lam: float
     compat_defect: float
     message: str = ""
+    gradient: Optional[np.ndarray] = None
+    peclet: float = 0.0
+
+
+class KrylovFailure(int):
+    """The info of a failed `bordered_solve`, the iterations it ran, with
+    `reason` naming why it stopped and the residual it reached."""
+
+    def __new__(cls, iterations: int, reason: str):
+        info = super().__new__(cls, iterations)
+        info.reason = reason
+        return info
+
+
+def with_reason(message: str, info: int) -> str:
+    """message, followed by the reason a failed bordered solve stopped."""
+    if isinstance(info, KrylovFailure):
+        return message + ": " + info.reason
+    return message
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +250,20 @@ class _FlatInverter:
     Solves  -Lap x + mu = r,  <x>_w = c  for (x, mu); used as the GMRES
     preconditioner M for the bordered Newton and density systems.  `apply`
     is the forward operator L = -Lap_flat that M inverts.
+
+    mu is the mean of r under the flat quadrature weights, the left null
+    vector of Lap_flat, and those weights make the weighted sum a multiple
+    of the transform's zero mode: sum w r = zero_weight * rhat[0], with
+    zero_weight = prod h on tori (FFT) and prod h/2 on boxes (DCT-I, whose
+    zero mode counts the end nodes once and the others twice, as the
+    trapezoid weights do).  So mu = rhat[0] / zero_ones, where zero_ones
+    is the zero mode of the constant 1.  No r - mu pass runs: the inverse
+    symbol is 0 on the zero mode and discards it.  On flat grids the
+    constraint sum w x = c is met by writing rhat[0] = c / zero_weight
+    before the inverse transform.  A conformal factor makes the weights of
+    the constraint nonuniform, so there rhat[0] = 0 and x is shifted by
+    (c - sum w x) / vol afterwards.  r is left untouched and x is a fresh
+    array.
     """
 
     def __init__(self, grid: Grid):
@@ -245,12 +289,11 @@ class _FlatInverter:
         self.inv_sym[mask] = 1.0 / self.sym[mask]
         self.w = grid.weights
         self.vol = grid.vol
-        # mu makes r - mu orthogonal to the left null vector of Lap_flat:
-        # the flat quadrature weights, which a conformal factor rescales
-        self.w_flat = self.w if grid.is_flat else self.w * grid.conformal_factor(-grid.dim)
-        self.vol_flat = float(np.sum(self.w_flat))
+        hs = grid.spacings
+        self.zero_weight = math.prod(hs) if self.periodic else math.prod(h / 2.0 for h in hs)
+        # the zero mode of the constant 1, so that mu = rhat[0] / zero_ones
+        self.zero_ones = math.prod(shape) if self.periodic else math.prod(2 * (n - 1) for n in shape)
         self.ops = _ops_for(grid)
-        self.work = np.empty(shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L x = -Lap_flat x, the solver stencil that `solve` inverts."""
@@ -259,21 +302,22 @@ class _FlatInverter:
         return out
 
     def solve(self, r: np.ndarray, c: float = 0.0):
-        # Every temporary but the transform and x lives in `work`; x is
-        # fresh, so a later call leaves it alone.
-        work = self.work
-        mu = float(np.sum(np.multiply(self.w_flat, r, out=work))) / self.vol_flat
-        np.subtract(r, mu, out=work)
+        zero = (0,) * r.ndim
+        flat = self.grid.is_flat
         if self.periodic:
-            rhat = sfft.rfftn(work, overwrite_x=True)
+            rhat = sfft.rfftn(r)
+            mu = float(rhat[zero].real) / self.zero_ones
             rhat *= self.inv_sym
+            rhat[zero] = c / self.zero_weight if flat else 0.0
             x = sfft.irfftn(rhat, s=self.grid.shape, overwrite_x=True)
         else:
-            # the in-place DCT may return `work` itself, so x is transformed out of place
-            rhat = sfft.dctn(work, type=1, overwrite_x=True)
+            rhat = sfft.dctn(r, type=1)
+            mu = float(rhat[zero]) / self.zero_ones
             rhat *= self.inv_sym
-            x = sfft.idctn(rhat, type=1)
-        x += (c - float(np.sum(np.multiply(self.w, x, out=work)))) / self.vol
+            rhat[zero] = c / self.zero_weight
+            x = sfft.idctn(rhat, type=1, overwrite_x=True)
+        if not flat:
+            x += (c - float(np.sum(self.w * x))) / self.vol
         return x, mu
 
 
@@ -336,6 +380,16 @@ def transport_coefficient(
     return coeff
 
 
+def mesh_peclet(grid: Grid, coeff: np.ndarray) -> float:
+    """Largest advection mesh number |a_i| h_i / 2 of a transport
+    coefficient a: centered differences keep the M-matrix sign pattern of
+    the linearized operator, and of its adjoint, exactly when it is <= 1."""
+    pec = 0.0
+    for a, h in enumerate(grid.spacings):
+        pec = max(pec, float(np.max(np.abs(coeff[a]))) * h / 2.0)
+    return pec
+
+
 def _ops_for(grid: Grid) -> _Ops:
     """Solver operators of `grid`, built on first use and kept on the grid."""
     if "solver_ops" not in grid._cache:
@@ -392,9 +446,14 @@ def bordered_solve(
     so a started solve is judged exactly like one from zero.
     Every R apply is one apply_fn call and every preconditioner apply one
     inv.solve call.
-    Returns (x, mu, info): info = 0 on convergence, else the number of
-    iterations run, when the _MAX_ITERATIONS budget is spent or the Krylov
-    space stops growing short of the tolerance.
+    Returns (x, mu, info): info = 0 on convergence, else a `KrylovFailure`,
+    the number of iterations run with the reason the solve stopped short of
+    the tolerance: the _MAX_ITERATIONS budget is spent, the Krylov space
+    stops growing, or the true residual stalls.  It stalls when a cycle's
+    Arnoldi estimate meets the tolerance while its true residual falls by
+    less than half: round-off in L + R then bounds the attainable
+    residual above the target, and more cycles would each take a step or
+    two and gain nothing.
     """
     shape = grid.shape
     w = grid.weights
@@ -452,7 +511,7 @@ def bordered_solve(
         g[:] = 0.0
         g[0] = beta
         k = 0
-        invariant = False
+        invariant = estimated = False
         for j in range(min(m, _MAX_ITERATIONS - iters)):
             vj = V[j + 1]
             short = j < kept  # every step of the cycle so far kept its M v_j
@@ -483,7 +542,9 @@ def bordered_solve(
                 break
             _scal(1.0 / hn, vj)
             if abs(g[j + 1]) <= tol:
+                estimated = True
                 break
+        start = beta
         if k:
             y = solve_triangular(H[:k, :k], g[:k])
             # Z y and V y by elementwise numpy arithmetic, not a BLAS gemv: a
@@ -497,9 +558,19 @@ def bordered_solve(
             beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0
-        # Restarting from an invariant Krylov space cannot reduce the residual.
-        if invariant or iters >= _MAX_ITERATIONS:
-            return x[:-1].reshape(shape), float(x[-1]), iters
+        # A cycle that met the tolerance by its own estimate but not in truth
+        # has hit the round-off floor of the true residual, and restarting
+        # from an invariant Krylov space cannot reduce the residual either.
+        if estimated and beta > 0.5 * start:
+            stop = "true residual stalled"
+        elif invariant:
+            stop = "Krylov space invariant"
+        elif iters >= _MAX_ITERATIONS:
+            stop = "iteration budget spent"
+        else:
+            continue
+        reason = "%s at %.3g against target %.3g" % (stop, beta, tol)
+        return x[:-1].reshape(shape), float(x[-1]), KrylovFailure(iters, reason)
 
 
 def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
@@ -507,6 +578,21 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
 
     Ergodic mode returns the multiplier as the critical constant; plain
     mode reports it as the compatibility defect of the discrete data.
+
+    Newton step k solves its linear system to the relative tolerance
+    rtol_k = max(clip(||F_k|| / ||F_0||, 1e-10, 1e-2),
+                 min(0.5, 0.5 cfg.residual_tol / ||F_k||)).
+    The second term is Kelley's termination safeguard (Iterative Methods
+    for Linear and Nonlinear Equations, 1995, section 6.3): a step that
+    leaves a linear residual of 0.5 residual_tol already brings F below
+    the stop, so solving further is waste.  The cap of 0.5 keeps every
+    step a descent direction.  The line search and the stop test,
+    weighted ||F|| <= residual_tol, do not depend on it.  `bordered_solve`
+    measures rtol against the unweighted 2-norm of its right-hand side,
+    while residual_tol bounds a weighted norm.  On tori the weights are
+    uniform and both ratios agree; on boxes the trapezoid end weights let
+    them differ by at most 2^{d/2}, which can cost one more Newton step
+    but never changes when the solve stops.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -533,9 +619,12 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     iters = 0
     converged = res_norm <= cfg.residual_tol
 
+    coeff = None
     while not converged and iters < cfg.max_iter:
         coeff = transport_coefficient(spec, uvals, dvals)
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
+        # Kelley's safeguard: no tighter than the Newton stop needs
+        rtol = max(rtol, min(0.5, 0.5 * cfg.residual_tol / res_norm))
         delta_u, delta_lam, info = bordered_solve(
             grid,
             lambda v: ops.jacobian_rest(v, coeff),
@@ -545,9 +634,10 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             rtol,
         )
         if info != 0:
-            message = (
+            message = with_reason(
                 "linear solve failed at Newton step " + str(iters + 1)
-                + " (GMRES info " + str(info) + ")"
+                + " (GMRES info " + str(info) + ")",
+                info,
             )
             break
         alpha = 1.0
@@ -582,6 +672,8 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         lam=float(lam) if spec.ergodic else 0.0,
         compat_defect=0.0 if spec.ergodic else float(lam),
         message=message,
+        gradient=dvals,
+        peclet=0.0 if coeff is None else mesh_peclet(grid, coeff),
     )
 
 

@@ -43,7 +43,9 @@ from .hjb import (
     bordered_solve,
     solve_ergodic,
     transport_coefficient,
+    with_reason,
 )
+from .hjb import mesh_peclet as fp_peclet
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +289,6 @@ def smoothed_density(m: ScalarField, eps: float) -> ScalarField:
 _DENSITY_RTOL = 1e-10
 
 
-def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
-    """Largest advection mesh number |a_i| h_i / 2 (M-matrix iff <= 1)."""
-    pec = 0.0
-    for a, h in enumerate(grid.spacings):
-        pec = max(pec, float(np.max(np.abs(drift[a]))) * h / 2.0)
-    return pec
-
-
 def fp_solve(
     u: ScalarField,
     gamma: float = 2.0,
@@ -346,7 +340,7 @@ def fp_solve(
         x0=None if start is None else (start, 0.0),
     )
     if info != 0:
-        raise RuntimeError("density linear solve did not converge")
+        raise RuntimeError(with_reason("density linear solve did not converge", info))
     # exact mass normalization (GMRES leaves round-off in the constraint)
     mvals = mvals / float(np.sum(grid.weights * mvals))
     return ScalarField(grid, mvals)
@@ -385,7 +379,8 @@ def mfg_fixed_point(spec: MfgSpec):
     are nontrivial, mirroring the vanishing-smoothing construction.
 
     Each outer iteration forms the drift of the new value function once,
-    checks its Péclet number and hands it to the density solve.  The value
+    from the gradient the value solve formed for its last iterate, checks
+    its Péclet number and hands it to the density solve.  The value
     solve starts from the previous value function and the density solve
     from the previous undamped density, across mollifier stages too; the
     first density solve of a game starts from zero.
@@ -449,7 +444,7 @@ def mfg_fixed_point(spec: MfgSpec):
             if not rep.converged:
                 message = "inner value solve failed to converge: " + rep.message
                 break
-            drift = transport_coefficient(prob, rep.u.values)
+            drift = transport_coefficient(prob, rep.u.values, rep.gradient)
             pec = fp_peclet(grid, drift)
             peclet = max(peclet, pec)
             # The density solve rejects such a drift; a valid request that

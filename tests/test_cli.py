@@ -294,6 +294,26 @@ def test_over_advected_game_fails_with_a_report(tmp_path):
     assert any("advection mesh number" in f for f in report["failures"])
 
 
+def test_sweep_reports_each_peclet_number_and_warns_above_one(tmp_path):
+    cfg = write(
+        tmp_path,
+        "sweep.ini",
+        "[domain]\nkind = torus\ndim = 3\nresolution = 16\n"
+        "[problem]\ngamma = 3.0\nsource_kind = power\n"
+        "[experiment]\namplitudes = 1, 10, 100, 1000, 3000\n",
+    )
+    out = tmp_path / "out"
+    assert main(["thm2-sweep", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "peclet"
+    pecs = [float(line.split(",")[-1]) for line in lines[1:]]
+    assert len(pecs) == 5 and pecs[0] <= 1.0 < pecs[-1]
+    report = json.loads((out / "report.json").read_text())
+    warned = [w for w in report["warnings"] if "mesh Peclet number" in w]
+    assert len(warned) == sum(p > 1.0 for p in pecs)
+    assert "amplitude 3000.0" in warned[-1]
+
+
 def test_constants_runs_are_deterministic(tmp_path):
     cfg = write(tmp_path, "c.ini", "[domain]\nkind = torus\ndim = 3\nresolution = 12\n")
     outs = []

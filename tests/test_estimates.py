@@ -1,6 +1,8 @@
 """Scaling experiments, exponent bookkeeping, embedding-constant bound,
 second-derivative norm ratios, and seeded source families."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,48 @@ def test_gradient_integrability_sweep_reports_ratios_and_gates():
     for row in rep.norm_rows:
         for key in ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual"):
             assert key in row
+
+
+# The bench amplitudes on the 16^3 `power` profile: the sweep runs from
+# mesh Peclet number 0 at t = 1 to about 30 at t = 3000.
+_POWER_AMPLITUDES = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_sweep():
+    """The 16^3 `power` sweep (gamma = 3, q = 2.5) and its Jacobian applies."""
+    g = torus(16)
+    calls = []
+    orig = hjb._Ops.jacobian_rest
+
+    def spy(self, *args):
+        calls.append(1)
+        return orig(self, *args)
+
+    hjb._Ops.jacobian_rest = spy
+    try:
+        rep = thm2_sweep(SweepSpec(g, 3.0, source_family(g, "power", 2.5), _POWER_AMPLITUDES, q=2.5))
+    finally:
+        hjb._Ops.jacobian_rest = orig
+    return rep, len(calls)
+
+
+def test_power_sweep_stays_within_its_jacobian_apply_budget():
+    # 1331 applies before each Newton step's Krylov solve stopped at the
+    # accuracy the Newton stop needs; about 1050 since
+    rep, applies = _power_sweep()
+    assert not rep.aborted and all(rep.converged)
+    assert applies <= 1100
+
+
+def test_sweep_rows_carry_the_peclet_number_and_warn_above_one():
+    rep, _ = _power_sweep()
+    pecs = [row["peclet"] for row in rep.norm_rows]
+    assert pecs[0] <= 1.0 < pecs[-1]
+    assert pecs == sorted(pecs)
+    assert len(rep.warnings) == sum(p > 1.0 for p in pecs)
+    assert not any("amplitude 1.0:" in w for w in rep.warnings)
+    assert "exceeds 1 at amplitude 3000.0:" in rep.warnings[-1]
 
 
 def test_gradient_sweep_requires_the_gradient_exponent():

@@ -557,6 +557,53 @@ def test_bordered_solve_from_a_near_start_meets_the_same_bound_in_fewer_applies(
     assert len(calls) < cold_applies
 
 
+def test_newton_step_near_convergence_solves_only_as_tightly_as_the_stop_needs(monkeypatch):
+    # u* solves the gamma = 3 equation with the source it induces, lam = 0;
+    # the start lies off it along a smooth direction, at ||F|| = 3 residual_tol
+    grid = torus(16, dim=3)
+    mesh = grid.mesh()
+    ustar = 0.6 * (np.cos(TWO_PI * mesh[0]) + 0.5 * np.sin(TWO_PI * (mesh[0] + mesh[1])))
+    ustar -= float(np.sum(grid.weights * ustar)) / grid.vol
+    spec = ProblemSpec(
+        grid, gamma=3.0, source=residual(ScalarField(grid, ustar), ProblemSpec(grid, gamma=3.0)), ergodic=True
+    )
+    tol = hjb.SolverConfig().residual_tol
+    pert = np.cos(TWO_PI * (mesh[1] - mesh[0])) + 0.5 * np.sin(2.0 * TWO_PI * mesh[2])
+
+    def weighted_residual(v):
+        return float(np.sqrt(np.sum(grid.weights * residual(ScalarField(grid, v), spec).values ** 2)))
+
+    start = ustar + 3.0 * tol / weighted_residual(ustar + 1e-6 * pert) * 1e-6 * pert
+    assert 2.5 * tol <= weighted_residual(start) <= 3.5 * tol
+    calls = []
+    rest = hjb._Ops.jacobian_rest
+
+    def spy(self, *args):
+        calls.append(1)
+        return rest(self, *args)
+
+    monkeypatch.setattr(hjb._Ops, "jacobian_rest", spy)
+    rep = solve(spec, hjb.SolverConfig(initial_guess=ScalarField(grid, start)))
+    assert rep.converged and rep.iterations == 1
+    assert rep.residual <= tol
+    # one R apply per Arnoldi step and one for the true residual; the
+    # unsafeguarded rtol of 1e-2 took 7 steps here
+    assert len(calls) - 1 <= 5
+
+
+def test_failed_krylov_solve_names_its_reason_in_the_newton_message(monkeypatch):
+    def stalled(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+        return np.zeros(grid.shape), 0.0, hjb.KrylovFailure(3, "true residual stalled at 2e-10 against target 1e-10")
+
+    monkeypatch.setattr(hjb, "bordered_solve", stalled)
+    rep = solve_ergodic(_source_spec())
+    assert not rep.converged
+    assert rep.message == (
+        "linear solve failed at Newton step 1 (GMRES info 3): "
+        "true residual stalled at 2e-10 against target 1e-10"
+    )
+
+
 def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
     grid = torus(10, dim=3)
     mesh = grid.mesh()
@@ -657,20 +704,25 @@ def test_krylov_update_keeps_one_axis_symmetry_under_threaded_blas():
 
 
 @pytest.mark.parametrize("kind", ["torus", "box"])
-def test_flat_inverter_reuses_its_work_array_bit_for_bit(kind):
+def test_flat_inverter_takes_its_mean_from_the_zero_mode_bit_for_bit(kind):
     grid = torus(12, dim=3) if kind == "torus" else box(11, dim=3)
     inv = hjb._inverter_for(grid)
     rng = np.random.default_rng(13)
     r1, r2 = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
-    w, vol = grid.weights, grid.vol
-    # the allocating expression the work array replaced
-    mu = float(np.sum(w * r1)) / vol
-    r0 = r1 - mu
+    h = grid.spacings[0]
+    # the zero mode is sum w r / zero_weight; mu divides it by the zero mode of 1
     if kind == "torus":
-        x = sfft.irfftn(sfft.rfftn(r0) * inv.inv_sym, s=grid.shape)
+        rhat = sfft.rfftn(r1)
+        mu = float(rhat[0, 0, 0].real) / 12**3
+        rhat *= inv.inv_sym
+        rhat[0, 0, 0] = 0.4 / (h * h * h)
+        x = sfft.irfftn(rhat, s=grid.shape)
     else:
-        x = sfft.idctn(sfft.dctn(r0, type=1) * inv.inv_sym, type=1)
-    x = x + (0.4 - float(np.sum(w * x))) / vol
+        rhat = sfft.dctn(r1, type=1)
+        mu = float(rhat[0, 0, 0]) / (2 * 10) ** 3
+        rhat *= inv.inv_sym
+        rhat[0, 0, 0] = 0.4 / ((h / 2.0) * (h / 2.0) * (h / 2.0))
+        x = sfft.idctn(rhat, type=1)
     r1_copy = r1.copy()
     got, got_mu = inv.solve(r1, 0.4)
     assert got_mu == mu
@@ -679,6 +731,24 @@ def test_flat_inverter_reuses_its_work_array_bit_for_bit(kind):
     kept = got.copy()
     inv.solve(r2, -1.0)
     assert np.array_equal(got, kept)
+
+
+@pytest.mark.parametrize("kind", list(_GRIDS) + ["2-box"])
+def test_flat_inverter_solves_the_bordered_laplacian(kind):
+    # oracle: the forward stencil L and the quadrature weights, no transforms
+    grid = box(10, dim=2) if kind == "2-box" else _GRIDS[kind]()
+    inv = hjb._inverter_for(grid)
+    rng = np.random.default_rng(21)
+    r = rng.normal(size=grid.shape)
+    r_copy = r.copy()
+    c = 0.7
+    x, mu = inv.solve(r, c)
+    assert np.linalg.norm(inv.apply(x) + mu - r) <= 1e-12 * np.linalg.norm(r)
+    assert abs(float(np.sum(grid.weights * x)) - c) <= 1e-12 * abs(c)
+    assert np.array_equal(r, r_copy)
+    x2, _ = inv.solve(r, c)
+    assert not np.shares_memory(x, x2) and not np.shares_memory(x, r)
+    assert np.array_equal(x, x2)
 
 
 def test_grid_is_collected_after_a_solve():

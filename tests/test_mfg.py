@@ -4,6 +4,7 @@ checked against an oracle built from first principles inside this file."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -577,6 +578,50 @@ def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
     assert report.outer_iterations == 0
     assert report.message == "density linear solve did not converge at mollifier radius 0.1"
     assert report.duality == {} and report.lp_bounds == {}
+
+
+def test_density_solve_at_its_round_off_floor_stops_with_the_residuals(monkeypatch):
+    # The Gibbs density solves this system, but on 96 nodes along x the true
+    # residual levels off near 1.5e-10, above the 1e-10 target; the first
+    # cycle ends there and the second gains less than half
+    g = build_grid(DomainSpec(kind="torus", dim=3, resolution=(96, 8, 8)))
+    u = ScalarField(g, 0.5 * np.cos(TWO_PI * g.mesh()[0]))
+    calls = []
+    rest = hjb._Ops.adjoint_rest
+
+    def spy(self, *args):
+        calls.append(1)
+        return rest(self, *args)
+
+    monkeypatch.setattr(hjb._Ops, "adjoint_rest", spy)
+    with pytest.raises(RuntimeError) as exc:
+        fp_solve(u, 2.0)
+    msg = str(exc.value)
+    assert msg.startswith("density linear solve did not converge: true residual stalled at ")
+    attained, target = (float(v) for v in re.fullmatch(r".* at (\S+) against target (\S+)", msg).groups())
+    assert target == 1e-10 < attained < 1e-9
+    assert len(calls) <= 3 * 20  # a few cycles, not the 2000-step budget
+
+
+def test_game_drift_reuses_the_value_solves_gradient(monkeypatch):
+    g = torus(16, dim=2)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
+    tc = mfg.transport_coefficient
+    handed = []
+
+    def spy(prob, uvals, dvals=None):
+        handed.append(dvals is not None)
+        return tc(prob, uvals, dvals)
+
+    monkeypatch.setattr(mfg, "transport_coefficient", spy)
+    state, report = mfg_fixed_point(spec)
+    assert report.converged and handed and all(handed)
+    # the same game with every drift's gradient formed again from u
+    monkeypatch.setattr(mfg, "transport_coefficient", lambda prob, uvals, dvals=None: tc(prob, uvals))
+    ref_state, ref = mfg_fixed_point(spec)
+    assert report.outer_iterations == ref.outer_iterations
+    assert abs(report.lam - ref.lam) <= 1e-12 * abs(ref.lam)
+    assert np.max(np.abs(state.m.values - ref_state.m.values)) <= 1e-12 * np.max(ref_state.m.values)
 
 
 def test_failed_value_solve_stops_the_game_with_its_reason(monkeypatch):
