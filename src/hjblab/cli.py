@@ -121,24 +121,13 @@ def _build_shift(cfg: RunConfig, grid):
 def _build_drift(cfg: RunConfig, grid):
     prob = cfg["problem"]
     if prob["drift_kind"] == "none":
-        return None, {}
+        return None
     axis = prob["drift_axis"] - 1
     mesh = grid.mesh()
     L = grid.domain.extents[axis]
     vals = np.zeros((len(grid.shape),) + grid.shape)
     vals[0] = prob["drift_amplitude"] * np.sin(2.0 * np.pi * mesh[axis] / L)
-    drift = VectorField(grid, vals)
-    s = prob["drift_s"]
-    norm = lq_norm(drift, s)
-    theta = prob["drift_theta"] if prob["drift_theta"] is not None else norm
-    if norm > theta * (1.0 + 1e-12):
-        raise ConfigError(
-            "assumption gate (In2) violated: ||B||_{L^s} = "
-            + repr(norm)
-            + " exceeds theta = "
-            + repr(theta)
-        )
-    return drift, {"s": s, "theta": theta}
+    return VectorField(grid, vals)
 
 
 def _build_source(cfg: RunConfig, grid, q_norm: float = 2.0):
@@ -171,27 +160,23 @@ def _fail(report: dict, message: str) -> None:
 
 def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
     report = _report_skeleton("ergodic" if ergodic else "solve", seed)
-    if cfg.domain.kind == "disc":
-        raise ConfigError(
-            "assumption gate (D1) violated: solves need a convex box or a torus"
-        )
     prob_blk = cfg["problem"]
     if prob_blk["manufactured"] != "none":
         return _manufactured_study(cfg, out, seed, report)
     grid = _build_grid(cfg)
-    drift, drift_info = _build_drift(cfg, grid)
+    drift = _build_drift(cfg, grid)
+    drift_info = estimates.drift_gate(grid, drift, prob_blk["drift_s"], prob_blk["drift_theta"])
     shift = _build_shift(cfg, grid)
     source = _build_source(cfg, grid)
     spec = ProblemSpec(
         grid=grid,
         gamma=prob_blk["gamma"],
-        c1=prob_blk["c1"],
         drift=drift,
         shift=shift,
         source=source,
-        ergodic=ergodic or prob_blk["ergodic"],
+        ergodic=ergodic,
     )
-    rep = solve_ergodic(spec) if spec.ergodic else solve(spec)
+    rep = solve_ergodic(spec) if ergodic else solve(spec)
     if not rep.converged:
         _fail(report, "solve did not converge: " + rep.message)
     fq = lq_norm(source, 2.0) if source is not None else 0.0
@@ -222,7 +207,6 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
     prob_blk = cfg["problem"]
     symbolic = prob_blk["manufactured"] == "symbolic"
     gamma = prob_blk["gamma"]
-    c1 = prob_blk["c1"]
     resolutions = cfg["experiment"]["resolutions"]
     rows = []
     errors = []
@@ -237,8 +221,8 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
         )
         grid = build_grid(domain, MetricSpec.euclidean())
         last_grid = grid
-        ustar, f = manufactured_source(grid, gamma, c1, symbolic=symbolic)
-        spec = ProblemSpec(grid=grid, gamma=gamma, c1=c1, source=f)
+        ustar, f = manufactured_source(grid, gamma, symbolic=symbolic)
+        spec = ProblemSpec(grid=grid, gamma=gamma, source=f)
         rep = solve(spec)
         if not rep.converged:
             _fail(report, "solve did not converge at n = " + str(n))
@@ -543,13 +527,6 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
 
 def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     report = _report_skeleton(kind, seed)
-    if cfg.domain.kind == "disc":
-        raise ConfigError("assumption gate (D1) violated: sweeps need a box or a torus")
-    if cfg["problem"]["c1"] != 1.0:
-        # u -> c1^{1/(gamma-1)} u turns c1 into a factor on the amplitudes
-        raise ConfigError(
-            kind + ": [problem] c1 must be 1: it only rescales the swept amplitudes"
-        )
     grid = _build_grid(cfg)
     prob_blk = cfg["problem"]
     exp = cfg["experiment"]
@@ -562,7 +539,6 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
         else:
             expo = estimates.thm1_exponents(grid.dim, exp["p"])
             q, r = expo.q, expo.r
-        drift, drift_info = _build_drift(cfg, grid)
         src_kind = prob_blk["source_kind"] if prob_blk["source_kind"] != "none" else "mode"
         f0 = estimates.source_family(grid, src_kind, q)
         spec = estimates.SweepSpec(
@@ -572,9 +548,9 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
             amplitudes=amplitudes,
             q=q,
             r=r,
-            drift=drift,
-            drift_s=drift_info.get("s"),
-            drift_theta=drift_info.get("theta"),
+            drift=_build_drift(cfg, grid),
+            drift_s=prob_blk["drift_s"],
+            drift_theta=prob_blk["drift_theta"],
         )
         sweep = estimates.thm1_sweep(spec)
     else:
@@ -700,12 +676,6 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
 
 def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("mfg", seed)
-    if cfg.domain.kind == "disc":
-        raise ConfigError("assumption gate (D1) violated: the system needs a box or a torus")
-    if cfg["problem"]["c1"] != 1.0:
-        raise ConfigError(
-            "mfg: [problem] c1 must be 1: the game's Hamiltonian is |p|^gamma / gamma"
-        )
     if cfg["problem"]["drift_kind"] != "none":
         raise ConfigError(
             "mfg: [problem] drift_kind must be none: the game's value equation has no drift"
@@ -724,7 +694,6 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         c_v=blk["c_v"],
         shift=shift,
         eps=blk["eps"],
-        tau=blk["tau"],
         max_outer=blk["max_outer"],
         outer_tol=blk["outer_tol"],
     )

@@ -4,7 +4,8 @@ Format: `[section]` headers with `key = value` lines, full-line comments
 starting with `#` or `;`.  Unknown sections or keys are rejected with
 their line number, as are duplicates and type errors.  Scalar standing
 assumptions are checked at parse time and violations are reported with
-the assumption label, e.g. (In1) for the gradient-growth gate.
+the assumption label, e.g. (In1) for the gradient-growth gate and (D1)
+for a disc domain, which no subcommand runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ _SCHEMAS = {
         "dim": "int",
         "extents": "floats",
         "resolution": "ints",
-        "radius": "float",
     },
     "metric": {
         "kind": "str",
@@ -34,8 +34,6 @@ _SCHEMAS = {
     },
     "problem": {
         "gamma": "float",
-        "c1": "float",
-        "ergodic": "bool",
         "drift_kind": "str",
         "drift_amplitude": "float",
         "drift_axis": "int",
@@ -62,7 +60,6 @@ _SCHEMAS = {
         "alpha": "float",
         "c_v": "float",
         "eps": "float",
-        "tau": "float",
         "max_outer": "int",
         "outer_tol": "float",
     },
@@ -78,7 +75,6 @@ _DEFAULTS = {
         "dim": 3,
         "extents": (1.0,),
         "resolution": (16,),
-        "radius": 1.0,
     },
     "metric": {
         "kind": "euclidean",
@@ -88,8 +84,6 @@ _DEFAULTS = {
     },
     "problem": {
         "gamma": 2.0,
-        "c1": 1.0,
-        "ergodic": False,
         "drift_kind": "none",
         "drift_amplitude": 1.0,
         "drift_axis": 2,
@@ -116,7 +110,6 @@ _DEFAULTS = {
         "alpha": 1.0,
         "c_v": None,
         "eps": 0.1,
-        "tau": 0.5,
         "max_outer": 60,
         "outer_tol": 1e-9,
     },
@@ -127,7 +120,7 @@ _DEFAULTS = {
 }
 
 _ENUMS = {
-    ("domain", "kind"): ("box", "torus", "conformal_torus", "disc"),
+    ("domain", "kind"): ("box", "torus", "conformal_torus"),
     ("metric", "kind"): ("euclidean", "conformal"),
     ("problem", "drift_kind"): ("none", "shear"),
     ("problem", "shift_kind"): ("none", "mode"),
@@ -205,6 +198,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("line " + str(lineno) + ": duplicate key " + repr(key))
         seen.add((current, key))
         value = _parse_value(_SCHEMAS[current][key], raw, lineno)
+        if (current, key, value) == ("domain", "kind", "disc"):
+            # the library's polar disc grid serves geometry experiments only
+            raise ConfigError(
+                "line " + str(lineno)
+                + ": assumption gate (D1) violated: subcommands run on a box or a torus, not a disc"
+            )
         enum = _ENUMS.get((current, key))
         if enum is not None and value not in enum:
             raise ConfigError(
@@ -234,8 +233,6 @@ def _build(sections: dict) -> RunConfig:
         raise ConfigError(
             "assumption gate (In1) violated: need gamma > 1, got " + repr(prob["gamma"])
         )
-    if not prob["c1"] > 0.0:
-        raise ConfigError("assumption gate (In1) violated: need c1 > 0")
     if prob["drift_kind"] != "none":
         s = prob["drift_s"]
         if s is None or not s > declared_dim:
@@ -273,7 +270,6 @@ def _build(sections: dict) -> RunConfig:
             dim=dom["dim"],
             extents=dom["extents"],
             resolution=dom["resolution"],
-            radius=dom["radius"],
         )
     except ValueError as exc:
         raise ConfigError("domain block: " + str(exc)) from None
@@ -308,8 +304,6 @@ def _build(sections: dict) -> RunConfig:
     if any(n < 8 for n in exp["resolutions"]):
         raise ConfigError("experiment block: resolutions must be at least 8")
 
-    if not (0.0 < mfg["tau"] <= 1.0):
-        raise ConfigError("mfg block: tau must lie in (0, 1]")
     if mfg["eps"] < 0.0:
         raise ConfigError("mfg block: eps must be nonnegative")
 

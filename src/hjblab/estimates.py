@@ -134,21 +134,28 @@ def _top_decade_slope(ts, ratios):
     return _fit_slope([s[0] for s in sel], [s[1] for s in sel])
 
 
-def _drift_gate(spec: SweepSpec) -> dict:
-    gates = {"theta": 0.0, "s": None}
-    if spec.drift is None:
-        return gates
-    if spec.drift_s is None or spec.drift_s <= spec.grid.dim:
+def drift_gate(
+    grid: Grid, drift: Optional[VectorField], s: Optional[float], theta: Optional[float]
+) -> dict:
+    """Gate (In2) on a drift B: s > d, and ||B||_{L^s} <= theta when a
+    bound theta is declared (an undeclared one is the norm itself).
+    Returns the gate entries {"theta": theta, "s": s}: 0 and None when
+    there is no drift."""
+    if drift is None:
+        return {"theta": 0.0, "s": None}
+    if s is None or s <= grid.dim:
         raise ValueError(
-            "drift integrability gate: need s > d when a drift is present"
+            "assumption gate (In2) violated: need s > d when a drift is present"
         )
-    norm = lq_norm(spec.drift, spec.drift_s)
-    theta = spec.drift_theta if spec.drift_theta is not None else norm
+    norm = lq_norm(drift, s)
+    if theta is None:
+        theta = norm
     if norm > theta * (1.0 + 1e-12):
-        raise ValueError("drift bound gate: ||B||_{L^s} exceeds the declared theta")
-    gates["theta"] = float(theta)
-    gates["s"] = float(spec.drift_s)
-    return gates
+        raise ValueError(
+            "assumption gate (In2) violated: ||B||_{L^s} = " + repr(norm)
+            + " exceeds the declared theta = " + repr(theta)
+        )
+    return {"theta": float(theta), "s": float(s)}
 
 
 def gate_block(grid: Grid, drift_info: Optional[dict] = None, K=None, c_v=None) -> dict:
@@ -180,7 +187,8 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
     and an amplitude where it exceeds 1 adds a warning: there the centered
     first differences no longer keep the M-matrix sign pattern, and the
     discretization runs outside the regime it is valid in."""
-    drift_info = _drift_gate(spec)  # fail fast before any solve
+    # fail fast before any solve
+    drift_info = drift_gate(spec.grid, spec.drift, spec.drift_s, spec.drift_theta)
     cfg = spec.cfg or SolverConfig()
     ts, ratios, lambdas, convs, rows, warnings = [], [], [], [], [], []
     K = 0.0

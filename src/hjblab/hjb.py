@@ -2,13 +2,17 @@
 
 The equation solved at the nodes is
 
-    -Lap_g u + (c1/gamma) |grad u|_g^gamma + g(B, grad u) + lam + b = f
+    -Lap_g u + (1/gamma) |grad u|_g^gamma + g(B, grad u) + lam + b = f
 
 with homogeneous Neumann conditions on boxes (imposed by mirror ghosts)
-or periodicity on tori.  The unknown pair is (u, lam): because only
-derivatives of u enter, constants are a gauge direction, so every solve
-carries a quadrature-mean constraint on u together with the additive
-multiplier lam.  In ergodic mode lam is the sought critical value; in
+or periodicity on tori.  The Hamiltonian carries no coefficient: with
+c1 |grad u|^gamma / gamma, the substitution u = c1^{-1/(gamma-1)} v gives
+this equation for v with f, b and lam scaled by c1^{1/(gamma-1)}.
+
+The unknown pair is (u, lam): because only derivatives of u enter,
+constants are a gauge direction, so every solve carries a
+quadrature-mean constraint on u together with the additive multiplier
+lam.  In ergodic mode lam is the sought critical value; in
 plain mode it is reported as the compatibility defect of the data (zero,
 up to truncation, for manufactured sources).
 
@@ -63,7 +67,6 @@ class ProblemSpec:
 
     grid: Grid
     gamma: float
-    c1: float = 1.0
     drift: Optional[VectorField] = None
     shift: Optional[ScalarField] = None     # additive zeroth-order data b
     source: Optional[ScalarField] = None    # right-hand side f
@@ -72,8 +75,6 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ValueError("gradient growth gate (In1): need gamma > 1")
-        if not self.c1 > 0.0:
-            raise ValueError("gradient growth gate (In1): need c1 > 0")
         if self.grid.coord_system != "cartesian":
             raise ValueError("solver runs on box/torus lattices only")
         if not self.grid.is_flat and not all(self.grid.periodic):
@@ -341,12 +342,12 @@ def residual(u: ScalarField, spec: ProblemSpec, lam: float = 0.0) -> ScalarField
 
 
 def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray):
-    """-Lap_g u + (c1/gamma)|grad u|^gamma + g(B, grad u) + b - f, and the
+    """-Lap_g u + (1/gamma)|grad u|^gamma + g(B, grad u) + b - f, and the
     lattice gradient ops.grad(u) it was formed from."""
     dvals = ops.grad(uvals)
     out = -ops.lap_metric(uvals, dvals)
     gn2 = _metric_grad_norm_sq(spec, dvals)
-    out += (spec.c1 / spec.gamma) * gn2 ** (spec.gamma / 2.0)
+    out += (1.0 / spec.gamma) * gn2 ** (spec.gamma / 2.0)
     if spec.drift is not None:
         # g(B, grad u) reduces to B^i du_i for conformal metrics as well
         out += np.sum(spec.drift.values * dvals, axis=0)
@@ -362,16 +363,16 @@ def transport_coefficient(
 ) -> np.ndarray:
     """Lattice coefficient of the linearized first-order term.
 
-    a_i = c1 e^{-gamma phi} (|du|^2 + eps^2)^{(gamma-2)/2} du_i + B_i; the
+    a_i = e^{-gamma phi} (|du|^2 + eps^2)^{(gamma-2)/2} du_i + B_i; the
     regularization keeps the coefficient finite at critical points when
-    gamma < 2.  With c1 = 1 and no drift it is the game's optimal drift.
+    gamma < 2.  With no drift it is the game's optimal drift.
     A caller that already holds the lattice gradient of u (the one
     `_residual_core` returns) passes it as dvals, and it is not formed again.
     """
     if dvals is None:
         dvals = _ops_for(spec.grid).grad(uvals)
     sq = np.sum(dvals**2, axis=0)
-    amp = spec.c1 * (sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
+    amp = (sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
     if not spec.grid.is_flat:
         amp = amp * spec.grid.conformal_factor(-spec.gamma)
     coeff = amp * dvals
@@ -381,9 +382,15 @@ def transport_coefficient(
 
 
 def mesh_peclet(grid: Grid, coeff: np.ndarray) -> float:
-    """Largest advection mesh number |a_i| h_i / 2 of a transport
-    coefficient a: centered differences keep the M-matrix sign pattern of
-    the linearized operator, and of its adjoint, exactly when it is <= 1."""
+    """Largest advection mesh number |b_i| h_i / (2 k) of the Jacobian
+    with transport coefficient a, where b is its first-order coefficient
+    and k its diffusion: centered differences keep the M-matrix sign
+    pattern of the linearized operator, and of its adjoint, exactly when
+    it is <= 1.  On flat grids b = a and k = 1.  On conformal tori
+    -Lap_g = -e^{-2 phi} (Lap_flat + (d - 2) grad phi . grad), so
+    b = a - (d - 2) e^{-2 phi} grad phi and k = e^{-2 phi}."""
+    if not grid.is_flat:
+        coeff = (coeff - _ops_for(grid).conformal_drift) * grid.conformal_factor(2.0)
     pec = 0.0
     for a, h in enumerate(grid.spacings):
         pec = max(pec, float(np.max(np.abs(coeff[a]))) * h / 2.0)
@@ -710,7 +717,7 @@ def manufactured_solution(grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def manufactured_source(spec_grid: Grid, gamma: float, c1: float = 1.0, symbolic: bool = True):
+def manufactured_source(spec_grid: Grid, gamma: float, symbolic: bool = True):
     """Source that makes the cosine product an exact (symbolic=True:
     continuum; else discrete) solution of the plain equation."""
     grid = spec_grid
@@ -718,7 +725,7 @@ def manufactured_source(spec_grid: Grid, gamma: float, c1: float = 1.0, symbolic
     Ls = grid.domain.extents
     ustar = manufactured_solution(grid)
     if not symbolic:
-        spec = ProblemSpec(grid, gamma=gamma, c1=c1)
+        spec = ProblemSpec(grid, gamma=gamma)
         ops = _ops_for(grid)
         vals, _ = _residual_core(spec, ops, ustar.values)
         return ustar, ScalarField(grid, vals)
@@ -732,5 +739,5 @@ def manufactured_source(spec_grid: Grid, gamma: float, c1: float = 1.0, symbolic
             t = np.pi * y / M
             prod = prod * (np.sin(t) if b2 == a else np.cos(t))
         grad_sq += (freq * prod) ** 2
-    fvals = -lap + (c1 / gamma) * grad_sq ** (gamma / 2.0)
+    fvals = -lap + (1.0 / gamma) * grad_sq ** (gamma / 2.0)
     return ustar, ScalarField(grid, fvals)

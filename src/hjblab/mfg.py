@@ -56,6 +56,9 @@ from .hjb import mesh_peclet as fp_peclet
 class MfgSpec:
     """One stationary game: exponents, coupling, shift, and iteration knobs.
 
+    The outer loop damps its density update by a weight that starts at
+    `_TAU` = 0.5; `max_outer` caps its iterations at each mollifier
+    radius and `outer_tol` is its stop.
     The inner value solves are warm-started from the previous outer
     iterate, and each density solve after the first from the previous
     undamped density.  Both solve only as tightly as the outer loop has
@@ -69,7 +72,6 @@ class MfgSpec:
     c_v: float = 2.0
     shift: Optional[ScalarField] = None   # b; must have d_nu b >= 0 on boxes
     eps: float = 0.1                      # mollifier radius
-    tau: float = 0.5                      # outer damping
     max_outer: int = 60
     outer_tol: float = 1e-9
 
@@ -84,8 +86,6 @@ class MfgSpec:
             raise ValueError(
                 "coupling comparison gate (MFG1): need C_V >= max(alpha, 1/alpha)"
             )
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("outer damping must lie in (0, 1]")
         if self.eps < 0.0:
             raise ValueError("mollifier radius must be nonnegative")
         g = self.grid
@@ -354,6 +354,9 @@ def fp_solve(
 # max(final tolerance, _FORCING * c); solving them tighter would not move
 # the next iterate by more than the outer loop still moves it.
 _FORCING = 1e-2
+# Starting weight of the damped density update m <- (1 - tau) m + tau m_new,
+# halved whenever the outer change grows.
+_TAU = 0.5
 
 
 def _density_residual(grid: Grid, mvals: np.ndarray, drift: np.ndarray) -> float:
@@ -418,7 +421,7 @@ def mfg_fixed_point(spec: MfgSpec):
     total_iters = 0
     converged = False
     change = math.inf
-    tau = spec.tau
+    tau = _TAU
     peclet = 0.0
     message = ""
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from hjblab.cli import main, run
+from hjblab.cli import _SUBCOMMANDS, main, run
 from hjblab.config import ConfigError, parse_config
 
 
@@ -48,6 +48,10 @@ def test_defaults_parse_and_build():
         ("[domain]\ndim = 5\n", "dimension must be 2 or 3"),
         ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "shift_axis out of range"),
         ("[problem]\nshift_kind = mode\nshift_axis = 4\n", "shift_axis out of range"),
+        ("[problem]\nc1 = 1.0\n", "unknown key 'c1'"),
+        ("[problem]\nergodic = true\n", "unknown key 'ergodic'"),
+        ("[mfg]\ntau = 0.5\n", "unknown key 'tau'"),
+        ("[domain]\nradius = 1.0\n", "unknown key 'radius'"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
@@ -125,11 +129,11 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
 
 def test_disc_solves_cite_the_convexity_gate(tmp_path, capsys):
     cfg = write(tmp_path, "disc.ini", "[domain]\nkind = disc\nresolution = 16, 32\n")
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "(D1)" in capsys.readouterr().err
-    rc2 = main(["mfg", "--config", cfg, "--out", str(tmp_path / "out2")])
-    assert rc2 == 2
+    for subcommand in _SUBCOMMANDS:
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2, subcommand
+        assert "(D1)" in capsys.readouterr().err, subcommand
+        assert not (out / "report.json").exists(), subcommand
 
 
 @pytest.mark.parametrize("subcommand", ["solve", "ergodic", "thm1-sweep", "thm2-sweep"])
@@ -164,7 +168,7 @@ def test_run_rejects_unknown_subcommand_name():
 def small_torus_text(dim=3, n=12):
     return (
         "[domain]\nkind = torus\ndim = %d\nresolution = %d\n"
-        "[problem]\nsource_kind = mode\nsource_amplitude = 1.0\nergodic = true\n"
+        "[problem]\nsource_kind = mode\nsource_amplitude = 1.0\n"
         % (dim, n)
     )
 
@@ -251,7 +255,8 @@ def test_game_subcommand_dumps_no_fields_by_default(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# [problem] c1: rejected where it has no effect
+# [problem] c1: no such key, since u = c1^{-1/(gamma-1)} v turns it into a
+# scale on the data
 
 
 @pytest.mark.parametrize("subcommand", ["thm1-sweep", "thm2-sweep", "mfg"])
@@ -259,7 +264,7 @@ def test_hamiltonian_coefficient_is_rejected(tmp_path, capsys, subcommand):
     cfg = write(tmp_path, "c1.ini", "[domain]\ndim = 2\nresolution = 16\n[problem]\nc1 = 2.0\n")
     out = tmp_path / "out"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
-    assert "rejected: " + subcommand + ": [problem] c1 must be 1" in capsys.readouterr().err
+    assert "rejected: line 5: unknown key 'c1' in [problem]" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -154,6 +154,20 @@ def test_sweep_rows_carry_the_peclet_number_and_warn_above_one():
     assert "exceeds 1 at amplitude 3000.0:" in rep.warnings[-1]
 
 
+def test_thin_lattice_is_exact_for_one_axis_data():
+    # the `mode` source varies along x only, so 16 x 8 x 8 nodes carry the
+    # 16^3 problem: its ratios and critical constants agree to round-off
+    reps = []
+    for res in ((16, 8, 8), (16,)):
+        g = build_grid(DomainSpec(kind="torus", dim=3, resolution=res))
+        amps = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
+        reps.append(thm2_sweep(SweepSpec(g, 3.0, source_family(g, "mode", 2.5), amps, q=2.5)))
+    thin, full = reps
+    assert all(thin.converged) and all(full.converged)
+    assert np.max(np.abs(np.array(thin.ratios) - full.ratios)) <= 1e-10
+    assert np.max(np.abs(np.array(thin.lambdas) - full.lambdas)) <= 1e-10
+
+
 def test_gradient_sweep_requires_the_gradient_exponent():
     g = torus(8)
     f0 = source_family(g, "mode", 2.0)

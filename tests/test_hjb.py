@@ -148,8 +148,6 @@ def test_growth_gate_rejects_sublinear_hamiltonians():
     grid = torus(12, dim=2)
     with pytest.raises(ValueError, match=r"\(In1\)"):
         ProblemSpec(grid, gamma=0.9)
-    with pytest.raises(ValueError, match=r"\(In1\)"):
-        ProblemSpec(grid, gamma=2.0, c1=0.0)
 
 
 def test_solver_rejects_polar_coordinates():
@@ -265,6 +263,24 @@ def test_conformal_metric_problem_converges_and_certifies():
     assert rep.converged and rep.residual <= 1e-10
     final = float(np.max(np.abs(residual(rep.u, spec, lam=rep.lam).values)))
     assert final <= 1e-8
+
+
+def test_mesh_peclet_weighs_the_metric_jacobian_on_conformal_tori():
+    # phi = a cos 2 pi x on an 8^3 torus, h = 1/8.  The Jacobian's first-order
+    # coefficient is c - (d - 2) e^{-2 phi} D phi against the diffusion
+    # e^{-2 phi}; the centered difference D phi peaks at a sin(2 pi h) / h.
+    a = 0.1
+    grid = build_grid(
+        DomainSpec(kind="torus", dim=3, resolution=(8,)),
+        MetricSpec.conformal(lambda coords: a * np.cos(TWO_PI * coords[0])),
+    )
+    coeff = np.zeros((3,) + grid.shape)
+    # the metric's own term: max |D phi| h / 2 = sqrt(2) a / 4
+    assert hjb.mesh_peclet(grid, coeff) == pytest.approx(np.sqrt(2.0) * a / 4.0, rel=1e-12)
+    # a unit transport along y against the least diffusion, e^{-2a} at x = 0
+    coeff[1] = 1.0
+    assert hjb.mesh_peclet(grid, coeff) == pytest.approx(np.exp(2.0 * a) / 16.0, rel=1e-12)
+    assert hjb.mesh_peclet(torus(8, dim=3), coeff) == 1.0 / 16.0
 
 
 def test_ergodic_entry_point_requires_the_flag():

@@ -304,8 +304,6 @@ def test_game_spec_gates():
         MfgSpec(g, gamma=2.0, alpha=1.0, c_v=1.0)
     with pytest.raises(ValueError, match=r"\(MFG1\)"):
         MfgSpec(g, gamma=2.0, alpha=1.5, c_v=1.2)
-    with pytest.raises(ValueError, match="damping"):
-        MfgSpec(g, gamma=2.0, alpha=1.0, tau=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         MfgSpec(g, gamma=2.0, alpha=1.0, eps=-0.1)
     conf = build_grid(
@@ -408,6 +406,34 @@ def test_pairing_identity_residual_shrinks_under_refinement():
         assert report.converged
         residuals.append(abs(report.duality["identity_residual"]))
     assert np.log2(residuals[0] / residuals[1]) >= 1.0
+
+
+def test_manufactured_game_converges_at_second_order():
+    # u* = 0.5 cos 2 pi x with lam = 0 and the Gibbs density m* = e^{-u*} / Z
+    # solve the gamma = 2 game whose shift is b = V_eps[m*] + Lap u* - |grad u*|^2 / 2
+    errors = []
+    for n in (16, 32, 64):
+        g = build_grid(DomainSpec(kind="torus", dim=3, resolution=(n, 8, 8)))
+        x = g.mesh()[0]
+        ustar = 0.5 * np.cos(TWO_PI * x)
+        grad_sq = (0.5 * TWO_PI * np.sin(TWO_PI * x)) ** 2
+        mstar = np.exp(-ustar)
+        mstar /= float(np.sum(g.weights * mstar))
+        shift = mollify_coupling(ScalarField(g, mstar), 0.1, 1.0).values - TWO_PI**2 * ustar - 0.5 * grad_sq
+        state, report = mfg_fixed_point(
+            MfgSpec(g, gamma=2.0, alpha=1.0, shift=ScalarField(g, shift), eps=0.1)
+        )
+        assert report.converged, report.message
+        errors.append(
+            (
+                float(np.max(np.abs(state.u.values - ustar))),
+                float(np.max(np.abs(state.m.values - mstar))),
+                abs(state.lam),
+            )
+        )
+    for coarse, fine in zip(errors, errors[1:]):
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(coarse, fine)]
+        assert min(orders) >= 1.9, (errors, orders)
 
 
 def test_box_game_converges_without_boundary_certificates():
