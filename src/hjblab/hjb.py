@@ -36,6 +36,14 @@ stop needs (inexact Newton with Kelley's termination safeguard).  A Newton
 solve either converges or stops with a named reason: the Newton budget is
 exhausted, a linear solve fails, or the line search reaches its
 backtracking floor.
+
+On flat grids a Krylov step allocates no field-sized array and moves no
+axis: R writes into the next basis row and M into a given array.  The
+residual and the transport coefficient write into arrays each solve
+allocates once, and every operator keeps its temporaries in the work
+arrays of the grid's operators (`_Ops.work`).  What leaves the solver is
+fresh: a report's u and gradient, a transport coefficient asked for
+without `out` (the game's drift), and every result of `residual`.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 from scipy.linalg import get_blas_funcs, solve_triangular
 
 from .fields import (
@@ -58,7 +67,7 @@ from .fields import (
     pointwise_norm,
 )
 from .geometry import Grid
-from .stencils import apply_along_axis, d1_matrix, d2_matrix
+from .stencils import d1_rows, d1_scale, d1t_rows, d2_rows, d2_scale
 
 
 @dataclass
@@ -169,18 +178,25 @@ class _Ops:
     the preconditioner inverts exactly, and `jacobian_rest` and
     `adjoint_rest` apply the remainders R.  The grid is one a `ProblemSpec`
     accepts: a box or a (conformal) torus.
+
+    Derivatives are the `stencils` row kernels, bit for bit the products
+    of `d1_matrix`/`d2_matrix` and their transposes, taken from one scaled
+    copy of the input per spacing.  Every method writes into `out` when
+    given one and into a fresh array otherwise.  Its temporaries are the
+    field-sized work arrays `work(0)` to `work(2)`, allocated once per grid,
+    so a call with `out` on a flat grid allocates nothing.  Those hold
+    nothing between calls: no result that leaves a method lives there, and
+    no method calls another while it holds one.  Conformal tori add their
+    metric terms with fresh temporaries.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.naxes = len(grid.shape)
-        self.d1 = []
-        self.d2 = []
-        for a in range(self.naxes):
-            bc1 = "periodic" if grid.periodic[a] else "mirror"
-            self.d1.append(d1_matrix(grid.shape[a], grid.spacings[a], bc1))
-            self.d2.append(d2_matrix(grid.shape[a], grid.spacings[a], bc1))
-        self.d1t = [m.T.tocsr() for m in self.d1]
+        self.periodic = tuple(bool(p) for p in grid.periodic)
+        self.s1 = [d1_scale(h) for h in grid.spacings]
+        self.s2 = [d2_scale(h) for h in grid.spacings]
+        self._work = []
         if not grid.is_flat:
             # -Lap_g = -e^{-2 phi} (Lap_flat + (d - 2) grad phi . grad), so
             # -Lap_g - L = (1 - e^{-2 phi}) Lap_flat - e^{-2 phi} (d - 2) grad phi . grad
@@ -188,15 +204,41 @@ class _Ops:
             self.conformal_lap = 1.0 - shrink
             self.conformal_drift = (grid.dim - 2.0) * shrink * grid.phi_gradient()
 
-    def grad(self, vals: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [apply_along_axis(self.d1[a], vals, a) for a in range(self.naxes)]
-        )
+    def work(self, k: int) -> np.ndarray:
+        """The k-th field-sized work array, allocated on first use."""
+        while len(self._work) <= k:
+            self._work.append(np.empty(self.grid.shape))
+        return self._work[k]
 
-    def lap_flat(self, vals: np.ndarray) -> np.ndarray:
-        out = apply_along_axis(self.d2[0], vals, 0)
-        for a in range(1, self.naxes):
-            out += apply_along_axis(self.d2[a], vals, a)
+    def _scaled(self, vals: np.ndarray, scales):
+        """(axis, scales[axis] * vals) for each axis, in work(0); the copy is
+        scaled again only where the scale changes from the axis before."""
+        buf = self.work(0)
+        prev = None
+        for a, s in enumerate(scales):
+            if s != prev:
+                np.multiply(vals, s, out=buf)
+                prev = s
+            yield a, buf
+
+    def grad(self, vals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (d, *shape) lattice gradient D_a vals."""
+        if out is None:
+            out = np.empty((self.naxes,) + vals.shape)
+        for a, sx in self._scaled(vals, self.s1):
+            d1_rows(sx, a, self.periodic[a], out[a])
+        return out
+
+    def lap_flat(self, vals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """sum_a D2_a vals, accumulated in axis order."""
+        if out is None:
+            out = np.empty(vals.shape)
+        part = self.work(1)
+        for a, ax in self._scaled(vals, self.s2):
+            if a == 0:
+                d2_rows(ax, a, self.periodic[a], out)
+            else:
+                out += d2_rows(ax, a, self.periodic[a], part)
         return out
 
     def lap_metric(self, vals: np.ndarray, dvals: Optional[np.ndarray] = None) -> np.ndarray:
@@ -209,26 +251,45 @@ class _Ops:
         corr = (d - 2.0) * np.sum(self.grid.phi_gradient() * dvals, axis=0)
         return self.grid.conformal_factor(-2.0) * (flat + corr)
 
-    def jacobian_rest(self, vals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    def pairing(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_i a[i] b[i] over the leading axis, in work(0), summed as
+        np.sum(a * b, axis=0); with a = b it is np.sum(b**2, axis=0)."""
+        out, part = self.work(0), self.work(1)
+        np.multiply(a[0], b[0], out=out)
+        for i in range(1, self.naxes):
+            out += np.multiply(a[i], b[i], out=part)
+        return out
+
+    def jacobian_rest(self, vals: np.ndarray, coeff: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """R vals = (-Lap_g + coeff . D) vals + Lap_flat vals.
 
-        On flat grids this is the transport term coeff . D vals; on
-        conformal tori it adds (1 - e^{-2 phi}) Lap_flat vals and the metric's
-        first-order term, for one flat Laplacian in all.  coeff . D vals is
-        summed axis by axis, in the order of np.sum(coeff * dvals, axis=0),
-        with no (d, *shape) temporaries.  Stacked, they made glibc trim and
-        re-fault several MB of heap on every GMRES iteration at 48^3.
+        On flat grids this is the transport term coeff . D vals, summed axis
+        by axis in the order of np.sum(coeff * dvals, axis=0), each D_a vals
+        taken from one scaled copy of vals.  It is written into out, in a
+        Krylov step the next basis row, with the scaled copy and each
+        coeff_a D_a vals in work(0) and work(1), so on flat grids it
+        allocates nothing; without out the result is a fresh array.  On
+        conformal tori it adds (1 - e^{-2 phi}) Lap_flat vals and the
+        metric's first-order term, for one flat Laplacian in all.
         """
+        if out is None:
+            out = np.empty(vals.shape)
         if not self.grid.is_flat:
             coeff = coeff - self.conformal_drift
-        out = coeff[0] * apply_along_axis(self.d1[0], vals, 0)
-        for a in range(1, self.naxes):
-            out += coeff[a] * apply_along_axis(self.d1[a], vals, a)
+        part = self.work(1)
+        for a, sx in self._scaled(vals, self.s1):
+            if a == 0:
+                d1_rows(sx, a, self.periodic[a], out)
+                out *= coeff[0]
+            else:
+                d1_rows(sx, a, self.periodic[a], part)
+                part *= coeff[a]
+                out += part
         if not self.grid.is_flat:
             out += self.conformal_lap * self.lap_flat(vals)
         return out
 
-    def adjoint_rest(self, m: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    def adjoint_rest(self, m: np.ndarray, coeff: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """R m = W^{-1} sum_a D_a^T (coeff_a W m), the transport part of the
         density operator W^{-1} J^T W (same coeff frozen), with
         <v, m>_W = sum(w * v * m).  Its diffusion part W^{-1} D2^T W equals
@@ -236,11 +297,18 @@ class _Ops:
         g = self.grid
         if not g.is_flat:
             raise NotImplementedError("the adjoint transport is used on flat grids only")
+        if out is None:
+            out = np.empty(m.shape)
         w = g.weights
-        wm = w * m
-        out = apply_along_axis(self.d1t[0], coeff[0] * wm, 0)
-        for a in range(1, self.naxes):
-            out += apply_along_axis(self.d1t[a], coeff[a] * wm, a)
+        wm, sy, part = self.work(0), self.work(1), self.work(2)
+        np.multiply(w, m, out=wm)
+        for a in range(self.naxes):
+            np.multiply(coeff[a], wm, out=sy)
+            sy *= self.s1[a]
+            if a == 0:
+                d1t_rows(sy, a, self.periodic[a], out)
+            else:
+                out += d1t_rows(sy, a, self.periodic[a], part)
         out /= w
         return out
 
@@ -263,8 +331,16 @@ class _FlatInverter:
     constraint sum w x = c is met by writing rhat[0] = c / zero_weight
     before the inverse transform.  A conformal factor makes the weights of
     the constraint nonuniform, so there rhat[0] = 0 and x is shifted by
-    (c - sum w x) / vol afterwards.  r is left untouched and x is a fresh
-    array.
+    (c - sum w x) / vol afterwards.  r is left untouched; x is written into
+    out when one is given, else into a fresh array.
+
+    The transforms are the ones scipy.fft.rfftn/irfftn and dctn/idctn
+    (type 1) call, taken from scipy's pocketfft binding because it writes
+    into a given array: the spectrum goes into one work array kept here,
+    and the inverse transform straight into x.  irfftn's transform is split
+    as pocketfft splits it, the leading axes complex to complex and the last
+    complex to real, here in place on the spectrum, and its 1/N is applied
+    last, as pocketfft applies it, so x is irfftn's bit for bit.
     """
 
     def __init__(self, grid: Grid):
@@ -273,6 +349,7 @@ class _FlatInverter:
         if not self.periodic and any(grid.periodic):
             raise ValueError("mixed periodic/box axes are not supported")
         shape = grid.shape
+        self.axes = tuple(range(len(shape)))
         self.sym = 0.0
         for a, (n, h) in enumerate(zip(shape, grid.spacings)):
             if self.periodic:
@@ -288,6 +365,12 @@ class _FlatInverter:
         self.inv_sym = np.zeros_like(self.sym)
         mask = self.sym > 1e-14
         self.inv_sym[mask] = 1.0 / self.sym[mask]
+        if self.periodic:
+            # the cast numpy makes on every rhat *= inv_sym, made once
+            self.inv_sym = self.inv_sym.astype(complex)
+        self.spectrum = np.empty(self.sym.shape, dtype=self.inv_sym.dtype)
+        # irfftn's normalization, 1/N rounded from long double as pocketfft does
+        self.inv_count = float(np.longdouble(1.0) / np.longdouble(math.prod(shape)))
         self.w = grid.weights
         self.vol = grid.vol
         hs = grid.spacings
@@ -296,27 +379,32 @@ class _FlatInverter:
         self.zero_ones = math.prod(shape) if self.periodic else math.prod(2 * (n - 1) for n in shape)
         self.ops = _ops_for(grid)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """L x = -Lap_flat x, the solver stencil that `solve` inverts."""
-        out = self.ops.lap_flat(x)
+        out = self.ops.lap_flat(x, out)
         np.negative(out, out=out)
         return out
 
-    def solve(self, r: np.ndarray, c: float = 0.0):
+    def solve(self, r: np.ndarray, c: float = 0.0, out: Optional[np.ndarray] = None):
         zero = (0,) * r.ndim
         flat = self.grid.is_flat
+        x = np.empty(self.grid.shape) if out is None else out
+        rhat = self.spectrum
+        workers = sfft.get_workers()
         if self.periodic:
-            rhat = sfft.rfftn(r)
+            _pocketfft.r2c(r, self.axes, True, 0, rhat, workers)
             mu = float(rhat[zero].real) / self.zero_ones
             rhat *= self.inv_sym
             rhat[zero] = c / self.zero_weight if flat else 0.0
-            x = sfft.irfftn(rhat, s=self.grid.shape, overwrite_x=True)
+            _pocketfft.c2c(rhat, self.axes[:-1], False, 0, rhat, workers)
+            _pocketfft.c2r(rhat, self.axes[-1:], self.grid.shape[-1], False, 0, x, workers)
+            x *= self.inv_count
         else:
-            rhat = sfft.dctn(r, type=1)
+            _pocketfft.dct(r, 1, self.axes, 0, rhat, workers)
             mu = float(rhat[zero]) / self.zero_ones
             rhat *= self.inv_sym
             rhat[zero] = c / self.zero_weight
-            x = sfft.idctn(rhat, type=1, overwrite_x=True)
+            _pocketfft.dct(rhat, 1, self.axes, 2, x, workers)
         if not flat:
             x += (c - float(np.sum(self.w * x))) / self.vol
         return x, mu
@@ -326,31 +414,54 @@ class _FlatInverter:
 # residual and helpers
 
 
-def _metric_grad_norm_sq(spec: ProblemSpec, dvals: np.ndarray) -> np.ndarray:
-    sq = np.sum(dvals**2, axis=0)
-    if spec.grid.is_flat:
-        return sq
-    return spec.grid.conformal_factor(-2.0) * sq
+def _same_lattice(a: Grid, b: Grid) -> bool:
+    """Whether nodal arrays of a and b hold values at the same points of
+    the same kind of domain, so the solver stencils of one apply to the
+    other: shape, spacings, periodicity and flatness agree."""
+    if a is b:
+        return True
+    return (
+        a.shape == b.shape
+        and a.spacings == b.spacings
+        and tuple(a.periodic) == tuple(b.periodic)
+        and a.is_flat == b.is_flat
+    )
 
 
 def residual(u: ScalarField, spec: ProblemSpec, lam: float = 0.0) -> ScalarField:
     """Node-wise residual of the stationary equation (solver stencils)."""
-    if u.grid is not spec.grid and u.grid.shape != spec.grid.shape:
+    if not _same_lattice(u.grid, spec.grid):
         raise ValueError("field and problem live on different grids")
     vals, _ = _residual_core(spec, _ops_for(spec.grid), u.values)
-    return ScalarField(spec.grid, vals + lam)
+    vals += lam
+    return ScalarField(spec.grid, vals)
 
 
-def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray):
+def _residual_core(
+    spec: ProblemSpec,
+    ops: _Ops,
+    uvals: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    dvals: Optional[np.ndarray] = None,
+):
     """-Lap_g u + (1/gamma)|grad u|^gamma + g(B, grad u) + b - f, and the
-    lattice gradient ops.grad(u) it was formed from."""
-    dvals = ops.grad(uvals)
-    out = -ops.lap_metric(uvals, dvals)
-    gn2 = _metric_grad_norm_sq(spec, dvals)
-    out += (1.0 / spec.gamma) * gn2 ** (spec.gamma / 2.0)
+    lattice gradient ops.grad(u) it was formed from, written into out and
+    dvals when given (fresh arrays otherwise)."""
+    dvals = ops.grad(uvals, dvals)
+    if spec.grid.is_flat:
+        out = ops.lap_flat(uvals, out)
+        np.negative(out, out=out)
+        gn2 = ops.pairing(dvals, dvals)
+    else:
+        lap = ops.lap_metric(uvals, dvals)
+        out = np.negative(lap, out=lap if out is None else out)
+        gn2 = spec.grid.conformal_factor(-2.0) * ops.pairing(dvals, dvals)
+    gn2 **= spec.gamma / 2.0
+    gn2 *= 1.0 / spec.gamma
+    out += gn2
     if spec.drift is not None:
         # g(B, grad u) reduces to B^i du_i for conformal metrics as well
-        out += np.sum(spec.drift.values * dvals, axis=0)
+        out += ops.pairing(spec.drift.values, dvals)
     if spec.shift is not None:
         out += spec.shift.values
     if spec.source is not None:
@@ -359,7 +470,10 @@ def _residual_core(spec: ProblemSpec, ops: _Ops, uvals: np.ndarray):
 
 
 def transport_coefficient(
-    spec: ProblemSpec, uvals: np.ndarray, dvals: Optional[np.ndarray] = None
+    spec: ProblemSpec,
+    uvals: np.ndarray,
+    dvals: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lattice coefficient of the linearized first-order term.
 
@@ -368,17 +482,24 @@ def transport_coefficient(
     gamma < 2.  With no drift it is the game's optimal drift.
     A caller that already holds the lattice gradient of u (the one
     `_residual_core` returns) passes it as dvals, and it is not formed again.
+    The coefficient is written into out when one is given, else into a
+    fresh array.
     """
+    ops = _ops_for(spec.grid)
     if dvals is None:
-        dvals = _ops_for(spec.grid).grad(uvals)
-    sq = np.sum(dvals**2, axis=0)
-    amp = (sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
+        dvals = ops.grad(uvals)
+    amp = ops.pairing(dvals, dvals)
+    amp += EPS_REG**2
+    amp **= (spec.gamma - 2.0) / 2.0
     if not spec.grid.is_flat:
         amp = amp * spec.grid.conformal_factor(-spec.gamma)
-    coeff = amp * dvals
+    if out is None:
+        out = np.empty(dvals.shape)
+    for a in range(len(dvals)):
+        np.multiply(amp, dvals[a], out=out[a])
     if spec.drift is not None:
-        coeff = coeff + spec.drift.values
-    return coeff
+        out += spec.drift.values
+    return out
 
 
 def mesh_peclet(grid: Grid, coeff: np.ndarray) -> float:
@@ -415,8 +536,10 @@ def _inverter_for(grid: Grid) -> _FlatInverter:
 # Newton driver
 
 
-def _weighted_norm(grid: Grid, vals: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.weights * vals**2)))
+def _weighted_norm(ops: _Ops, vals: np.ndarray) -> float:
+    sq = np.square(vals, out=ops.work(0))
+    sq *= ops.grid.weights
+    return float(np.sqrt(np.sum(sq)))
 
 
 def bordered_solve(
@@ -431,15 +554,17 @@ def bordered_solve(
     """Constrained system [[L + R, 1], [w^T, 0]] [x; mu] = [rhs; c] via GMRES.
 
     L = -Lap_flat is the operator inv inverts and `inv.apply` applies;
-    apply_fn maps a node array to R x, the rest of the operator A = L + R.
+    apply_fn(x, out) writes R x, the rest of the operator A = L + R, into
+    the node array out.
     The loop is restarted GMRES(m) with m = min(_RESTART, n + 1) for n
     nodes, so a small system runs unrestarted.  It is right-preconditioned
     by the exact inverse M of the bordered flat Laplacian, so
-    A M = I + [R; 0] M: each Arnoldi step forms (x, mu) = M v and
-    v + [R x; 0], with no Laplacian, and orthonormalizes it against the
-    basis by modified Gram-Schmidt in place, in one (m + 1, n + 1) array
-    allocated per call.  The first K = min(_KEPT, m // 2) steps of a cycle
-    keep z_j = M v_j in rows K + 1 ... 2K of that array.  A cycle that ends
+    A M = I + [R; 0] M: each Arnoldi step forms (x, mu) = M v, writes R x
+    straight into the next basis row and adds v there, with no Laplacian,
+    and orthonormalizes the row against the basis by modified Gram-Schmidt
+    in place, in one (m + 1, n + 1) array allocated per call.  The first
+    K = min(_KEPT, m // 2) steps of a cycle keep z_j = M v_j in rows
+    K + 1 ... 2K of that array.  A cycle that ends
     within K steps updates x += Z y, which equals M (V y) because M is a
     fixed linear map; a longer cycle has overwritten those rows and updates
     x += M (V y), one more preconditioner apply.  Every cycle ends with the
@@ -472,42 +597,41 @@ def bordered_solve(
     m = min(_RESTART, b.size)
     kept = min(_KEPT, m // 2)
     V = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
-
-    def apply_bordered(z, out):
-        v = z[:-1].reshape(shape)
-        av = inv.apply(v)
-        av += apply_fn(v)
-        np.add(av.reshape(-1), z[-1], out=out[:-1])
-        out[-1] = np.sum(w * v)
+    r = np.empty_like(b)
+    z = np.empty_like(b)  # M (V y), and the true residual's L x and w x
 
     def precond(z, out):
-        xf, mu = inv.solve(z[:-1].reshape(shape), z[-1])
-        out[:-1] = xf.reshape(-1)
-        out[-1] = mu
+        _, out[-1] = inv.solve(z[:-1].reshape(shape), z[-1], out[:-1].reshape(shape))
         return out
 
     def apply_preconditioned(v, out, mv):
         # out = A M v = v + [R M v; 0], with M v left in mv
         precond(v, mv)
-        np.add(v[:-1], apply_fn(mv[:-1].reshape(shape)).reshape(-1), out=out[:-1])
+        apply_fn(mv[:-1].reshape(shape), out[:-1].reshape(shape))
+        out[:-1] += v[:-1]
         out[-1] = v[-1]
 
     def true_residual(x, r):
-        apply_bordered(x, r)
+        # r = b - A x: L x into z, then R x and the multiplier added to it
+        v = x[:-1].reshape(shape)
+        lv = inv.apply(v, z[:-1].reshape(shape))
+        av = r[:-1].reshape(shape)
+        apply_fn(v, av)
+        av += lv
+        av += x[-1]
+        r[-1] = np.sum(np.multiply(w, v, out=lv))
         np.subtract(b, r, out=r)
         return _nrm2(r)
 
     if x0 is None:
         x = np.zeros_like(b)
-        r = b.copy()
+        np.copyto(r, b)
         beta = bnorm
     else:
         x = np.concatenate([np.ravel(x0[0]), [x0[1]]])
-        r = np.empty_like(b)
         beta = true_residual(x, r)
         if beta <= tol:
             return x[:-1].reshape(shape), float(x[-1]), 0
-    z = np.empty_like(b)
     H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
     sn = np.zeros(m)
@@ -559,9 +683,9 @@ def bordered_solve(
             # breaks exact lattice symmetries of the data (a one-axis
             # solution picks up variation along its constant axes)
             if short:
-                x += np.einsum("ij,i->j", V[kept + 1 : kept + 1 + k], y)
+                x += np.einsum("ij,i->j", V[kept + 1 : kept + 1 + k], y, out=z)
             else:
-                x += precond(np.einsum("ij,i->j", V[:k], y), z)
+                x += precond(np.einsum("ij,i->j", V[:k], y, out=z), z)
             beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0
@@ -605,39 +729,47 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     grid = spec.grid
     ops = _ops_for(grid)
     inv = _inverter_for(grid)
+    grad_shape = (ops.naxes,) + grid.shape
 
     if cfg.initial_guess is not None:
         uvals = np.array(cfg.initial_guess.values, dtype=float)
         uvals -= float(np.sum(grid.weights * uvals)) / grid.vol
     else:
         uvals = np.zeros(grid.shape)
+    # The solve's arrays, reused by every Newton step.  A line-search trial
+    # is formed in u_next, res_next (the step's right-hand side until then)
+    # and dvals itself; an accepted trial swaps u_next and res_next in.  A
+    # search that accepts nothing forms the gradient of uvals again.
+    u_next = np.empty(grid.shape)
+    res_next = np.empty(grid.shape)
+    coeff_buf = np.empty(grad_shape)
     lam = 0.0
     message = ""
 
-    def F(uv, lv):
+    def F(uv, lv, out, dv):
         # the residual at (uv, lv) and the gradient of uv it was formed from
-        res, dvals = _residual_core(spec, ops, uv)
+        res, dvals = _residual_core(spec, ops, uv, out, dv)
         res += lv
         return res, dvals
 
-    res, dvals = F(uvals, lam)
-    res_norm = _weighted_norm(grid, res)
+    res, dvals = F(uvals, lam, np.empty(grid.shape), np.empty(grad_shape))
+    res_norm = _weighted_norm(ops, res)
     res0 = max(res_norm, 1e-30)
     iters = 0
     converged = res_norm <= cfg.residual_tol
 
     coeff = None
     while not converged and iters < cfg.max_iter:
-        coeff = transport_coefficient(spec, uvals, dvals)
+        coeff = transport_coefficient(spec, uvals, dvals, coeff_buf)
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         # Kelley's safeguard: no tighter than the Newton stop needs
         rtol = max(rtol, min(0.5, 0.5 * cfg.residual_tol / res_norm))
         delta_u, delta_lam, info = bordered_solve(
             grid,
-            lambda v: ops.jacobian_rest(v, coeff),
+            lambda v, out: ops.jacobian_rest(v, coeff, out),
             inv,
-            -res,
-            -float(np.sum(grid.weights * uvals)),
+            np.negative(res, out=res_next),
+            -float(np.sum(np.multiply(grid.weights, uvals, out=ops.work(0)))),
             rtol,
         )
         if info != 0:
@@ -650,18 +782,22 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         alpha = 1.0
         accepted = False
         while alpha >= 2.0**-20:
-            trial_u = uvals + alpha * delta_u
+            trial_u = np.multiply(delta_u, alpha, out=u_next)
+            trial_u += uvals
             trial_lam = lam + alpha * delta_lam
-            trial_res, trial_dvals = F(trial_u, trial_lam)
-            trial_norm = _weighted_norm(grid, trial_res)
+            trial_res, _ = F(trial_u, trial_lam, res_next, dvals)
+            trial_norm = _weighted_norm(ops, trial_res)
             if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= cfg.residual_tol:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
+            ops.grad(uvals, dvals)
             message = "stalled: backtracking floor reached"
             break
-        uvals, lam, res, res_norm, dvals = trial_u, trial_lam, trial_res, trial_norm, trial_dvals
+        uvals, u_next = trial_u, uvals
+        res, res_next = trial_res, res
+        lam, res_norm = trial_lam, trial_norm
         iters += 1
         converged = res_norm <= cfg.residual_tol
 

@@ -332,7 +332,7 @@ def fp_solve(
         )
     mvals, mu, info = bordered_solve(
         grid,
-        lambda m: ops.adjoint_rest(m, drift),
+        lambda m, out: ops.adjoint_rest(m, drift, out),
         inv,
         np.zeros(grid.shape),
         1.0,

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from hjblab.hjb import (
     solve,
     solve_ergodic,
 )
-from hjblab.stencils import apply_along_axis
+from hjblab.stencils import apply_along_axis, d1_matrix, d2_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -142,6 +143,25 @@ def test_residual_rejects_mismatched_grids():
     other = torus(16, dim=2)
     with pytest.raises(ValueError):
         residual(ScalarField(other, np.zeros(other.shape)), spec)
+    # Same shape, other lattice: a 16^2 box has h = 1/15, a 16^2 torus 1/16;
+    # other extents change h alone; a conformal torus keeps h but not the
+    # metric.  Each would give a silently wrong residual.
+    flat16 = torus(16, dim=2)
+    phi = MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0]))
+    for field_grid, spec_grid in [
+        (box(16, dim=2), flat16),
+        (flat16, box(16, dim=2)),
+        (build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,), extents=(2.0, 1.0))), flat16),
+        (build_grid(DomainSpec(kind="box", dim=2, resolution=(16,), extents=(1.0, 3.0))), box(16, dim=2)),
+        (build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)), phi), flat16),
+    ]:
+        with pytest.raises(ValueError, match="different grids"):
+            residual(ScalarField(field_grid, np.zeros(field_grid.shape)), ProblemSpec(spec_grid, gamma=2.0))
+    # a second build of the same lattice is the same grid for the stencils
+    u = np.cos(TWO_PI * flat16.mesh()[0])
+    twin = torus(16, dim=2)
+    same = residual(ScalarField(twin, u), ProblemSpec(flat16, gamma=2.0)).values
+    assert np.array_equal(same, residual(ScalarField(flat16, u), ProblemSpec(flat16, gamma=2.0)).values)
 
 
 def test_growth_gate_rejects_sublinear_hamiltonians():
@@ -304,9 +324,9 @@ def _advected_case(grid, peclet=None):
         coeff *= peclet / max(np.max(np.abs(coeff[a])) * h / 2.0 for a, h in enumerate(grid.spacings))
     calls = []
 
-    def apply_fn(v):
+    def apply_fn(v, out=None):
         calls.append(1)
-        return ops.jacobian_rest(v, coeff)
+        return ops.jacobian_rest(v, coeff, out)
 
     return apply_fn, calls, rng.normal(size=grid.shape), 0.3
 
@@ -422,12 +442,20 @@ def _full_jacobian(ops, x, coeff):
     return -ops.lap_metric(x) + np.sum(coeff * ops.grad(x), axis=0)
 
 
+def _solver_matrices(grid, a):
+    """The solver's first- and second-derivative matrices along axis a."""
+    bc = "periodic" if grid.periodic[a] else "mirror"
+    n, h = grid.shape[a], grid.spacings[a]
+    return d1_matrix(n, h, bc), d2_matrix(n, h, bc)
+
+
 def _full_density_operator(ops, m, coeff):
     w = ops.grid.weights
     out = np.zeros(m.shape)
     for a in range(ops.naxes):
-        out -= apply_along_axis(ops.d2[a].T.tocsr(), w * m, a)
-        out += apply_along_axis(ops.d1[a].T.tocsr(), coeff[a] * w * m, a)
+        d1, d2 = _solver_matrices(ops.grid, a)
+        out -= apply_along_axis(d2.T.tocsr(), w * m, a)
+        out += apply_along_axis(d1.T.tocsr(), coeff[a] * w * m, a)
     return out / w
 
 
@@ -629,7 +657,7 @@ def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
     )
     # the same solve, with every transport coefficient formed from scratch
     tc = hjb.transport_coefficient
-    monkeypatch.setattr(hjb, "transport_coefficient", lambda sp, uvals, dvals=None: tc(sp, uvals))
+    monkeypatch.setattr(hjb, "transport_coefficient", lambda sp, uvals, dvals=None, out=None: tc(sp, uvals, None, out))
     ref = solve(spec)
     monkeypatch.undo()
 
@@ -637,10 +665,10 @@ def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
     grad, core = hjb._Ops.grad, hjb._residual_core
     inside = []
 
-    def grad_spy(self, vals):
+    def grad_spy(self, vals, *out):
         counts["grad"] += 1
         counts["grad_in_coefficient"] += bool(inside)
-        return grad(self, vals)
+        return grad(self, vals, *out)
 
     def core_spy(*args):
         counts["residual"] += 1
@@ -688,9 +716,9 @@ for gamma, amp, kept in ((2.0, 1000.0, default), (3.0, 10.0, default), (2.0, 0.0
     coeff = hjb.transport_coefficient(hjb.ProblemSpec(grid, gamma=gamma), u)
     calls = []
 
-    def apply_fn(z):
+    def apply_fn(z, out):
         calls.append(1)
-        return ops.jacobian_rest(z, coeff)
+        return ops.jacobian_rest(z, coeff, out)
 
     v, mu, info = hjb.bordered_solve(
         grid, apply_fn, hjb._inverter_for(grid),
@@ -765,6 +793,64 @@ def test_flat_inverter_solves_the_bordered_laplacian(kind):
     x2, _ = inv.solve(r, c)
     assert not np.shares_memory(x, x2) and not np.shares_memory(x, r)
     assert np.array_equal(x, x2)
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_flat_hot_path_allocates_less_than_one_field(kind):
+    # R into a Krylov basis row, the adjoint, the residual, the coefficient
+    # and the preconditioner each write into given arrays and keep their
+    # temporaries in the grid's work arrays, allocated by the first call
+    grid = torus(16, dim=3) if kind == "torus" else box(17, dim=3)
+    ops, inv = hjb._ops_for(grid), hjb._inverter_for(grid)
+    rng = np.random.default_rng(29)
+    u = rng.normal(size=grid.shape)
+    spec = ProblemSpec(
+        grid,
+        gamma=3.0,
+        drift=VectorField(grid, rng.normal(size=(3,) + grid.shape)),
+        shift=ScalarField(grid, rng.normal(size=grid.shape)),
+        source=ScalarField(grid, rng.normal(size=grid.shape)),
+    )
+    coeff = hjb.transport_coefficient(spec, u)
+    row = np.empty(u.size + 1)
+    field = row[:-1].reshape(grid.shape)
+    res, dvals, coeff_out = np.empty(grid.shape), np.empty(coeff.shape), np.empty(coeff.shape)
+    calls = {
+        "jacobian_rest": lambda: ops.jacobian_rest(u, coeff, field),
+        "adjoint_rest": lambda: ops.adjoint_rest(u, coeff, field),
+        "_residual_core": lambda: hjb._residual_core(spec, ops, u, res, dvals),
+        "transport_coefficient": lambda: hjb.transport_coefficient(spec, u, dvals, coeff_out),
+        "preconditioner": lambda: inv.solve(u, 0.5, field),
+    }
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes, (name, peak)
+
+
+def test_a_second_solve_leaves_the_first_reports_arrays_unchanged():
+    # the report's u and gradient are the solve's own arrays; only the
+    # operators' temporaries live in the grid's work arrays
+    grid = torus(12, dim=3)
+    mesh = grid.mesh()
+    first = solve_ergodic(ProblemSpec(grid, gamma=3.0, source=ScalarField(grid, 20.0 * np.cos(TWO_PI * mesh[0])),
+                                      ergodic=True))
+    u, grad = first.u.values.copy(), first.gradient.copy()
+    source = ScalarField(grid, 20.0 * np.sin(TWO_PI * (mesh[1] + mesh[2])))
+    second = solve_ergodic(ProblemSpec(grid, gamma=3.0, source=source, ergodic=True),
+                           hjb.SolverConfig(initial_guess=first.u))
+    assert first.converged and second.converged and second.iterations >= 2
+    assert not np.array_equal(second.u.values, u)
+    assert np.array_equal(first.u.values, u) and np.array_equal(first.gradient, grad)
+    work = hjb._ops_for(grid)._work
+    for arr in (first.u.values, first.gradient, second.u.values, second.gradient):
+        assert not any(np.shares_memory(arr, w) for w in work)
+    assert not np.shares_memory(first.gradient, second.gradient)
 
 
 def test_grid_is_collected_after_a_solve():
@@ -845,3 +931,22 @@ def test_zero_newton_step_stops_at_the_backtracking_floor(monkeypatch):
     assert not rep.converged
     assert rep.iterations == 0
     assert rep.message == "stalled: backtracking floor reached"
+
+
+def test_a_rejected_line_search_reports_the_gradient_of_the_last_iterate(monkeypatch):
+    # The trials' gradients overwrite the iterate's own, so a search that
+    # accepts nothing must form it again.  The multiplier step moves every
+    # trial residual by at least 1e6 2^-20 ~ 0.95, so no trial is accepted.
+    spec = _source_spec()
+    grid = spec.grid
+    start = solve_ergodic(spec).u.values + 1e-3 * np.sin(TWO_PI * grid.mesh()[1])
+    rng = np.random.default_rng(31)
+
+    def wild(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+        return rng.normal(size=grid.shape), 1e6, 0
+
+    monkeypatch.setattr(hjb, "bordered_solve", wild)
+    rep = solve_ergodic(spec, hjb.SolverConfig(initial_guess=ScalarField(grid, start)))
+    assert rep.message == "stalled: backtracking floor reached" and rep.iterations == 0
+    shifted = start - float(np.sum(grid.weights * start)) / grid.vol
+    assert np.array_equal(rep.gradient, hjb._ops_for(grid).grad(shifted))

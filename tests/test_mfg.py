@@ -472,6 +472,33 @@ def test_started_density_solves_leave_the_game_unchanged(monkeypatch):
         assert abs(a - b) <= 1e-9 * abs(b)
 
 
+def test_later_game_iterations_leave_earlier_arrays_unchanged(monkeypatch):
+    # Every iteration's value report, drift and density must survive the
+    # iterations after it: they are fresh arrays, never the solver's work
+    # arrays.  Each is copied when it is handed on and compared at the end.
+    seen = []
+    solve, fp = mfg.solve_ergodic, mfg.fp_solve
+
+    def solve_spy(prob, cfg=None):
+        rep = solve(prob, cfg)
+        seen.extend((name, arr, arr.copy()) for name, arr in (("u", rep.u.values), ("gradient", rep.gradient)))
+        return rep
+
+    def fp_spy(u, gamma, **kwargs):
+        m = fp(u, gamma, **kwargs)
+        seen.extend((name, arr, arr.copy()) for name, arr in (("drift", kwargs["drift"]), ("density", m.values)))
+        return m
+
+    monkeypatch.setattr(mfg, "solve_ergodic", solve_spy)
+    monkeypatch.setattr(mfg, "fp_solve", fp_spy)
+    g = torus(16, dim=2)
+    _, report = mfg_fixed_point(MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1))
+    assert report.converged and report.outer_iterations >= 3
+    assert len(seen) == 4 * report.outer_iterations
+    for i, (name, arr, copy) in enumerate(seen):
+        assert np.array_equal(arr, copy), (i // 4, name)
+
+
 def test_game_forms_one_drift_per_outer_iteration(monkeypatch):
     drifts, handed = [], []
     tc, fp = mfg.transport_coefficient, mfg.fp_solve
