@@ -10,7 +10,9 @@ functions (phi, zeta, t*, k*) that close the argument.
 
 Everything here is either exact algebra (checked to round-off) or a
 consistency residual expected to vanish under grid refinement; nothing
-mutates its inputs.
+mutates its inputs.  The plain and the weighted curvature residuals take
+the terms they share (the gradient, w, the Hessian, the pairing of
+grad(Lap u) with grad u, |Hess u|^2 and the Ricci term) from one helper.
 """
 
 from __future__ import annotations
@@ -170,6 +172,21 @@ def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,i...,j...->...", ric, gradu_vals, gradu_vals)
 
 
+def _bochner_terms(u: ScalarField):
+    """grad u, w, Hess u and the three terms both identities set against a
+    Laplacian: g(grad(Lap u), grad u), |Hess u|^2 and Ric(grad u, grad u)."""
+    grid = u.grid
+    gradu = gradient(u)
+    w = energy_density(u)
+    hess = hessian(u)
+    glap = gradient(_metric_trace(hess))
+    scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
+    inner = scale2 * np.sum(glap.values * gradu.values, axis=0)
+    hsq = pointwise_norm(hess) ** 2
+    ric = _ricci_quadratic(grid, gradu.values)
+    return gradu, w, hess, inner, hsq, ric
+
+
 def bochner_residual(u: ScalarField) -> ScalarField:
     """Defect of the curvature identity for w = |grad u|^2/2.
 
@@ -178,17 +195,8 @@ def bochner_residual(u: ScalarField) -> ScalarField:
     affine and quadratic u on flat grids; O(h) or better under refinement
     otherwise.
     """
-    grid = u.grid
-    gradu = gradient(u)
-    w = energy_density(u)
-    lapw = laplace_beltrami(w)
-    hess = hessian(u)
-    glap = gradient(_metric_trace(hess))
-    scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
-    inner = scale2 * np.sum(glap.values * gradu.values, axis=0)
-    hsq = pointwise_norm(hess) ** 2
-    ric = _ricci_quadratic(grid, gradu.values)
-    return ScalarField(grid, lapw.values - inner - hsq - ric)
+    _, w, _, inner, hsq, ric = _bochner_terms(u)
+    return ScalarField(u.grid, laplace_beltrami(w).values - inner - hsq - ric)
 
 
 def weighted_bochner_residual(u: ScalarField, delta: float) -> ScalarField:
@@ -199,20 +207,14 @@ def weighted_bochner_residual(u: ScalarField, delta: float) -> ScalarField:
     delta = 1 selects the affine profile, for which the result coincides
     with bochner_residual.  Exact for constant and affine u; the nonlinear
     chain rule leaves an O(h^2) defect for curved profiles even on
-    quadratics.
+    quadratics.  The bracket's terms are the plain identity's
+    (`_bochner_terms`), so the two residuals share every operation but the
+    profile's.
     """
     h, h1, h2 = _h_triple(delta)
     grid = u.grid
-    gradu = gradient(u)
-    w = energy_density(u)
-    z = ScalarField(grid, h(w.values))
-    lapz = laplace_beltrami(z)
-    hess = hessian(u)
-    glap = gradient(_metric_trace(hess))
-    scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
-    inner = scale2 * np.sum(glap.values * gradu.values, axis=0)
-    hsq = pointwise_norm(hess) ** 2
-    ric = _ricci_quadratic(grid, gradu.values)
+    gradu, w, hess, inner, hsq, ric = _bochner_terms(u)
+    lapz = laplace_beltrami(ScalarField(grid, h(w.values)))
     # |Hess u (grad u)|^2 in the metric, from covariant Hessian and
     # contravariant gradient components
     cvec = np.einsum("ij...,j...->i...", hess.values, gradu.values)
@@ -522,9 +524,12 @@ class ContinuityTools:
     def t_star(self) -> Optional[float]:
         """Largest t below the phi-max cap with zeta < identity up to t.
 
-        Returns None when no sample satisfies the strict inequality (the
-        case for the default C = 1, where zeta(t) >= t everywhere).
+        Returns None when no sample satisfies the strict inequality.  For
+        C >= 1 that is known without a search: zeta(t) = C (t + t^a + t^b)
+        > t for every t > 0, as for the default C = 1.
         """
+        if self.C >= 1.0:
+            return None
         cap = self.phi_star * (1.0 - 1e-6)
         ts = np.geomspace(1e-12, cap, 10_000)
         zs = self.zeta(ts)

@@ -28,6 +28,7 @@ from .fields import (
     dump_field_csv,
     gradient,
     lq_norm,
+    write_csv,
 )
 from .geometry import DomainSpec, MetricSpec, build_grid
 from .hjb import (
@@ -84,25 +85,8 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # field builders from config blocks
-
-
-def _build_grid(cfg: RunConfig):
-    return build_grid(cfg.domain, cfg.metric)
 
 
 def _mode_field(grid, amplitude: float, axis: int) -> ScalarField:
@@ -163,7 +147,7 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
     prob_blk = cfg["problem"]
     if prob_blk["manufactured"] != "none":
         return _manufactured_study(cfg, out, seed, report)
-    grid = _build_grid(cfg)
+    grid = build_grid(cfg.domain, cfg.metric)
     drift = _build_drift(cfg, grid)
     drift_info = estimates.drift_gate(grid, drift, prob_blk["drift_s"], prob_blk["drift_theta"])
     shift = _build_shift(cfg, grid)
@@ -195,7 +179,7 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
     for family, table in sorted(norms.items()):
         for expo, value in sorted(table.items()):
             rows.append((family, expo, value))
-    _write_csv(os.path.join(out, "norms.csv"), ("family", "exponent", "value"), rows)
+    write_csv(os.path.join(out, "norms.csv"), ("family", "exponent", "value"), rows)
     if cfg["output"]["dump_fields"]:
         dump_field_csv(rep.u, os.path.join(out, "u.csv"))
     return report
@@ -239,7 +223,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
             order = math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i])
             orders.append(order)
             rows[i][2] = repr(order)
-    _write_csv(os.path.join(out, "convergence.csv"), ("h", "error_inf", "order"), rows)
+    write_csv(os.path.join(out, "convergence.csv"), ("h", "error_inf", "order"), rows)
     report["results"] = {
         "resolutions": list(resolutions),
         "errors": errors,
@@ -260,19 +244,15 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
             title="manufactured-solution convergence",
             xlabel="h",
             ylabel="max error",
-            loglog=True,
         )
     return report
 
 
 def _bochner_cases(delta: float):
-    """Canonical refinement cases: (name, metric maker, field maker, weighted)."""
-
-    def flat_metric(_n):
-        return MetricSpec.euclidean()
-
-    def conf_metric(_n):
-        return MetricSpec.conformal(lambda coords: 0.1 * np.cos(2.0 * np.pi * coords[0]))
+    """Canonical refinement cases: (name, domain kind, metric, field maker,
+    weight exponent or None for the plain identity, least order)."""
+    flat_metric = MetricSpec.euclidean()
+    conf_metric = MetricSpec.conformal(lambda coords: 0.1 * np.cos(2.0 * np.pi * coords[0]))
 
     def u_flat(grid):
         mesh = grid.mesh()
@@ -290,11 +270,10 @@ def _bochner_cases(delta: float):
     ]
 
 
-def _refinement_rows(name, kind, metric_fn, field_fn, delta, resolutions):
+def _refinement_rows(kind, metric, field_fn, delta, resolutions):
     norms = []
     for n in resolutions:
-        domain = DomainSpec(kind=kind, dim=3, resolution=(n, n, 8))
-        grid = build_grid(domain, metric_fn(n))
+        grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(n, n, 8)), metric)
         u = field_fn(grid)
         if delta is None:
             res = bernstein.bochner_residual(u)
@@ -372,10 +351,8 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
     delta = cfg["experiment"]["delta"]
     rows = []
     results = {}
-    for name, kind, metric_fn, field_fn, case_delta, min_order in _bochner_cases(delta):
-        norms, slope = _refinement_rows(
-            name, kind, metric_fn, field_fn, case_delta, resolutions
-        )
+    for name, kind, metric, field_fn, case_delta, min_order in _bochner_cases(delta):
+        norms, slope = _refinement_rows(kind, metric, field_fn, case_delta, resolutions)
         results[name] = {"norms": norms, "order": slope, "min_order": min_order}
         for n, v in zip(resolutions, norms):
             rows.append((name, n, v))
@@ -391,7 +368,7 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
     report["results"] = results
     grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(16, 16, 8)), MetricSpec.euclidean())
     report["gates"] = estimates.gate_block(grid)
-    _write_csv(os.path.join(out, "refinement.csv"), ("case", "n", "residual_sup"), rows)
+    write_csv(os.path.join(out, "refinement.csv"), ("case", "n", "residual_sup"), rows)
     if cfg["output"]["plots"]:
         series = []
         for name in sorted(results):
@@ -410,7 +387,6 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
             title="identity residual refinement",
             xlabel="h",
             ylabel="sup residual",
-            loglog=True,
         )
     return report
 
@@ -517,7 +493,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
 
     report["results"] = {"audit": audit, "delta": delta, "samples": samples}
     report["gates"] = estimates.gate_block(grid)
-    _write_csv(
+    write_csv(
         os.path.join(out, "audit.csv"),
         ("name", "max_violation", "passed"),
         [(a["name"], a["max_violation"], a["passed"]) for a in audit],
@@ -527,14 +503,18 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
 
 def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     report = _report_skeleton(kind, seed)
-    grid = _build_grid(cfg)
+    grid = build_grid(cfg.domain, cfg.metric)
     prob_blk = cfg["problem"]
     exp = cfg["experiment"]
     gamma = prob_blk["gamma"]
     amplitudes = exp["amplitudes"]
 
     if kind == "thm1-sweep":
-        if exp["q"] is not None and exp["r"] is not None:
+        if (exp["q"] is None) != (exp["r"] is None):
+            raise ConfigError(
+                "thm1-sweep: set both [experiment] q and r, or neither to take them from p"
+            )
+        if exp["q"] is not None:
             q, r = exp["q"], exp["r"]
         else:
             expo = estimates.thm1_exponents(grid.dim, exp["p"])
@@ -559,17 +539,9 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
                 "assumption gate (~In2) violated: this sweep requires zero drift"
             )
         q = exp["q"] if exp["q"] is not None else 2.5
-        params = bernstein.maxreg_params(grid.dim, gamma, q, exp["delta"])
         src_kind = prob_blk["source_kind"] if prob_blk["source_kind"] != "none" else "bump"
         f0 = estimates.source_family(grid, src_kind, q)
-        spec = estimates.SweepSpec(
-            grid=grid,
-            gamma=gamma,
-            source=f0,
-            amplitudes=amplitudes,
-            q=q,
-            params=params,
-        )
+        spec = estimates.SweepSpec(grid=grid, gamma=gamma, source=f0, amplitudes=amplitudes, q=q)
         sweep = estimates.thm2_sweep(spec)
 
     if sweep.aborted:
@@ -588,7 +560,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
         "ratio_at_one": sweep.ratio_at_one,
         "K": sweep.K,
     }
-    _write_csv(
+    write_csv(
         os.path.join(out, "sweep.csv"),
         ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual", "peclet"),
         [
@@ -613,14 +585,13 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
             title=kind + " amplitude scaling",
             xlabel="amplitude t",
             ylabel="ratio",
-            loglog=True,
         )
     return report
 
 
 def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("constants", seed)
-    grid = _build_grid(cfg)
+    grid = build_grid(cfg.domain, cfg.metric)
     exp = cfg["experiment"]
     sigma = estimates.sobolev_constant_estimate(grid)
     fields_bl = [estimates.random_band_limited(grid, seed=seed + i) for i in range(50)]
@@ -670,7 +641,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
         ("phi_star", tools.phi_star),
         ("t_star", "none" if t_star is None else t_star),
     ]
-    _write_csv(os.path.join(out, "constants.csv"), ("name", "value"), rows)
+    write_csv(os.path.join(out, "constants.csv"), ("name", "value"), rows)
     return report
 
 
@@ -684,7 +655,7 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         raise ConfigError(
             "mfg: [problem] source_kind must be none: the game's source is the coupling V_eps(m)"
         )
-    grid = _build_grid(cfg)
+    grid = build_grid(cfg.domain, cfg.metric)
     blk = cfg["mfg"]
     shift = _build_shift(cfg, grid)
     spec = mfg_mod.MfgSpec(

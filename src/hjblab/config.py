@@ -5,7 +5,9 @@ starting with `#` or `;`.  Unknown sections or keys are rejected with
 their line number, as are duplicates and type errors.  Scalar standing
 assumptions are checked at parse time and violations are reported with
 the assumption label, e.g. (In1) for the gradient-growth gate and (D1)
-for a disc domain, which no subcommand runs.
+for a disc domain, which no subcommand runs.  The conformal metric has
+one spelling, `[domain] kind = conformal_torus`; the `[metric]` keys set
+its phi.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ _SCHEMAS = {
         "resolution": "ints",
     },
     "metric": {
-        "kind": "str",
         "phi_amplitude": "float",
         "phi_axis": "int",
         "phi_frequency": "int",
@@ -77,7 +78,6 @@ _DEFAULTS = {
         "resolution": (16,),
     },
     "metric": {
-        "kind": "euclidean",
         "phi_amplitude": 0.1,
         "phi_axis": 1,
         "phi_frequency": 1,
@@ -121,7 +121,6 @@ _DEFAULTS = {
 
 _ENUMS = {
     ("domain", "kind"): ("box", "torus", "conformal_torus"),
-    ("metric", "kind"): ("euclidean", "conformal"),
     ("problem", "drift_kind"): ("none", "shear"),
     ("problem", "shift_kind"): ("none", "mode"),
     ("problem", "source_kind"): ("none", "mode", "bump", "power"),
@@ -273,7 +272,7 @@ def _build(sections: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError("domain block: " + str(exc)) from None
-    if met["kind"] == "conformal" or domain.kind == "conformal_torus":
+    if domain.kind == "conformal_torus":
         amp = met["phi_amplitude"]
         axis = met["phi_axis"]
         freq = met["phi_frequency"]

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernstein import MaxRegParams, maxreg_params
+from .bernstein import maxreg_params
 from .fields import (
     ScalarField,
     VectorField,
@@ -83,7 +83,6 @@ class SweepSpec:
     amplitudes: tuple
     q: float
     r: Optional[float] = None               # gradient exponent (first sweep kind)
-    params: Optional[MaxRegParams] = None   # exponent set (second sweep kind)
     drift: Optional[VectorField] = None
     drift_s: Optional[float] = None         # integrability exponent of the drift bound
     drift_theta: Optional[float] = None     # declared bound for ||B||_{L^s}
@@ -279,12 +278,14 @@ def thm1_sweep(spec: SweepSpec) -> ScalingReport:
 
 
 def thm2_sweep(spec: SweepSpec) -> ScalingReport:
-    """Amplitude sweep of Laplacian + gradient-power norms in L^q."""
+    """Amplitude sweep of Laplacian + gradient-power norms in L^q.
+
+    Rejects the request unless (d, gamma, q) pass the integrability gate of
+    `maxreg_params`; delta does not enter that gate.
+    """
     if spec.drift is not None:
         raise ValueError("maximal-integrability sweeps require zero drift")
-    params = spec.params or maxreg_params(spec.grid.dim, spec.gamma, spec.q, 0.1)
-    if abs(params.q - spec.q) > 1e-12 or abs(params.gamma - spec.gamma) > 1e-12:
-        raise ValueError("exponent set disagrees with the sweep parameters")
+    maxreg_params(spec.grid.dim, spec.gamma, spec.q, 0.1)
     return _run_sweep(spec, "maximal-integrability")
 
 
@@ -292,17 +293,12 @@ def thm2_sweep(spec: SweepSpec) -> ScalingReport:
 # base source profiles
 
 
-def source_family(
-    grid: Grid,
-    kind: str,
-    q_norm: float,
-    power_exponent: Optional[float] = None,
-) -> ScalarField:
+def source_family(grid: Grid, kind: str, q_norm: float) -> ScalarField:
     """Smooth base profiles f0, normalized to unit L^q norm.
 
     kind 'mode': single cosine mode; 'bump': concentrated periodic bump;
-    'power': mollified inverse-power spike min(A, |x-x0|^{-d/q~}) probing
-    unbounded data at desk scale.
+    'power': mollified inverse-power spike min(A, |x-x0|^{-d/q~}) with
+    q~ = 1.1 q, probing unbounded data at desk scale.
     """
     mesh = grid.mesh()
     Ls = grid.domain.extents
@@ -313,7 +309,7 @@ def source_family(
         for x, L in zip(mesh, Ls):
             vals = vals * np.exp(8.0 * (np.cos(2.0 * np.pi * (x - 0.5 * L) / L) - 1.0))
     elif kind == "power":
-        qt = power_exponent if power_exponent is not None else q_norm * 1.1
+        qt = q_norm * 1.1
         d = grid.dim
         dist_sq = np.zeros(grid.shape)
         for x, L in zip(mesh, Ls):

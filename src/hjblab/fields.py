@@ -26,8 +26,9 @@ covariant slot).
 Boundary closures here never assume a boundary condition; solvers impose
 Neumann conditions through their own mirrored operators.
 
-Norms are plain floats (`lq_norm`); fields are written out as CSV node
-tables (`dump_field_csv`).
+Norms are plain floats (`lq_norm`).  Every CSV the package writes, a
+field's node table (`dump_field_csv`) or a report's table, goes through
+`write_csv`: LF line ends, and floats as repr, so they read back exactly.
 """
 
 from __future__ import annotations
@@ -252,6 +253,15 @@ def lq_norm(field, q: float) -> float:
 # dumps
 
 
+def write_csv(path: str, header, rows) -> None:
+    """A header line, then one line per row; floats are written with repr,
+    everything else with str, and every line ends with LF."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def dump_field_csv(field, path: str) -> None:
     """Node table: index, cartesian coordinates, value components."""
     g = field.grid
@@ -270,15 +280,10 @@ def dump_field_csv(field, path: str) -> None:
         pairs = [(a, b) for a in range(d) for b in range(a, d)]
         comps = np.stack([vals[a, b].reshape(-1) for a, b in pairs])
         headers = [f"t{a+1}{b+1}" for a, b in pairs]
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["node"] + [f"x{i+1}" for i in range(ncoord)] + headers)
-        for i in range(comps.shape[1]):
-            w.writerow(
-                [i]
-                + [repr(float(flat_coords[c, i])) for c in range(ncoord)]
-                + [repr(float(comps[c, i])) for c in range(comps.shape[0])]
-            )
+    table = np.concatenate([flat_coords, comps]).T.tolist()  # Python floats, one list per node
+    write_csv(
+        path,
+        ["node"] + [f"x{i+1}" for i in range(ncoord)] + headers,
+        ([i] + row for i, row in enumerate(table)),
+    )
 

@@ -5,6 +5,12 @@ conformal metric g = e^{2 phi} * id with smooth periodic phi), and a polar
 disc used for boundary-curvature experiments.  Grids are vertex-centered
 tensor lattices; quadrature weights realize the Riemannian volume measure
 so that sum(weights) reproduces vol(Omega, g).
+
+`Grid.partial` applies the first-derivative matrix of `stencils`, whose
+cache every grid with the same axis length and spacing shares.  A grid's
+own cache holds what belongs to it alone: its conformal factors, the
+lattice gradient of phi (read by the Hessian, the Laplacian and the
+curvature alike) and the operators that `hjb` and `mfg` build on first use.
 """
 
 from __future__ import annotations
@@ -130,18 +136,10 @@ class Grid:
         r, th = self.mesh()
         return np.stack([r * np.cos(th), r * np.sin(th)])
 
-    def bc(self, axis: int) -> str:
-        return "periodic" if self.periodic[axis] else "onesided"
-
-    def d1(self, axis: int):
-        key = ("d1", axis)
-        if key not in self._cache:
-            self._cache[key] = d1_matrix(self.shape[axis], self.spacings[axis], self.bc(axis))
-        return self._cache[key]
-
     def partial(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Euclidean/lattice partial derivative of a nodal array."""
-        return apply_along_axis(self.d1(axis), values, axis)
+        bc = "periodic" if self.periodic[axis] else "onesided"
+        return apply_along_axis(d1_matrix(self.shape[axis], self.spacings[axis], bc), values, axis)
 
     # -- conformal helpers -------------------------------------------------
     @property
@@ -301,7 +299,8 @@ def conformal_ricci(grid: Grid) -> np.ndarray:
     """Covariant Ricci components of g = e^{2 phi} id in lattice coordinates.
 
     Ric = -(d-2)(Hess phi - dphi x dphi) - (Lap phi + (d-2)|dphi|^2) id,
-    with all derivatives Euclidean.  Constant shifts of phi drop out, and
+    with all derivatives Euclidean and dphi the grid's cached
+    `phi_gradient`.  Constant shifts of phi drop out, and
     `ricci_lower_bound` normalizes eigenvalues in the mean-zero gauge, so
     reported curvature bounds are invariant under them.
     """
@@ -311,8 +310,7 @@ def conformal_ricci(grid: Grid) -> np.ndarray:
     shape = grid.shape
     if grid.phi is None:
         return np.zeros((d, d) + shape)
-    phi = grid.phi
-    dphi = np.stack([grid.partial(phi, a) for a in range(d)])
+    dphi = grid.phi_gradient()
     hess = np.empty((d, d) + shape)
     for a in range(d):
         for b in range(a, d):

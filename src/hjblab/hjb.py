@@ -38,7 +38,9 @@ exhausted, a linear solve fails, or the line search reaches its
 backtracking floor.
 
 On flat grids a Krylov step allocates no field-sized array and moves no
-axis: R writes into the next basis row and M into a given array.  The
+axis: R writes into the next basis row and M into a given array.  On
+conformal tori R allocates none either; there each Newton step forms the
+Jacobian's first-order coefficient once, and M's mean shift allocates.  The
 residual and the transport coefficient write into arrays each solve
 allocates once, and every operator keeps its temporaries in the work
 arrays of the grid's operators (`_Ops.work`).  What leaves the solver is
@@ -184,10 +186,11 @@ class _Ops:
     copy of the input per spacing.  Every method writes into `out` when
     given one and into a fresh array otherwise.  Its temporaries are the
     field-sized work arrays `work(0)` to `work(2)`, allocated once per grid,
-    so a call with `out` on a flat grid allocates nothing.  Those hold
-    nothing between calls: no result that leaves a method lives there, and
-    no method calls another while it holds one.  Conformal tori add their
-    metric terms with fresh temporaries.
+    so a call with `out` on a flat grid allocates nothing, and neither does
+    an R apply on a conformal torus.  Those hold nothing between calls: no
+    result that leaves a method lives there, and no method calls another
+    while it holds one.  The residual's metric terms on conformal tori use
+    fresh temporaries.
     """
 
     def __init__(self, grid: Grid):
@@ -260,33 +263,36 @@ class _Ops:
             out += np.multiply(a[i], b[i], out=part)
         return out
 
-    def jacobian_rest(self, vals: np.ndarray, coeff: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """R vals = (-Lap_g + coeff . D) vals + Lap_flat vals.
+    def jacobian_rest(self, vals: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """R vals = (-Lap_g + a . D) vals + Lap_flat vals, for the Jacobian
+        with transport coefficient a, given its first-order coefficient b.
 
-        On flat grids this is the transport term coeff . D vals, summed axis
-        by axis in the order of np.sum(coeff * dvals, axis=0), each D_a vals
-        taken from one scaled copy of vals.  It is written into out, in a
-        Krylov step the next basis row, with the scaled copy and each
-        coeff_a D_a vals in work(0) and work(1), so on flat grids it
-        allocates nothing; without out the result is a fresh array.  On
-        conformal tori it adds (1 - e^{-2 phi}) Lap_flat vals and the
-        metric's first-order term, for one flat Laplacian in all.
+        On flat grids b = a, and R vals is the transport term b . D vals,
+        summed axis by axis in the order of np.sum(b * dvals, axis=0), each
+        D_a vals taken from one scaled copy of vals.  On conformal tori
+        b = a - conformal_drift = a - (d - 2) e^{-2 phi} grad phi, the
+        metric's own first-order term folded in, and R adds
+        (1 - e^{-2 phi}) Lap_flat vals, for one flat Laplacian in all.  The
+        result is written into out, in a Krylov step the next basis row,
+        with the scaled copy and each b_a D_a vals in work(0) and work(1)
+        and the metric Laplacian in work(2), so a call with out allocates
+        nothing; without out the result is a fresh array.
         """
         if out is None:
             out = np.empty(vals.shape)
-        if not self.grid.is_flat:
-            coeff = coeff - self.conformal_drift
         part = self.work(1)
         for a, sx in self._scaled(vals, self.s1):
             if a == 0:
                 d1_rows(sx, a, self.periodic[a], out)
-                out *= coeff[0]
+                out *= b[0]
             else:
                 d1_rows(sx, a, self.periodic[a], part)
-                part *= coeff[a]
+                part *= b[a]
                 out += part
         if not self.grid.is_flat:
-            out += self.conformal_lap * self.lap_flat(vals)
+            lap = self.lap_flat(vals, self.work(2))
+            lap *= self.conformal_lap
+            out += lap
         return out
 
     def adjoint_rest(self, m: np.ndarray, coeff: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -743,6 +749,8 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     u_next = np.empty(grid.shape)
     res_next = np.empty(grid.shape)
     coeff_buf = np.empty(grad_shape)
+    # the Jacobian's first-order coefficient b: a itself on flat grids
+    b = coeff_buf if grid.is_flat else np.empty(grad_shape)
     lam = 0.0
     message = ""
 
@@ -761,12 +769,14 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     coeff = None
     while not converged and iters < cfg.max_iter:
         coeff = transport_coefficient(spec, uvals, dvals, coeff_buf)
+        if not grid.is_flat:
+            np.subtract(coeff, ops.conformal_drift, out=b)
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         # Kelley's safeguard: no tighter than the Newton stop needs
         rtol = max(rtol, min(0.5, 0.5 * cfg.residual_tol / res_norm))
         delta_u, delta_lam, info = bordered_solve(
             grid,
-            lambda v, out: ops.jacobian_rest(v, coeff, out),
+            lambda v, out: ops.jacobian_rest(v, b, out),
             inv,
             np.negative(res, out=res_next),
             -float(np.sum(np.multiply(grid.weights, uvals, out=ops.work(0)))),

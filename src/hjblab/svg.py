@@ -1,8 +1,8 @@
 """Minimal self-contained SVG line/scatter plots (no plotting dependency).
 
 Deterministic text output: fixed canvas, fixed precision, data-ordered
-elements.  Supports linear and log-log axes, multiple labeled series
-with markers, and simple tick labeling.
+elements.  Log-log axes with decade ticks, multiple labeled series with
+markers.
 """
 
 from __future__ import annotations
@@ -19,31 +19,8 @@ def _fmt(x: float) -> str:
 
 
 def _tick_label(v: float) -> str:
-    if v == 0:
-        return "0"
-    a = abs(v)
-    if 1e-3 <= a < 1e4:
-        s = format(v, ".6g")
-        return s
-    return format(v, ".1e")
-
-
-def _nice_ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / max(n, 1)))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
-    return ticks
+    """Label of a decade tick, v > 0."""
+    return format(v, ".6g") if 1e-3 <= v < 1e4 else format(v, ".1e")
 
 
 def _log_ticks(lo: float, hi: float):
@@ -58,25 +35,14 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    loglog: bool = False,
 ) -> None:
-    """Write an SVG plot; series is a list of (label, xs, ys) triples."""
-    pts = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if not loglog or (x > 0 and y > 0)
-    ]
+    """Write a log-log SVG plot; series is a list of (label, xs, ys)
+    triples, and points with a nonpositive coordinate are left out."""
+    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if x > 0 and y > 0]
     if not pts:
         pts = [(1.0, 1.0)]
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    if loglog:
-        tx = lambda v: math.log10(v)  # noqa: E731
-    else:
-        tx = lambda v: v  # noqa: E731
-    x_lo, x_hi = min(map(tx, xs_all)), max(map(tx, xs_all))
-    y_lo, y_hi = min(map(tx, ys_all)), max(map(tx, ys_all))
+    x_lo, x_hi = min(math.log10(p[0]) for p in pts), max(math.log10(p[0]) for p in pts)
+    y_lo, y_hi = min(math.log10(p[1]) for p in pts), max(math.log10(p[1]) for p in pts)
     if x_hi - x_lo < 1e-12:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi - y_lo < 1e-12:
@@ -89,10 +55,10 @@ def line_plot(
     plot_h = _HEIGHT - _MT - _MB
 
     def sx(v):
-        return _ML + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
+        return _ML + (math.log10(v) - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(v):
-        return _MT + plot_h - (tx(v) - y_lo) / (y_hi - y_lo) * plot_h
+        return _MT + plot_h - (math.log10(v) - y_lo) / (y_hi - y_lo) * plot_h
 
     out = []
     out.append(
@@ -127,12 +93,8 @@ def line_plot(
             + "</text>"
         )
 
-    if loglog:
-        xticks = _log_ticks(10.0**x_lo, 10.0**x_hi)
-        yticks = _log_ticks(10.0**y_lo, 10.0**y_hi)
-    else:
-        xticks = _nice_ticks(x_lo, x_hi)
-        yticks = _nice_ticks(y_lo, y_hi)
+    xticks = _log_ticks(10.0**x_lo, 10.0**x_hi)
+    yticks = _log_ticks(10.0**y_lo, 10.0**y_hi)
     for t in xticks:
         px = sx(t)
         out.append(
@@ -201,11 +163,7 @@ def line_plot(
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        coords = [
-            (sx(x), sy(y))
-            for x, y in zip(xs, ys)
-            if not loglog or (x > 0 and y > 0)
-        ]
+        coords = [(sx(x), sy(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
         if len(coords) >= 2:
             pts_attr = " ".join(_fmt(px) + "," + _fmt(py) for px, py in coords)
             out.append(

@@ -447,6 +447,23 @@ def test_default_prefactor_admits_no_crossing_time():
         tools.k_star(grad_l1=1.0)
 
 
+def test_no_search_runs_when_the_prefactor_rules_out_a_crossing(monkeypatch):
+    # zeta(t) = C (t + t^a + t^b) > t for C >= 1, so t* is None in closed form
+    calls = []
+    zeta = ContinuityTools.zeta
+
+    def spy(self, t):
+        calls.append(1)
+        return zeta(self, t)
+
+    monkeypatch.setattr(ContinuityTools, "zeta", spy)
+    for C in (1.0, 2.5):
+        assert continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.5, C=C).t_star() is None
+    assert calls == []
+    assert continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.05, C=0.1).t_star() is not None
+    assert calls
+
+
 def test_small_prefactor_admits_a_crossing_time():
     tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.05, C=0.1)
     t = tools.t_star()

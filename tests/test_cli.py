@@ -52,6 +52,7 @@ def test_defaults_parse_and_build():
         ("[problem]\nergodic = true\n", "unknown key 'ergodic'"),
         ("[mfg]\ntau = 0.5\n", "unknown key 'tau'"),
         ("[domain]\nradius = 1.0\n", "unknown key 'radius'"),
+        ("[metric]\nkind = conformal\n", "unknown key 'kind' in \\[metric\\]"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
@@ -138,10 +139,25 @@ def test_disc_solves_cite_the_convexity_gate(tmp_path, capsys):
 
 @pytest.mark.parametrize("subcommand", ["solve", "ergodic", "thm1-sweep", "thm2-sweep"])
 def test_conformal_box_solves_are_rejected(tmp_path, capsys, subcommand):
+    # the conformal metric has one spelling, [domain] kind = conformal_torus,
+    # so a conformal box cannot be requested at all
     cfg = write(tmp_path, "cbox.ini", "[domain]\nkind = box\n[metric]\nkind = conformal\n")
-    rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main([subcommand, "--config", cfg, "--out", str(out)])
     assert rc == 2
-    assert "rejected: conformal solving is supported on tori only" in capsys.readouterr().err
+    assert "rejected: line 4: unknown key 'kind' in [metric]" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("given", ["q = 3.0", "r = 18.0"])
+def test_gradient_sweep_rejects_a_lone_exponent(tmp_path, capsys, given):
+    # q and r come as a pair, or both from p; a lone one is not dropped silently
+    cfg = write(tmp_path, "lone.ini", "[domain]\ndim = 3\nresolution = 12\n[experiment]\n" + given + "\n")
+    out = tmp_path / "out"
+    assert main(["thm1-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[experiment] q and r" in err, err
+    assert not (out / "report.json").exists()
 
 
 def test_drifted_maximal_sweep_is_rejected_at_dispatch(tmp_path, capsys):
@@ -240,6 +256,23 @@ def test_game_subcommand_reports_and_dumps_fields(tmp_path):
     assert abs(report["results"]["mass"] - 1.0) <= 1e-10
     assert report["results"]["min_density"] > 0.0
     assert (out / "u.csv").exists() and (out / "m.csv").exists()
+
+
+def test_dumped_fields_end_lines_like_every_other_table(tmp_path):
+    # one CSV writer for fields and report tables alike: LF line ends only
+    cfg = write(
+        tmp_path,
+        "mfg.ini",
+        "[domain]\nkind = torus\ndim = 2\nresolution = 16\n"
+        "[problem]\nshift_kind = mode\nshift_amplitude = 0.3\n"
+        "[output]\ndump_fields = true\n",
+    )
+    out = tmp_path / "out"
+    assert main(["mfg", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("u.csv", "m.csv"):
+        data = (out / name).read_bytes()
+        assert data.startswith(b"node,x1,x2,value\n0,0.0,0.0,") and b"\r" not in data, name
+        assert data.count(b"\n") == 1 + 16 * 16, name
 
 
 def test_game_subcommand_dumps_no_fields_by_default(tmp_path):

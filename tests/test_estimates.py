@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjblab import hjb
-from hjblab.bernstein import maxreg_params
 from hjblab.estimates import (
     SweepSpec,
     cz_ratio,
@@ -246,14 +245,6 @@ def test_maximal_integrability_gate_rejects_small_data_exponents():
     f0 = source_family(g, "mode", 1.5)
     with pytest.raises(ValueError, match="integrability gate"):
         thm2_sweep(SweepSpec(g, 3.0, f0, (1.0,), q=1.5))
-
-
-def test_maximal_integrability_rejects_mismatched_exponent_sets():
-    g = torus(8)
-    f0 = source_family(g, "mode", 2.5)
-    params = maxreg_params(3, 3.0, 3.0, 0.1)
-    with pytest.raises(ValueError, match="disagrees"):
-        thm2_sweep(SweepSpec(g, 3.0, f0, (1.0,), q=2.5, params=params))
 
 
 # ---------------------------------------------------------------------------

@@ -331,11 +331,11 @@ def _advected_case(grid, peclet=None):
     return apply_fn, calls, rng.normal(size=grid.shape), 0.3
 
 
-def _conformal_torus():
+def _conformal_torus(n=8):
     phi = MetricSpec.conformal(
         lambda coords: 0.1 * np.cos(TWO_PI * coords[0]) + 0.05 * np.sin(TWO_PI * (coords[1] + coords[2]))
     )
-    return build_grid(DomainSpec(kind="torus", dim=3, resolution=(8,)), phi)
+    return build_grid(DomainSpec(kind="torus", dim=3, resolution=(n,)), phi)
 
 
 _GRIDS = {
@@ -470,11 +470,13 @@ def test_preconditioned_step_equals_the_full_bordered_operator(kind):
     v = rng.normal(size=grid.shape)
     vc = float(rng.normal())
     x, mu = inv.solve(v, vc)
-    pairs = [(ops.jacobian_rest, _full_jacobian)]
+    # R takes the Jacobian's first-order coefficient, the oracle the transport coefficient
+    b = coeff if grid.is_flat else coeff - ops.conformal_drift
+    pairs = [(ops.jacobian_rest, b, _full_jacobian)]
     if grid.is_flat:
-        pairs.append((ops.adjoint_rest, _full_density_operator))
-    for rest, full in pairs:
-        step = np.concatenate([(v + rest(x, coeff)).reshape(-1), [vc]])
+        pairs.append((ops.adjoint_rest, coeff, _full_density_operator))
+    for rest, rest_coeff, full in pairs:
+        step = np.concatenate([(v + rest(x, rest_coeff)).reshape(-1), [vc]])
         want = np.concatenate([(full(ops, x, coeff) + mu).reshape(-1), [np.sum(grid.weights * x)]])
         assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want), rest.__name__
 
@@ -831,6 +833,26 @@ def test_flat_hot_path_allocates_less_than_one_field(kind):
         finally:
             tracemalloc.stop()
         assert peak < u.nbytes, (name, peak)
+
+
+def test_conformal_r_apply_allocates_less_than_one_field():
+    # R takes the Jacobian's first-order coefficient b, which the solve forms
+    # once per Newton step, and forms its metric Laplacian in a work array
+    grid = _conformal_torus(16)
+    ops = hjb._ops_for(grid)
+    rng = np.random.default_rng(29)
+    u = rng.normal(size=grid.shape)
+    b = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), u) - ops.conformal_drift
+    row = np.empty(u.size + 1)
+    field = row[:-1].reshape(grid.shape)
+    ops.jacobian_rest(u, b, field)
+    tracemalloc.start()
+    try:
+        ops.jacobian_rest(u, b, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes, peak
 
 
 def test_a_second_solve_leaves_the_first_reports_arrays_unchanged():

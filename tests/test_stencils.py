@@ -108,7 +108,8 @@ def test_solver_operators_equal_their_matrix_forms_bit_for_bit(kind):
     mats = _matrices(grid)
     assert _bitwise_equal(ops.grad(x), _stacked_gradient(grid, x))
     assert _bitwise_equal(ops.lap_flat(x), _matrix_laplacian(grid, x))
-    # R = coeff . D on flat grids, summed axis by axis
+    # R = b . D on flat grids, summed axis by axis; the Jacobian's
+    # first-order coefficient b is coeff itself there
     c = coeff if grid.is_flat else coeff - ops.conformal_drift
     want = c[0] * apply_along_axis(mats[0][0], x, 0)
     for a in range(1, len(mats)):
@@ -116,7 +117,7 @@ def test_solver_operators_equal_their_matrix_forms_bit_for_bit(kind):
     if not grid.is_flat:
         want += ops.conformal_lap * _matrix_laplacian(grid, x)
     row = np.empty(x.size + 1)  # a Krylov basis row: the node values, then the multiplier
-    got = ops.jacobian_rest(x, coeff, row[:-1].reshape(grid.shape))
+    got = ops.jacobian_rest(x, c, row[:-1].reshape(grid.shape))
     assert np.shares_memory(got, row)
     assert _bitwise_equal(got, want)
     if grid.is_flat:
