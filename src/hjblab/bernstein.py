@@ -174,10 +174,11 @@ def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
 
 def _bochner_terms(u: ScalarField):
     """grad u, w, Hess u and the three terms both identities set against a
-    Laplacian: g(grad(Lap u), grad u), |Hess u|^2 and Ric(grad u, grad u)."""
+    Laplacian: g(grad(Lap u), grad u), |Hess u|^2 and Ric(grad u, grad u).
+    w is `energy_density(u)`, taken from the gradient already held."""
     grid = u.grid
     gradu = gradient(u)
-    w = energy_density(u)
+    w = ScalarField(grid, 0.5 * pointwise_norm(gradu) ** 2)
     hess = hessian(u)
     glap = gradient(_metric_trace(hess))
     scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
@@ -185,6 +186,24 @@ def _bochner_terms(u: ScalarField):
     hsq = pointwise_norm(hess) ** 2
     ric = _ricci_quadratic(grid, gradu.values)
     return gradu, w, hess, inner, hsq, ric
+
+
+def _plain_defect(grid: Grid, terms) -> ScalarField:
+    _, w, _, inner, hsq, ric = terms
+    return ScalarField(grid, laplace_beltrami(w).values - inner - hsq - ric)
+
+
+def _weighted_defect(grid: Grid, terms, delta: float) -> ScalarField:
+    h, h1, h2 = _h_triple(delta)
+    gradu, w, hess, inner, hsq, ric = terms
+    lapz = laplace_beltrami(ScalarField(grid, h(w.values)))
+    # |Hess u (grad u)|^2 in the metric, from covariant Hessian and
+    # contravariant gradient components
+    cvec = np.einsum("ij...,j...->i...", hess.values, gradu.values)
+    scale_m2 = 1.0 if grid.is_flat else grid.conformal_factor(-2.0)
+    nub = scale_m2 * np.sum(cvec**2, axis=0)
+    vals = lapz.values - h1(w.values) * (inner + hsq + ric) - h2(w.values) * nub
+    return ScalarField(grid, vals)
 
 
 def bochner_residual(u: ScalarField) -> ScalarField:
@@ -195,8 +214,7 @@ def bochner_residual(u: ScalarField) -> ScalarField:
     affine and quadratic u on flat grids; O(h) or better under refinement
     otherwise.
     """
-    _, w, _, inner, hsq, ric = _bochner_terms(u)
-    return ScalarField(u.grid, laplace_beltrami(w).values - inner - hsq - ric)
+    return _plain_defect(u.grid, _bochner_terms(u))
 
 
 def weighted_bochner_residual(u: ScalarField, delta: float) -> ScalarField:
@@ -211,17 +229,14 @@ def weighted_bochner_residual(u: ScalarField, delta: float) -> ScalarField:
     (`_bochner_terms`), so the two residuals share every operation but the
     profile's.
     """
-    h, h1, h2 = _h_triple(delta)
-    grid = u.grid
-    gradu, w, hess, inner, hsq, ric = _bochner_terms(u)
-    lapz = laplace_beltrami(ScalarField(grid, h(w.values)))
-    # |Hess u (grad u)|^2 in the metric, from covariant Hessian and
-    # contravariant gradient components
-    cvec = np.einsum("ij...,j...->i...", hess.values, gradu.values)
-    scale_m2 = 1.0 if grid.is_flat else grid.conformal_factor(-2.0)
-    nub = scale_m2 * np.sum(cvec**2, axis=0)
-    vals = lapz.values - h1(w.values) * (inner + hsq + ric) - h2(w.values) * nub
-    return ScalarField(grid, vals)
+    return _weighted_defect(u.grid, _bochner_terms(u), delta)
+
+
+def bochner_residuals(u: ScalarField, delta: float) -> tuple:
+    """(bochner_residual(u), weighted_bochner_residual(u, delta)) bit for
+    bit, from one set of shared terms."""
+    terms = _bochner_terms(u)
+    return _plain_defect(u.grid, terms), _weighted_defect(u.grid, terms, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,10 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
     return report
 
 
-def _bochner_cases(delta: float):
-    """Canonical refinement cases: (name, domain kind, metric, field maker,
-    weight exponent or None for the plain identity, least order)."""
+def _bochner_cases():
+    """Canonical refinement cases: (name prefix, domain kind, metric, field
+    maker, least order).  Each case audits the plain and the weighted
+    identity on the same fields."""
     flat_metric = MetricSpec.euclidean()
     conf_metric = MetricSpec.conformal(lambda coords: 0.1 * np.cos(2.0 * np.pi * coords[0]))
 
@@ -263,29 +264,22 @@ def _bochner_cases(delta: float):
         return ScalarField(grid, np.sin(2.0 * np.pi * mesh[1]))
 
     return [
-        ("flat_plain", "torus", flat_metric, u_flat, None, 1.5),
-        ("flat_weighted", "torus", flat_metric, u_flat, delta, 1.5),
-        ("conformal_plain", "conformal_torus", conf_metric, u_conf, None, 0.9),
-        ("conformal_weighted", "conformal_torus", conf_metric, u_conf, delta, 0.9),
+        ("flat", "torus", flat_metric, u_flat, 1.5),
+        ("conformal", "conformal_torus", conf_metric, u_conf, 0.9),
     ]
 
 
-def _refinement_rows(kind, metric, field_fn, delta, resolutions):
-    norms = []
+def _refinement_norms(kind, metric, field_fn, delta, resolutions):
+    """Sup norms of the plain and of the weighted residual at each
+    resolution.  Both come from one grid, one field and one set of terms
+    per resolution."""
+    plain, weighted = [], []
     for n in resolutions:
         grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(n, n, 8)), metric)
-        u = field_fn(grid)
-        if delta is None:
-            res = bernstein.bochner_residual(u)
-        else:
-            res = bernstein.weighted_bochner_residual(u, delta)
-        norms.append(float(np.max(np.abs(res.values))))
-    slope = 0.0
-    if len(norms) >= 2 and norms[-1] > 0 and norms[-2] > 0:
-        slope = math.log(norms[-2] / norms[-1]) / math.log(
-            resolutions[-1] / resolutions[-2]
-        )
-    return norms, slope
+        res_plain, res_weighted = bernstein.bochner_residuals(field_fn(grid), delta)
+        plain.append(float(np.max(np.abs(res_plain.values))))
+        weighted.append(float(np.max(np.abs(res_weighted.values))))
+    return plain, weighted
 
 
 def interior_mask(grid, margin: int = 3) -> np.ndarray:
@@ -335,12 +329,8 @@ def _exactness_checks() -> list:
     u = ScalarField(
         tgrid, 0.1 * np.cos(2.0 * np.pi * mesh[0]) * np.sin(2.0 * np.pi * mesh[1])
     )
-    diff = np.max(
-        np.abs(
-            bernstein.weighted_bochner_residual(u, 1.0).values
-            - bernstein.bochner_residual(u).values
-        )
-    )
+    plain, affine = bernstein.bochner_residuals(u, 1.0)
+    diff = np.max(np.abs(affine.values - plain.values))
     checks.append(("affine_limit_matches_plain", float(diff), float(diff) <= 1e-12))
     return checks
 
@@ -351,13 +341,19 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
     delta = cfg["experiment"]["delta"]
     rows = []
     results = {}
-    for name, kind, metric, field_fn, case_delta, min_order in _bochner_cases(delta):
-        norms, slope = _refinement_rows(kind, metric, field_fn, case_delta, resolutions)
-        results[name] = {"norms": norms, "order": slope, "min_order": min_order}
-        for n, v in zip(resolutions, norms):
-            rows.append((name, n, v))
-        if slope < min_order:
-            _fail(report, name + " refinement order " + repr(slope) + " below " + repr(min_order))
+    for prefix, kind, metric, field_fn, min_order in _bochner_cases():
+        pair = _refinement_norms(kind, metric, field_fn, delta, resolutions)
+        for name, norms in zip((prefix + "_plain", prefix + "_weighted"), pair):
+            slope = 0.0
+            if len(norms) >= 2 and norms[-1] > 0 and norms[-2] > 0:
+                slope = math.log(norms[-2] / norms[-1]) / math.log(
+                    resolutions[-1] / resolutions[-2]
+                )
+            results[name] = {"norms": norms, "order": slope, "min_order": min_order}
+            for n, v in zip(resolutions, norms):
+                rows.append((name, n, v))
+            if slope < min_order:
+                _fail(report, name + " refinement order " + repr(slope) + " below " + repr(min_order))
     exact = _exactness_checks()
     results["exactness"] = [
         {"name": n, "value": v, "passed": ok} for n, v, ok in exact

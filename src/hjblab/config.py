@@ -7,7 +7,7 @@ assumptions are checked at parse time and violations are reported with
 the assumption label, e.g. (In1) for the gradient-growth gate and (D1)
 for a disc domain, which no subcommand runs.  The conformal metric has
 one spelling, `[domain] kind = conformal_torus`; the `[metric]` keys set
-its phi.
+its phi, and setting one on any other domain is rejected.
 """
 
 from __future__ import annotations
@@ -214,10 +214,10 @@ def parse_config(text: str) -> RunConfig:
                 + ", ".join(enum)
             )
         sections[current][key] = value
-    return _build(sections)
+    return _build(sections, seen)
 
 
-def _build(sections: dict) -> RunConfig:
+def _build(sections: dict, seen: set) -> RunConfig:
     dom = sections["domain"]
     met = sections["metric"]
     prob = sections["problem"]
@@ -288,6 +288,12 @@ def _build(sections: dict) -> RunConfig:
 
         metric = MetricSpec.conformal(phi)
     else:
+        for key in _SCHEMAS["metric"]:
+            if ("metric", key) in seen:
+                raise ConfigError(
+                    "[metric] " + key + " must be unset: [domain] kind = " + domain.kind
+                    + " carries no conformal factor (only conformal_torus does)"
+                )
         metric = MetricSpec.euclidean()
 
     if prob["drift_kind"] != "none":

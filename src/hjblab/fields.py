@@ -1,10 +1,11 @@
 """Nodal fields and metric-aware discrete calculus.
 
 Derivative conventions.  First derivatives are second-order centered
-stencils (one-sided second-order rows on non-periodic axes); pure second
-derivatives are compositions of two first-derivative applications.  The
-composition choice is what makes three structural identities hold to
-round-off rather than to O(h^2):
+stencils (one-sided second-order rows on non-periodic axes), taken by
+`Grid.partial` with the row kernel `stencils.apply_along_axis`; pure
+second derivatives are compositions of two first-derivative
+applications.  The composition choice is what makes three structural
+identities hold to round-off rather than to O(h^2):
 
   * laplacian == metric trace of the Hessian, node-wise and bit for bit:
     `laplace_beltrami` builds only the diagonal entries, in the operation

@@ -6,11 +6,12 @@ disc used for boundary-curvature experiments.  Grids are vertex-centered
 tensor lattices; quadrature weights realize the Riemannian volume measure
 so that sum(weights) reproduces vol(Omega, g).
 
-`Grid.partial` applies the first-derivative matrix of `stencils`, whose
-cache every grid with the same axis length and spacing shares.  A grid's
-own cache holds what belongs to it alone: its conformal factors, the
-lattice gradient of phi (read by the Hessian, the Laplacian and the
-curvature alike) and the operators that `hjb` and `mfg` build on first use.
+`Grid.partial` takes first derivatives with `stencils.apply_along_axis`:
+periodic rows on periodic axes, one-sided end rows on the others.  It
+keeps nothing between calls.  A grid's cache holds what belongs to it
+alone: its conformal factors, the lattice gradient of phi (read by the
+Hessian, the Laplacian and the curvature alike) and the operators that
+`hjb` and `mfg` build on first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .stencils import apply_along_axis, d1_matrix
+from .stencils import apply_along_axis
 
 DOMAIN_KINDS = ("box", "torus", "conformal_torus", "disc")
 METRIC_KINDS = ("euclidean", "conformal")
@@ -138,8 +139,7 @@ class Grid:
 
     def partial(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Euclidean/lattice partial derivative of a nodal array."""
-        bc = "periodic" if self.periodic[axis] else "onesided"
-        return apply_along_axis(d1_matrix(self.shape[axis], self.spacings[axis], bc), values, axis)
+        return apply_along_axis(values, axis, self.spacings[axis], self.periodic[axis])
 
     # -- conformal helpers -------------------------------------------------
     @property

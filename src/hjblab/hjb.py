@@ -181,13 +181,14 @@ class _Ops:
     `adjoint_rest` apply the remainders R.  The grid is one a `ProblemSpec`
     accepts: a box or a (conformal) torus.
 
-    Derivatives are the `stencils` row kernels, bit for bit the products
-    of `d1_matrix`/`d2_matrix` and their transposes, taken from one scaled
-    copy of the input per spacing.  Every method writes into `out` when
-    given one and into a fresh array otherwise.  Its temporaries are the
-    field-sized work arrays `work(0)` to `work(2)`, allocated once per grid,
-    so a call with `out` on a flat grid allocates nothing, and neither does
-    an R apply on a conformal torus.  Those hold nothing between calls: no
+    Derivatives are the `stencils` row kernels with the mirror closure,
+    bit for bit the CSR products of the first- and second-difference
+    matrices and the first's transpose, taken from one scaled copy of the
+    input per spacing.  Every method writes into `out` when given one and
+    into a fresh array otherwise.  Its temporaries are the field-sized
+    work arrays `work(0)` to `work(2)`, allocated once per grid, so a call
+    with `out` on a flat grid allocates nothing, and neither does an R
+    apply on a conformal torus.  Those hold nothing between calls: no
     result that leaves a method lives there, and no method calls another
     while it holds one.  The residual's metric terms on conformal tori use
     fresh temporaries.

@@ -1,38 +1,37 @@
-"""One-dimensional finite-difference operators shared by every module.
+"""One-dimensional finite-difference stencils shared by every module.
 
-All derivative machinery in the package reduces to sparse 1-D matrices
-applied along one axis of an nd-array.  Keeping the matrices in one place
-guarantees that e.g. the divergence built as an adjoint really is the
-adjoint of the gradient, and that transposed applications are available
-for free.
+These row kernels are the package's only stencil code.  Each applies a
+three-point stencil along one axis of an nd-array with shifted-slice
+arithmetic on a flat view, with no axis moves.  `d1_rows`, `d1t_rows` and
+`d2_rows` write D x, D^T x and D2 x into a given array from a scaled copy
+of x and allocate nothing; the solver applies its operators through them.
+`apply_along_axis` is the analysis calculus' first derivative (`fields`
+reaches it through `Grid.partial`): it allocates its result and one
+scaled copy of the input.
 
-The solver's hot path applies the periodic and mirror matrices without
-them: `d1_rows`, `d1t_rows` and `d2_rows` write D x, D^T x and D2 x into
-a given array with shifted-slice arithmetic on a scaled copy of x, with
-no axis moves and no field-sized temporaries.  Each forms every row in
-the order of the CSR product of `d1_matrix`/`d2_matrix` (0 plus the row's
-terms, by ascending column), so it returns the same numbers bit for bit.
-The one exception is the sign of a zero that only a -0.0 in x can
-produce.
+Every row sums its terms in the order of a CSR matrix-vector product,
+0 plus the row's terms by ascending column, so each kernel returns that
+product bit for bit.  The one exception is the sign of a zero that only a
+-0.0 in x can produce.  `tests/csr_oracle.py` builds the matrices, and the
+tests hold the kernels to them.
 
 Boundary closures:
-  "periodic"  wrap-around centered stencils,
-  "onesided"  second-order one-sided rows at the two ends (generic fields,
-              no boundary condition assumed),
-  "mirror"    even reflection across the boundary node (ghost u[-1]=u[1]),
-              which encodes a homogeneous Neumann condition; the centered
-              first derivative at the boundary node is then exactly zero.
+  periodic  wrap-around centered rows (every kernel);
+  one-sided second-order rows at the two ends, exact on quadratics, with
+            no boundary condition assumed (`apply_along_axis` on
+            non-periodic axes, for generic fields);
+  mirror    even reflection across the boundary node (ghost u[-1]=u[1]),
+            which encodes a homogeneous Neumann condition: the centered
+            first derivative's end rows are empty and the second
+            difference's are 2 (u1 - u0)/h^2 (the row kernels on
+            non-periodic axes, for the solver).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-
-VALID_BC = ("periodic", "onesided", "mirror")
 
 
 def d1_scale(h: float) -> float:
@@ -45,77 +44,30 @@ def d2_scale(h: float) -> float:
     return 1.0 / (h * h)
 
 
-@lru_cache(maxsize=None)
-def d1_matrix(n: int, h: float, bc: str) -> sp.csr_matrix:
-    """Second-order first-derivative matrix on n equispaced nodes."""
-    if bc not in VALID_BC:
-        raise ValueError(f"unknown boundary closure {bc!r}")
-    if n < 3:
+def apply_along_axis(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+    """Second-order first derivative of `values` along `axis`, nodes h apart:
+    centered rows, periodic or with the one-sided end rows.
+
+    The one-sided rows are (-3s, 4s, -s) at columns 0, 1, 2 and
+    (s, -4s, 3s) at columns n - 3, n - 2, n - 1, s = d1_scale(h); each
+    product is taken from the unscaled x with the row's coefficient, as
+    the CSR product takes it."""
+    x = np.asarray(values)
+    if x.shape[axis] < 3:
         raise ValueError("need at least 3 nodes per axis")
-    rows, cols, vals = [], [], []
-    inv2h = d1_scale(h)
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-inv2h, inv2h]
-    if bc == "periodic":
-        rows += [0, 0, n - 1, n - 1]
-        cols += [n - 1, 1, n - 2, 0]
-        vals += [-inv2h, inv2h, -inv2h, inv2h]
-    elif bc == "onesided":
-        # (-3 u0 + 4 u1 - u2) / 2h, exact on quadratics
-        rows += [0, 0, 0]
-        cols += [0, 1, 2]
-        vals += [-3.0 * inv2h, 4.0 * inv2h, -inv2h]
-        rows += [n - 1, n - 1, n - 1]
-        cols += [n - 1, n - 2, n - 3]
-        vals += [3.0 * inv2h, -4.0 * inv2h, inv2h]
-    else:  # mirror: ghost u[-1] = u[1] makes the centered derivative vanish
-        pass
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
-
-
-@lru_cache(maxsize=None)
-def d2_matrix(n: int, h: float, bc: str) -> sp.csr_matrix:
-    """Narrow (three-point) second-derivative matrix.
-
-    Used by the elliptic solvers; the analysis calculus in `fields`
-    composes d1 with itself instead so that discrete integration by parts
-    and the trace identity hold exactly.
-    """
-    if bc not in ("periodic", "mirror"):
-        raise ValueError("narrow second derivative supports periodic or mirror closures")
-    if n < 3:
-        raise ValueError("need at least 3 nodes per axis")
-    invh2 = d2_scale(h)
-    rows, cols, vals = [], [], []
-    for i in range(1, n - 1):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [invh2, -2.0 * invh2, invh2]
-    if bc == "periodic":
-        rows += [0, 0, 0, n - 1, n - 1, n - 1]
-        cols += [n - 1, 0, 1, n - 2, n - 1, 0]
-        vals += [invh2, -2.0 * invh2, invh2, invh2, -2.0 * invh2, invh2]
-    else:  # mirror ghost: row (2 u1 - 2 u0)/h^2
-        rows += [0, 0, n - 1, n - 1]
-        cols += [0, 1, n - 1, n - 2]
-        vals += [-2.0 * invh2, 2.0 * invh2, -2.0 * invh2, 2.0 * invh2]
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
-
-
-def apply_along_axis(mat: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a sparse (n,n) matrix along one axis of an nd-array."""
-    arr = np.asarray(arr)
-    moved = np.moveaxis(arr, axis, 0)
-    lead = moved.shape[0]
-    out = mat @ moved.reshape(lead, -1)
-    out = out.reshape(moved.shape)
-    return np.moveaxis(out, 0, axis)
+    s = d1_scale(h)
+    sx = np.empty(x.shape)
+    np.multiply(x, s, out=sx)
+    out = d1_rows(sx, axis, periodic, np.empty(x.shape))
+    if not periodic:
+        first, last = out[_at(axis, 0)], out[_at(axis, -1)]
+        np.multiply(x[_at(axis, 0)], -3.0 * s, out=first)
+        first += (4.0 * s) * x[_at(axis, 1)]
+        first += -s * x[_at(axis, 2)]
+        np.multiply(x[_at(axis, -3)], s, out=last)
+        last += (-4.0 * s) * x[_at(axis, -2)]
+        last += (3.0 * s) * x[_at(axis, -1)]
+    return out
 
 
 def _at(axis: int, index) -> tuple:
@@ -134,8 +86,8 @@ def _flat(arr: np.ndarray, axis: int):
 
 
 def d1_rows(sx: np.ndarray, axis: int, periodic: bool, out: np.ndarray) -> np.ndarray:
-    """out = D x along `axis` for D = d1_matrix(n, h, bc) with the periodic or
-    mirror closure, given sx = s x, s = d1_scale(h).
+    """out = D x along `axis` for the centered first difference D with the
+    periodic or mirror closure, given sx = s x, s = d1_scale(h).
 
     Row i of D holds -s at i - 1 and s at i + 1, so its CSR product sums
     (-s x[i-1]) + s x[i+1], which is sx[i+1] - sx[i-1].  The mirror
@@ -153,8 +105,8 @@ def d1_rows(sx: np.ndarray, axis: int, periodic: bool, out: np.ndarray) -> np.nd
 
 
 def d1t_rows(sy: np.ndarray, axis: int, periodic: bool, out: np.ndarray) -> np.ndarray:
-    """out = D^T y along `axis` for D = d1_matrix(n, h, bc) with the periodic
-    or mirror closure, given sy = s y, s = d1_scale(h).
+    """out = D^T y along `axis` for the centered first difference D with the
+    periodic or mirror closure, given sy = s y, s = d1_scale(h).
 
     Row j of D^T holds s at j - 1 and -s at j + 1: sy[j-1] - sy[j+1].
     Under the mirror closure the empty end rows of D drop the first term
@@ -178,8 +130,8 @@ def d1t_rows(sy: np.ndarray, axis: int, periodic: bool, out: np.ndarray) -> np.n
 
 
 def d2_rows(ax: np.ndarray, axis: int, periodic: bool, out: np.ndarray) -> np.ndarray:
-    """out = D2 x along `axis` for D2 = d2_matrix(n, h, bc), given
-    ax = a x, a = d2_scale(h).
+    """out = D2 x along `axis` for the three-point second difference D2 with
+    the periodic or mirror closure, given ax = a x, a = d2_scale(h).
 
     An interior row sums (a x[i-1] + (-2a) x[i]) + a x[i+1], and
     (-2a) x[i] is -2 ax[i] exactly.  The periodic end rows take their

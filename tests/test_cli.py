@@ -53,6 +53,8 @@ def test_defaults_parse_and_build():
         ("[mfg]\ntau = 0.5\n", "unknown key 'tau'"),
         ("[domain]\nradius = 1.0\n", "unknown key 'radius'"),
         ("[metric]\nkind = conformal\n", "unknown key 'kind' in \\[metric\\]"),
+        ("[metric]\nphi_amplitude = 0.4\n", r"\[metric\] phi_amplitude must be unset: \[domain\] kind = torus "),
+        ("[domain]\nkind = box\n[metric]\nphi_axis = 2\n", r"\[metric\] phi_axis must be unset: \[domain\] kind = box "),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):

@@ -194,8 +194,8 @@ def test_second_derivative_operators_form_each_partial_once(monkeypatch):
         return len(calls)
 
     assert count(laplace_beltrami, u) == 6
-    assert count(bochner_residual, u) == 24
-    assert count(weighted_bochner_residual, u, 0.5) == 24
+    assert count(bochner_residual, u) == 21
+    assert count(weighted_bochner_residual, u, 0.5) == 21
     assert count(cz_ratio, [u], 2.0) == 9
 
 

@@ -26,7 +26,8 @@ from hjblab.hjb import (
     solve,
     solve_ergodic,
 )
-from hjblab.stencils import apply_along_axis, d1_matrix, d2_matrix
+
+from csr_oracle import csr_along_axis, d1_matrix, d2_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -454,8 +455,8 @@ def _full_density_operator(ops, m, coeff):
     out = np.zeros(m.shape)
     for a in range(ops.naxes):
         d1, d2 = _solver_matrices(ops.grid, a)
-        out -= apply_along_axis(d2.T.tocsr(), w * m, a)
-        out += apply_along_axis(d1.T.tocsr(), coeff[a] * w * m, a)
+        out -= csr_along_axis(d2.T.tocsr(), w * m, a)
+        out += csr_along_axis(d1.T.tocsr(), coeff[a] * w * m, a)
     return out / w
 
 

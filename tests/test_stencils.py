@@ -1,9 +1,14 @@
-"""The solver's row kernels against the sparse matrices that define them.
+"""The row kernels against the sparse matrices that define them.
 
-`d1_rows`, `d1t_rows` and `d2_rows` must return the CSR products of
-`d1_matrix`/`d2_matrix` (and the transpose of the first) bit for bit, and
-the solver operators built on them must equal their matrix forms bit for
-bit, so that no reported number moves when the hot path changes."""
+`d1_rows`, `d1t_rows`, `d2_rows` and `apply_along_axis` must return the
+CSR products of the oracle's `d1_matrix`/`d2_matrix` (and the transpose of
+the first) bit for bit, and the solver operators built on them must equal
+their matrix forms bit for bit, so that no reported number moves when the
+hot path changes."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,16 +18,9 @@ from hjblab import hjb
 from hjblab.fields import ScalarField, VectorField
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
 from hjblab.hjb import ProblemSpec
-from hjblab.stencils import (
-    apply_along_axis,
-    d1_matrix,
-    d1_rows,
-    d1_scale,
-    d1t_rows,
-    d2_matrix,
-    d2_rows,
-    d2_scale,
-)
+from hjblab.stencils import apply_along_axis, d1_rows, d1_scale, d1t_rows, d2_rows, d2_scale
+
+from csr_oracle import csr_along_axis, d1_matrix, d2_matrix
 
 
 def _bitwise_equal(a, b):
@@ -51,16 +49,52 @@ def test_row_kernels_equal_the_csr_products_bit_for_bit(shape, spacings, periodi
     for axis, (n, h) in enumerate(zip(shape, spacings)):
         d1, d2 = d1_matrix(n, h, bc), d2_matrix(n, h, bc)
         sx = d1_scale(h) * x
-        assert _bitwise_equal(d1_rows(sx, axis, periodic, out), apply_along_axis(d1, x, axis)), axis
-        assert _bitwise_equal(d1t_rows(sx, axis, periodic, out), apply_along_axis(d1.T.tocsr(), x, axis)), axis
+        assert _bitwise_equal(d1_rows(sx, axis, periodic, out), csr_along_axis(d1, x, axis)), axis
+        assert _bitwise_equal(d1t_rows(sx, axis, periodic, out), csr_along_axis(d1.T.tocsr(), x, axis)), axis
         ax = d2_scale(h) * x
-        assert _bitwise_equal(d2_rows(ax, axis, periodic, out), apply_along_axis(d2, x, axis)), axis
+        assert _bitwise_equal(d2_rows(ax, axis, periodic, out), csr_along_axis(d2, x, axis)), axis
+
+
+# (shape, spacings): 2-D and 3-D, unequal spacings, and axes of 3 and 4
+# nodes, where the one-sided end rows share their columns
+_FIRST_DERIVATIVE_CASES = [
+    ((3, 4, 5), (0.5, 0.25, 0.3)),
+    ((4, 3), (0.3, 0.7)),
+    ((9, 8, 10), (1 / 8, 1 / 7, 1 / 9)),
+    ((12, 9), (1 / 12, 2 / 9)),
+]
+
+
+@pytest.mark.parametrize("shape, spacings", _FIRST_DERIVATIVE_CASES)
+@pytest.mark.parametrize("periodic", [True, False])
+def test_first_derivative_equals_its_csr_product_bit_for_bit(shape, spacings, periodic):
+    bc = "periodic" if periodic else "onesided"
+    rng = np.random.default_rng(29)
+    # magnitudes from 1e-8 to 1e8, so a reordered sum would show
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    for axis, (n, h) in enumerate(zip(shape, spacings)):
+        want = csr_along_axis(d1_matrix(n, h, bc), x, axis)
+        assert _bitwise_equal(apply_along_axis(x, axis, h, periodic), want), axis
+        # a transposed (Fortran-ordered) input gives the transposed result
+        got = apply_along_axis(x.T, x.ndim - 1 - axis, h, periodic)
+        assert _bitwise_equal(np.ascontiguousarray(got.T), want), axis
 
 
 def test_row_kernels_refuse_strided_arrays():
     x = np.zeros((8, 8, 8))
     with pytest.raises(ValueError, match="C-contiguous"):
         d1_rows(x[:, ::2], 0, True, np.empty((8, 4, 8)))
+
+
+def test_the_package_loads_no_sparse_matrices():
+    # the row kernels are the only stencil code, so no run needs scipy.sparse
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = "import sys, hjblab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _grid(kind):
@@ -84,14 +118,14 @@ def _matrices(grid):
 
 
 def _stacked_gradient(grid, x):
-    return np.stack([apply_along_axis(d1, x, a) for a, (d1, _) in enumerate(_matrices(grid))])
+    return np.stack([csr_along_axis(d1, x, a) for a, (d1, _) in enumerate(_matrices(grid))])
 
 
 def _matrix_laplacian(grid, x):
     mats = _matrices(grid)
-    out = apply_along_axis(mats[0][1], x, 0)
+    out = csr_along_axis(mats[0][1], x, 0)
     for a in range(1, len(mats)):
-        out += apply_along_axis(mats[a][1], x, a)
+        out += csr_along_axis(mats[a][1], x, a)
     return out
 
 
@@ -111,9 +145,9 @@ def test_solver_operators_equal_their_matrix_forms_bit_for_bit(kind):
     # R = b . D on flat grids, summed axis by axis; the Jacobian's
     # first-order coefficient b is coeff itself there
     c = coeff if grid.is_flat else coeff - ops.conformal_drift
-    want = c[0] * apply_along_axis(mats[0][0], x, 0)
+    want = c[0] * csr_along_axis(mats[0][0], x, 0)
     for a in range(1, len(mats)):
-        want += c[a] * apply_along_axis(mats[a][0], x, a)
+        want += c[a] * csr_along_axis(mats[a][0], x, a)
     if not grid.is_flat:
         want += ops.conformal_lap * _matrix_laplacian(grid, x)
     row = np.empty(x.size + 1)  # a Krylov basis row: the node values, then the multiplier
@@ -123,9 +157,9 @@ def test_solver_operators_equal_their_matrix_forms_bit_for_bit(kind):
     if grid.is_flat:
         w = grid.weights
         wm = w * x
-        want = apply_along_axis(mats[0][0].T.tocsr(), coeff[0] * wm, 0)
+        want = csr_along_axis(mats[0][0].T.tocsr(), coeff[0] * wm, 0)
         for a in range(1, len(mats)):
-            want += apply_along_axis(mats[a][0].T.tocsr(), coeff[a] * wm, a)
+            want += csr_along_axis(mats[a][0].T.tocsr(), coeff[a] * wm, a)
         want /= w
         assert _bitwise_equal(ops.adjoint_rest(x, coeff, np.empty(grid.shape)), want)
 
