@@ -39,6 +39,12 @@ from .geometry import Grid, conformal_ricci, second_fundamental_form
 # profile function family
 
 
+def _relative_margin(big, small):
+    """(big - small) / max(|big|, |small|, 1): >= 0 where big >= small,
+    scaled so that huge and tiny samples weigh alike."""
+    return (big - small) / np.maximum(np.maximum(np.abs(big), np.abs(small)), 1.0)
+
+
 def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise ValueError("profile exponent must satisfy 0 < delta < 1")
@@ -78,11 +84,9 @@ class HToolkit:
         h2 = self.h2(t)
         z = self.h(t)
         # (root growth)  h'(t) sqrt(t) <= (1+t)^{delta/2}
-        lhs1, rhs1 = h1 * np.sqrt(t), (1.0 + t) ** (d / 2.0)
-        m1 = (rhs1 - lhs1) / np.maximum.reduce([np.abs(lhs1), np.abs(rhs1), np.ones_like(t)])
+        m1 = _relative_margin((1.0 + t) ** (d / 2.0), h1 * np.sqrt(t))
         # (convexity defect)  h'(t) + 2 t h''(t) >= delta h'(t)
-        lhs2, rhs2 = h1 + 2.0 * t * h2, d * h1
-        m2 = (lhs2 - rhs2) / np.maximum.reduce([np.abs(lhs2), np.abs(rhs2), np.ones_like(t)])
+        m2 = _relative_margin(h1 + 2.0 * t * h2, d * h1)
         # (first-derivative recovery)  h'(t) = ((1+delta) h(t)/2)^{(delta-1)/(1+delta)}
         rec = ((1.0 + d) * z / 2.0) ** ((d - 1.0) / (1.0 + d))
         m3 = -np.abs(rec - h1) / np.maximum(np.abs(h1), 1.0)
@@ -330,7 +334,7 @@ def pointwise_inequality_suite(samples: int = 100_000, seed: int = 0) -> dict:
         A = 0.5 * (raw + np.swapaxes(raw, -1, -2))
         lhs = np.sum(A**2, axis=(-1, -2))
         rhs = np.einsum("...ii->...", A) ** 2 / d
-        margins.append((lhs - rhs) / np.maximum.reduce([lhs, rhs, np.ones_like(lhs)]))
+        margins.append(_relative_margin(lhs, rhs))
     _entry("trace_schwarz", np.concatenate(margins))
 
     # (a+b-c)^2 >= a^2 - 2a(|b|+|c|) for a >= 0
@@ -339,14 +343,14 @@ def pointwise_inequality_suite(samples: int = 100_000, seed: int = 0) -> dict:
     c = rng.normal(size=samples) * 10.0 ** rng.uniform(-3, 3, size=samples)
     lhs = (a + b - c) ** 2
     rhs = a**2 - 2.0 * a * (np.abs(b) + np.abs(c))
-    _entry("shifted_square", (lhs - rhs) / np.maximum.reduce([np.abs(lhs), np.abs(rhs), np.ones_like(lhs)]))
+    _entry("shifted_square", _relative_margin(lhs, rhs))
 
     # (a-b)^2 >= a^2/2 - 2 b^2
     a2 = rng.normal(size=samples) * 10.0 ** rng.uniform(-3, 3, size=samples)
     b2 = rng.normal(size=samples) * 10.0 ** rng.uniform(-3, 3, size=samples)
     lhs = (a2 - b2) ** 2
     rhs = 0.5 * a2**2 - 2.0 * b2**2
-    _entry("half_square", (lhs - rhs) / np.maximum.reduce([np.abs(lhs), np.abs(rhs), np.ones_like(lhs)]))
+    _entry("half_square", _relative_margin(lhs, rhs))
 
     # composed form: substituting Lap u = (1/gamma)|p|^gamma - f into the
     # trace inequality gives (1/d)(a-f)^2 >= |p|^{2 gamma}/(2 gamma^2 d) - (2/d) f^2
@@ -357,17 +361,14 @@ def pointwise_inequality_suite(samples: int = 100_000, seed: int = 0) -> dict:
     ham = (1.0 / gam) * p**gam
     lhs = (ham - f) ** 2 / d_arr
     rhs = p ** (2.0 * gam) / (2.0 * gam**2 * d_arr) - 2.0 * f**2 / d_arr
-    _entry("substituted_trace", (lhs - rhs) / np.maximum.reduce([np.abs(lhs), np.abs(rhs), np.ones_like(lhs)]))
+    _entry("substituted_trace", _relative_margin(lhs, rhs))
 
     # profile convexity chain for random (delta, w)
     dl = rng.uniform(1e-3, 1.0 - 1e-3, size=samples)
     wv = 10.0 ** rng.uniform(-8, 6, size=samples)
     h1v = (1.0 + wv) ** ((dl - 1.0) / 2.0)
     h2v = ((dl - 1.0) / 2.0) * (1.0 + wv) ** ((dl - 3.0) / 2.0)
-    lhs = h1v + 2.0 * wv * h2v
-    rhs = dl * h1v
-    m = (lhs - rhs) / np.maximum.reduce([np.abs(lhs), np.abs(rhs), np.ones_like(lhs)])
-    _entry("profile_convexity", m)
+    _entry("profile_convexity", _relative_margin(h1v + 2.0 * wv * h2v, dl * h1v))
     report["profile_concavity_max_h2"] = float(np.max(h2v))
     report["all_passed"] = bool(
         all(v["violations"] == 0 for k, v in report.items() if isinstance(v, dict))

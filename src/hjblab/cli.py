@@ -3,10 +3,11 @@
 Subcommands: solve, ergodic, bochner-check, bernstein-audit, thm1-sweep,
 thm2-sweep, constants, mfg.  Every run writes a schema-versioned
 report.json (deterministic for a fixed config and seed: sorted keys, no
-timestamps) plus CSV tables and optional SVG plots into the output
-directory.  Exit status 0 means every asserted invariant passed, 1 means
-an assertion or solve failed, 2 means the request itself was invalid
-(usage, config syntax, or assumption gate).
+timestamps) plus CSV tables into the output directory; bochner-check,
+the sweeps and manufactured studies also draw an SVG plot.  Exit status
+0 means every asserted invariant passed, 1 means an assertion or solve
+failed, 2 means the request itself was invalid (usage, config syntax, or
+assumption gate).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .hjb import (
     manufactured_source,
     solution_norm_table,
     solve,
-    solve_ergodic,
 )
 from .svg import line_plot
 
@@ -52,6 +52,12 @@ _SUBCOMMANDS = (
 )
 
 DEFAULT_CONFIG = ""  # all defaults; see config module
+
+# samples per inequality in the bernstein-audit report
+_AUDIT_SAMPLES = 100_000
+
+# sweep.csv columns, each a key of the sweep's norm rows
+_SWEEP_COLUMNS = ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual", "peclet")
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +105,18 @@ def _build_shift(cfg: RunConfig, grid):
     prob = cfg["problem"]
     if prob["shift_kind"] == "none":
         return None
-    return _mode_field(grid, prob["shift_amplitude"], prob["shift_axis"] - 1)
+    return _mode_field(grid, prob["shift_amplitude"], 0)
 
 
 def _build_drift(cfg: RunConfig, grid):
     prob = cfg["problem"]
     if prob["drift_kind"] == "none":
         return None
-    axis = prob["drift_axis"] - 1
+    # a shear: flow along the first axis, varying along the second
     mesh = grid.mesh()
-    L = grid.domain.extents[axis]
+    L = grid.domain.extents[1]
     vals = np.zeros((len(grid.shape),) + grid.shape)
-    vals[0] = prob["drift_amplitude"] * np.sin(2.0 * np.pi * mesh[axis] / L)
+    vals[0] = prob["drift_amplitude"] * np.sin(2.0 * np.pi * mesh[1] / L)
     return VectorField(grid, vals)
 
 
@@ -160,7 +166,7 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
         source=source,
         ergodic=ergodic,
     )
-    rep = solve_ergodic(spec) if ergodic else solve(spec)
+    rep = solve(spec)
     if not rep.converged:
         _fail(report, "solve did not converge: " + rep.message)
     fq = lq_norm(source, 2.0) if source is not None else 0.0
@@ -237,7 +243,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
     else:
         if errors and max(errors) > 1e-8:
             _fail(report, "discrete manufactured solve not exact to tolerance")
-    if cfg["output"]["plots"] and errors:
+    if errors:
         line_plot(
             os.path.join(out, "convergence.svg"),
             [("error", hs, errors)],
@@ -365,32 +371,24 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
     grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(16, 16, 8)), MetricSpec.euclidean())
     report["gates"] = estimates.gate_block(grid)
     write_csv(os.path.join(out, "refinement.csv"), ("case", "n", "residual_sup"), rows)
-    if cfg["output"]["plots"]:
-        series = []
-        for name in sorted(results):
-            if name == "exactness":
-                continue
-            series.append(
-                (
-                    name,
-                    [1.0 / n for n in resolutions],
-                    results[name]["norms"],
-                )
-            )
-        line_plot(
-            os.path.join(out, "refinement.svg"),
-            series,
-            title="identity residual refinement",
-            xlabel="h",
-            ylabel="sup residual",
-        )
+    series = [
+        (name, [1.0 / n for n in resolutions], results[name]["norms"])
+        for name in sorted(results)
+        if name != "exactness"
+    ]
+    line_plot(
+        os.path.join(out, "refinement.svg"),
+        series,
+        title="identity residual refinement",
+        xlabel="h",
+        ylabel="sup residual",
+    )
     return report
 
 
 def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("bernstein-audit", seed)
     delta = cfg["experiment"]["delta"]
-    samples = cfg["experiment"]["samples"]
     audit = []
 
     def entry(name, violation, passed):
@@ -411,7 +409,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
         prof["second_derivative_max"] < 0.0,
     )
 
-    suite = bernstein.pointwise_inequality_suite(samples=samples, seed=seed)
+    suite = bernstein.pointwise_inequality_suite(samples=_AUDIT_SAMPLES, seed=seed)
     for key in sorted(suite):
         item = suite[key]
         if not isinstance(item, dict):
@@ -487,7 +485,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     entry("level_set_volume_bound", float(cheb_viol), cheb_viol == 0)
     entry("level_set_monotone", float(mono_viol), mono_viol == 0)
 
-    report["results"] = {"audit": audit, "delta": delta, "samples": samples}
+    report["results"] = {"audit": audit, "delta": delta, "samples": _AUDIT_SAMPLES}
     report["gates"] = estimates.gate_block(grid)
     write_csv(
         os.path.join(out, "audit.csv"),
@@ -558,23 +556,11 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     }
     write_csv(
         os.path.join(out, "sweep.csv"),
-        ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual", "peclet"),
-        [
-            (
-                row["t"],
-                row["ratio"],
-                row["lambda"],
-                row["f_q"],
-                row["grad_l1"],
-                row["iterations"],
-                row["residual"],
-                row["peclet"],
-            )
-            for row in sweep.norm_rows
-        ],
+        _SWEEP_COLUMNS,
+        [tuple(row[c] for c in _SWEEP_COLUMNS) for row in sweep.norm_rows],
     )
     report["warnings"] = list(sweep.warnings)
-    if cfg["output"]["plots"] and sweep.ratios:
+    if sweep.ratios:
         line_plot(
             os.path.join(out, "sweep.svg"),
             [("ratio", list(sweep.amplitudes), list(sweep.ratios))],
@@ -661,8 +647,6 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         c_v=blk["c_v"],
         shift=shift,
         eps=blk["eps"],
-        max_outer=blk["max_outer"],
-        outer_tol=blk["outer_tol"],
     )
     state, mrep = mfg_mod.mfg_fixed_point(spec)
     if not mrep.converged:

@@ -8,6 +8,12 @@ the assumption label, e.g. (In1) for the gradient-growth gate and (D1)
 for a disc domain, which no subcommand runs.  The conformal metric has
 one spelling, `[domain] kind = conformal_torus`; the `[metric]` keys set
 its phi, and setting one on any other domain is rejected.
+
+Every key is one row of `_KEYS`: how its value parses, its default, and
+its allowed values when they form a closed list.  No key picks an axis:
+phi and the cosine shift vary along the first lattice axis and the shear
+drift along the second; permuting `resolution` and `extents` reorients a
+field.
 """
 
 from __future__ import annotations
@@ -21,110 +27,49 @@ class ConfigError(ValueError):
     """Raised for syntax errors, unknown keys, and assumption gates."""
 
 
-_SCHEMAS = {
+# One row per key: (kind, default, choices).  `kind` names how the value
+# is parsed, a default of None leaves the key unset, and choices is None
+# for an open value.  README's key reference lists the same rows.
+_KEYS = {
     "domain": {
-        "kind": "str",
-        "dim": "int",
-        "extents": "floats",
-        "resolution": "ints",
+        "kind": ("str", "torus", ("box", "torus", "conformal_torus")),
+        "dim": ("int", 3, None),
+        "extents": ("floats", (1.0,), None),
+        "resolution": ("ints", (16,), None),
     },
     "metric": {
-        "phi_amplitude": "float",
-        "phi_axis": "int",
-        "phi_frequency": "int",
+        "phi_amplitude": ("float", 0.1, None),
+        "phi_frequency": ("int", 1, None),
     },
     "problem": {
-        "gamma": "float",
-        "drift_kind": "str",
-        "drift_amplitude": "float",
-        "drift_axis": "int",
-        "drift_s": "float",
-        "drift_theta": "float",
-        "shift_kind": "str",
-        "shift_amplitude": "float",
-        "shift_axis": "int",
-        "source_kind": "str",
-        "source_amplitude": "float",
-        "manufactured": "str",
+        "gamma": ("float", 2.0, None),
+        "drift_kind": ("str", "none", ("none", "shear")),
+        "drift_amplitude": ("float", 1.0, None),
+        "drift_s": ("float", None, None),
+        "drift_theta": ("float", None, None),
+        "shift_kind": ("str", "none", ("none", "mode")),
+        "shift_amplitude": ("float", 0.5, None),
+        "source_kind": ("str", "none", ("none", "mode", "bump", "power")),
+        "source_amplitude": ("float", 1.0, None),
+        "manufactured": ("str", "none", ("none", "symbolic", "discrete")),
     },
     "experiment": {
-        "amplitudes": "floats",
-        "p": "float",
-        "q": "float",
-        "r": "float",
-        "delta": "float",
-        "zeta_c": "float",
-        "resolutions": "ints",
-        "samples": "int",
+        "amplitudes": ("floats", (1.0, 3.0, 10.0, 30.0, 100.0), None),
+        "p": ("float", 2.0, None),
+        "q": ("float", None, None),
+        "r": ("float", None, None),
+        "delta": ("float", 0.3, None),
+        "zeta_c": ("float", 1.0, None),
+        "resolutions": ("ints", (17, 33, 65), None),
     },
     "mfg": {
-        "alpha": "float",
-        "c_v": "float",
-        "eps": "float",
-        "max_outer": "int",
-        "outer_tol": "float",
+        "alpha": ("float", 1.0, None),
+        "c_v": ("float", None, None),
+        "eps": ("float", 0.1, None),
     },
     "output": {
-        "plots": "bool",
-        "dump_fields": "bool",
+        "dump_fields": ("bool", False, None),
     },
-}
-
-_DEFAULTS = {
-    "domain": {
-        "kind": "torus",
-        "dim": 3,
-        "extents": (1.0,),
-        "resolution": (16,),
-    },
-    "metric": {
-        "phi_amplitude": 0.1,
-        "phi_axis": 1,
-        "phi_frequency": 1,
-    },
-    "problem": {
-        "gamma": 2.0,
-        "drift_kind": "none",
-        "drift_amplitude": 1.0,
-        "drift_axis": 2,
-        "drift_s": None,
-        "drift_theta": None,
-        "shift_kind": "none",
-        "shift_amplitude": 0.5,
-        "shift_axis": 1,
-        "source_kind": "none",
-        "source_amplitude": 1.0,
-        "manufactured": "none",
-    },
-    "experiment": {
-        "amplitudes": (1.0, 3.0, 10.0, 30.0, 100.0),
-        "p": 2.0,
-        "q": None,
-        "r": None,
-        "delta": 0.3,
-        "zeta_c": 1.0,
-        "resolutions": (17, 33, 65),
-        "samples": 100_000,
-    },
-    "mfg": {
-        "alpha": 1.0,
-        "c_v": None,
-        "eps": 0.1,
-        "max_outer": 60,
-        "outer_tol": 1e-9,
-    },
-    "output": {
-        "plots": True,
-        "dump_fields": False,
-    },
-}
-
-_ENUMS = {
-    ("domain", "kind"): ("box", "torus", "conformal_torus"),
-    ("problem", "drift_kind"): ("none", "shear"),
-    ("problem", "shift_kind"): ("none", "mode"),
-    ("problem", "source_kind"): ("none", "mode", "bump", "power"),
-    ("problem", "manufactured"): ("none", "symbolic", "discrete"),
 }
 
 
@@ -170,7 +115,9 @@ def _parse_value(kind: str, raw: str, lineno: int):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; deterministic for a given text."""
-    sections = {name: dict(defaults) for name, defaults in _DEFAULTS.items()}
+    sections = {
+        name: {key: row[1] for key, row in rows.items()} for name, rows in _KEYS.items()
+    }
     seen = set()
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -179,7 +126,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip().lower()
-            if name not in _SCHEMAS:
+            if name not in _KEYS:
                 raise ConfigError("line " + str(lineno) + ": unknown section [" + name + "]")
             current = name
             continue
@@ -189,29 +136,24 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("line " + str(lineno) + ": key outside any [section]")
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
-        if key not in _SCHEMAS[current]:
+        if key not in _KEYS[current]:
             raise ConfigError(
                 "line " + str(lineno) + ": unknown key " + repr(key) + " in [" + current + "]"
             )
         if (current, key) in seen:
             raise ConfigError("line " + str(lineno) + ": duplicate key " + repr(key))
         seen.add((current, key))
-        value = _parse_value(_SCHEMAS[current][key], raw, lineno)
+        kind, _, choices = _KEYS[current][key]
+        value = _parse_value(kind, raw, lineno)
         if (current, key, value) == ("domain", "kind", "disc"):
             # the library's polar disc grid serves geometry experiments only
             raise ConfigError(
                 "line " + str(lineno)
                 + ": assumption gate (D1) violated: subcommands run on a box or a torus, not a disc"
             )
-        enum = _ENUMS.get((current, key))
-        if enum is not None and value not in enum:
+        if choices is not None and value not in choices:
             raise ConfigError(
-                "line "
-                + str(lineno)
-                + ": "
-                + key
-                + " must be one of "
-                + ", ".join(enum)
+                "line " + str(lineno) + ": " + key + " must be one of " + ", ".join(choices)
             )
         sections[current][key] = value
     return _build(sections, seen)
@@ -273,35 +215,24 @@ def _build(sections: dict, seen: set) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("domain block: " + str(exc)) from None
     if domain.kind == "conformal_torus":
-        amp = met["phi_amplitude"]
-        axis = met["phi_axis"]
-        freq = met["phi_frequency"]
-        if not (1 <= axis <= domain.dim):
-            raise ConfigError("metric block: phi_axis out of range")
-
         import numpy as np
 
-        extent = domain.extents[axis - 1]
+        amp = met["phi_amplitude"]
+        freq = met["phi_frequency"]
+        extent = domain.extents[0]
 
-        def phi(coords, _a=amp, _ax=axis - 1, _f=freq, _L=extent):
-            return _a * np.cos(2.0 * np.pi * _f * coords[_ax] / _L)
+        def phi(coords, _a=amp, _f=freq, _L=extent):
+            return _a * np.cos(2.0 * np.pi * _f * coords[0] / _L)
 
         metric = MetricSpec.conformal(phi)
     else:
-        for key in _SCHEMAS["metric"]:
+        for key in _KEYS["metric"]:
             if ("metric", key) in seen:
                 raise ConfigError(
                     "[metric] " + key + " must be unset: [domain] kind = " + domain.kind
                     + " carries no conformal factor (only conformal_torus does)"
                 )
         metric = MetricSpec.euclidean()
-
-    if prob["drift_kind"] != "none":
-        if not (1 <= prob["drift_axis"] <= domain.dim):
-            raise ConfigError("problem block: drift_axis out of range")
-    if prob["shift_kind"] != "none":
-        if not (1 <= prob["shift_axis"] <= domain.dim):
-            raise ConfigError("problem block: shift_axis out of range")
 
     exp = sections["experiment"]
     if not (0.0 < exp["delta"] < 1.0):

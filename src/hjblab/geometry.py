@@ -24,7 +24,6 @@ import numpy as np
 from .stencils import apply_along_axis
 
 DOMAIN_KINDS = ("box", "torus", "conformal_torus", "disc")
-METRIC_KINDS = ("euclidean", "conformal")
 
 
 @dataclass(frozen=True)
@@ -78,36 +77,28 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Flat metric or a conformal one, g = e^{2 phi} id.
+    """Flat metric (phi None) or a conformal one, g = e^{2 phi} id.
 
     phi is a callable taking a (d, ...) coordinate array and returning
     nodal values; it must be smooth and periodic on tori.
     """
 
-    kind: str = "euclidean"
     phi: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "conformal" and self.phi is None:
-            raise ValueError("conformal metric needs a phi callable")
-        if self.kind == "euclidean" and self.phi is not None:
-            raise ValueError("euclidean metric must not carry phi")
 
     @staticmethod
     def euclidean() -> "MetricSpec":
-        return MetricSpec(kind="euclidean")
+        return MetricSpec()
 
     @staticmethod
     def conformal(phi: Callable) -> "MetricSpec":
-        return MetricSpec(kind="conformal", phi=phi)
+        if phi is None:
+            raise ValueError("conformal metric needs a phi callable")
+        return MetricSpec(phi=phi)
 
 
 @dataclass
 class Grid:
     domain: DomainSpec
-    metric: MetricSpec
     dim: int
     shape: tuple
     axes: tuple                 # 1-D lattice coordinates per axis
@@ -176,10 +167,10 @@ def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
     """Assemble lattice, masks, normals and Riemannian quadrature weights."""
     metric = metric or MetricSpec.euclidean()
     if domain.kind == "disc":
-        if metric.kind != "euclidean":
+        if metric.phi is not None:
             raise ValueError("conformal metric on the disc is unsupported")
-        return _build_disc(domain, metric)
-    if domain.kind == "conformal_torus" and metric.kind != "conformal":
+        return _build_disc(domain)
+    if domain.kind == "conformal_torus" and metric.phi is None:
         raise ValueError("conformal_torus domain requires a conformal metric")
 
     d = domain.dim
@@ -201,7 +192,7 @@ def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
         weights = np.multiply.outer(weights, w)
 
     phi = None
-    if metric.kind == "conformal":
+    if metric.phi is not None:
         coords = np.stack(np.meshgrid(*axes, indexing="ij"))
         phi = np.asarray(metric.phi(coords), dtype=float)
         if phi.shape != shape:
@@ -233,7 +224,6 @@ def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
 
     grid = Grid(
         domain=domain,
-        metric=metric,
         dim=d,
         shape=shape,
         axes=tuple(axes),
@@ -250,7 +240,7 @@ def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
     return grid
 
 
-def _build_disc(domain: DomainSpec, metric: MetricSpec) -> Grid:
+def _build_disc(domain: DomainSpec) -> Grid:
     """Polar annular lattice r in [dr, R], theta periodic.
 
     The innermost ring sits one cell away from the origin; the grid is used
@@ -275,7 +265,6 @@ def _build_disc(domain: DomainSpec, metric: MetricSpec) -> Grid:
 
     return Grid(
         domain=domain,
-        metric=metric,
         dim=2,
         shape=shape,
         axes=(r_ax, th_ax),

@@ -57,8 +57,8 @@ class MfgSpec:
     """One stationary game: exponents, coupling, shift, and iteration knobs.
 
     The outer loop damps its density update by a weight that starts at
-    `_TAU` = 0.5; `max_outer` caps its iterations at each mollifier
-    radius and `outer_tol` is its stop.
+    `_TAU` = 0.5, runs at most `_MAX_OUTER` = 60 iterations at each
+    mollifier radius and stops on an outer change below `outer_tol`.
     The inner value solves are warm-started from the previous outer
     iterate, and each density solve after the first from the previous
     undamped density.  Both solve only as tightly as the outer loop has
@@ -72,7 +72,6 @@ class MfgSpec:
     c_v: float = 2.0
     shift: Optional[ScalarField] = None   # b; must have d_nu b >= 0 on boxes
     eps: float = 0.1                      # mollifier radius
-    max_outer: int = 60
     outer_tol: float = 1e-9
 
     def __post_init__(self):
@@ -357,6 +356,8 @@ _FORCING = 1e-2
 # Starting weight of the damped density update m <- (1 - tau) m + tau m_new,
 # halved whenever the outer change grows.
 _TAU = 0.5
+# Outer iterations allowed at each mollifier radius.
+_MAX_OUTER = 60
 
 
 def _density_residual(grid: Grid, mvals: np.ndarray, drift: np.ndarray) -> float:
@@ -429,7 +430,7 @@ def mfg_fixed_point(spec: MfgSpec):
     for eps in stages:
         stage_converged = False
         prev_change = math.inf
-        for _ in range(spec.max_outer):
+        for _ in range(_MAX_OUTER):
             # a stage's first iteration, and one after a change that already
             # met outer_tol, run at the final tolerances
             slack = _FORCING * prev_change if spec.outer_tol <= prev_change < math.inf else 0.0

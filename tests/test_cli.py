@@ -7,7 +7,9 @@ import os
 import pytest
 
 from hjblab.cli import _SUBCOMMANDS, main, run
-from hjblab.config import ConfigError, parse_config
+from hjblab.config import _KEYS, ConfigError, parse_config
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write(tmp_path, name, text):
@@ -46,20 +48,78 @@ def test_defaults_parse_and_build():
         ("[experiment]\ndelta = 1.5\n", "delta must lie in"),
         ("[experiment]\nresolutions = 4\n", "at least 8"),
         ("[domain]\ndim = 5\n", "dimension must be 2 or 3"),
-        ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "shift_axis out of range"),
-        ("[problem]\nshift_kind = mode\nshift_axis = 4\n", "shift_axis out of range"),
+        ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "unknown key 'shift_axis'"),
+        ("[problem]\nshift_kind = mode\nshift_axis = 4\n", "unknown key 'shift_axis'"),
         ("[problem]\nc1 = 1.0\n", "unknown key 'c1'"),
         ("[problem]\nergodic = true\n", "unknown key 'ergodic'"),
         ("[mfg]\ntau = 0.5\n", "unknown key 'tau'"),
         ("[domain]\nradius = 1.0\n", "unknown key 'radius'"),
+        ("[problem]\nshift_axis = 1\n", "unknown key 'shift_axis' in \\[problem\\]"),
+        ("[problem]\ndrift_axis = 2\n", "unknown key 'drift_axis' in \\[problem\\]"),
+        ("[metric]\nphi_axis = 1\n", "unknown key 'phi_axis' in \\[metric\\]"),
+        ("[experiment]\nsamples = 100000\n", "unknown key 'samples' in \\[experiment\\]"),
+        ("[output]\nplots = true\n", "unknown key 'plots' in \\[output\\]"),
+        ("[mfg]\nouter_tol = 1e-9\n", "unknown key 'outer_tol' in \\[mfg\\]"),
+        ("[mfg]\nmax_outer = 60\n", "unknown key 'max_outer' in \\[mfg\\]"),
         ("[metric]\nkind = conformal\n", "unknown key 'kind' in \\[metric\\]"),
         ("[metric]\nphi_amplitude = 0.4\n", r"\[metric\] phi_amplitude must be unset: \[domain\] kind = torus "),
-        ("[domain]\nkind = box\n[metric]\nphi_axis = 2\n", r"\[metric\] phi_axis must be unset: \[domain\] kind = box "),
+        ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", r"\[metric\] phi_frequency must be unset: \[domain\] kind = box "),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def _cell(value) -> str:
+    """A default as a config file and README's key reference write it."""
+    if value is None:
+        return "unset"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(_cell(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def test_readme_key_reference_is_the_parser_table():
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| section | key | type | default | allowed | meaning |")
+    documented = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        documented.append(tuple(cell.strip() for cell in line.strip("|").split("|"))[:5])
+    table = [
+        (section, key, kind, _cell(default), "—" if choices is None else ", ".join(choices))
+        for section, rows in _KEYS.items()
+        for key, (kind, default, choices) in rows.items()
+    ]
+    assert documented == table
+
+
+def test_every_key_written_at_its_default_parses_like_no_config():
+    # an unset default has no spelling, and [metric] keys parse only on a
+    # conformal torus, so that block is compared on one
+    def text(sections):
+        return "".join(
+            "[" + section + "]\n"
+            + "".join(
+                key + " = " + _cell(default) + "\n"
+                for key, (_, default, _) in _KEYS[section].items()
+                if default is not None
+            )
+            for section in sections
+        )
+
+    flat = [section for section in _KEYS if section != "metric"]
+    assert parse_config(text(flat)).sections == parse_config("").sections
+    conformal = "[domain]\nkind = conformal_torus\n"
+    assert (
+        parse_config(conformal + text(["metric"])).sections
+        == parse_config(conformal).sections
+    )
 
 
 # ---------------------------------------------------------------------------
