@@ -582,7 +582,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     gamma = cfg["problem"]["gamma"]
     q = exp["q"] if exp["q"] is not None else 2.5
     params = bernstein.maxreg_params(grid.dim, gamma, q, exp["delta"])
-    tools = bernstein.continuity_tools(grid.dim, q, gamma, exp["delta"], exp["zeta_c"])
+    tools = bernstein.continuity_tools(grid.dim, q, gamma, exp["delta"])
     t_star = tools.t_star()
     results = {
         "sigma_hat": sigma,
@@ -600,7 +600,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
             "y_star": tools.y_star,
             "phi_star": tools.phi_star,
             "t_star": t_star,
-            "zeta_C": exp["zeta_c"],
+            "zeta_C": tools.C,
         },
     }
     flat_torus = grid.is_flat and all(grid.periodic)

@@ -39,7 +39,6 @@ _KEYS = {
     },
     "metric": {
         "phi_amplitude": ("float", 0.1, None),
-        "phi_frequency": ("int", 1, None),
     },
     "problem": {
         "gamma": ("float", 2.0, None),
@@ -59,7 +58,6 @@ _KEYS = {
         "q": ("float", None, None),
         "r": ("float", None, None),
         "delta": ("float", 0.3, None),
-        "zeta_c": ("float", 1.0, None),
         "resolutions": ("ints", (17, 33, 65), None),
     },
     "mfg": {
@@ -218,11 +216,10 @@ def _build(sections: dict, seen: set) -> RunConfig:
         import numpy as np
 
         amp = met["phi_amplitude"]
-        freq = met["phi_frequency"]
         extent = domain.extents[0]
 
-        def phi(coords, _a=amp, _f=freq, _L=extent):
-            return _a * np.cos(2.0 * np.pi * _f * coords[0] / _L)
+        def phi(coords, _a=amp, _L=extent):
+            return _a * np.cos(2.0 * np.pi * coords[0] / _L)
 
         metric = MetricSpec.conformal(phi)
     else:

@@ -28,9 +28,37 @@ the multiplier and the mean constraint from the transform's zero mode.
 Right preconditioning makes the residual GMRES minimizes the true one; a
 solve still stops only on the true residual, recomputed with the full
 operator L + R at the end of each restart cycle.  A total iteration
-budget bounds it, and so does a stall test: a cycle whose Arnoldi
-estimate met the tolerance while the true residual fell by less than half
-has reached round-off, and the solve stops there with a named reason.
+budget bounds it, and so does a stall test: a cycle that ended early,
+its Arnoldi estimate meeting the tolerance or its Krylov space invariant,
+while the true residual fell by less than half has reached round-off, and
+the solve stops there with a named reason; one whose true residual at
+least halved restarts from it.
+
+The flat inverse leaves advection to GMRES, and at mesh Peclet numbers
+near 10 that took 20-46 Arnoldi steps per Newton step.  So on flat grids
+M also solves one axis' line exactly, a semicirculant preconditioner
+(Holmgren-Otto 1994): circulant across the other axes, exact along axis a.
+M inverts L + C P_a, where P_a is the quadrature mean over the other axes
+and C the transport term with its coefficient replaced by its mean along
+a's lines; P_a commutes with L, so the line functions, those of x_a alone,
+take a bordered 1-D solve on n_a + 1 unknowns, factored once per Newton
+step, and every other mode L^{-1} (`_AxisLine`).  The Krylov step then
+forms A M = I + (R - C P_a) M.  The correction runs only when one axis'
+line carries nearly all of the coefficient's weighted energy,
+rho = ||P_a b_a||_w^2 / ||b||_w^2 >= 0.99 (`_preconditioner`); otherwise,
+and on conformal tori, M is the flat inverse as before.  Off rho = 1 the
+line buys little: measured solve by solve on 24^3 torus sweeps, it cut
+the Jacobian applies by 81% at rho = 1 but by 2-18% at rho from 0.5 to
+0.999, and below rho = 0.99 its set-up and line solves cost the games'
+short solves more time than they saved (the `_LINE_SHARE` comment).  On
+one-axis data, the bench's sweep and games, C P_a is the transport term
+on the line functions, where the right-hand sides lie, so each linear
+solve takes one Arnoldi step: the 48^3 bench sweep makes 74 Jacobian
+applies instead of 563.  On 3-D data such as the 32^3 `power` and `bump`
+sweeps, rho stays below 0.27 and the counts are unchanged (1059 and 3291
+applies).  The density solves use the adjoint line operator
+W_a^{-1} D_a^T (abar W_a .).
+
 Each Newton step solves its linear system only as tightly as the Newton
 stop needs (inexact Newton with Kelley's termination safeguard).  A Newton
 solve either converges or stops with a named reason: the Newton budget is
@@ -57,7 +85,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft as sfft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
-from scipy.linalg import get_blas_funcs, solve_triangular
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
 
 from .fields import (
     ScalarField,
@@ -109,11 +137,13 @@ _MAX_ITERATIONS = 2000
 # min(_KEPT, m // 2) Arnoldi steps, in basis rows K + 1 ... 2K, so a cycle
 # that ends within K steps updates x without a preconditioner apply (flexible
 # GMRES keeps them all; Saad 1993).  A longer cycle overwrites those rows with
-# basis vectors, as it would anyway, and applies M once more at its end.  The
-# game's cycles run at most 5 steps; the longest 48^3 sweep cycle runs 46.
+# basis vectors, as it would anyway, and applies M once more at its end.  With
+# the flat M alone the bench game's cycles ran at most 5 steps and the 48^3
+# sweep's up to 46; with the line solved exactly both run one.
 _KEPT = 8
 
-_dot, _axpy, _nrm2, _scal = get_blas_funcs(("dot", "axpy", "nrm2", "scal"), dtype=np.float64)
+_dot, _axpy, _nrm2, _scal, _ger = get_blas_funcs(("dot", "axpy", "nrm2", "scal", "ger"), dtype=np.float64)
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 # An Arnoldi step forms A M v = v + R M v for a unit v.  When the part left
 # after orthogonalization is within this many round-offs of the terms summed
@@ -123,6 +153,20 @@ _EPS = float(np.finfo(np.float64).eps)
 # and the benchmark workloads, every step that a converging solve went on
 # from kept more than 8e-5 of 1 + ||A M v||.
 _INVARIANCE_TOL = 1e3 * _EPS
+# The share of the first-order coefficient's weighted energy that one axis'
+# line must carry for M to solve that line exactly (`_preconditioner`), set
+# from the measured break-even.  Each linear solve of sweeps (24^3 torus,
+# 17^3 box) and games (24^3 and 32^3 tori) on data cos 2 pi x +
+# s cos 2 pi (y + z), s from 0 to 1, was run with and without the line, and
+# the times summed over the solves in each band of rho, with the line over
+# without: the sweeps' long solves lose below rho = 0.9 (1.05-1.07) and
+# gain above it (0.92-0.93 up to rho = 0.999); the games' solves of one to
+# four Arnoldi steps lose below rho = 0.99 (1.07-1.11), break even in
+# [0.99, 0.999) (1.00) and gain above it (0.94; 0.68 at rho = 1).  One-axis
+# data give rho = 1 to round-off.  The 32^3 `power` and `bump` sweeps stay
+# below 0.27, and a 24^3 game with shift 10 (cos 2 pi x + cos 2 pi (y + z) / 2),
+# near 0.85, which the line made slower.
+_LINE_SHARE = 0.99
 
 
 @dataclass
@@ -348,6 +392,9 @@ class _FlatInverter:
     as pocketfft splits it, the leading axes complex to complex and the last
     complex to real, here in place on the spectrum, and its 1/N is applied
     last, as pocketfft applies it, so x is irfftn's bit for bit.
+
+    `solve` runs `forward`, `scale` and `backward`; an `_AxisLine` runs
+    them too, and replaces one axis' line of the scaled spectrum in between.
     """
 
     def __init__(self, grid: Grid):
@@ -392,29 +439,191 @@ class _FlatInverter:
         np.negative(out, out=out)
         return out
 
-    def solve(self, r: np.ndarray, c: float = 0.0, out: Optional[np.ndarray] = None):
-        zero = (0,) * r.ndim
-        flat = self.grid.is_flat
-        x = np.empty(self.grid.shape) if out is None else out
-        rhat = self.spectrum
-        workers = sfft.get_workers()
+    def forward(self, r: np.ndarray) -> float:
+        """The spectrum of r into `spectrum`; returns mu, its zero mode
+        over that of the constant 1."""
         if self.periodic:
-            _pocketfft.r2c(r, self.axes, True, 0, rhat, workers)
-            mu = float(rhat[zero].real) / self.zero_ones
-            rhat *= self.inv_sym
-            rhat[zero] = c / self.zero_weight if flat else 0.0
+            _pocketfft.r2c(r, self.axes, True, 0, self.spectrum, sfft.get_workers())
+        else:
+            _pocketfft.dct(r, 1, self.axes, 0, self.spectrum, sfft.get_workers())
+        return float(self.spectrum[(0,) * r.ndim].real) / self.zero_ones
+
+    def scale(self, c: float) -> None:
+        """The spectrum times the inverse symbol, its zero mode set for the
+        constraint c."""
+        self.spectrum *= self.inv_sym
+        self.spectrum[(0,) * self.spectrum.ndim] = (
+            0.0 if self.periodic and not self.grid.is_flat else c / self.zero_weight
+        )
+
+    def backward(self, c: float, x: np.ndarray) -> np.ndarray:
+        """The inverse transform of the spectrum into x, shifted to meet the
+        constraint c on a conformal torus."""
+        if self.periodic:
+            rhat = self.spectrum
+            workers = sfft.get_workers()
             _pocketfft.c2c(rhat, self.axes[:-1], False, 0, rhat, workers)
             _pocketfft.c2r(rhat, self.axes[-1:], self.grid.shape[-1], False, 0, x, workers)
             x *= self.inv_count
         else:
-            _pocketfft.dct(r, 1, self.axes, 0, rhat, workers)
-            mu = float(rhat[zero]) / self.zero_ones
-            rhat *= self.inv_sym
-            rhat[zero] = c / self.zero_weight
-            _pocketfft.dct(rhat, 1, self.axes, 2, x, workers)
-        if not flat:
+            _pocketfft.dct(self.spectrum, 1, self.axes, 2, x, sfft.get_workers())
+        if not self.grid.is_flat:
             x += (c - float(np.sum(self.w * x))) / self.vol
-        return x, mu
+        return x
+
+    def solve(self, r: np.ndarray, c: float = 0.0, out: Optional[np.ndarray] = None):
+        mu = self.forward(r)
+        self.scale(c)
+        return self.backward(c, np.empty(self.grid.shape) if out is None else out), mu
+
+    def subtract_correction(self, field: np.ndarray) -> None:
+        """Nothing: this M inverts L, and A M = I + R M."""
+
+
+class _Line:
+    """The lines along one axis a of a flat grid: what an `_AxisLine` needs
+    that no Newton step changes.
+
+    `mean` is P_a, the quadrature mean over the other axes, of a field,
+    returned as a line; flat weights are a tensor product of 1-D weights,
+    so it contracts the field with the weights of the axes before a and
+    after a (`before`, `after`, each up to a constant factor).  `wline` is
+    the weights summed over the other axes, so sum w v = wline . y for a
+    line function v = y along a.  In the transform, the line functions are
+    the zero-transverse line at `index`: its entries are T_a(Z P_a r), with
+    T_a the unnormalized 1-D forward transform along a (FFT, the real FFT
+    on the last axis, DCT-I on boxes) and Z = `transverse` the zero mode
+    of the constant 1 over the other axes; `to_line` and `from_line` are
+    T_a^{-1} and T_a.  `d1` and `d1t` are the 1-D D_a and D_a^T, and
+    `bordered` the bordered 1-D Laplacian [[-D2_a, 1], [wline, 0]], all
+    built by applying the `stencils` row kernels to the 1-D identity.
+    """
+
+    def __init__(self, grid: Grid, axis: int):
+        w = grid.weights
+        d = w.ndim
+        n, h = grid.shape[axis], grid.spacings[axis]
+        periodic = bool(grid.periodic[axis])
+        self.axis = axis
+        self.before = np.ravel(w[(slice(None),) * axis + (0,) * (d - axis)])
+        self.after = np.ravel(w[(0,) * (axis + 1) + (slice(None),) * (d - axis - 1)])
+        self.wline = np.sum(w, axis=tuple(b for b in range(d) if b != axis))
+        self.index = tuple(slice(None) if b == axis else 0 for b in range(d))
+        self.transverse = float(math.prod(
+            (m if periodic else 2 * (m - 1)) for b, m in enumerate(grid.shape) if b != axis
+        ))
+        if not periodic:
+            self.to_line = lambda held: sfft.idct(held, type=1)
+            self.from_line = lambda y: sfft.dct(y, type=1)
+        elif axis == d - 1:
+            self.to_line = lambda held: sfft.irfft(held, n)
+            self.from_line = sfft.rfft
+        else:
+            self.to_line = lambda held: sfft.ifft(held).real
+            self.from_line = sfft.fft
+        eye = np.eye(n)
+        self.d1 = d1_rows(eye * d1_scale(h), 0, periodic, np.empty((n, n)))
+        self.d1t = d1t_rows(eye * d1_scale(h), 0, periodic, np.empty((n, n)))
+        self.bordered = np.zeros((n + 1, n + 1))
+        np.negative(d2_rows(eye * d2_scale(h), 0, periodic, np.empty((n, n))), out=self.bordered[:n, :n])
+        self.bordered[:n, n] = 1.0
+        self.bordered[n, :n] = self.wline
+
+    def mean(self, v: np.ndarray) -> np.ndarray:
+        """P_a v, as a line."""
+        lines = v.reshape(self.before.size, -1, self.after.size)
+        out = self.before @ np.einsum("pnq,q->pn", lines, self.after)
+        out /= np.sum(self.before) * np.sum(self.after)
+        return out
+
+
+def _lines_for(grid: Grid) -> list:
+    """The `_Line` of each axis of a flat grid, built on first use and kept
+    on the grid."""
+    if "lines" not in grid._cache:
+        grid._cache["lines"] = [_Line(grid, a) for a in range(len(grid.shape))]
+    return grid._cache["lines"]
+
+
+class _AxisLine:
+    """M with one axis' line solved exactly: the bordered inverse of
+    Jbar = L + C P_a on a flat grid.
+
+    P_a is the quadrature mean over the axes other than a, the W-orthogonal
+    projection onto the line functions, those that vary along a only.  It
+    commutes with L, and C acts along a only: C = diag(abar) D_a for the
+    Newton Jacobian, whose first-order coefficient b has the line mean
+    abar = P_a b_a, and C = W_a^{-1} D_a^T diag(abar) W_a for its quadrature
+    adjoint, the density operator (W_a the line's weights).  So Jbar maps
+    the line functions to themselves by the 1-D operator K = -D2_a + C and
+    their W-complement to itself by L, and the constant and the weights of
+    the mean constraint are line functions.  M solves the bordered line
+    system  K y + mu = P_a r,  wline . y = c  on n_a + 1 unknowns with the
+    LU factors made here, once per Newton step, and gives every other mode
+    L^{-1}, as the flat inverse does: `solve` reads P_a r from the
+    spectrum's line before the inverse symbol scales it and writes the
+    line of y back (`_Line`), so the inverse transform returns y broadcast
+    plus the other modes.  After each solve `correction` holds the line
+    C y, and `subtract_correction` takes it off an R apply, so that
+    `bordered_solve` forms A M v = v + R M v - C P_a M v.  When b varies
+    along a only, C P_a is the transport term on the line functions, so
+    there Jbar is the Jacobian itself and A M v = v.
+    """
+
+    def __init__(self, inv: _FlatInverter, line: _Line, abar: np.ndarray, adjoint: bool):
+        self.inv = inv
+        self.apply = inv.apply
+        self.line = line
+        n = len(abar)
+        if adjoint:
+            self.C = line.d1t * (abar * line.wline)
+            self.C /= line.wline[:, None]
+        else:
+            self.C = abar[:, None] * line.d1
+        bordered = line.bordered.copy()
+        bordered[:n, :n] += self.C
+        self.lu, self.piv, _ = _getrf(bordered, overwrite_a=True)
+        self.rhs = np.empty(n + 1)
+        self.correction = np.zeros(n)
+        # The field as a matrix whose rows (or columns) the correction is
+        # constant along, for one BLAS rank-one update: off the last axis the
+        # rows are (outer index, axis index) and take the correction tiled
+        # over the outer indices, on it the columns run over the outer indices.
+        if line.after.size > 1:
+            self._ones = np.ones(line.after.size)
+            self._tiled = np.zeros(line.before.size * n)
+        else:
+            self._ones = np.ones(line.before.size)
+
+    def solve(self, r: np.ndarray, c: float = 0.0, out: Optional[np.ndarray] = None):
+        """(x, mu) = M (r, c), x written into out when one is given."""
+        inv, line, rhs = self.inv, self.line, self.rhs
+        n = len(rhs) - 1
+        inv.forward(r)
+        np.multiply(line.to_line(inv.spectrum[line.index]), 1.0 / line.transverse, out=rhs[:n])
+        rhs[n] = c
+        inv.scale(c)
+        sol, _ = _getrs(self.lu, self.piv, rhs)
+        y = sol[:n]
+        inv.spectrum[line.index] = line.from_line(y) * line.transverse
+        np.dot(self.C, y, out=self.correction)
+        if line.after.size > 1:
+            self._tiled.reshape(line.before.size, n)[:] = self.correction
+        return inv.backward(c, np.empty(inv.grid.shape) if out is None else out), float(sol[n])
+
+    def subtract_correction(self, field: np.ndarray) -> None:
+        """field -= C P_a M v of the last solve, broadcast along the axis, in
+        place.  A broadcasting numpy subtract would buffer up to 64 KiB per
+        call; the BLAS rank-one update works on the field's transposed
+        matrix view and allocates nothing.  The view is the field itself
+        only when the field is C-contiguous."""
+        if not field.flags.c_contiguous:
+            raise ValueError("subtract_correction needs a C-contiguous field")
+        before, after = self.line.before.size, self.line.after.size
+        if after > 1:
+            _ger(-1.0, self._ones, self._tiled, a=field.reshape(-1, after).T, overwrite_a=1)
+        else:
+            _ger(-1.0, self.correction, self._ones, a=field.reshape(before, -1).T, overwrite_a=1)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +748,40 @@ def _inverter_for(grid: Grid) -> _FlatInverter:
     return grid._cache["flat_inverter"]
 
 
+def _preconditioner(grid: Grid, b: np.ndarray, adjoint: bool = False):
+    """M for a bordered system whose first-order coefficient is b: the
+    Newton Jacobian's (adjoint=False) or the density operator's, its
+    quadrature adjoint (adjoint=True).
+
+    On a flat grid, M is the `_AxisLine` of the axis a whose line carries
+    at least _LINE_SHARE (0.99) of b's weighted energy,
+    rho = ||P_a b_a||_w^2 / ||b||_w^2 >= _LINE_SHARE, with P_a the
+    quadrature mean over the other axes; otherwise, and on conformal tori,
+    it is the flat inverse of L alone.  Since ||P_a b_a||_w <= ||b_a||_w,
+    only the axis of b's largest component can pass, so the line mean is
+    formed for that axis alone.  On tori the weights are uniform and cancel
+    from rho, so there the energies are plain sums of squares."""
+    inv = _inverter_for(grid)
+    if not grid.is_flat:
+        return inv
+    if inv.periodic:
+        energy = [_dot(bc.ravel(), bc.ravel()) for bc in b]
+        scale = 1.0 / float(grid.weights.flat[0])
+    else:
+        buf = _ops_for(grid).work(0)
+        energy = [_dot(np.multiply(grid.weights, bc, out=buf).ravel(), bc.ravel()) for bc in b]
+        scale = 1.0
+    a = int(np.argmax(energy))
+    total = sum(energy)
+    if not energy[a] >= _LINE_SHARE * total or total == 0.0:
+        return inv
+    line = _lines_for(grid)[a]
+    abar = line.mean(b[a])
+    if not scale * float(np.dot(line.wline, abar * abar)) >= _LINE_SHARE * total:
+        return inv
+    return _AxisLine(inv, line, abar, adjoint)
+
+
 # ---------------------------------------------------------------------------
 # Newton driver
 
@@ -547,6 +790,25 @@ def _weighted_norm(ops: _Ops, vals: np.ndarray) -> float:
     sq = np.square(vals, out=ops.work(0))
     sq *= ops.grid.weights
     return float(np.sqrt(np.sum(sq)))
+
+
+def _precondition(inv, shape: tuple, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M z for a bordered vector z = (field, constraint)."""
+    _, out[-1] = inv.solve(z[:-1].reshape(shape), z[-1], out[:-1].reshape(shape))
+    return out
+
+
+def _arnoldi_product(inv, apply_fn, shape: tuple, v: np.ndarray, out: np.ndarray, mv: np.ndarray) -> None:
+    """out = A M v = v + [R M v - C P_a M v; 0], with M v left in mv.
+
+    C P_a M v is the line correction that an `_AxisLine` keeps from its
+    solve; the flat inverse subtracts nothing, and there A M v = v + [R M v; 0]."""
+    _precondition(inv, shape, v, mv)
+    field = out[:-1].reshape(shape)
+    apply_fn(mv[:-1].reshape(shape), field)
+    inv.subtract_correction(field)
+    out[:-1] += v[:-1]
+    out[-1] = v[-1]
 
 
 def bordered_solve(
@@ -567,8 +829,11 @@ def bordered_solve(
     nodes, so a small system runs unrestarted.  It is right-preconditioned
     by the exact inverse M of the bordered flat Laplacian, so
     A M = I + [R; 0] M: each Arnoldi step forms (x, mu) = M v, writes R x
-    straight into the next basis row and adds v there, with no Laplacian,
-    and orthonormalizes the row against the basis by modified Gram-Schmidt
+    straight into the next basis row and adds v there, with no Laplacian.
+    When inv is an `_AxisLine`, M inverts L + C P_a instead, and the step
+    also subtracts the line correction C P_a x that the M apply left, so
+    A M = I + [R - C P_a; 0] M holds exactly (`_arnoldi_product`).  The
+    step orthonormalizes the row against the basis by modified Gram-Schmidt
     in place, in one (m + 1, n + 1) array allocated per call.  The first
     K = min(_KEPT, m // 2) steps of a cycle keep z_j = M v_j in rows
     K + 1 ... 2K of that array.  A cycle that ends
@@ -587,12 +852,13 @@ def bordered_solve(
     inv.solve call.
     Returns (x, mu, info): info = 0 on convergence, else a `KrylovFailure`,
     the number of iterations run with the reason the solve stopped short of
-    the tolerance: the _MAX_ITERATIONS budget is spent, the Krylov space
-    stops growing, or the true residual stalls.  It stalls when a cycle's
-    Arnoldi estimate meets the tolerance while its true residual falls by
-    less than half: round-off in L + R then bounds the attainable
+    the tolerance: the _MAX_ITERATIONS budget is spent, or a cycle ends
+    early, its Arnoldi estimate meeting the tolerance or its Krylov space
+    stopping to grow, while its true residual, still above the tolerance,
+    falls by less than half.  Round-off in L + R then bounds the attainable
     residual above the target, and more cycles would each take a step or
-    two and gain nothing.
+    two and gain nothing.  An early cycle whose true residual at least
+    halved restarts from it, as a full cycle does.
     """
     shape = grid.shape
     w = grid.weights
@@ -606,17 +872,6 @@ def bordered_solve(
     V = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
     r = np.empty_like(b)
     z = np.empty_like(b)  # M (V y), and the true residual's L x and w x
-
-    def precond(z, out):
-        _, out[-1] = inv.solve(z[:-1].reshape(shape), z[-1], out[:-1].reshape(shape))
-        return out
-
-    def apply_preconditioned(v, out, mv):
-        # out = A M v = v + [R M v; 0], with M v left in mv
-        precond(v, mv)
-        apply_fn(mv[:-1].reshape(shape), out[:-1].reshape(shape))
-        out[:-1] += v[:-1]
-        out[-1] = v[-1]
 
     def true_residual(x, r):
         # r = b - A x: L x into z, then R x and the multiplier added to it
@@ -653,7 +908,7 @@ def bordered_solve(
         for j in range(min(m, _MAX_ITERATIONS - iters)):
             vj = V[j + 1]
             short = j < kept  # every step of the cycle so far kept its M v_j
-            apply_preconditioned(V[j], vj, V[kept + 1 + j] if short else z)
+            _arnoldi_product(inv, apply_fn, shape, V[j], vj, V[kept + 1 + j] if short else z)
             iters += 1
             h0 = _nrm2(vj)
             for i in range(j + 1):
@@ -692,17 +947,17 @@ def bordered_solve(
             if short:
                 x += np.einsum("ij,i->j", V[kept + 1 : kept + 1 + k], y, out=z)
             else:
-                x += precond(np.einsum("ij,i->j", V[:k], y, out=z), z)
+                x += _precondition(inv, shape, np.einsum("ij,i->j", V[:k], y, out=z), z)
             beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0
-        # A cycle that met the tolerance by its own estimate but not in truth
-        # has hit the round-off floor of the true residual, and restarting
-        # from an invariant Krylov space cannot reduce the residual either.
-        if estimated and beta > 0.5 * start:
-            stop = "true residual stalled"
-        elif invariant:
-            stop = "Krylov space invariant"
+        # A cycle that met the tolerance by its own estimate, or found its
+        # Krylov space invariant, but left the true residual above it has
+        # reached what restarting can give unless the residual at least
+        # halved: then the next cycle starts from that residual.  A cycle
+        # whose one direction A M dropped (k = 0) updated nothing.
+        if (estimated or invariant) and beta > 0.5 * start:
+            stop = "true residual stalled" if k else "Krylov space invariant"
         elif iters >= _MAX_ITERATIONS:
             stop = "iteration budget spent"
         else:
@@ -735,7 +990,6 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     cfg = cfg or SolverConfig()
     grid = spec.grid
     ops = _ops_for(grid)
-    inv = _inverter_for(grid)
     grad_shape = (ops.naxes,) + grid.shape
 
     if cfg.initial_guess is not None:
@@ -778,7 +1032,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         delta_u, delta_lam, info = bordered_solve(
             grid,
             lambda v, out: ops.jacobian_rest(v, b, out),
-            inv,
+            _preconditioner(grid, b),
             np.negative(res, out=res_next),
             -float(np.sum(np.multiply(grid.weights, uvals, out=ops.work(0)))),
             rtol,

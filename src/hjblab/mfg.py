@@ -40,6 +40,7 @@ from .hjb import (
     SolverConfig,
     _inverter_for,
     _ops_for,
+    _preconditioner,
     bordered_solve,
     solve_ergodic,
     transport_coefficient,
@@ -302,7 +303,9 @@ def fp_solve(
     exponent gamma, and the operator is its quadrature adjoint W^{-1} J^T W,
     solved with unit-mass constraint.  `bordered_solve` takes its transport
     part `_Ops.adjoint_rest`: the diffusion part is the Laplacian that its
-    preconditioner inverts.  The bordered multiplier comes out zero
+    preconditioner inverts, and where one axis' lines carry most of the
+    drift the preconditioner also solves those lines' adjoint transport
+    exactly (`hjb._preconditioner`).  The bordered multiplier comes out zero
     automatically because constants annihilate the forward operator.
     Positivity is an M-matrix consequence, checked via the advection mesh
     number, never enforced by clipping.
@@ -319,7 +322,6 @@ def fp_solve(
     if not grid.is_flat or grid.coord_system != "cartesian":
         raise ValueError("density solves run on flat box/torus lattices only")
     ops = _ops_for(grid)
-    inv = _inverter_for(grid)
     if drift is None:
         drift = transport_coefficient(ProblemSpec(grid, gamma), u.values)
     pec = fp_peclet(grid, drift)
@@ -332,7 +334,7 @@ def fp_solve(
     mvals, mu, info = bordered_solve(
         grid,
         lambda m, out: ops.adjoint_rest(m, drift, out),
-        inv,
+        _preconditioner(grid, drift, adjoint=True),
         np.zeros(grid.shape),
         1.0,
         rtol,

@@ -42,19 +42,20 @@ print(json.dumps(metrics))
 # one of a density solve one `_Ops.adjoint_rest` call; both are counted here
 # independently of the tracer, and so is every Laplacian apply
 # (`_FlatInverter.apply`), each of which pairs with one R apply in a true
-# residual.
-GAME_SCRIPT = """
+# residual, and every line solve of a line-corrected preconditioner.
+_GAME_TEMPLATE = """
 import json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from tracing import Tracer, per_layer_metrics
 from hjblab import hjb
 
-applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0}
+applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0, "line": 0}
 for cls, name, key in (
     (hjb._Ops, "jacobian_rest", "jacobian_rest"),
     (hjb._Ops, "adjoint_rest", "adjoint_rest"),
     (hjb._FlatInverter, "apply", "laplacian"),
+    (hjb._AxisLine, "solve", "line"),
 ):
     def counted(self, *args, _orig=getattr(cls, name), _key=key):
         applies[_key] += 1
@@ -68,7 +69,8 @@ from hjblab.fields import ScalarField
 from hjblab.geometry import DomainSpec, build_grid
 
 grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)))
-shift = ScalarField(grid, 0.3 * np.cos(2.0 * np.pi * grid.mesh()[0]))
+x, y = grid.mesh()
+shift = ScalarField(grid, SHIFT)
 _, report = mfg.mfg_fixed_point(mfg.MfgSpec(grid, gamma=2.0, alpha=1.0, shift=shift, eps=0.1))
 metrics = per_layer_metrics(tracer.spans, tracer.counts)
 metrics["converged"] = report.converged
@@ -76,6 +78,16 @@ metrics["outer_iterations"] = report.outer_iterations
 metrics["applies"] = applies
 print(json.dumps(metrics))
 """
+GAME_SCRIPT = _GAME_TEMPLATE.replace("SHIFT", "0.3 * np.cos(2.0 * np.pi * x)")
+# Shifts along both axes: the value and density operators' first-order
+# coefficients are no longer constant across x, so the cycles run several
+# steps.  With the weaker y term the x line still carries over 0.99 of the
+# coefficient's energy and M solves it; with the stronger one it carries
+# about 0.9 and M is the flat inverse.
+MIXED_GAME_SCRIPTS = {
+    line: _GAME_TEMPLATE.replace("SHIFT", "0.3 * np.cos(2.0 * np.pi * x) + %s * np.cos(2.0 * np.pi * y)" % amp)
+    for line, amp in ((True, "0.02"), (False, "0.1"))
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,14 +130,38 @@ def test_game_density_solves_are_traced_as_adjoint_applies():
     assert m["hjb.jacobian_apply.calls"] == m["applies"]["jacobian_rest"]
 
 
-def test_game_cycles_end_without_a_preconditioner_apply():
+def _assert_cycles_end_without_a_preconditioner_apply(m):
     # Every cycle of this game ends within the kept window, so each
     # preconditioner apply belongs to one Arnoldi step.  An R apply is either
     # an Arnoldi step or half of a true residual L + R, so the steps are the
     # R applies less the L applies.
-    m = _run_traced(GAME_SCRIPT)
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
     assert steps > m["hjb.bordered_solve.calls"] > 0
     assert m["hjb.precond.calls"] == steps
+    return steps
+
+
+def test_game_cycles_end_without_a_preconditioner_apply():
+    m = _run_traced(MIXED_GAME_SCRIPTS[False])
+    _assert_cycles_end_without_a_preconditioner_apply(m)
+    assert m["applies"]["line"] == 0
+
+
+def test_line_corrected_game_cycles_end_without_a_preconditioner_apply():
+    m = _run_traced(MIXED_GAME_SCRIPTS[True])
+    steps = _assert_cycles_end_without_a_preconditioner_apply(m)
+    assert m["applies"]["line"] >= steps - 1  # all but the first Newton step's M, at b = 0
+
+
+def test_one_axis_game_solves_every_linear_system_in_one_arnoldi_step():
+    # On one-axis data the line-corrected M inverts each value Jacobian and
+    # density operator on the functions of x, where the game's right-hand
+    # sides lie: one step per solve, and one M apply per step
+    m = _run_traced(GAME_SCRIPT)
+    assert m["converged"]
+    a = m["applies"]
+    steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
+    assert steps == m["hjb.bordered_solve.calls"] == m["hjb.precond.calls"] > 0
+    assert a["line"] >= steps - 1

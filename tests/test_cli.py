@@ -63,7 +63,8 @@ def test_defaults_parse_and_build():
         ("[mfg]\nmax_outer = 60\n", "unknown key 'max_outer' in \\[mfg\\]"),
         ("[metric]\nkind = conformal\n", "unknown key 'kind' in \\[metric\\]"),
         ("[metric]\nphi_amplitude = 0.4\n", r"\[metric\] phi_amplitude must be unset: \[domain\] kind = torus "),
-        ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", r"\[metric\] phi_frequency must be unset: \[domain\] kind = box "),
+        ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", "unknown key 'phi_frequency' in \\[metric\\]"),
+        ("[experiment]\nzeta_c = 1.0\n", "unknown key 'zeta_c' in \\[experiment\\]"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):

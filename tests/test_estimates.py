@@ -116,35 +116,67 @@ def test_gradient_integrability_sweep_reports_ratios_and_gates():
 _POWER_AMPLITUDES = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0)
 
 
+def _counted_sweep(grid, kind):
+    """The `kind` sweep on grid (gamma = 3, q = 2.5, the bench amplitudes),
+    its Jacobian applies and its line-corrected preconditioners."""
+    counts = {"applies": 0, "lines": 0}
+    rest, line = hjb._Ops.jacobian_rest, hjb._AxisLine.__init__
+
+    def rest_spy(self, *args):
+        counts["applies"] += 1
+        return rest(self, *args)
+
+    def line_spy(self, *args):
+        counts["lines"] += 1
+        return line(self, *args)
+
+    hjb._Ops.jacobian_rest, hjb._AxisLine.__init__ = rest_spy, line_spy
+    try:
+        rep = thm2_sweep(SweepSpec(grid, 3.0, source_family(grid, kind, 2.5), _POWER_AMPLITUDES, q=2.5))
+    finally:
+        hjb._Ops.jacobian_rest, hjb._AxisLine.__init__ = rest, line
+    return rep, counts["applies"], counts["lines"]
+
+
 @functools.lru_cache(maxsize=None)
 def _power_sweep():
-    """The 16^3 `power` sweep (gamma = 3, q = 2.5) and its Jacobian applies."""
-    g = torus(16)
-    calls = []
-    orig = hjb._Ops.jacobian_rest
-
-    def spy(self, *args):
-        calls.append(1)
-        return orig(self, *args)
-
-    hjb._Ops.jacobian_rest = spy
-    try:
-        rep = thm2_sweep(SweepSpec(g, 3.0, source_family(g, "power", 2.5), _POWER_AMPLITUDES, q=2.5))
-    finally:
-        hjb._Ops.jacobian_rest = orig
-    return rep, len(calls)
+    """The 16^3 `power` sweep, its Jacobian applies and its line-corrected
+    preconditioners."""
+    return _counted_sweep(torus(16), "power")
 
 
 def test_power_sweep_stays_within_its_jacobian_apply_budget():
     # 1331 applies before each Newton step's Krylov solve stopped at the
     # accuracy the Newton stop needs; about 1050 since
-    rep, applies = _power_sweep()
+    rep, applies, _ = _power_sweep()
     assert not rep.aborted and all(rep.converged)
     assert applies <= 1100
 
 
+def test_power_sweep_keeps_the_flat_preconditioner():
+    # No line of the 3-D `power` coefficient carries the 0.99 of its
+    # weighted energy that the gate asks (at most 0.27 at 32^3), so every
+    # Newton step keeps the flat inverse of L and makes the applies it made
+    # before the line correction existed
+    _, applies, lines = _power_sweep()
+    assert lines == 0
+    assert applies == 1049
+
+
+def test_one_axis_sweep_takes_one_arnoldi_step_per_newton_step():
+    # The `mode` source varies along x only, so each Newton step's M inverts
+    # its Jacobian on the functions of x: one Arnoldi step and the true
+    # residual, two R applies, up to t = 3000 (mesh Peclet number about 7)
+    rep, applies, lines = _counted_sweep(torus(24), "mode")
+    assert not rep.aborted and all(rep.converged)
+    steps = sum(row["iterations"] for row in rep.norm_rows)
+    assert rep.norm_rows[-1]["peclet"] > 1.0
+    assert lines == steps - 1  # all but the first, from u = 0, where b = 0
+    assert applies <= 2 * steps
+
+
 def test_sweep_rows_carry_the_peclet_number_and_warn_above_one():
-    rep, _ = _power_sweep()
+    rep, _, _ = _power_sweep()
     pecs = [row["peclet"] for row in rep.norm_rows]
     assert pecs[0] <= 1.0 < pecs[-1]
     assert pecs == sorted(pecs)
