@@ -9,6 +9,8 @@ Modules:
   estimates  scaling sweeps, Sobolev/Calderon-Zygmund constant probes
   mfg        stationary mean field games with mollified coupling
   cli        configuration files, reports, plots, command line
+  _kernels   SciPy's compiled FFT, BLAS and LAPACK modules, loaded
+             without importing SciPy's packages
 """
 
 __version__ = "0.1.0"

@@ -19,9 +19,8 @@ import os
 import sys
 
 import numpy as np
-import scipy.fft as sfft
 
-from . import bernstein, estimates, mfg as mfg_mod
+from . import _kernels, bernstein, estimates, mfg as mfg_mod
 from .config import ConfigError, RunConfig, parse_config
 from .fields import (
     ScalarField,
@@ -577,8 +576,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     exp = cfg["experiment"]
     sigma = estimates.sobolev_constant_estimate(grid)
     fields_bl = [estimates.random_band_limited(grid, seed=seed + i) for i in range(50)]
-    cz2 = estimates.cz_ratio(fields_bl, 2.0)
-    cz4 = estimates.cz_ratio(fields_bl, 4.0)
+    cz2, cz4 = estimates.cz_ratio(fields_bl, (2.0, 4.0))
     gamma = cfg["problem"]["gamma"]
     q = exp["q"] if exp["q"] is not None else 2.5
     params = bernstein.maxreg_params(grid.dim, gamma, q, exp["delta"])
@@ -689,25 +687,27 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0, threads: i
         print("unknown subcommand: " + subcommand, file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
+    workers, _kernels.workers = _kernels.workers, max(1, threads)
     try:
-        with sfft.set_workers(max(1, threads)):
-            if subcommand == "solve":
-                report = _cmd_solve(cfg, out_dir, seed, ergodic=False)
-            elif subcommand == "ergodic":
-                report = _cmd_solve(cfg, out_dir, seed, ergodic=True)
-            elif subcommand == "bochner-check":
-                report = _cmd_bochner_check(cfg, out_dir, seed)
-            elif subcommand == "bernstein-audit":
-                report = _cmd_bernstein_audit(cfg, out_dir, seed)
-            elif subcommand in ("thm1-sweep", "thm2-sweep"):
-                report = _sweep_common(cfg, out_dir, seed, subcommand)
-            elif subcommand == "constants":
-                report = _cmd_constants(cfg, out_dir, seed)
-            else:
-                report = _cmd_mfg(cfg, out_dir, seed)
+        if subcommand == "solve":
+            report = _cmd_solve(cfg, out_dir, seed, ergodic=False)
+        elif subcommand == "ergodic":
+            report = _cmd_solve(cfg, out_dir, seed, ergodic=True)
+        elif subcommand == "bochner-check":
+            report = _cmd_bochner_check(cfg, out_dir, seed)
+        elif subcommand == "bernstein-audit":
+            report = _cmd_bernstein_audit(cfg, out_dir, seed)
+        elif subcommand in ("thm1-sweep", "thm2-sweep"):
+            report = _sweep_common(cfg, out_dir, seed, subcommand)
+        elif subcommand == "constants":
+            report = _cmd_constants(cfg, out_dir, seed)
+        else:
+            report = _cmd_mfg(cfg, out_dir, seed)
     except (ConfigError, ValueError) as exc:
         print("rejected: " + str(exc), file=sys.stderr)
         return 2
+    finally:
+        _kernels.workers = workers
     report["warnings"] = list(cfg.warnings) + report.get("warnings", [])
     _write_json(os.path.join(out_dir, "report.json"), report)
     return 0 if report["passed"] else 1

@@ -360,26 +360,29 @@ def sobolev_constant_estimate(grid: Grid) -> float:
 # second-derivative / Laplacian norm ratio
 
 
-def cz_ratio(samples, p: float) -> float:
-    """max ||Hess u||_{L^p} / ||Lap u||_{L^p} over the given fields.
+def cz_ratio(samples, exponents) -> tuple:
+    """max ||Hess u||_{L^p} / ||Lap u||_{L^p} over the given fields, one
+    ratio for each exponent p in `exponents`, in their order.
 
     An empirical lower bound for the norm-conversion constant; exactly 1
     at p = 2 on flat tori, where both sides share one Fourier symbol.
+    Each field's Hessian is formed once and serves every exponent.
     """
-    if p <= 1:
+    if any(p <= 1 for p in exponents):
         raise ValueError("norm exponent must exceed 1")
-    best = None
+    best = [None] * len(exponents)
     for u in samples:
         H = hessian(u)
-        lap = lq_norm(_metric_trace(H), p)
-        if lap <= 1e-300:
-            continue
-        hess = lq_norm(H, p)
-        val = hess / lap
-        best = val if best is None else max(best, val)
-    if best is None:
+        trace = _metric_trace(H)
+        for i, p in enumerate(exponents):
+            lap = lq_norm(trace, p)
+            if lap <= 1e-300:
+                continue
+            val = lq_norm(H, p) / lap
+            best[i] = val if best[i] is None else max(best[i], val)
+    if any(b is None for b in best):
         raise ValueError("all samples are harmonic: the ratio is undefined")
-    return float(best)
+    return tuple(float(b) for b in best)
 
 
 def random_band_limited(grid: Grid, seed: int = 0, modes: int = 3) -> ScalarField:

@@ -83,10 +83,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
-from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
 
+from . import _kernels
+from ._kernels import pocketfft as _pocketfft
 from .fields import (
     ScalarField,
     VectorField,
@@ -142,8 +141,10 @@ _MAX_ITERATIONS = 2000
 # sweep's up to 46; with the line solved exactly both run one.
 _KEPT = 8
 
-_dot, _axpy, _nrm2, _scal, _ger = get_blas_funcs(("dot", "axpy", "nrm2", "scal", "ger"), dtype=np.float64)
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_dot, _axpy, _nrm2, _scal, _ger = (
+    _kernels.fblas.ddot, _kernels.fblas.daxpy, _kernels.fblas.dnrm2, _kernels.fblas.dscal, _kernels.fblas.dger
+)
+_getrf, _getrs, _trtrs = _kernels.flapack.dgetrf, _kernels.flapack.dgetrs, _kernels.flapack.dtrtrs
 _EPS = float(np.finfo(np.float64).eps)
 # An Arnoldi step forms A M v = v + R M v for a unit v.  When the part left
 # after orthogonalization is within this many round-offs of the terms summed
@@ -386,12 +387,13 @@ class _FlatInverter:
     out when one is given, else into a fresh array.
 
     The transforms are the ones scipy.fft.rfftn/irfftn and dctn/idctn
-    (type 1) call, taken from scipy's pocketfft binding because it writes
-    into a given array: the spectrum goes into one work array kept here,
-    and the inverse transform straight into x.  irfftn's transform is split
-    as pocketfft splits it, the leading axes complex to complex and the last
-    complex to real, here in place on the spectrum, and its 1/N is applied
-    last, as pocketfft applies it, so x is irfftn's bit for bit.
+    (type 1) call, made by SciPy's pocketfft binding (`_kernels`) because
+    it writes into a given array: the spectrum goes into one work array
+    kept here, and the inverse transform straight into x.  irfftn's
+    transform is split as pocketfft splits it, the leading axes complex to
+    complex and the last complex to real, here in place on the spectrum,
+    and its 1/N is applied last, as pocketfft applies it, so x is irfftn's
+    bit for bit.
 
     `solve` runs `forward`, `scale` and `backward`; an `_AxisLine` runs
     them too, and replaces one axis' line of the scaled spectrum in between.
@@ -443,9 +445,9 @@ class _FlatInverter:
         """The spectrum of r into `spectrum`; returns mu, its zero mode
         over that of the constant 1."""
         if self.periodic:
-            _pocketfft.r2c(r, self.axes, True, 0, self.spectrum, sfft.get_workers())
+            _pocketfft.r2c(r, self.axes, True, 0, self.spectrum, _kernels.workers)
         else:
-            _pocketfft.dct(r, 1, self.axes, 0, self.spectrum, sfft.get_workers())
+            _pocketfft.dct(r, 1, self.axes, 0, self.spectrum, _kernels.workers)
         return float(self.spectrum[(0,) * r.ndim].real) / self.zero_ones
 
     def scale(self, c: float) -> None:
@@ -461,12 +463,11 @@ class _FlatInverter:
         constraint c on a conformal torus."""
         if self.periodic:
             rhat = self.spectrum
-            workers = sfft.get_workers()
-            _pocketfft.c2c(rhat, self.axes[:-1], False, 0, rhat, workers)
-            _pocketfft.c2r(rhat, self.axes[-1:], self.grid.shape[-1], False, 0, x, workers)
+            _pocketfft.c2c(rhat, self.axes[:-1], False, 0, rhat, _kernels.workers)
+            _pocketfft.c2r(rhat, self.axes[-1:], self.grid.shape[-1], False, 0, x, _kernels.workers)
             x *= self.inv_count
         else:
-            _pocketfft.dct(self.spectrum, 1, self.axes, 2, x, sfft.get_workers())
+            _pocketfft.dct(self.spectrum, 1, self.axes, 2, x, _kernels.workers)
         if not self.grid.is_flat:
             x += (c - float(np.sum(self.w * x))) / self.vol
         return x
@@ -512,15 +513,17 @@ class _Line:
         self.transverse = float(math.prod(
             (m if periodic else 2 * (m - 1)) for b, m in enumerate(grid.shape) if b != axis
         ))
+        # scipy.fft's idct/dct (type 1), irfft/rfft and ifft/fft, as they
+        # call pocketfft: norm code 2 (1/N) backward and 0 forward
         if not periodic:
-            self.to_line = lambda held: sfft.idct(held, type=1)
-            self.from_line = lambda y: sfft.dct(y, type=1)
+            self.to_line = lambda held: _pocketfft.dct(held, 1, (0,), 2, None, _kernels.workers)
+            self.from_line = lambda y: _pocketfft.dct(y, 1, (0,), 0, None, _kernels.workers)
         elif axis == d - 1:
-            self.to_line = lambda held: sfft.irfft(held, n)
-            self.from_line = sfft.rfft
+            self.to_line = lambda held: _pocketfft.c2r(held, (0,), n, False, 2, None, _kernels.workers)
+            self.from_line = lambda y: _pocketfft.r2c(y, (0,), True, 0, None, _kernels.workers)
         else:
-            self.to_line = lambda held: sfft.ifft(held).real
-            self.from_line = sfft.fft
+            self.to_line = lambda held: _pocketfft.c2c(held, (0,), False, 2, None, _kernels.workers).real
+            self.from_line = lambda y: _pocketfft.c2c(y, (0,), True, 0, None, _kernels.workers)
         eye = np.eye(n)
         self.d1 = d1_rows(eye * d1_scale(h), 0, periodic, np.empty((n, n)))
         self.d1t = d1t_rows(eye * d1_scale(h), 0, periodic, np.empty((n, n)))
@@ -811,6 +814,20 @@ def _arnoldi_product(inv, apply_fn, shape: tuple, v: np.ndarray, out: np.ndarray
     out[-1] = v[-1]
 
 
+def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """y with R y = g for an upper-triangular R: the LAPACK dtrtrs call
+    scipy.linalg.solve_triangular(R, g) makes.  LAPACK reads Fortran
+    order, so it is handed R^T, C order read as Fortran, as the lower
+    triangle of the transposed system.  Like solve_triangular's default
+    check_finite, a non-finite entry raises ValueError."""
+    if not (np.isfinite(R).all() and np.isfinite(g).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    y, info = _trtrs(R.T, g, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix: resolution failed at diagonal %d" % (info - 1))
+    return y
+
+
 def bordered_solve(
     grid: Grid,
     apply_fn,
@@ -939,7 +956,7 @@ def bordered_solve(
                 break
         start = beta
         if k:
-            y = solve_triangular(H[:k, :k], g[:k])
+            y = _solve_upper(H[:k, :k], g[:k])
             # Z y and V y by elementwise numpy arithmetic, not a BLAS gemv: a
             # threaded gemv rounds differently at different positions, which
             # breaks exact lattice symmetries of the data (a one-axis

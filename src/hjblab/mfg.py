@@ -23,8 +23,9 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import _kernels
+from ._kernels import pocketfft as _pocketfft
 from .fields import (
     ScalarField,
     gradient,
@@ -223,11 +224,11 @@ def _kernel_transform(grid: Grid, eps: float):
             if all(grid.periodic):
                 fshape = grid.shape
             else:
-                fshape = tuple(sfft.next_fast_len(n + hw, real=True) for n, hw in zip(grid.shape, halves))
+                fshape = tuple(_pocketfft.good_size(n + hw, True) for n, hw in zip(grid.shape, halves))
             emb = np.zeros(fshape)
             # add.at: on a torus as narrow as the kernel, offsets +-n/2 land on one node
             np.add.at(emb, np.ix_(*[np.arange(-hw, hw + 1) % n for hw, n in zip(halves, fshape)]), kern)
-            khat = sfft.rfftn(emb)
+            khat = _pocketfft.r2c(emb, tuple(range(emb.ndim)), True, 0, None, _kernels.workers)
             den = None
             if not all(grid.periodic):
                 den = _fft_convolve(np.ones(grid.shape), khat, fshape)
@@ -236,10 +237,20 @@ def _kernel_transform(grid: Grid, eps: float):
 
 
 def _fft_convolve(vals: np.ndarray, khat: np.ndarray, fshape: tuple) -> np.ndarray:
-    out = sfft.irfftn(sfft.rfftn(vals, s=fshape) * khat, s=fshape, overwrite_x=True)
-    if out.shape != vals.shape:
-        out = np.ascontiguousarray(out[tuple(slice(0, n) for n in vals.shape)])
-    return out
+    """scipy.fft's irfftn(rfftn(vals, s=fshape) * khat, s=fshape), cut back
+    to vals' shape: vals zero-padded to fshape, pocketfft's forward
+    transform with norm code 0 and its inverse with 2 (1/N)."""
+    axes = tuple(range(vals.ndim))
+    kept = tuple(slice(0, n) for n in vals.shape)
+    padded = vals.shape != fshape
+    if padded:
+        full = np.zeros(fshape)
+        full[kept] = vals
+        vals = full
+    spectrum = _pocketfft.r2c(vals, axes, True, 0, None, _kernels.workers)
+    spectrum *= khat
+    out = _pocketfft.c2r(spectrum, axes, fshape[-1], False, 2, None, _kernels.workers)
+    return np.ascontiguousarray(out[kept]) if padded else out
 
 
 def _convolve(grid: Grid, vals: np.ndarray, eps: float) -> np.ndarray:

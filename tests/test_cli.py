@@ -441,3 +441,26 @@ def test_seed_changes_the_searched_constants(tmp_path):
         reports[0]["results"]["continuity"]["y_star"]
         == reports[1]["results"]["continuity"]["y_star"]
     )
+
+
+@pytest.mark.parametrize("subcommand", ["thm2-sweep", "mfg"])
+def test_fft_workers_change_no_report_byte(tmp_path, monkeypatch, subcommand):
+    from hjblab import _kernels, hjb
+
+    seen = []
+    forward = hjb._FlatInverter.forward
+
+    def spying(self, r):
+        seen.append(_kernels.workers)
+        return forward(self, r)
+
+    monkeypatch.setattr(hjb._FlatInverter, "forward", spying)
+    reports = []
+    for threads in (1, 2):
+        seen.clear()
+        out = tmp_path / str(threads)
+        assert main([subcommand, "--out", str(out), "--threads", str(threads)]) == 0
+        assert seen and set(seen) == {threads}
+        assert _kernels.workers == 1
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -343,20 +343,20 @@ def test_constant_estimate_is_the_constant_field_quotient():
 def test_flat_torus_ratio_is_one_at_exponent_two():
     g = build_grid(DomainSpec(kind="torus", dim=2, resolution=(32,)))
     samples = [random_band_limited(g, seed=s) for s in range(50)]
-    assert abs(cz_ratio(samples, 2.0) - 1.0) <= 1e-6
+    assert abs(cz_ratio(samples, (2.0,))[0] - 1.0) <= 1e-6
 
 
 def test_single_mode_ratio_is_one_to_round_off():
     g = build_grid(DomainSpec(kind="torus", dim=2, resolution=(32,)))
     mesh = g.mesh()
     u = ScalarField(g, np.cos(TWO_PI * mesh[0]))
-    assert abs(cz_ratio([u], 2.0) - 1.0) <= 1e-12
+    assert abs(cz_ratio([u], (2.0,))[0] - 1.0) <= 1e-12
 
 
 def test_ratio_away_from_two_stays_finite():
     g = build_grid(DomainSpec(kind="torus", dim=2, resolution=(32,)))
     samples = [random_band_limited(g, seed=s) for s in range(10)]
-    val = cz_ratio(samples, 4.0)
+    (val,) = cz_ratio(samples, (4.0,))
     assert np.isfinite(val) and val > 0.0
 
 
@@ -366,9 +366,9 @@ def test_harmonic_samples_are_rejected():
     lin = ScalarField(g, 2.0 * X[0] - 0.75 * X[1])
     const = ScalarField(torus(8, dim=2), np.full((8, 8), 3.0))
     with pytest.raises(ValueError, match="harmonic"):
-        cz_ratio([lin, const], 2.0)
+        cz_ratio([lin, const], (2.0,))
     with pytest.raises(ValueError, match="exceed 1"):
-        cz_ratio([lin], 1.0)
+        cz_ratio([lin], (2.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
