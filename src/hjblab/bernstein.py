@@ -11,8 +11,9 @@ functions (phi, zeta, t*, k*) that close the argument.
 Everything here is either exact algebra (checked to round-off) or a
 consistency residual expected to vanish under grid refinement; nothing
 mutates its inputs.  The plain and the weighted curvature residuals take
-the terms they share (the gradient, w, the Hessian, the pairing of
-grad(Lap u) with grad u, |Hess u|^2 and the Ricci term) from one helper.
+the terms they share (w, the pairing of grad(Lap u) with grad u,
+|Hess u|^2, |Hess u (grad u)|^2 and the Ricci term) from one helper,
+which holds the Hessian only until it has those three reductions of it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import numpy as np
 from .fields import (
     ScalarField,
     _metric_trace,
+    _sum_of_products,
+    _sum_of_squares,
     gradient,
     hessian,
     laplace_beltrami,
@@ -122,9 +125,14 @@ def _h_triple(delta: float):
 
 def energy_density(u: ScalarField) -> ScalarField:
     """w = half the squared metric length of the gradient."""
-    g = gradient(u)
-    mag = pointwise_norm(g)
-    return ScalarField(u.grid, 0.5 * mag**2)
+    return ScalarField(u.grid, _half_square(pointwise_norm(gradient(u))))
+
+
+def _half_square(mag: np.ndarray) -> np.ndarray:
+    """0.5 * mag**2, formed in mag's storage."""
+    np.square(mag, out=mag)
+    mag *= 0.5
+    return mag
 
 
 @dataclass(frozen=True)
@@ -176,37 +184,58 @@ def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,i...,j...->...", ric, gradu_vals, gradu_vals)
 
 
-def _bochner_terms(u: ScalarField):
-    """grad u, w, Hess u and the three terms both identities set against a
-    Laplacian: g(grad(Lap u), grad u), |Hess u|^2 and Ric(grad u, grad u).
-    w is `energy_density(u)`, taken from the gradient already held."""
+def _bochner_terms(u: ScalarField) -> tuple:
+    """(w, inner, hsq, ric, nub): w and the three terms both identities set
+    against a Laplacian, inner = g(grad(Lap u), grad u), hsq = |Hess u|^2
+    and ric = Ric(grad u, grad u), plus nub = |Hess u (grad u)|^2 for the
+    weighted one, with few field-sized arrays alive at a time.
+
+    w is `energy_density(u)`, taken from the gradient already held.  Hess u
+    is reduced to the three quantities the identities use (its metric
+    trace, |Hess u|^2 and |Hess u (grad u)|^2) and dropped, with
+    grad(Lap u), before the Ricci term builds its tensor.  Every sum runs in
+    the order of the numpy reductions it replaces (`fields._sum_of_products`,
+    `fields._sum_of_squares`), so the terms are those of the whole-array
+    expressions bit for bit.
+    """
     grid = u.grid
+    flat = grid.is_flat
     gradu = gradient(u)
-    w = ScalarField(grid, 0.5 * pointwise_norm(gradu) ** 2)
+    w = _half_square(pointwise_norm(gradu))
     hess = hessian(u)
-    glap = gradient(_metric_trace(hess))
-    scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
-    inner = scale2 * np.sum(glap.values * gradu.values, axis=0)
-    hsq = pointwise_norm(hess) ** 2
+    inner = _sum_of_products(gradient(_metric_trace(hess)).values, gradu.values)
+    if not flat:
+        inner *= grid.conformal_factor(2.0)
+    hsq = pointwise_norm(hess)
+    np.square(hsq, out=hsq)
+    # |Hess u (grad u)|^2 in the metric, from covariant Hessian and
+    # contravariant gradient components, one covector component at a time
+    nub = _sum_of_squares(_sum_of_products(row, gradu.values) for row in hess.values)
+    if not flat:
+        nub *= grid.conformal_factor(-2.0)
+    del hess
     ric = _ricci_quadratic(grid, gradu.values)
-    return gradu, w, hess, inner, hsq, ric
+    return w, inner, hsq, ric, nub
 
 
 def _plain_defect(grid: Grid, terms) -> ScalarField:
-    _, w, _, inner, hsq, ric = terms
-    return ScalarField(grid, laplace_beltrami(w).values - inner - hsq - ric)
+    w, inner, hsq, ric, _ = terms
+    vals = laplace_beltrami(ScalarField(grid, w)).values
+    vals -= inner
+    vals -= hsq
+    vals -= ric
+    return ScalarField(grid, vals)
 
 
 def _weighted_defect(grid: Grid, terms, delta: float) -> ScalarField:
     h, h1, h2 = _h_triple(delta)
-    gradu, w, hess, inner, hsq, ric = terms
-    lapz = laplace_beltrami(ScalarField(grid, h(w.values)))
-    # |Hess u (grad u)|^2 in the metric, from covariant Hessian and
-    # contravariant gradient components
-    cvec = np.einsum("ij...,j...->i...", hess.values, gradu.values)
-    scale_m2 = 1.0 if grid.is_flat else grid.conformal_factor(-2.0)
-    nub = scale_m2 * np.sum(cvec**2, axis=0)
-    vals = lapz.values - h1(w.values) * (inner + hsq + ric) - h2(w.values) * nub
+    w, inner, hsq, ric, nub = terms
+    vals = laplace_beltrami(ScalarField(grid, h(w))).values
+    bracket = inner + hsq
+    bracket += ric
+    bracket *= h1(w)
+    vals -= bracket
+    vals -= np.multiply(h2(w), nub, out=bracket)
     return ScalarField(grid, vals)
 
 
@@ -324,18 +353,25 @@ def pointwise_inequality_suite(samples: int = 100_000, seed: int = 0) -> dict:
             "samples": int(margins.size),
         }
 
-    # trace inequality |A|_F^2 >= (tr A)^2 / d for symmetric A
+    # trace inequality |A|_F^2 >= (tr A)^2 / d for symmetric A; each block
+    # of matrices is scaled and symmetrized in place and freed before the
+    # next one is drawn
     n_mat = max(1, samples)
     margins = []
     for d in (2, 3, 4, 5, 6):
-        raw = rng.normal(size=(n_mat // 5 + 1, d, d)) * 10.0 ** rng.uniform(
-            -3, 3, size=(n_mat // 5 + 1, 1, 1)
-        )
-        A = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        A = rng.normal(size=(n_mat // 5 + 1, d, d))
+        A *= 10.0 ** rng.uniform(-3, 3, size=(n_mat // 5 + 1, 1, 1))
+        for i in range(d):
+            for j in range(i + 1, d):
+                sym = A[:, i, j] + A[:, j, i]
+                sym *= 0.5
+                A[:, i, j] = A[:, j, i] = sym  # the diagonal: 0.5 (x + x) == x
         lhs = np.sum(A**2, axis=(-1, -2))
         rhs = np.einsum("...ii->...", A) ** 2 / d
+        del A
         margins.append(_relative_margin(lhs, rhs))
     _entry("trace_schwarz", np.concatenate(margins))
+    del margins, lhs, rhs
 
     # (a+b-c)^2 >= a^2 - 2a(|b|+|c|) for a >= 0
     a = np.abs(rng.normal(size=samples)) * 10.0 ** rng.uniform(-3, 3, size=samples)
@@ -343,14 +379,18 @@ def pointwise_inequality_suite(samples: int = 100_000, seed: int = 0) -> dict:
     c = rng.normal(size=samples) * 10.0 ** rng.uniform(-3, 3, size=samples)
     lhs = (a + b - c) ** 2
     rhs = a**2 - 2.0 * a * (np.abs(b) + np.abs(c))
+    del a, b, c
     _entry("shifted_square", _relative_margin(lhs, rhs))
+    del lhs, rhs
 
     # (a-b)^2 >= a^2/2 - 2 b^2
     a2 = rng.normal(size=samples) * 10.0 ** rng.uniform(-3, 3, size=samples)
     b2 = rng.normal(size=samples) * 10.0 ** rng.uniform(-3, 3, size=samples)
     lhs = (a2 - b2) ** 2
     rhs = 0.5 * a2**2 - 2.0 * b2**2
+    del a2, b2
     _entry("half_square", _relative_margin(lhs, rhs))
+    del lhs, rhs
 
     # composed form: substituting Lap u = (1/gamma)|p|^gamma - f into the
     # trace inequality gives (1/d)(a-f)^2 >= |p|^{2 gamma}/(2 gamma^2 d) - (2/d) f^2
@@ -361,7 +401,9 @@ def pointwise_inequality_suite(samples: int = 100_000, seed: int = 0) -> dict:
     ham = (1.0 / gam) * p**gam
     lhs = (ham - f) ** 2 / d_arr
     rhs = p ** (2.0 * gam) / (2.0 * gam**2 * d_arr) - 2.0 * f**2 / d_arr
+    del gam, p, f, d_arr, ham
     _entry("substituted_trace", _relative_margin(lhs, rhs))
+    del lhs, rhs
 
     # profile convexity chain for random (delta, w)
     dl = rng.uniform(1e-3, 1.0 - 1e-3, size=samples)

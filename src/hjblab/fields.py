@@ -19,6 +19,12 @@ identities hold to round-off rather than to O(h^2):
   * the L^2 tensor norm of the Hessian equals the L^2 norm of the
     laplacian on flat tori (discrete Calderon-Zygmund ratio exactly 1).
 
+Memory.  The operators write each partial into its place in the result,
+scale in place, and form sums over components one component at a time
+(`_sum_of_products`, `_sum_of_squares`) in the order numpy reduces a
+leading axis, so results equal the whole-array expressions bit for bit
+while no squared or stacked copy of a field is held.
+
 Vector fields store contravariant components; symmetric 2-tensor fields
 store covariant components.  Pointwise norms insert the conformal factors
 that orthonormal frames would (e^phi per contravariant slot, e^{-phi} per
@@ -101,19 +107,55 @@ class SymTensorField:
 # differential operators
 
 
+def _partials(values: np.ndarray, g: Grid) -> np.ndarray:
+    """(naxes, *shape) lattice partials of a nodal array, each written into
+    its row of the result as it is formed."""
+    out = np.empty((len(g.shape),) + g.shape)
+    for a in range(len(g.shape)):
+        out[a] = g.partial(values, a)
+    return out
+
+
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.sum(x * y, axis=0) bit for bit, holding one product at a time.
+
+    numpy reduces a leading axis by adding its slices in order to a sum
+    that starts from 0; this does the same, component by component."""
+    total = np.zeros(x.shape[1:])
+    prod = np.empty(x.shape[1:])
+    for xa, ya in zip(x, y):
+        total += np.multiply(xa, ya, out=prod)
+    return total
+
+
+def _sum_of_squares(comps) -> np.ndarray:
+    """The sum of the squares of the arrays in `comps`, added in order,
+    holding one square at a time.
+
+    For the components of a (d, ...) or (d, d, ...) array in C order this
+    is np.sum(v**2, axis=0) or np.sum(v**2, axis=(0, 1)) bit for bit: numpy
+    adds the squares in that order to 0, and 0 + s == s for a square s."""
+    comps = iter(comps)
+    total = np.square(next(comps))
+    sq = np.empty_like(total)
+    for c in comps:
+        total += np.square(c, out=sq)
+    return total
+
+
 def gradient(u: ScalarField) -> VectorField:
     """Metric gradient; contravariant components e^{-2 phi} du_i.
 
     On the polar disc the components are (d_r u, r^{-2} d_theta u).
     """
     g = u.grid
-    parts = np.stack([g.partial(u.values, a) for a in range(len(g.shape))])
+    parts = _partials(u.values, g)
     if g.coord_system == "polar":
         r = g.axes[0][:, None]
         parts[1] = parts[1] / r**2
         return VectorField(g, parts)
     if not g.is_flat:
-        parts = parts * g.conformal_factor(-2.0)
+        parts *= g.conformal_factor(-2.0)
     return VectorField(g, parts)
 
 
@@ -122,26 +164,29 @@ def hessian(u: ScalarField) -> SymTensorField:
 
     Conformal correction: Hess_g u = Hess u - dphi x du - du x dphi
     + <dphi, du> id, all in lattice components.  Each entry with a <= b is
-    formed once and mirrored, so the result is symmetric bit for bit.
+    formed once, corrected in place and mirrored, so the result is
+    symmetric bit for bit.
     """
     g = u.grid
     if g.coord_system == "polar":
         raise NotImplementedError("hessian on the polar disc is not supported")
     d = g.dim
-    du = np.stack([g.partial(u.values, a) for a in range(d)])
+    du = _partials(u.values, g)
     out = np.empty((d, d) + g.shape)
+    if not g.is_flat:
+        dphi = g.phi_gradient()
+        inner = _sum_of_products(dphi, du)
+        tmp = np.empty(g.shape)
     for a in range(d):
         for b in range(a, d):
             out[a, b] = g.partial(du[a], b)
+            if not g.is_flat:
+                out[a, b] -= np.multiply(dphi[a], du[b], out=tmp)
+                out[a, b] -= np.multiply(du[a], dphi[b], out=tmp)
+                if a == b:
+                    out[a, a] += inner
             out[b, a] = out[a, b]
-    if not g.is_flat:
-        dphi = g.phi_gradient()
-        inner = np.sum(dphi * du, axis=0)
-        for a in range(d):
-            for b in range(a, d):
-                out[a, b] = out[a, b] - dphi[a] * du[b] - du[a] * dphi[b]
-                out[b, a] = out[a, b]
-            out[a, a] += inner
+    del du  # before the symmetry check allocates its mask
     return SymTensorField(g, out)
 
 
@@ -161,12 +206,18 @@ def laplace_beltrami(u: ScalarField) -> ScalarField:
         for a in range(g.dim):
             tr += g.partial(g.partial(u.values, a), a)
         return ScalarField(g, tr)
-    du = np.stack([g.partial(u.values, a) for a in range(g.dim)])
+    du = _partials(u.values, g)
     dphi = g.phi_gradient()
-    inner = np.sum(dphi * du, axis=0)
+    inner = _sum_of_products(dphi, du)
+    tmp = np.empty(g.shape)
     for a in range(g.dim):
-        tr += g.partial(du[a], a) - dphi[a] * du[a] - du[a] * dphi[a] + inner
-    return ScalarField(g, tr * g.conformal_factor(-2.0))
+        term = g.partial(du[a], a)
+        term -= np.multiply(dphi[a], du[a], out=tmp)
+        term -= np.multiply(du[a], dphi[a], out=tmp)
+        term += inner
+        tr += term
+    tr *= g.conformal_factor(-2.0)
+    return ScalarField(g, tr)
 
 
 def _metric_trace(H: SymTensorField) -> ScalarField:
@@ -176,7 +227,7 @@ def _metric_trace(H: SymTensorField) -> ScalarField:
     for a in range(g.dim):
         tr += H.values[a, a]
     if not g.is_flat:
-        tr = tr * g.conformal_factor(-2.0)
+        tr *= g.conformal_factor(-2.0)
     return ScalarField(g, tr)
 
 
@@ -220,7 +271,11 @@ def normal_derivative(u: ScalarField) -> np.ndarray:
 
 
 def pointwise_norm(field) -> np.ndarray:
-    """Frame norm of a field at every node."""
+    """Frame norm of a field at every node.
+
+    Vector and tensor norms add the squared components one at a time
+    (`_sum_of_squares`) and scale in place, so they hold two field-sized
+    arrays, not a squared copy of the field."""
     g = field.grid
     if isinstance(field, ScalarField):
         return np.abs(field.values)
@@ -228,16 +283,18 @@ def pointwise_norm(field) -> np.ndarray:
         if g.coord_system == "polar":
             r = g.axes[0][:, None]
             return np.sqrt(field.values[0] ** 2 + (r * field.values[1]) ** 2)
-        sq = np.sum(field.values**2, axis=0)
-        if g.is_flat:
-            return np.sqrt(sq)
-        return g.conformal_factor(1.0) * np.sqrt(sq)
-    if isinstance(field, SymTensorField):
-        sq = np.sqrt(np.sum(field.values**2, axis=(0, 1)))
-        if g.is_flat:
-            return sq
-        return g.conformal_factor(-2.0) * sq
-    raise TypeError(f"unsupported field type {type(field)!r}")
+        mag = _sum_of_squares(field.values)
+        scale = 1.0
+    elif isinstance(field, SymTensorField):
+        d = field.values.shape[0]
+        mag = _sum_of_squares(field.values[a, b] for a in range(d) for b in range(d))
+        scale = -2.0
+    else:
+        raise TypeError(f"unsupported field type {type(field)!r}")
+    np.sqrt(mag, out=mag)
+    if not g.is_flat:
+        mag *= g.conformal_factor(scale)
+    return mag
 
 
 def lq_norm(field, q: float) -> float:

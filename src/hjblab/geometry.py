@@ -292,6 +292,10 @@ def conformal_ricci(grid: Grid) -> np.ndarray:
     `phi_gradient`.  Constant shifts of phi drop out, and
     `ricci_lower_bound` normalizes eigenvalues in the mean-zero gauge, so
     reported curvature bounds are invariant under them.
+
+    Each component with a <= b is built in its place in the result and
+    mirrored; the Euclidean Hessian of phi is never held whole, and its
+    trace is summed from the diagonal partials as they are formed.
     """
     if grid.coord_system != "cartesian":
         raise ValueError("curvature is only computed on cartesian lattices")
@@ -300,17 +304,25 @@ def conformal_ricci(grid: Grid) -> np.ndarray:
     if grid.phi is None:
         return np.zeros((d, d) + shape)
     dphi = grid.phi_gradient()
-    hess = np.empty((d, d) + shape)
+    ric = np.empty((d, d) + shape)
+    lap = np.zeros(shape)
     for a in range(d):
         for b in range(a, d):
-            hess[a, b] = grid.partial(dphi[a], b)
-            hess[b, a] = hess[a, b]
-    lap = np.trace(hess)
-    grad2 = np.sum(dphi**2, axis=0)
-    ric = -(d - 2) * (hess - np.einsum("i...,j...->ij...", dphi, dphi))
-    diag_term = lap + (d - 2) * grad2
+            hab = grid.partial(dphi[a], b)
+            if a == b:
+                lap += hab
+            comp = np.multiply(dphi[a], dphi[b], out=ric[a, b])
+            np.subtract(hab, comp, out=comp)
+            comp *= -(d - 2)
+            ric[b, a] = comp
+    grad2 = np.square(dphi[0])
+    sq = np.empty(shape)
+    for a in range(1, d):
+        grad2 += np.square(dphi[a], out=sq)
+    grad2 *= d - 2
+    lap += grad2  # the diagonal term Lap phi + (d-2)|dphi|^2
     for a in range(d):
-        ric[a, a] -= diag_term
+        ric[a, a] -= lap
     return ric
 
 

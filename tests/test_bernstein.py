@@ -2,6 +2,7 @@
 sign relation, scalar inequality audit, level sets, exponent bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hjblab.bernstein import (
     BernsteinState,
     ContinuityTools,
     bochner_residual,
+    bochner_residuals,
     boundary_sign_check,
     continuity_tools,
     energy_density,
@@ -20,9 +22,10 @@ from hjblab.bernstein import (
     pointwise_inequality_suite,
     weighted_bochner_residual,
 )
+from hjblab.cli import _bochner_cases
 from hjblab.estimates import random_band_limited
-from hjblab.fields import ScalarField
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.fields import ScalarField, gradient, hessian, laplace_beltrami, pointwise_norm
+from hjblab.geometry import DomainSpec, MetricSpec, build_grid, conformal_ricci
 
 TWO_PI = 2.0 * np.pi
 
@@ -168,6 +171,66 @@ def test_affine_profile_limit_recovers_plain_identity():
     plain = bochner_residual(u).values
     affine = weighted_bochner_residual(u, 1.0).values
     assert np.max(np.abs(plain - affine)) <= 1e-12 * max(1.0, float(np.max(np.abs(plain))))
+
+
+def _whole_array_residuals(u, delta):
+    """Both residuals from whole-array expressions of the full Hessian and
+    Ricci tensor, in the operation order of the shared terms."""
+    grid = u.grid
+    gradu = gradient(u).values
+    w = 0.5 * pointwise_norm(gradient(u)) ** 2
+    hess = hessian(u)
+    scale2 = 1.0 if grid.is_flat else grid.conformal_factor(2.0)
+    inner = scale2 * np.sum(gradient(laplace_beltrami(u)).values * gradu, axis=0)
+    hsq = pointwise_norm(hess) ** 2
+    ric = np.zeros(grid.shape)
+    if not grid.is_flat:
+        ric = np.einsum("ij...,i...,j...->...", conformal_ricci(grid), gradu, gradu)
+    plain = laplace_beltrami(ScalarField(grid, w)).values - inner - hsq - ric
+    tk = h_toolkit(delta)
+    cvec = np.einsum("ij...,j...->i...", hess.values, gradu)
+    scale_m2 = 1.0 if grid.is_flat else grid.conformal_factor(-2.0)
+    nub = scale_m2 * np.sum(cvec**2, axis=0)
+    lapz = laplace_beltrami(ScalarField(grid, tk.h(w))).values
+    weighted = lapz - tk.h1(w) * (inner + hsq + ric) - tk.h2(w) * nub
+    return plain, weighted
+
+
+@pytest.mark.parametrize("kind", ["conformal torus", "box"])
+def test_shared_terms_equal_the_whole_array_expressions_bit_for_bit(kind):
+    if kind == "box":
+        g = box(11)
+    else:
+        g = torus(10, dim=3, metric=MetricSpec.conformal(
+            lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
+        ))
+    u = random_band_limited(g, seed=12)
+    plain, weighted = bochner_residuals(u, 0.4)
+    expected = _whole_array_residuals(u, 0.4)
+    assert np.array_equal(plain.values, expected[0])
+    assert np.array_equal(weighted.values, expected[1])
+
+
+@pytest.mark.parametrize("case, bound", [("flat", 24), ("conformal", 36)])
+def test_bochner_terms_hold_few_field_sized_arrays(case, bound):
+    # `bochner-check`'s cases at 64 x 64 x 8.  Whole-array terms held 27
+    # (flat) and 53 (conformal) field-sized arrays at once, counting the
+    # grid caches the call fills and its two results.
+    _, kind, metric, field_fn, _ = next(c for c in _bochner_cases() if c[0] == case)
+    grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(64, 64, 8)), metric)
+    u = field_fn(grid)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        bochner_residuals(u, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert (peak - start) / u.values.nbytes <= bound
 
 
 def _pair_order(errs, ns):

@@ -18,6 +18,7 @@ from hjblab.fields import (
     lq_norm,
     normal_derivative,
     pointwise_norm,
+    _sum_of_squares,
 )
 from hjblab.geometry import DomainSpec, Grid, MetricSpec, build_grid
 
@@ -120,6 +121,12 @@ def test_laplacian_second_order_on_single_mode():
 
 def conformal_metric(amp=0.1):
     return MetricSpec.conformal(lambda coords, _a=amp: _a * np.cos(TWO_PI * coords[0]))
+
+
+# phi varies along every axis, so every conformal correction is nonzero
+ALL_AXES_METRIC = MetricSpec.conformal(
+    lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
+)
 
 
 def test_conformal_hessian_second_order_against_fine_grid_oracle():
@@ -365,11 +372,7 @@ def test_symmetric_tensors_are_kept_and_round_off_asymmetry_is_averaged():
 
 
 def test_conformal_hessian_takes_the_exact_symmetry_path(monkeypatch):
-    # phi varies along every axis, so every off-diagonal correction is nonzero
-    metric = MetricSpec.conformal(
-        lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
-    )
-    g = torus(10, dim=3, metric=metric)
+    g = torus(10, dim=3, metric=ALL_AXES_METRIC)
     u = random_band_limited(g, seed=3)
     calls = []
     allclose = np.allclose
@@ -382,6 +385,40 @@ def test_conformal_hessian_takes_the_exact_symmetry_path(monkeypatch):
     H = hessian(u).values
     assert calls == []  # array_equal held, so no round-off check or averaging
     assert np.array_equal(H, np.swapaxes(H, 0, 1))
+
+
+@pytest.mark.parametrize("lead", [(3,), (3, 3)])
+def test_component_squares_sum_as_numpy_reduces_leading_axes(lead):
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=lead + (5000,)) * 10.0 ** rng.uniform(-8, 8, size=lead + (5000,))
+    whole = np.sum(v**2, axis=tuple(range(len(lead))))
+    assert np.array_equal(_sum_of_squares(v.reshape(-1, 5000)), whole)
+
+
+def test_frame_norms_equal_their_whole_array_expressions_bit_for_bit():
+    g = torus(10, dim=3, metric=ALL_AXES_METRIC)
+    u = random_band_limited(g, seed=5)
+    v = gradient(u).values
+    T = hessian(u).values
+    vec = g.conformal_factor(1.0) * np.sqrt(np.sum(v**2, axis=0))
+    ten = g.conformal_factor(-2.0) * np.sqrt(np.sum(T**2, axis=(0, 1)))
+    assert np.array_equal(pointwise_norm(VectorField(g, v)), vec)
+    assert np.array_equal(pointwise_norm(SymTensorField(g, T)), ten)
+
+
+def test_gradient_and_hessian_equal_their_stacked_expressions_bit_for_bit():
+    g = torus(10, dim=3, metric=ALL_AXES_METRIC)
+    u = random_band_limited(g, seed=6)
+    du = np.stack([g.partial(u.values, a) for a in range(3)])
+    assert np.array_equal(gradient(u).values, du * g.conformal_factor(-2.0))
+    dphi = g.phi_gradient()
+    inner = np.sum(dphi * du, axis=0)
+    H = np.empty((3, 3) + g.shape)
+    for a in range(3):
+        for b in range(a, 3):
+            H[a, b] = H[b, a] = g.partial(du[a], b) - dphi[a] * du[b] - du[a] * dphi[b]
+        H[a, a] += inner
+    assert np.array_equal(hessian(u).values, H)
 
 
 def test_tensor_symmetry_is_enforced():

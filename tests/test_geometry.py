@@ -9,6 +9,7 @@ from hjblab.geometry import (
     DomainSpec,
     MetricSpec,
     build_grid,
+    conformal_ricci,
     ricci_lower_bound,
     second_fundamental_form,
 )
@@ -189,6 +190,27 @@ def test_curvature_bound_matches_independent_tensor_oracle():
     kappa = ricci_lower_bound(grid)
     oracle = _curvature_oracle(4 * n)
     assert abs(kappa - oracle) <= 1e-3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_conformal_ricci_equals_its_tensor_expression_bit_for_bit(dim):
+    # Ric = -(d-2)(Hess phi - dphi x dphi) - (Lap phi + (d-2)|dphi|^2) id,
+    # with the Hessian's entries a <= b formed once and mirrored
+    metric = MetricSpec.conformal(
+        lambda c: 0.2 * np.cos(PHI_FREQ * c[0]) * np.sin(PHI_FREQ * (c[1] + c[-1]))
+    )
+    grid = build_grid(DomainSpec(kind="conformal_torus", dim=dim, resolution=(12, 10, 9)[:dim]), metric)
+    d = dim
+    dphi = grid.phi_gradient()
+    hess = np.empty((d, d) + grid.shape)
+    for a in range(d):
+        for b in range(a, d):
+            hess[a, b] = hess[b, a] = grid.partial(dphi[a], b)
+    ric = -(d - 2) * (hess - np.einsum("i...,j...->ij...", dphi, dphi))
+    diag = np.trace(hess) + (d - 2) * np.sum(dphi**2, axis=0)
+    for a in range(d):
+        ric[a, a] -= diag
+    assert np.array_equal(conformal_ricci(grid), ric)
 
 
 # ---------------------------------------------------------------------------
