@@ -141,9 +141,14 @@ _MAX_ITERATIONS = 2000
 # sweep's up to 46; with the line solved exactly both run one.
 _KEPT = 8
 
-_dot, _axpy, _nrm2, _scal, _ger = (
+_ddot, _axpy, _nrm2, _scal, _ger = (
     _kernels.fblas.ddot, _kernels.fblas.daxpy, _kernels.fblas.dnrm2, _kernels.fblas.dscal, _kernels.fblas.dger
 )
+# OpenBLAS splits a ddot of more than 10 000 elements across its threads, and
+# the partial sums round differently for each thread count, so a solve's
+# last digits would depend on OPENBLAS_NUM_THREADS.  `_dot` sums blocks of
+# this many elements, each below that size, in a fixed order instead.
+_DOT_BLOCK = 8192
 _getrf, _getrs, _trtrs = _kernels.flapack.dgetrf, _kernels.flapack.dgetrs, _kernels.flapack.dtrtrs
 _EPS = float(np.finfo(np.float64).eps)
 # An Arnoldi step forms A M v = v + R M v for a unit v.  When the part left
@@ -168,6 +173,14 @@ _INVARIANCE_TOL = 1e3 * _EPS
 # below 0.27, and a 24^3 game with shift 10 (cos 2 pi x + cos 2 pi (y + z) / 2),
 # near 0.85, which the line made slower.
 _LINE_SHARE = 0.99
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y for 1-D arrays, the same under every BLAS thread count."""
+    total = 0.0
+    for k in range(0, x.size, _DOT_BLOCK):
+        total += _ddot(x[k : k + _DOT_BLOCK], y[k : k + _DOT_BLOCK])
+    return total
 
 
 @dataclass

@@ -909,6 +909,43 @@ def test_krylov_update_keeps_one_axis_symmetry_under_threaded_blas():
         assert (int(steps) > int(window)) == (i < 2), line
 
 
+# Ergodic solves on a 24^3 torus, whose bordered systems have 13 825
+# unknowns: above the 10 000 elements from which OpenBLAS splits a dot
+# product across its threads.  The first datum varies along every axis
+# (flat preconditioner, several Arnoldi steps), the second along one (the
+# axis line solved exactly).
+THREAD_COUNT_SOLVES = """
+import hashlib
+import numpy as np
+from hjblab import hjb
+from hjblab.fields import ScalarField
+from hjblab.geometry import DomainSpec, build_grid
+
+grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(24,)))
+x, y, z = grid.mesh()
+tp = 2.0 * np.pi
+for shift in (3.0 * np.cos(tp * x) * np.sin(tp * (y + 2.0 * z)) + np.cos(tp * z), 2.0 * np.cos(tp * y)):
+    rep = hjb.solve_ergodic(hjb.ProblemSpec(grid, gamma=3.0, shift=ScalarField(grid, shift), ergodic=True))
+    print(rep.converged, repr(rep.lam), hashlib.sha256(rep.u.values.tobytes()).hexdigest())
+"""
+
+
+def test_solves_are_the_same_under_one_and_two_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_COUNT_SOLVES], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("True") == 2, outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("kind", ["torus", "box"])
 def test_flat_inverter_takes_its_mean_from_the_zero_mode_bit_for_bit(kind):
     grid = torus(12, dim=3) if kind == "torus" else box(11, dim=3)
