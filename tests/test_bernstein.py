@@ -219,18 +219,13 @@ def test_bochner_terms_hold_few_field_sized_arrays(case, bound):
     _, kind, metric, field_fn, _ = next(c for c in _bochner_cases() if c[0] == case)
     grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(64, 64, 8)), metric)
     u = field_fn(grid)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
+    tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
         bochner_residuals(u, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert (peak - start) / u.values.nbytes <= bound
+        tracemalloc.stop()
+    assert peak / u.values.nbytes <= bound, peak / u.values.nbytes
 
 
 def _pair_order(errs, ns):

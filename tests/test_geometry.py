@@ -192,15 +192,14 @@ def test_curvature_bound_matches_independent_tensor_oracle():
     assert abs(kappa - oracle) <= 1e-3
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_conformal_ricci_equals_its_tensor_expression_bit_for_bit(dim):
+@pytest.mark.parametrize("d", [2, 3])
+def test_conformal_ricci_equals_its_tensor_expression_bit_for_bit(d):
     # Ric = -(d-2)(Hess phi - dphi x dphi) - (Lap phi + (d-2)|dphi|^2) id,
     # with the Hessian's entries a <= b formed once and mirrored
     metric = MetricSpec.conformal(
         lambda c: 0.2 * np.cos(PHI_FREQ * c[0]) * np.sin(PHI_FREQ * (c[1] + c[-1]))
     )
-    grid = build_grid(DomainSpec(kind="conformal_torus", dim=dim, resolution=(12, 10, 9)[:dim]), metric)
-    d = dim
+    grid = build_grid(DomainSpec(kind="conformal_torus", dim=d, resolution=(12, 10, 9)[:d]), metric)
     dphi = grid.phi_gradient()
     hess = np.empty((d, d) + grid.shape)
     for a in range(d):
