@@ -5,8 +5,8 @@ gradients of solutions: the curvature identity for the energy density
 w = |grad u|^2/2, its weighted variant driven by the concave profile
 h(t) = (2/(1+delta)) (1+t)^{(1+delta)/2}, the boundary sign relation on
 convex domains, scalar inequalities for the profile and for symmetric
-matrices, level-set quantities of z = h(w), and the scalar continuity
-functions (phi, zeta, t*, k*) that close the argument.
+matrices, level-set quantities of z = h(w), and the shape function phi of
+the continuity argument that closes it, with its peak and its roots.
 
 Everything here is either exact algebra (checked to round-off) or a
 consistency residual expected to vanish under grid refinement; nothing
@@ -133,47 +133,6 @@ def _half_square(mag: np.ndarray) -> np.ndarray:
     np.square(mag, out=mag)
     mag *= 0.5
     return mag
-
-
-@dataclass(frozen=True)
-class BernsteinState:
-    """Pointwise data of the weighted gradient-energy argument."""
-
-    u: ScalarField
-    w: ScalarField
-    z: ScalarField
-    z1: ScalarField
-    z2: ScalarField
-    delta: float
-
-    @staticmethod
-    def from_field(u: ScalarField, delta: float) -> "BernsteinState":
-        _check_delta(delta)
-        tk = h_toolkit(delta)
-        w = energy_density(u)
-        grid = u.grid
-        return BernsteinState(
-            u=u,
-            w=w,
-            z=ScalarField(grid, tk.h(w.values)),
-            z1=ScalarField(grid, tk.h1(w.values)),
-            z2=ScalarField(grid, tk.h2(w.values)),
-            delta=delta,
-        )
-
-    def validate(self, tol: float = 1e-12) -> dict:
-        """Node-wise invariants; raises on violation, returns margins."""
-        if np.min(self.w.values) < -tol:
-            raise ValueError("energy density must be nonnegative")
-        if np.min(self.z1.values) <= 0.0:
-            raise ValueError("first profile derivative must be positive")
-        if np.max(self.z2.values) > 0.0:
-            raise ValueError("second profile derivative must be nonpositive")
-        rec = (1.0 + self.w.values) ** ((self.delta - 1.0) / 2.0)
-        dev = float(np.max(np.abs(rec - self.z1.values) / np.maximum(np.abs(rec), 1.0)))
-        if dev > tol:
-            raise ValueError("profile derivative recovery identity fails")
-        return {"derivative_recovery_dev": dev}
 
 
 def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
@@ -490,18 +449,14 @@ class MaxRegParams:
     bo1_residual: Optional[float]
     bo2_residual: float
 
-    @property
-    def p_effective(self) -> float:
-        return self.p if self.p_tilde is None else self.p_tilde
-
 
 def maxreg_params(d: int, gamma: float, q: float, delta: float) -> MaxRegParams:
     """Closed-form exponents p, beta, eta, Phi, c(gamma) plus identities.
 
     Requires the integrability gate q > max(d (gamma-1)/gamma, 2).  When
     the interpolation exponent p falls at or below 2, a strict surrogate
-    in (2, q) is recorded as p_tilde for downstream use; beta and eta keep
-    their closed forms in p.
+    in (2, q) is recorded as p_tilde, which `constants` reports; beta and
+    eta keep their closed forms in p.
     """
     if d < 3:
         raise ValueError("dimension must be at least 3")
@@ -548,14 +503,10 @@ def maxreg_params(d: int, gamma: float, q: float, delta: float) -> MaxRegParams:
 
 @dataclass(frozen=True)
 class ContinuityTools:
-    """Scalar functions closing the argument: phi, its roots, zeta, t*, k*."""
+    """Shape function phi(y) = y^{(d-2)/d} - y of the continuity argument:
+    its maximizer y*, its maximum phi* and the two roots of phi = level."""
 
     d: int
-    q: float
-    gamma: float
-    delta: float
-    C: float
-    p: float
     y_star: float
     phi_star: float
 
@@ -572,53 +523,6 @@ class ContinuityTools:
         lo = _bisect(lambda y: self.phi(y) - level, 0.0, self.y_star, increasing=True)
         hi = _bisect(lambda y: self.phi(y) - level, self.y_star, 1.0, increasing=False)
         return lo, hi
-
-    def zeta(self, t):
-        t = np.asarray(t, dtype=float)
-        a = (self.q - self.p) / self.q
-        b = a - self.p * self.delta
-        return self.C * (t + t**a + t**b)
-
-    def t_star(self) -> Optional[float]:
-        """Largest t below the phi-max cap with zeta < identity up to t.
-
-        Returns None when no sample satisfies the strict inequality.  For
-        C >= 1 that is known without a search: zeta(t) = C (t + t^a + t^b)
-        > t for every t > 0, as for the default C = 1.
-        """
-        if self.C >= 1.0:
-            return None
-        cap = self.phi_star * (1.0 - 1e-6)
-        ts = np.geomspace(1e-12, cap, 10_000)
-        zs = self.zeta(ts)
-        runmax = np.maximum.accumulate(zs)
-        feasible = runmax < np.minimum(ts, cap)
-        if not feasible.any():
-            return None
-        idx = int(np.max(np.nonzero(feasible)[0]))
-        if idx == ts.size - 1:
-            return float(ts[-1])
-        lo, hi = float(ts[idx]), float(ts[idx + 1])
-        base = float(runmax[idx])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            sub = np.linspace(lo, mid, 64)
-            m = max(base, float(np.max(self.zeta(sub))))
-            if m < min(mid, cap):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return lo
-
-    def k_star(self, grad_l1: float, t_star: Optional[float] = None) -> float:
-        """Threshold above which the level sets are small enough to absorb."""
-        t = self.t_star() if t_star is None else t_star
-        if t is None:
-            raise ValueError("no admissible t*: the shape function never dips below t")
-        d = self.delta
-        return (2.0 / (1.0 + d)) * (1.0 + 0.5 * (grad_l1 / t) ** 2) ** ((1.0 + d) / 2.0)
 
 
 def _bisect(fn, lo: float, hi: float, increasing: bool) -> float:
@@ -642,17 +546,10 @@ def _bisect(fn, lo: float, hi: float, increasing: bool) -> float:
     return 0.5 * (lo + hi)
 
 
-def continuity_tools(d: int, q: float, gamma: float, delta: float, C: float = 1.0) -> ContinuityTools:
-    params = maxreg_params(d, gamma, q, delta)
+def continuity_tools(d: int, q: float, gamma: float, delta: float) -> ContinuityTools:
+    """phi's closed-form peak in dimension d; (d, q, gamma, delta) must pass
+    `maxreg_params`'s admissibility gates."""
+    maxreg_params(d, gamma, q, delta)
     y_star = ((d - 2.0) / d) ** (d / 2.0)
     phi_star = y_star ** ((d - 2.0) / d) - y_star
-    return ContinuityTools(
-        d=d,
-        q=q,
-        gamma=gamma,
-        delta=delta,
-        C=C,
-        p=params.p_effective,
-        y_star=y_star,
-        phi_star=phi_star,
-    )
+    return ContinuityTools(d=d, y_star=y_star, phi_star=phi_star)

@@ -467,15 +467,16 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
         DomainSpec(kind="torus", dim=3, resolution=(16, 16, 16)), MetricSpec.euclidean()
     )
     params = bernstein.maxreg_params(3, 2.0, 3.0, delta)
+    profile = bernstein.h_toolkit(delta)
     cheb_viol = 0
     mono_viol = 0
     for i in range(10):
         u = estimates.random_band_limited(grid, seed=seed + i)
-        state = bernstein.BernsteinState.from_field(u, delta)
-        zmax = float(np.max(state.z.values))
+        z = ScalarField(grid, profile.h(bernstein.energy_density(u).values))
+        zmax = float(np.max(z.values))
         prev_y = math.inf
         for k in np.linspace(1.0, 1.1 * zmax, 20):
-            data = bernstein.level_sets(state.z, float(k), params)
+            data = bernstein.level_sets(z, float(k), params)
             if not data.within_bound:
                 cheb_viol += 1
             if data.y > prev_y * (1.0 + 1e-12):
@@ -581,7 +582,6 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     q = exp["q"] if exp["q"] is not None else 2.5
     params = bernstein.maxreg_params(grid.dim, gamma, q, exp["delta"])
     tools = bernstein.continuity_tools(grid.dim, q, gamma, exp["delta"])
-    t_star = tools.t_star()
     results = {
         "sigma_hat": sigma,
         "cz_ratio_p2": cz2,
@@ -597,8 +597,11 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
         "continuity": {
             "y_star": tools.y_star,
             "phi_star": tools.phi_star,
-            "t_star": t_star,
-            "zeta_C": tools.C,
+            # t* would be the largest t with zeta(t) = C (t + t^a + t^b) < t
+            # up to t; at the prefactor C = 1, zeta(t) > t for every t > 0,
+            # so no t* exists
+            "t_star": None,
+            "zeta_C": 1.0,
         },
     }
     flat_torus = grid.is_flat and all(grid.periodic)
@@ -619,7 +622,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
         ("c_gamma", params.c_gamma),
         ("y_star", tools.y_star),
         ("phi_star", tools.phi_star),
-        ("t_star", "none" if t_star is None else t_star),
+        ("t_star", "none"),
     ]
     write_csv(os.path.join(out, "constants.csv"), ("name", "value"), rows)
     return report

@@ -4,7 +4,7 @@ Derivative conventions.  First derivatives are second-order centered
 stencils (one-sided second-order rows on non-periodic axes), taken by
 `Grid.partial` with the row kernel `stencils.apply_along_axis`; pure
 second derivatives are compositions of two first-derivative
-applications.  The composition choice is what makes three structural
+applications.  The composition choice is what makes two structural
 identities hold to round-off rather than to O(h^2):
 
   * laplacian == metric trace of the Hessian, node-wise and bit for bit:
@@ -13,9 +13,6 @@ identities hold to round-off rather than to O(h^2):
     never formed to take a Laplacian; callers that need both operators of
     one field take the trace of the Hessian they already hold
     (`_metric_trace`),
-  * divergence == negative adjoint of the gradient under the quadrature
-    inner product on tori (summation by parts), and div(grad u) == lap u
-    on flat tori,
   * the L^2 tensor norm of the Hessian equals the L^2 norm of the
     laplacian on flat tori (discrete Calderon-Zygmund ratio exactly 1).
 
@@ -229,28 +226,6 @@ def _metric_trace(H: SymTensorField) -> ScalarField:
     if not g.is_flat:
         tr *= g.conformal_factor(-2.0)
     return ScalarField(g, tr)
-
-
-def divergence(X: VectorField) -> ScalarField:
-    """Metric divergence e^{-d phi} d_i (e^{d phi} X^i).
-
-    With centered periodic stencils this operator is exactly the negative
-    adjoint of `gradient` under the quadrature inner product; on boxes the
-    defect is the discrete boundary flux.
-    """
-    g = X.grid
-    if g.coord_system == "polar":
-        raise NotImplementedError("divergence on the polar disc is not supported")
-    if g.is_flat:
-        out = np.zeros(g.shape)
-        for a in range(g.dim):
-            out += g.partial(X.values[a], a)
-        return ScalarField(g, out)
-    wfac = g.conformal_factor(float(g.dim))
-    out = np.zeros(g.shape)
-    for a in range(g.dim):
-        out += g.partial(wfac * X.values[a], a)
-    return ScalarField(g, out * g.conformal_factor(-float(g.dim)))
 
 
 def normal_derivative(u: ScalarField) -> np.ndarray:

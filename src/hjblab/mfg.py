@@ -47,6 +47,9 @@ from .hjb import (
     transport_coefficient,
     with_reason,
 )
+# Kept under this name: bench/tracing.py wraps `mfg.fp_peclet` by name, and
+# tests/test_bench_hooks.py installs that tracer, so every traced bench run
+# needs the alias.
 from .hjb import mesh_peclet as fp_peclet
 
 

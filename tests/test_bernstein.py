@@ -1,5 +1,6 @@
 """Gradient-energy machinery: profile toolkit, curvature identities, boundary
-sign relation, scalar inequality audit, level sets, exponent bookkeeping."""
+sign relation, scalar inequality audit, level sets, exponent bookkeeping,
+continuity-argument shape function."""
 
 import math
 import tracemalloc
@@ -9,8 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjblab.bernstein import (
-    BernsteinState,
-    ContinuityTools,
     bochner_residual,
     bochner_residuals,
     boundary_sign_check,
@@ -91,41 +90,6 @@ def test_profile_fact_audit_is_clean(delta):
 def test_profile_exponent_range_is_enforced(delta):
     with pytest.raises(ValueError):
         h_toolkit(delta)
-
-
-def test_state_from_field_validates():
-    g = torus(16, dim=2)
-    u = random_band_limited(g, seed=2)
-    state = BernsteinState.from_field(u, 0.4)
-    report = state.validate()
-    assert report["derivative_recovery_dev"] <= 1e-12
-    assert np.min(state.w.values) >= 0.0
-
-
-def test_state_validation_rejects_corrupted_data():
-    g = torus(8, dim=2)
-    u = ScalarField(g, np.zeros(g.shape))
-    good = BernsteinState.from_field(u, 0.4)
-    bad_w = BernsteinState(
-        u=u,
-        w=ScalarField(g, np.full(g.shape, -1.0)),
-        z=good.z,
-        z1=good.z1,
-        z2=good.z2,
-        delta=0.4,
-    )
-    with pytest.raises(ValueError, match="nonnegative"):
-        bad_w.validate()
-    bad_z1 = BernsteinState(
-        u=u,
-        w=good.w,
-        z=good.z,
-        z1=ScalarField(g, np.zeros(g.shape)),
-        z2=good.z2,
-        delta=0.4,
-    )
-    with pytest.raises(ValueError, match="positive"):
-        bad_z1.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +313,9 @@ def params_for_levels():
 def test_threshold_above_range_gives_empty_data():
     g = torus(16, dim=2)
     u = random_band_limited(g, seed=6)
-    z = ScalarField(g, h_toolkit(0.5).h(energy_density(u).values))
+    w = energy_density(u)
+    assert np.min(w.values) >= 0.0
+    z = ScalarField(g, h_toolkit(0.5).h(w.values))
     k = float(np.max(z.values)) + 1.0
     data = level_sets(z, k, params_for_levels())
     assert not data.mask.any()
@@ -406,7 +372,6 @@ def test_interpolation_exponents_match_hand_computation():
     assert abs(params.beta - 1.9 / 1.1) <= 1e-15
     assert abs(params.eta - 3.1 / 1.1) <= 1e-15
     assert params.p_tilde is None
-    assert params.p_effective == params.p
 
 
 @pytest.mark.parametrize("gamma,expected", [(2.0, 1.0), (10.0, 2.56)])
@@ -443,7 +408,6 @@ def test_low_interpolation_exponent_gets_a_strict_surrogate():
     assert 2.0 < params.p_tilde < params.q
     assert abs(params.p_tilde - 2.25) <= 1e-15
     assert params.bo1_residual is None
-    assert params.p_effective == params.p_tilde
 
 
 def test_exponent_bookkeeping_input_gates():
@@ -496,46 +460,3 @@ def test_roots_reject_levels_at_or_above_the_peak():
         tools.roots(tools.phi_star)
     with pytest.raises(ValueError):
         tools.roots(-0.1)
-
-
-def test_default_prefactor_admits_no_crossing_time():
-    tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.5)
-    assert tools.t_star() is None
-    with pytest.raises(ValueError, match="no admissible"):
-        tools.k_star(grad_l1=1.0)
-
-
-def test_no_search_runs_when_the_prefactor_rules_out_a_crossing(monkeypatch):
-    # zeta(t) = C (t + t^a + t^b) > t for C >= 1, so t* is None in closed form
-    calls = []
-    zeta = ContinuityTools.zeta
-
-    def spy(self, t):
-        calls.append(1)
-        return zeta(self, t)
-
-    monkeypatch.setattr(ContinuityTools, "zeta", spy)
-    for C in (1.0, 2.5):
-        assert continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.5, C=C).t_star() is None
-    assert calls == []
-    assert continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.05, C=0.1).t_star() is not None
-    assert calls
-
-
-def test_small_prefactor_admits_a_crossing_time():
-    tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.05, C=0.1)
-    t = tools.t_star()
-    assert t is not None
-    assert 0.0 < t < tools.phi_star
-    assert float(tools.zeta(t)) <= t * (1.0 + 1e-9)
-
-
-def test_absorption_threshold_recomputes_from_closed_form():
-    tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.05, C=0.1)
-    t = tools.t_star()
-    grad_l1 = 2.0
-    got = tools.k_star(grad_l1, t_star=t)
-    d = tools.delta
-    expected = (2.0 / (1.0 + d)) * (1.0 + 0.5 * (grad_l1 / t) ** 2) ** ((1.0 + d) / 2.0)
-    assert abs(got - expected) <= 1e-12 * expected
-    assert tools.k_star(grad_l1) == got

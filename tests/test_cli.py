@@ -443,6 +443,19 @@ def test_seed_changes_the_searched_constants(tmp_path):
     )
 
 
+def test_constants_writes_the_closed_form_continuity_scalars(tmp_path):
+    # in d = 3, y* = 3^(-3/2) and phi* = 2 * 3^(-3/2); with prefactor C = 1,
+    # zeta(t) = t + t^a + t^b > t for every t > 0, so no t* exists
+    out = tmp_path / "out"
+    assert main(["constants", "--out", str(out)]) == 0
+    cont = json.loads((out / "report.json").read_text())["results"]["continuity"]
+    assert abs(cont["y_star"] - 3.0**-1.5) <= 1e-15
+    assert abs(cont["phi_star"] - 2.0 * 3.0**-1.5) <= 1e-15
+    assert cont["t_star"] is None
+    assert cont["zeta_C"] == 1.0 and isinstance(cont["zeta_C"], float)
+    assert "t_star,none" in (out / "constants.csv").read_text().splitlines()
+
+
 @pytest.mark.parametrize("subcommand", ["thm2-sweep", "mfg"])
 def test_fft_workers_change_no_report_byte(tmp_path, monkeypatch, subcommand):
     from hjblab import _kernels, hjb

@@ -1,4 +1,4 @@
-"""Discrete calculus: exactness, refinement orders, adjointness, norms, dumps."""
+"""Discrete calculus: exactness, refinement orders, norms, dumps."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hjblab.fields import (
     ScalarField,
     SymTensorField,
     VectorField,
-    divergence,
     dump_field_csv,
     gradient,
     hessian,
@@ -204,64 +203,6 @@ def test_second_derivative_operators_form_each_partial_once(monkeypatch):
     assert count(bochner_residual, u) == 21
     assert count(weighted_bochner_residual, u, 0.5) == 21
     assert count(cz_ratio, [u], (2.0, 4.0)) == 9
-
-
-# ---------------------------------------------------------------------------
-# divergence: composition and adjointness
-
-
-def test_divergence_of_constant_vector_field_vanishes():
-    g = torus(16, dim=2)
-    X = VectorField(g, np.stack([np.full(g.shape, 2.0), np.full(g.shape, -1.0)]))
-    assert np.all(divergence(X).values == 0.0)
-
-
-def test_divergence_of_gradient_is_laplacian():
-    g = torus(32, dim=2)
-    mesh = g.mesh()
-    u = ScalarField(g, np.sin(TWO_PI * mesh[0]))
-    comp = divergence(gradient(u)).values
-    lap = laplace_beltrami(u).values
-    assert np.max(np.abs(comp - lap)) <= 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000), conformal=st.booleans())
-def test_integration_by_parts_is_exact_on_tori(seed, conformal):
-    metric = conformal_metric() if conformal else None
-    g = torus(16, dim=2, metric=metric)
-    rng = np.random.default_rng(seed)
-    u = random_band_limited(g, seed=seed)
-    X = VectorField(
-        g,
-        np.stack(
-            [random_band_limited(g, seed=seed + 77 * (a + 1)).values for a in range(2)]
-        ),
-    )
-    pair = np.sum(gradient(u).values * X.values, axis=0)
-    if not g.is_flat:
-        pair = pair * g.conformal_factor(2.0)
-    total = float(np.sum(g.weights * (pair + u.values * divergence(X).values)))
-    scale = lq_norm(u, 2.0) * lq_norm(X, 2.0)
-    assert abs(total) <= 1e-12 * max(1.0, scale)
-    del rng
-
-
-def test_integration_by_parts_defect_on_box_is_boundary_flux():
-    g = box(17, dim=2)
-    mesh = g.mesh()
-    u = ScalarField(g, np.cos(np.pi * mesh[1]))
-    X = VectorField(g, np.stack([np.sin(np.pi * mesh[0]), mesh[1] ** 2]))
-    pair = np.sum(gradient(u).values * X.values, axis=0)
-    defect = float(np.sum(g.weights * (pair + u.values * divergence(X).values)))
-    # X . nu vanishes on x2 = 0 (X2 = 0) and on the x1 faces (sin(pi x1) = 0),
-    # so the Gauss flux reduces to the x2 = 1 side: u = -1, X2 = 1 there.
-    line = g.weights[:, -1] / g.weights[:, -1].sum()
-    flux_top = float(np.sum(line * u.values[:, -1] * X.values[1][:, -1]))
-    assert abs(flux_top + 1.0) <= 1e-12
-    h = g.spacings[0]
-    assert abs(defect - flux_top) <= 2.0 * h * h
-    assert abs(defect) > 0.5  # genuinely nonzero, unlike the torus case
 
 
 # ---------------------------------------------------------------------------
