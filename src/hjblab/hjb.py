@@ -133,12 +133,14 @@ EPS_REG = 1e-8
 _RESTART = 120
 _MAX_ITERATIONS = 2000
 # A cycle keeps the preconditioned directions M v_j of its first K =
-# min(_KEPT, m // 2) Arnoldi steps, in basis rows K + 1 ... 2K, so a cycle
-# that ends within K steps updates x without a preconditioner apply (flexible
-# GMRES keeps them all; Saad 1993).  A longer cycle overwrites those rows with
-# basis vectors, as it would anyway, and applies M once more at its end.  With
-# the flat M alone the bench game's cycles ran at most 5 steps and the 48^3
-# sweep's up to 46; with the line solved exactly both run one.
+# min(_KEPT, m // 2) Arnoldi steps, so a cycle that ends within K steps
+# updates x without a preconditioner apply (flexible GMRES keeps them all;
+# Saad 1993).  Until a cycle takes a second step, z_0 = M v_0 sits in the row
+# after basis rows 0 and 1; in the full basis the kept directions are rows
+# K + 1 ... 2K, which a longer cycle overwrites with basis vectors, as it
+# would anyway, before it applies M once more at its end.  With the flat M alone the bench
+# game's cycles ran at most 5 steps and the 48^3 sweep's up to 46; with the
+# line solved exactly both run one.
 _KEPT = 8
 
 _ddot, _axpy, _nrm2, _scal, _ger = (
@@ -688,7 +690,8 @@ def _residual_core(
         lap = ops.lap_metric(uvals, dvals)
         out = np.negative(lap, out=lap if out is None else out)
         gn2 = spec.grid.conformal_factor(-2.0) * ops.pairing(dvals, dvals)
-    gn2 **= spec.gamma / 2.0
+    if spec.gamma != 2.0:  # x ** 1.0 is x bit for bit
+        gn2 **= spec.gamma / 2.0
     gn2 *= 1.0 / spec.gamma
     out += gn2
     if spec.drift is not None:
@@ -711,7 +714,9 @@ def transport_coefficient(
 
     a_i = e^{-gamma phi} (|du|^2 + eps^2)^{(gamma-2)/2} du_i + B_i; the
     regularization keeps the coefficient finite at critical points when
-    gamma < 2.  With no drift it is the game's optimal drift.
+    gamma < 2.  With no drift it is the game's optimal drift.  At gamma = 2
+    the power is x ** 0.0 = 1 for every x, so on flat grids a = du + B,
+    formed without the power.
     A caller that already holds the lattice gradient of u (the one
     `_residual_core` returns) passes it as dvals, and it is not formed again.
     The coefficient is written into out when one is given, else into a
@@ -720,15 +725,18 @@ def transport_coefficient(
     ops = _ops_for(spec.grid)
     if dvals is None:
         dvals = ops.grad(uvals)
-    amp = ops.pairing(dvals, dvals)
-    amp += EPS_REG**2
-    amp **= (spec.gamma - 2.0) / 2.0
-    if not spec.grid.is_flat:
-        amp = amp * spec.grid.conformal_factor(-spec.gamma)
     if out is None:
         out = np.empty(dvals.shape)
-    for a in range(len(dvals)):
-        np.multiply(amp, dvals[a], out=out[a])
+    if spec.gamma == 2.0 and spec.grid.is_flat:
+        np.copyto(out, dvals)
+    else:
+        amp = ops.pairing(dvals, dvals)
+        amp += EPS_REG**2
+        amp **= (spec.gamma - 2.0) / 2.0
+        if not spec.grid.is_flat:
+            amp = amp * spec.grid.conformal_factor(-spec.gamma)
+        for a in range(len(dvals)):
+            np.multiply(amp, dvals[a], out=out[a])
     if spec.drift is not None:
         out += spec.drift.values
     return out
@@ -864,9 +872,12 @@ def bordered_solve(
     also subtracts the line correction C P_a x that the M apply left, so
     A M = I + [R - C P_a; 0] M holds exactly (`_arnoldi_product`).  The
     step orthonormalizes the row against the basis by modified Gram-Schmidt
-    in place, in one (m + 1, n + 1) array allocated per call.  The first
-    K = min(_KEPT, m // 2) steps of a cycle keep z_j = M v_j in rows
-    K + 1 ... 2K of that array.  A cycle that ends
+    in place.  The first K = min(_KEPT, m // 2) steps of a cycle keep
+    z_j = M v_j.  A call starts with what a cycle of one Arnoldi step uses:
+    the rows v_0, v_1 and z_0, and one entry of the Hessenberg matrix H.
+    The first cycle to take a second step allocates the full (m + 1, n + 1)
+    basis and m x m H, once per call, and moves z_0 to row K + 1; z_j then
+    lives in row K + 1 + j.  A cycle that ends
     within K steps updates x += Z y, which equals M (V y) because M is a
     fixed linear map; a longer cycle has overwritten those rows and updates
     x += M (V y), one more preconditioner apply.  Every cycle ends with the
@@ -899,7 +910,10 @@ def bordered_solve(
     tol = rtol * bnorm
     m = min(_RESTART, b.size)
     kept = min(_KEPT, m // 2)
-    V = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
+    # v_0, v_1 and z_0, with Z from row zk
+    V = np.empty((2 + min(kept, 1), b.size))
+    zk = 2
+    H = np.zeros((1, 1))  # rotated Hessenberg columns; subdiagonal entry hn
     r = np.empty_like(b)
     z = np.empty_like(b)  # M (V y), and the true residual's L x and w x
 
@@ -924,7 +938,6 @@ def bordered_solve(
         beta = true_residual(x, r)
         if beta <= tol:
             return x[:-1].reshape(shape), float(x[-1]), 0
-    H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
@@ -936,9 +949,17 @@ def bordered_solve(
         k = 0
         invariant = estimated = False
         for j in range(min(m, _MAX_ITERATIONS - iters)):
+            if j == 1 and len(H) < m:
+                # the first cycle to take a second step: the full H and basis, once
+                H = np.pad(H, (0, m - 1))
+                full = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
+                full[:2] = V[:2]
+                if kept:
+                    full[kept + 1] = V[2]
+                V, zk = full, kept + 1
             vj = V[j + 1]
             short = j < kept  # every step of the cycle so far kept its M v_j
-            _arnoldi_product(inv, apply_fn, shape, V[j], vj, V[kept + 1 + j] if short else z)
+            _arnoldi_product(inv, apply_fn, shape, V[j], vj, V[zk + j] if short else z)
             iters += 1
             h0 = _nrm2(vj)
             for i in range(j + 1):
@@ -975,7 +996,7 @@ def bordered_solve(
             # breaks exact lattice symmetries of the data (a one-axis
             # solution picks up variation along its constant axes)
             if short:
-                x += np.einsum("ij,i->j", V[kept + 1 : kept + 1 + k], y, out=z)
+                x += np.einsum("ij,i->j", V[zk : zk + k], y, out=z)
             else:
                 x += _precondition(inv, shape, np.einsum("ij,i->j", V[:k], y, out=z), z)
             beta = true_residual(x, r)

@@ -28,6 +28,8 @@ from . import _kernels
 from ._kernels import pocketfft as _pocketfft
 from .fields import (
     ScalarField,
+    _sum_of_products,
+    _sum_of_squares,
     gradient,
     hessian,
     lq_norm,
@@ -286,7 +288,11 @@ def mollify_coupling(m: ScalarField, eps: float, alpha: float) -> ScalarField:
         raise ValueError("coupling exponent must be positive")
     grid = m.grid
     smoothed = _convolve(grid, m.values, eps)
-    powered = np.abs(smoothed) ** alpha * np.sign(smoothed)
+    if alpha == 1.0:
+        # |s| ** 1.0 * sign(s) is s bit for bit, but +0 at s = -0: so is s + 0
+        powered = np.add(smoothed, 0.0, out=smoothed)
+    else:
+        powered = np.abs(smoothed) ** alpha * np.sign(smoothed)
     return ScalarField(grid, _convolve(grid, powered, eps))
 
 
@@ -557,29 +563,31 @@ def duality_identity_residual(state: MfgState, spec: MfgSpec) -> dict:
     if not all(grid.periodic):
         raise NotImplementedError("the pairing identity is evaluated on tori only")
     w = grid.weights
-    gradu = gradient(state.u)
-    hess = hessian(state.u)
-    p_sq = np.sum(gradu.values**2, axis=0)
+    gradu = gradient(state.u).values
+    hess = hessian(state.u).values
+    # ||Hess u||^2, |H grad u|^2 and |grad u|^2 formed one component at a
+    # time, each the numpy reduction over the leading axes bit for bit
+    hess_sq_frob = _sum_of_squares(hess.reshape((-1,) + grid.shape))
+    p_h2_p = _sum_of_squares(_sum_of_products(row, gradu) for row in hess)
+    del hess
+    p_sq = _sum_of_squares(gradu)
+    del gradu
     amp = (p_sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
     amp2 = (p_sq + EPS_REG**2) ** ((spec.gamma - 4.0) / 2.0)
-    hess_sq_frob = np.einsum("ij...,ij...->...", hess.values, hess.values)
-    hp = np.einsum("ij...,j...->i...", hess.values, gradu.values)
-    p_h2_p = np.sum(hp**2, axis=0)
     trace_term = amp * hess_sq_frob + (spec.gamma - 2.0) * amp2 * p_h2_p
     lhs = -float(np.sum(w * trace_term * state.m.values))
+    del p_sq, amp, amp2, hess_sq_frob, p_h2_p, trace_term
 
     v_eps = mollify_coupling(state.m, spec.eps, spec.alpha)
-    grad_v = gradient(v_eps)
-    grad_m = gradient(state.m)
-    rhs = float(np.sum(w * np.sum(grad_v.values * grad_m.values, axis=0)))
+    grad_m = gradient(state.m).values
+    rhs = float(np.sum(w * _sum_of_products(gradient(v_eps).values, grad_m)))
     if spec.shift is not None:
-        grad_b = gradient(spec.shift)
-        rhs -= float(np.sum(w * np.sum(grad_b.values * grad_m.values, axis=0)))
+        rhs -= float(np.sum(w * _sum_of_products(gradient(spec.shift).values, grad_m)))
+    del grad_m
 
     m_eps = smoothed_density(state.m, spec.eps)
-    grad_me = gradient(m_eps)
     vprime = spec.alpha * np.abs(m_eps.values) ** (spec.alpha - 1.0)
-    energy = float(np.sum(w * vprime * np.sum(grad_me.values**2, axis=0)))
+    energy = float(np.sum(w * vprime * _sum_of_squares(gradient(m_eps).values)))
     bound = _hessian_sup_norm(spec.shift)
     return {
         "identity_lhs": lhs,

@@ -1045,6 +1045,118 @@ def test_flat_hot_path_allocates_less_than_one_field(kind):
         assert peak < u.nbytes, (name, peak)
 
 
+def _traced_peak(call):
+    """(call(), the peak of the memory it allocated, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_one_step_bordered_solve_allocates_fewer_than_eight_fields():
+    # One-axis data with the axis line solved exactly take one Arnoldi step,
+    # which uses three basis rows.  Beside them stand the right side, the
+    # residual, the solution and one scratch row; a basis reserved whole,
+    # m + 1 = 121 rows, would take 121 fields.
+    grid = torus(24, dim=3)
+    x = grid.mesh()[0]
+    ops = hjb._ops_for(grid)
+    coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), 10.0 * np.cos(TWO_PI * x))
+    inv = hjb._preconditioner(grid, coeff)
+    assert isinstance(inv, hjb._AxisLine)
+    calls = []
+
+    def apply_fn(v, out):
+        calls.append(1)
+        return ops.jacobian_rest(v, coeff, out)
+
+    rhs = np.cos(TWO_PI * x) + np.sin(3.0 * TWO_PI * x)
+    hjb.bordered_solve(grid, apply_fn, inv, rhs, 0.0, 1e-10)  # the grid's work arrays
+    calls.clear()
+    (_, _, info), peak = _traced_peak(lambda: hjb.bordered_solve(grid, apply_fn, inv, rhs, 0.0, 1e-10))
+    assert info == 0 and len(calls) == 2  # one Arnoldi step, then the true residual
+    assert peak < 8 * rhs.nbytes, peak / rhs.nbytes
+
+
+def test_a_long_first_cycle_grows_the_basis_once(monkeypatch):
+    # With the flat M on 3-D data the first cycle runs past its K = 8 kept
+    # steps to the restart at m = 20.  The basis grows once, to m + 1 rows,
+    # beside which only the three starting rows and a few fields stand;
+    # growing by doubling would hold 12 + 21 rows at its last step.
+    monkeypatch.setattr(hjb, "_RESTART", 20)
+    grid = torus(16, dim=3)
+    apply_fn, calls, rhs, c = _advected_case(grid)
+    inv = hjb._inverter_for(grid)
+    rtol = 1e-10
+    hjb.bordered_solve(grid, apply_fn, inv, rhs, c, rtol)
+    calls.clear()
+    (x, mu, info), peak = _traced_peak(lambda: hjb.bordered_solve(grid, apply_fn, inv, rhs, c, rtol))
+    assert info == 0 and len(calls) > 2 * (20 + 1)  # cycles of 20 steps, each with its true residual
+    m, kept, row = 20, min(hjb._KEPT, 10), (rhs.size + 1) * 8
+    assert peak <= (m + 1 + kept) * row + 4 * rhs.nbytes, peak / row
+    residual = np.concatenate([(inv.apply(x) + apply_fn(x) + mu - rhs).reshape(-1), [np.sum(grid.weights * x) - c]])
+    b = np.concatenate([rhs.reshape(-1), [c]])
+    assert np.linalg.norm(residual) <= rtol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", ["torus", "box", "conformal-torus"])
+def test_gamma_two_closed_forms_equal_the_powers_bit_for_bit(kind):
+    # At gamma = 2 the residual skips |du|^2 ** 1.0 and the coefficient the
+    # factor (|du|^2 + eps^2) ** 0.0 = 1.  Each equals the general power it
+    # replaces, in value and in the sign of zero: the gradient of u is zero
+    # along its constant axis, and the coefficient is also given a gradient
+    # with zeros of both signs.
+    grid = {"torus": lambda: torus(12, dim=3), "box": lambda: box(11, dim=3), "conformal-torus": _conformal_torus}[kind]()
+    ops = hjb._ops_for(grid)
+    rng = np.random.default_rng(37)
+    x, y, _ = grid.mesh()
+    u = np.cos(TWO_PI * x) + 0.5 * np.sin(TWO_PI * y)
+    drift = VectorField(grid, rng.normal(size=(3,) + grid.shape))
+    plain = ProblemSpec(grid, gamma=2.0)
+    spec = ProblemSpec(
+        grid,
+        gamma=2.0,
+        drift=drift,
+        shift=ScalarField(grid, rng.normal(size=grid.shape)),
+        source=ScalarField(grid, rng.normal(size=grid.shape)),
+    )
+
+    def same(got, want):
+        return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    got, dvals = hjb._residual_core(spec, ops, u)
+    want = np.negative(ops.lap_flat(u) if grid.is_flat else ops.lap_metric(u, ops.grad(u)))
+    gn2 = ops.pairing(dvals, dvals)
+    if not grid.is_flat:
+        gn2 = grid.conformal_factor(-2.0) * gn2
+    gn2 **= 1.0
+    gn2 *= 0.5
+    want += gn2
+    want += ops.pairing(drift.values, dvals)
+    want += spec.shift.values
+    want -= spec.source.values
+    assert same(got, want)
+
+    signed = dvals.copy()
+    signed[0, ::2] = 0.0
+    signed[1, 1::2] = -0.0
+    for problem in (plain, spec):
+        for d in (dvals, signed):
+            amp = ops.pairing(d, d)
+            amp += hjb.EPS_REG**2
+            amp **= 0.0
+            if not grid.is_flat:
+                amp = amp * grid.conformal_factor(-2.0)
+            want = amp * d
+            if problem.drift is not None:
+                want += problem.drift.values
+            assert same(hjb.transport_coefficient(problem, u, d), want)
+    assert np.any(np.signbit(hjb.transport_coefficient(plain, u, signed)) & (signed == 0.0))
+
+
 def test_conformal_r_apply_allocates_less_than_one_field():
     # R takes the Jacobian's first-order coefficient b, which the solve forms
     # once per Newton step, and forms its metric Laplacian in a work array

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hjblab import hjb, mfg
-from hjblab.fields import ScalarField
+from hjblab.fields import ScalarField, gradient, hessian
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
 from hjblab.mfg import (
     MfgSpec,
@@ -242,6 +242,62 @@ def test_zero_radius_reduces_to_the_plain_power():
     # a radius below one lattice spacing has no nodes to average over
     sub = mollify_coupling(m, 0.9 / 16.0 / 2.0, 2.0).values
     assert np.array_equal(sub, m.values**2.0)
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_linear_coupling_equals_the_general_power_bit_for_bit(kind):
+    # At alpha = 1 the coupling skips |s| ** 1.0 * sign(s), which is s with
+    # -0 read as +0.  Values and signs of zero match the power, and the
+    # density passed in is left as it was.
+    g = torus(16, dim=2) if kind == "torus" else box(17, dim=2)
+    vals = np.random.default_rng(41).normal(size=g.shape)
+    vals[::3] = 0.0
+    vals[1::3, ::2] = -0.0
+    m = ScalarField(g, vals.copy())
+    for eps in (0.0, 0.1):
+        s = mfg._convolve(g, vals, eps)
+        want = mfg._convolve(g, np.abs(s) ** 1.0 * np.sign(s), eps)
+        got = mollify_coupling(m, eps, 1.0).values
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), eps
+        assert np.array_equal(m.values, vals) and np.array_equal(np.signbit(m.values), np.signbit(vals))
+    assert np.any(np.signbit(vals) & (vals == 0.0))
+
+
+def _einsum_duality_terms(state, spec):
+    """The identity's two sides and the coupling energy, with the Hessian
+    contractions as np.einsum and the component sums as np.sum."""
+    g = state.u.grid
+    w = g.weights
+    gradu = gradient(state.u).values
+    hess = hessian(state.u).values
+    p_sq = np.sum(gradu**2, axis=0)
+    amp = (p_sq + hjb.EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)
+    amp2 = (p_sq + hjb.EPS_REG**2) ** ((spec.gamma - 4.0) / 2.0)
+    hess_sq_frob = np.einsum("ij...,ij...->...", hess, hess)
+    hp = np.einsum("ij...,j...->i...", hess, gradu)
+    trace_term = amp * hess_sq_frob + (spec.gamma - 2.0) * amp2 * np.sum(hp**2, axis=0)
+    lhs = -float(np.sum(w * trace_term * state.m.values))
+    grad_m = gradient(state.m).values
+    grad_v = gradient(mollify_coupling(state.m, spec.eps, spec.alpha)).values
+    rhs = float(np.sum(w * np.sum(grad_v * grad_m, axis=0)))
+    rhs -= float(np.sum(w * np.sum(gradient(spec.shift).values * grad_m, axis=0)))
+    m_eps = smoothed_density(state.m, spec.eps)
+    vprime = spec.alpha * np.abs(m_eps.values) ** (spec.alpha - 1.0)
+    energy = float(np.sum(w * vprime * np.sum(gradient(m_eps).values ** 2, axis=0)))
+    return lhs, rhs, energy
+
+
+@pytest.mark.parametrize("gamma, alpha", [(2.0, 1.0), (3.0, 1.5)])
+def test_duality_terms_equal_the_einsum_contractions_bit_for_bit(gamma, alpha):
+    g = torus(12, dim=3)
+    rng = np.random.default_rng(43)
+    x, y, z = g.mesh()
+    u = np.cos(TWO_PI * x) * np.sin(TWO_PI * (y + z)) + 0.01 * rng.normal(size=g.shape)
+    m = 1.0 + 0.3 * np.cos(TWO_PI * y) + 0.01 * rng.normal(size=g.shape)
+    state = MfgState(u=ScalarField(g, u), lam=0.0, m=ScalarField(g, m / float(np.sum(g.weights * m))))
+    spec = MfgSpec(g, gamma=gamma, alpha=alpha, shift=ScalarField(g, 0.5 * np.cos(TWO_PI * z)), eps=0.2)
+    got = duality_identity_residual(state, spec)
+    assert (got["identity_lhs"], got["identity_rhs"], got["coupling_energy"]) == _einsum_duality_terms(state, spec)
 
 
 def test_smoothing_preserves_mass_on_tori():
