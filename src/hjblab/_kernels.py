@@ -15,8 +15,10 @@ usual.
 The functions are the ones `get_blas_funcs`, `get_lapack_funcs` and the
 `scipy.fft` transforms call; callers pass the arguments SciPy's wrappers
 would pass (the norm codes 0 for a forward and 2 for a backward
-transform, the worker count in `workers`).  A SciPy that moves one of
-these files fails at import, with an `ImportError` naming the file.
+transform), and every transform runs one pocketfft worker: on a 2-vCPU
+host a second worker made the benchmark's game and sweep passes slower.
+A SciPy that moves one of these files fails at import, with an
+`ImportError` naming the file.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-
-# The pocketfft worker count of every transform hjblab makes; `cli.run`
-# sets it from --threads for the length of one run.
-workers = 1
 
 
 def load(package_dir: str, subdir: str, stem: str):

@@ -75,13 +75,13 @@ class HToolkit:
         d = self.delta
         return ((1.0 + d) * np.asarray(z, dtype=float) / 2.0) ** (2.0 / (1.0 + d)) - 1.0
 
-    def sample_audit(self, n: int = 2001) -> dict:
+    def sample_audit(self) -> dict:
         """Worst relative margins of the three profile facts on [0, 1e6].
 
         margin >= 0 means the fact holds at that sample; values below
         about -1e-12 indicate a genuine violation.
         """
-        t = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, n)])
+        t = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 2001)])
         d = self.delta
         h1 = self.h1(t)
         h2 = self.h2(t)

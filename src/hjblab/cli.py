@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels, bernstein, estimates, mfg as mfg_mod
+from . import bernstein, estimates, mfg as mfg_mod
 from .config import ConfigError, RunConfig, parse_config
 from .fields import (
     ScalarField,
@@ -287,8 +287,9 @@ def _refinement_norms(kind, metric, field_fn, delta, resolutions):
     return plain, weighted
 
 
-def interior_mask(grid, margin: int = 3) -> np.ndarray:
-    """Nodes whose composed stencils use centered rows only."""
+def interior_mask(grid) -> np.ndarray:
+    """Nodes whose composed stencils use centered rows only: 3 or more from each box face."""
+    margin = 3
     mask = np.ones(grid.shape, dtype=bool)
     for a, per in enumerate(grid.periodic):
         if per:
@@ -684,13 +685,12 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
 # dispatch
 
 
-def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0, threads: int = 1) -> int:
+def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0) -> int:
     """Execute one subcommand; returns the process exit status."""
     if subcommand not in _SUBCOMMANDS:
         print("unknown subcommand: " + subcommand, file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    workers, _kernels.workers = _kernels.workers, max(1, threads)
     try:
         if subcommand == "solve":
             report = _cmd_solve(cfg, out_dir, seed, ergodic=False)
@@ -709,8 +709,6 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0, threads: i
     except (ConfigError, ValueError) as exc:
         print("rejected: " + str(exc), file=sys.stderr)
         return 2
-    finally:
-        _kernels.workers = workers
     report["warnings"] = list(cfg.warnings) + report.get("warnings", [])
     _write_json(os.path.join(out_dir, "report.json"), report)
     return 0 if report["passed"] else 1
@@ -726,7 +724,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="path to a run config file")
     parser.add_argument("--out", default="hjblab-out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         text = DEFAULT_CONFIG
@@ -740,7 +737,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("rejected: " + str(exc), file=sys.stderr)
         return 2
-    return run(args.subcommand, cfg, args.out, seed=args.seed, threads=args.threads)
+    return run(args.subcommand, cfg, args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@
 
 Format: `[section]` headers with `key = value` lines, full-line comments
 starting with `#` or `;`.  Unknown sections or keys are rejected with
-their line number, as are duplicates and type errors.  Scalar standing
-assumptions are checked at parse time and violations are reported with
-the assumption label, e.g. (In1) for the gradient-growth gate and (D1)
-for a disc domain, which no subcommand runs.  The conformal metric has
-one spelling, `[domain] kind = conformal_torus`; the `[metric]` keys set
-its phi, and setting one on any other domain is rejected.
+their line number, as are duplicates, type errors and NaN or infinite
+floats (only the Lebesgue exponents q, r and drift_s take inf).  Scalar
+standing assumptions are checked at parse time and violations are
+reported with the assumption label, e.g. (In1) for the gradient-growth
+gate and (D1) for a disc domain, which no subcommand runs.  The
+conformal metric has one spelling, `[domain] kind = conformal_torus`;
+the `[metric]` keys set its phi, and setting one on any other domain is
+rejected.
 
 Every key is one row of `_KEYS`: how its value parses, its default, and
 its allowed values when they form a closed list.  No key picks an axis:
@@ -18,6 +20,7 @@ field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .geometry import DomainSpec, MetricSpec
@@ -69,6 +72,11 @@ _KEYS = {
         "dump_fields": ("bool", False, None),
     },
 }
+
+
+# The Lebesgue exponents, where inf is the L^inf case; every other float
+# value must be finite, and no float value may be NaN.
+_EXPONENTS = {("problem", "drift_s"), ("experiment", "q"), ("experiment", "r")}
 
 
 @dataclass
@@ -143,6 +151,14 @@ def parse_config(text: str) -> RunConfig:
         seen.add((current, key))
         kind, _, choices = _KEYS[current][key]
         value = _parse_value(kind, raw, lineno)
+        if kind in ("float", "floats"):
+            exponent = (current, key) in _EXPONENTS
+            for v in value if kind == "floats" else (value,):
+                if not (math.isfinite(v) or (exponent and v == math.inf)):
+                    raise ConfigError(
+                        "line " + str(lineno) + ": [" + current + "] " + key + " must be "
+                        + ("finite or inf" if exponent else "finite") + ", got " + repr(v)
+                    )
         if (current, key, value) == ("domain", "kind", "disc"):
             # the library's polar disc grid serves geometry experiments only
             raise ConfigError(

@@ -385,15 +385,15 @@ def cz_ratio(samples, exponents) -> tuple:
     return tuple(float(b) for b in best)
 
 
-def random_band_limited(grid: Grid, seed: int = 0, modes: int = 3) -> ScalarField:
-    """Random low-frequency trigonometric polynomial (periodic grids)."""
+def random_band_limited(grid: Grid, seed: int = 0) -> ScalarField:
+    """Random trigonometric polynomial, wavenumbers -3..3 (periodic grids)."""
     rng = np.random.default_rng(seed)
     mesh = grid.mesh()
     Ls = grid.domain.extents
     vals = np.zeros(grid.shape)
     naxes = len(grid.shape)
     for _ in range(8):
-        ks = rng.integers(-modes, modes + 1, size=naxes)
+        ks = rng.integers(-3, 4, size=naxes)
         if not np.any(ks):
             continue
         amp = rng.normal()

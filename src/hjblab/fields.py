@@ -295,28 +295,16 @@ def write_csv(path: str, header, rows) -> None:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def dump_field_csv(field, path: str) -> None:
-    """Node table: index, cartesian coordinates, value components."""
-    g = field.grid
-    coords = g.cartesian_coords()
+def dump_field_csv(field: ScalarField, path: str) -> None:
+    """Node table of a scalar field: index, cartesian coordinates, value."""
+    coords = field.grid.cartesian_coords()
     ncoord = coords.shape[0]
     flat_coords = coords.reshape(ncoord, -1)
-    vals = field.values
-    if isinstance(field, ScalarField):
-        comps = vals.reshape(1, -1)
-        headers = ["value"]
-    elif isinstance(field, VectorField):
-        comps = vals.reshape(vals.shape[0], -1)
-        headers = [f"v{i+1}" for i in range(vals.shape[0])]
-    else:
-        d = vals.shape[0]
-        pairs = [(a, b) for a in range(d) for b in range(a, d)]
-        comps = np.stack([vals[a, b].reshape(-1) for a, b in pairs])
-        headers = [f"t{a+1}{b+1}" for a, b in pairs]
-    table = np.concatenate([flat_coords, comps]).T.tolist()  # Python floats, one list per node
+    values = field.values.reshape(1, -1)
+    table = np.concatenate([flat_coords, values]).T.tolist()  # Python floats, one list per node
     write_csv(
         path,
-        ["node"] + [f"x{i+1}" for i in range(ncoord)] + headers,
+        ["node"] + [f"x{i+1}" for i in range(ncoord)] + ["value"],
         ([i] + row for i, row in enumerate(table)),
     )
 

@@ -460,9 +460,9 @@ class _FlatInverter:
         """The spectrum of r into `spectrum`; returns mu, its zero mode
         over that of the constant 1."""
         if self.periodic:
-            _pocketfft.r2c(r, self.axes, True, 0, self.spectrum, _kernels.workers)
+            _pocketfft.r2c(r, self.axes, True, 0, self.spectrum, 1)
         else:
-            _pocketfft.dct(r, 1, self.axes, 0, self.spectrum, _kernels.workers)
+            _pocketfft.dct(r, 1, self.axes, 0, self.spectrum, 1)
         return float(self.spectrum[(0,) * r.ndim].real) / self.zero_ones
 
     def scale(self, c: float) -> None:
@@ -478,11 +478,11 @@ class _FlatInverter:
         constraint c on a conformal torus."""
         if self.periodic:
             rhat = self.spectrum
-            _pocketfft.c2c(rhat, self.axes[:-1], False, 0, rhat, _kernels.workers)
-            _pocketfft.c2r(rhat, self.axes[-1:], self.grid.shape[-1], False, 0, x, _kernels.workers)
+            _pocketfft.c2c(rhat, self.axes[:-1], False, 0, rhat, 1)
+            _pocketfft.c2r(rhat, self.axes[-1:], self.grid.shape[-1], False, 0, x, 1)
             x *= self.inv_count
         else:
-            _pocketfft.dct(self.spectrum, 1, self.axes, 2, x, _kernels.workers)
+            _pocketfft.dct(self.spectrum, 1, self.axes, 2, x, 1)
         if not self.grid.is_flat:
             x += (c - float(np.sum(self.w * x))) / self.vol
         return x
@@ -531,14 +531,14 @@ class _Line:
         # scipy.fft's idct/dct (type 1), irfft/rfft and ifft/fft, as they
         # call pocketfft: norm code 2 (1/N) backward and 0 forward
         if not periodic:
-            self.to_line = lambda held: _pocketfft.dct(held, 1, (0,), 2, None, _kernels.workers)
-            self.from_line = lambda y: _pocketfft.dct(y, 1, (0,), 0, None, _kernels.workers)
+            self.to_line = lambda held: _pocketfft.dct(held, 1, (0,), 2, None, 1)
+            self.from_line = lambda y: _pocketfft.dct(y, 1, (0,), 0, None, 1)
         elif axis == d - 1:
-            self.to_line = lambda held: _pocketfft.c2r(held, (0,), n, False, 2, None, _kernels.workers)
-            self.from_line = lambda y: _pocketfft.r2c(y, (0,), True, 0, None, _kernels.workers)
+            self.to_line = lambda held: _pocketfft.c2r(held, (0,), n, False, 2, None, 1)
+            self.from_line = lambda y: _pocketfft.r2c(y, (0,), True, 0, None, 1)
         else:
-            self.to_line = lambda held: _pocketfft.c2c(held, (0,), False, 2, None, _kernels.workers).real
-            self.from_line = lambda y: _pocketfft.c2c(y, (0,), True, 0, None, _kernels.workers)
+            self.to_line = lambda held: _pocketfft.c2c(held, (0,), False, 2, None, 1).real
+            self.from_line = lambda y: _pocketfft.c2c(y, (0,), True, 0, None, 1)
         eye = np.eye(n)
         self.d1 = d1_rows(eye * d1_scale(h), 0, periodic, np.empty((n, n)))
         self.d1t = d1t_rows(eye * d1_scale(h), 0, periodic, np.empty((n, n)))

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import pocketfft as _pocketfft
 from .fields import (
     ScalarField,
@@ -202,10 +201,8 @@ def _mollifier_kernel(grid: Grid, eps: float) -> Optional[np.ndarray]:
     for gcoord in grids:
         r_sq = r_sq + gcoord**2
     kern = np.maximum(0.0, 1.0 - r_sq / eps**2) ** 3
-    total = float(np.sum(kern))
-    if total <= 0.0:
-        return None
-    return kern / total
+    # the centre offset weighs 1, so the mass is at least 1
+    return kern / float(np.sum(kern))
 
 
 def _kernel_transform(grid: Grid, eps: float):
@@ -233,7 +230,7 @@ def _kernel_transform(grid: Grid, eps: float):
             emb = np.zeros(fshape)
             # add.at: on a torus as narrow as the kernel, offsets +-n/2 land on one node
             np.add.at(emb, np.ix_(*[np.arange(-hw, hw + 1) % n for hw, n in zip(halves, fshape)]), kern)
-            khat = _pocketfft.r2c(emb, tuple(range(emb.ndim)), True, 0, None, _kernels.workers)
+            khat = _pocketfft.r2c(emb, tuple(range(emb.ndim)), True, 0, None, 1)
             den = None
             if not all(grid.periodic):
                 den = _fft_convolve(np.ones(grid.shape), khat, fshape)
@@ -252,9 +249,9 @@ def _fft_convolve(vals: np.ndarray, khat: np.ndarray, fshape: tuple) -> np.ndarr
         full = np.zeros(fshape)
         full[kept] = vals
         vals = full
-    spectrum = _pocketfft.r2c(vals, axes, True, 0, None, _kernels.workers)
+    spectrum = _pocketfft.r2c(vals, axes, True, 0, None, 1)
     spectrum *= khat
-    out = _pocketfft.c2r(spectrum, axes, fshape[-1], False, 2, None, _kernels.workers)
+    out = _pocketfft.c2r(spectrum, axes, fshape[-1], False, 2, None, 1)
     return np.ascontiguousarray(out[kept]) if padded else out
 
 

@@ -3,6 +3,9 @@ codes, report schema, output files, and determinism."""
 
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -65,11 +68,25 @@ def test_defaults_parse_and_build():
         ("[metric]\nphi_amplitude = 0.4\n", r"\[metric\] phi_amplitude must be unset: \[domain\] kind = torus "),
         ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", "unknown key 'phi_frequency' in \\[metric\\]"),
         ("[experiment]\nzeta_c = 1.0\n", "unknown key 'zeta_c' in \\[experiment\\]"),
+        ("[mfg]\neps = nan\n", r"line 2: \[mfg\] eps must be finite, got nan"),
+        ("[experiment]\namplitudes = 1, inf\n", r"line 2: \[experiment\] amplitudes must be finite, got inf"),
+        ("[problem]\nshift_amplitude = inf\n", r"line 2: \[problem\] shift_amplitude must be finite, got inf"),
+        ("[domain]\nextents = inf\n", r"line 2: \[domain\] extents must be finite, got inf"),
+        ("[experiment]\np = inf\n", r"line 2: \[experiment\] p must be finite, got inf"),
+        ("[problem]\ngamma = -inf\n", r"line 2: \[problem\] gamma must be finite, got -inf"),
+        ("[experiment]\nq = nan\n", r"line 2: \[experiment\] q must be finite or inf, got nan"),
+        ("[experiment]\nr = -inf\n", r"line 2: \[experiment\] r must be finite or inf, got -inf"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_lebesgue_exponents_take_inf():
+    # inf is the L^inf case of q, r and drift_s, and runs
+    cfg = parse_config("[problem]\ndrift_s = inf\n[experiment]\nq = inf\nr = inf\n")
+    assert cfg["experiment"]["q"] == cfg["experiment"]["r"] == cfg["problem"]["drift_s"] == float("inf")
 
 
 def _cell(value) -> str:
@@ -176,6 +193,33 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def _module(*args):
+    """`python -m hjblab` with args in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(README), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, "-m", "hjblab", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_help_lists_the_flags_readme_names():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("Common flags:")
+    paragraph = text[start:text.index("\n\n", start)]
+    proc = _module("--help")
+    assert proc.returncode == 0, proc.stderr
+    listed = set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) - {"--help"}
+    assert listed == set(re.findall(r"`(--[a-z][a-z-]*)`", paragraph)) == {"--config", "--out", "--seed"}
+
+
+def test_module_rejects_the_removed_threads_flag():
+    proc = _module("constants", "--threads", "2")
+    assert proc.returncode == 2
+    assert "usage: hjblab" in proc.stderr and "unrecognized arguments: --threads 2" in proc.stderr
 
 
 def test_rejected_config_exits_two(tmp_path, capsys):
@@ -454,26 +498,3 @@ def test_constants_writes_the_closed_form_continuity_scalars(tmp_path):
     assert cont["t_star"] is None
     assert cont["zeta_C"] == 1.0 and isinstance(cont["zeta_C"], float)
     assert "t_star,none" in (out / "constants.csv").read_text().splitlines()
-
-
-@pytest.mark.parametrize("subcommand", ["thm2-sweep", "mfg"])
-def test_fft_workers_change_no_report_byte(tmp_path, monkeypatch, subcommand):
-    from hjblab import _kernels, hjb
-
-    seen = []
-    forward = hjb._FlatInverter.forward
-
-    def spying(self, r):
-        seen.append(_kernels.workers)
-        return forward(self, r)
-
-    monkeypatch.setattr(hjb._FlatInverter, "forward", spying)
-    reports = []
-    for threads in (1, 2):
-        seen.clear()
-        out = tmp_path / str(threads)
-        assert main([subcommand, "--out", str(out), "--threads", str(threads)]) == 0
-        assert seen and set(seen) == {threads}
-        assert _kernels.workers == 1
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]

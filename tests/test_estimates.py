@@ -11,6 +11,7 @@ from hjblab import hjb
 from hjblab.estimates import (
     SweepSpec,
     cz_ratio,
+    drift_gate,
     random_band_limited,
     sobolev_constant_estimate,
     sobolev_ratio,
@@ -19,7 +20,7 @@ from hjblab.estimates import (
     thm1_sweep,
     thm2_sweep,
 )
-from hjblab.fields import ScalarField, VectorField
+from hjblab.fields import ScalarField, VectorField, lq_norm
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
 from hjblab.hjb import SolverConfig
 
@@ -243,6 +244,14 @@ def test_drift_gate_rejects_understated_bounds():
         thm1_sweep(spec)
 
 
+def test_unset_drift_bound_is_the_norm_itself():
+    g = torus(8)
+    drift = shear_drift(g)
+    gate = drift_gate(g, drift, 4.0, None)
+    assert gate == {"theta": lq_norm(drift, 4.0), "s": 4.0}
+    assert gate["theta"] > 0.0
+
+
 def test_maximal_integrability_sweep_runs_and_rejects_drift():
     g = torus(16)
     f0 = source_family(g, "mode", 2.5)
@@ -287,8 +296,6 @@ def test_maximal_integrability_gate_rejects_small_data_exponents():
 def test_source_profiles_have_unit_data_norm(kind):
     g = torus(16)
     q = 2.5
-    from hjblab.fields import lq_norm
-
     f = source_family(g, kind, q)
     assert abs(lq_norm(f, q) - 1.0) <= 1e-12
     assert np.all(np.isfinite(f.values))
