@@ -181,11 +181,54 @@ def gate_block(grid: Grid, drift_info: Optional[dict] = None, K=None, c_v=None) 
     }
 
 
+def _sweep_row(spec: SweepSpec, kind: str, cfg: SolverConfig, t: float, warm):
+    """Solve at amplitude t from the warm start and measure the row.
+
+    Returns (u, row) for a converged solve and (None, the solver's message)
+    otherwise.  The solve's report, with its lattice gradient, the source,
+    |grad u| and its gamma-th power are locals, so they die on return.
+    |grad u| is formed once and serves every norm of the row."""
+    f_field = ScalarField(spec.grid, t * spec.source.values)
+    prob = ProblemSpec(
+        grid=spec.grid,
+        gamma=spec.gamma,
+        drift=spec.drift,
+        source=f_field,
+        ergodic=True,
+    )
+    rep = solve_ergodic(prob, dataclasses.replace(cfg, initial_guess=warm))
+    if not rep.converged:
+        return None, rep.message
+    fq = lq_norm(f_field, spec.q)
+    speed = ScalarField(spec.grid, pointwise_norm(gradient(rep.u)))
+    grad1 = lq_norm(speed, 1.0)
+    if kind == "gradient-integrability":
+        num = lq_norm(speed, spec.r)
+    else:
+        lap_q = lq_norm(laplace_beltrami(rep.u), spec.q)
+        ham_q = lq_norm(ScalarField(spec.grid, speed.values ** spec.gamma), spec.q)
+        num = lap_q + ham_q
+    return rep.u, {
+        "t": t,
+        "ratio": num / (1.0 + fq),
+        "lambda": rep.lam,
+        "f_q": fq,
+        "grad_l1": grad1,
+        "iterations": rep.iterations,
+        "residual": rep.residual,
+        "peclet": rep.peclet,
+    }
+
+
 def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
     """Each row records the mesh Peclet number of the solve's last Jacobian,
     and an amplitude where it exceeds 1 adds a warning: there the centered
     first differences no longer keep the M-matrix sign pattern, and the
-    discretization runs outside the regime it is valid in."""
+    discretization runs outside the regime it is valid in.
+
+    Between amplitudes the loop carries only the last solution, the next
+    solve's warm start, and the row's scalars: `_sweep_row` holds the rest
+    and drops it before the next solve starts."""
     # fail fast before any solve
     drift_info = drift_gate(spec.grid, spec.drift, spec.drift_s, spec.drift_theta)
     cfg = spec.cfg or SolverConfig()
@@ -195,55 +238,21 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
     aborted = False
     message = ""
     for t in spec.amplitudes:
-        fvals = t * spec.source.values
-        f_field = ScalarField(spec.grid, fvals)
-        prob = ProblemSpec(
-            grid=spec.grid,
-            gamma=spec.gamma,
-            drift=spec.drift,
-            source=f_field,
-            ergodic=True,
-        )
-        run_cfg = dataclasses.replace(cfg, initial_guess=warm)
-        rep = solve_ergodic(prob, run_cfg)
-        convs.append(rep.converged)
-        if not rep.converged:
+        u, row = _sweep_row(spec, kind, cfg, t, warm)
+        convs.append(u is not None)
+        if u is None:
             aborted = True
-            message = (
-                "solve failed to converge at amplitude " + repr(t) + ": " + rep.message
-            )
+            message = "solve failed to converge at amplitude " + repr(t) + ": " + row
             break
-        warm = rep.u
-        fq = lq_norm(f_field, spec.q)
-        gradu = gradient(rep.u)
-        grad1 = lq_norm(gradu, 1.0)
-        K = max(K, fq + grad1)
-        if kind == "gradient-integrability":
-            num = lq_norm(gradu, spec.r)
-        else:
-            lap_q = lq_norm(laplace_beltrami(rep.u), spec.q)
-            ham = ScalarField(spec.grid, pointwise_norm(gradu) ** spec.gamma)
-            ham_q = lq_norm(ham, spec.q)
-            num = lap_q + ham_q
-        ratio = num / (1.0 + fq)
+        warm = u
+        K = max(K, row["f_q"] + row["grad_l1"])
         ts.append(t)
-        ratios.append(ratio)
-        lambdas.append(rep.lam)
-        rows.append(
-            {
-                "t": t,
-                "ratio": ratio,
-                "lambda": rep.lam,
-                "f_q": fq,
-                "grad_l1": grad1,
-                "iterations": rep.iterations,
-                "residual": rep.residual,
-                "peclet": rep.peclet,
-            }
-        )
-        if rep.peclet > 1.0:
+        ratios.append(row["ratio"])
+        lambdas.append(row["lambda"])
+        rows.append(row)
+        if row["peclet"] > 1.0:
             warnings.append(
-                "mesh Peclet number " + format(rep.peclet, ".3g") + " exceeds 1 at amplitude "
+                "mesh Peclet number " + format(row["peclet"], ".3g") + " exceeds 1 at amplitude "
                 + repr(t) + ": the discretization is outside its M-matrix regime"
             )
     gates = gate_block(spec.grid, drift_info, K=K)

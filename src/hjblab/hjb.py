@@ -408,7 +408,8 @@ class _FlatInverter:
     transform is split as pocketfft splits it, the leading axes complex to
     complex and the last complex to real, here in place on the spectrum,
     and its 1/N is applied last, as pocketfft applies it, so x is irfftn's
-    bit for bit.
+    bit for bit.  The inverter keeps two transform-sized arrays, that
+    spectrum and the inverse symbol `inv_sym`; the symbol itself is not kept.
 
     `solve` runs `forward`, `scale` and `backward`; an `_AxisLine` runs
     them too, and replaces one axis' line of the scaled spectrum in between.
@@ -421,7 +422,8 @@ class _FlatInverter:
             raise ValueError("mixed periodic/box axes are not supported")
         shape = grid.shape
         self.axes = tuple(range(len(shape)))
-        self.sym = 0.0
+        # the symbol of -Lap_flat; only its inverse is kept
+        sym = 0.0
         for a, (n, h) in enumerate(zip(shape, grid.spacings)):
             if self.periodic:
                 # real FFT shrinks the last axis
@@ -432,14 +434,14 @@ class _FlatInverter:
                 s = (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / h**2
             sh = [1] * len(shape)
             sh[a] = len(k)
-            self.sym = self.sym + s.reshape(sh)
-        self.inv_sym = np.zeros_like(self.sym)
-        mask = self.sym > 1e-14
-        self.inv_sym[mask] = 1.0 / self.sym[mask]
+            sym = sym + s.reshape(sh)
+        self.inv_sym = np.zeros_like(sym)
+        mask = sym > 1e-14
+        self.inv_sym[mask] = 1.0 / sym[mask]
         if self.periodic:
             # the cast numpy makes on every rhat *= inv_sym, made once
             self.inv_sym = self.inv_sym.astype(complex)
-        self.spectrum = np.empty(self.sym.shape, dtype=self.inv_sym.dtype)
+        self.spectrum = np.empty(sym.shape, dtype=self.inv_sym.dtype)
         # irfftn's normalization, 1/N rounded from long double as pocketfft does
         self.inv_count = float(np.longdouble(1.0) / np.longdouble(math.prod(shape)))
         self.w = grid.weights
@@ -1036,7 +1038,9 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     while residual_tol bounds a weighted norm.  On tori the weights are
     uniform and both ratios agree; on boxes the trapezoid end weights let
     them differ by at most 2^{d/2}, which can cost one more Newton step
-    but never changes when the solve stops.
+    but never changes when the solve stops.  A residual norm that is not
+    finite, as when squaring its entries overflows, stops the solve before
+    its linear solve, with a message that names the norm.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -1074,6 +1078,10 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
 
     coeff = None
     while not converged and iters < cfg.max_iter:
+        if not math.isfinite(res_norm):
+            # an overflowed residual leaves the linear solve no finite target
+            message = "residual norm " + repr(res_norm) + " is not finite at Newton step " + str(iters + 1)
+            break
         coeff = transport_coefficient(spec, uvals, dvals, coeff_buf)
         if not grid.is_flat:
             np.subtract(coeff, ops.conformal_drift, out=b)

@@ -459,6 +459,26 @@ def test_sweep_reports_each_peclet_number_and_warns_above_one(tmp_path):
     assert "amplitude 3000.0" in warned[-1]
 
 
+def test_overflowed_sweep_names_the_non_finite_residual_norm(tmp_path):
+    # 1e300 times the unit source squares to inf in the residual norm; the
+    # solve stops there instead of handing GMRES a NaN target
+    cfg = write(
+        tmp_path,
+        "huge.ini",
+        "[domain]\nkind = torus\ndim = 3\nresolution = 8\n"
+        "[problem]\ngamma = 3.0\n[experiment]\namplitudes = 1, 1e300\n",
+    )
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["thm2-sweep", "--config", cfg, "--out", str(out)]) == 1
+    failures = json.loads((out / "report.json").read_text())["failures"]
+    assert failures == [
+        "sweep aborted: solve failed to converge at amplitude 1e+300: "
+        "residual norm inf is not finite at Newton step 1"
+    ]
+    assert "nan" not in failures[0]
+
+
 def test_constants_runs_are_deterministic(tmp_path):
     cfg = write(tmp_path, "c.ini", "[domain]\nkind = torus\ndim = 3\nresolution = 12\n")
     outs = []

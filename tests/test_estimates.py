@@ -2,6 +2,7 @@
 second-derivative norm ratios, and seeded source families."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,27 @@ def test_thin_lattice_is_exact_for_one_axis_data():
     assert all(thin.converged) and all(full.converged)
     assert np.max(np.abs(np.array(thin.ratios) - full.ratios)) <= 1e-10
     assert np.max(np.abs(np.array(thin.lambdas) - full.lambdas)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_sweeps_hold_at_most_22_fields(kind):
+    # A Newton/GMRES solve needs about 20 field-sized arrays.  A sweep that
+    # keeps the previous amplitude's report, gradient and |grad u|^gamma
+    # through the next solve holds 7 more (27.4 in all for thm2_sweep here).
+    g = torus(24) if kind == "torus" else box(25)
+    f0 = source_family(g, "mode", 2.5)
+    field = 8 * g.weights.size
+    for sweep, r in ((thm2_sweep, None), (thm1_sweep, 18.0)):
+        spec = SweepSpec(g, 3.0, f0, (1.0, 3.0, 10.0), q=2.5, r=r)
+        sweep(spec)  # fills the grid's caches
+        tracemalloc.start()
+        try:
+            rep = sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rep.converged)
+        assert peak <= 22 * field, (sweep.__name__, peak / field)
 
 
 def test_gradient_sweep_requires_the_gradient_exponent():

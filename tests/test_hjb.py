@@ -976,6 +976,16 @@ def test_flat_inverter_takes_its_mean_from_the_zero_mode_bit_for_bit(kind):
     assert np.array_equal(got, kept)
 
 
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_flat_inverter_keeps_only_its_inverse_symbol_and_spectrum(kind):
+    # the symbol is half a field on tori and a whole one on boxes, and
+    # nothing reads it once its inverse is formed
+    grid = torus(12, dim=3) if kind == "torus" else box(11, dim=3)
+    inv = hjb._FlatInverter(grid)
+    arrays = {name for name, v in vars(inv).items() if isinstance(v, np.ndarray) and v is not grid.weights}
+    assert arrays == {"inv_sym", "spectrum"}
+
+
 @pytest.mark.parametrize("kind", list(_GRIDS) + ["2-box"])
 def test_flat_inverter_solves_the_bordered_laplacian(kind):
     # oracle: the forward stencil L and the quadrature weights, no transforms
@@ -1267,6 +1277,22 @@ def test_failed_linear_solve_stops_newton(monkeypatch):
     assert not rep.converged
     assert rep.iterations == 0
     assert rep.message == "linear solve failed at Newton step 1 (GMRES info 1)"
+
+
+def test_overflowed_residual_norm_stops_newton_before_the_linear_solve(monkeypatch):
+    # entries near 1e300 square to inf in the weighted norm, which would
+    # leave GMRES a NaN target
+    spec = _source_spec()
+    huge = ProblemSpec(spec.grid, gamma=2.0, source=ScalarField(spec.grid, 1e300 * spec.source.values), ergodic=True)
+
+    def unreachable(*args):
+        raise AssertionError("the linear solve ran on a non-finite residual")
+
+    monkeypatch.setattr(hjb, "bordered_solve", unreachable)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = solve_ergodic(huge)
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message == "residual norm inf is not finite at Newton step 1"
 
 
 def test_zero_newton_step_stops_at_the_backtracking_floor(monkeypatch):
