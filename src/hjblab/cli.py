@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bernstein, estimates, mfg as mfg_mod
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, _phi, parse_config
 from .fields import (
     ScalarField,
     VectorField,
@@ -54,6 +54,9 @@ DEFAULT_CONFIG = ""  # all defaults; see config module
 
 # samples per inequality in the bernstein-audit report
 _AUDIT_SAMPLES = 100_000
+
+# profile exponent delta of the weighted identity and the Bernstein profile
+_DELTA = 0.3
 
 # sweep.csv columns, each a key of the sweep's norm rows
 _SWEEP_COLUMNS = ("t", "ratio", "lambda", "f_q", "grad_l1", "iterations", "residual", "peclet")
@@ -119,15 +122,6 @@ def _build_drift(cfg: RunConfig, grid):
     return VectorField(grid, vals)
 
 
-def _build_source(cfg: RunConfig, grid, q_norm: float = 2.0):
-    prob = cfg["problem"]
-    kind = prob["source_kind"]
-    if kind == "none":
-        return None
-    base = estimates.source_family(grid, kind, q_norm)
-    return ScalarField(grid, prob["source_amplitude"] * base.values)
-
-
 def _report_skeleton(subcommand: str, seed: int) -> dict:
     return {
         "schema": 1,
@@ -143,6 +137,14 @@ def _fail(report: dict, message: str) -> None:
     report["passed"] = False
 
 
+def _require_none(cfg: RunConfig, subcommand: str, reasons: dict) -> None:
+    """Reject [problem] data the run would drop; `reasons` maps each such
+    key to why the subcommand has no place for it."""
+    for key, why in reasons.items():
+        if cfg["problem"][key] != "none":
+            raise ConfigError(subcommand + ": [problem] " + key + " must be none: " + why)
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -150,13 +152,16 @@ def _fail(report: dict, message: str) -> None:
 def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
     report = _report_skeleton("ergodic" if ergodic else "solve", seed)
     prob_blk = cfg["problem"]
-    if prob_blk["manufactured"] != "none":
+    if ergodic:
+        _require_none(cfg, "ergodic", {"manufactured": "a manufactured study runs under solve"})
+    elif prob_blk["manufactured"] != "none":
         return _manufactured_study(cfg, out, seed, report)
     grid = build_grid(cfg.domain, cfg.metric)
     drift = _build_drift(cfg, grid)
     drift_info = estimates.drift_gate(grid, drift, prob_blk["drift_s"], prob_blk["drift_theta"])
     shift = _build_shift(cfg, grid)
-    source = _build_source(cfg, grid)
+    kind = prob_blk["source_kind"]
+    source = None if kind == "none" else estimates.source_family(grid, kind, 2.0)
     spec = ProblemSpec(
         grid=grid,
         gamma=prob_blk["gamma"],
@@ -193,6 +198,11 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
 def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> dict:
     if cfg.domain.kind != "box":
         raise ConfigError("manufactured studies need a box domain")
+    _require_none(cfg, "solve", {
+        "drift_kind": "a manufactured study solves the plain equation",
+        "shift_kind": "a manufactured study solves the plain equation",
+        "source_kind": "a manufactured study builds its source from its exact solution",
+    })
     prob_blk = cfg["problem"]
     symbolic = prob_blk["manufactured"] == "symbolic"
     gamma = prob_blk["gamma"]
@@ -202,12 +212,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
     hs = []
     last_grid = None
     for n in resolutions:
-        domain = DomainSpec(
-            kind="box",
-            dim=cfg.domain.dim,
-            extents=cfg.domain.extents,
-            resolution=(n,) * cfg.domain.dim,
-        )
+        domain = DomainSpec(kind="box", dim=cfg.domain.dim, resolution=(n,) * cfg.domain.dim)
         grid = build_grid(domain, MetricSpec.euclidean())
         last_grid = grid
         ustar, f = manufactured_source(grid, gamma, symbolic=symbolic)
@@ -258,7 +263,7 @@ def _bochner_cases():
     maker, least order).  Each case audits the plain and the weighted
     identity on the same fields."""
     flat_metric = MetricSpec.euclidean()
-    conf_metric = MetricSpec.conformal(lambda coords: 0.1 * np.cos(2.0 * np.pi * coords[0]))
+    conf_metric = MetricSpec.conformal(_phi)
 
     def u_flat(grid):
         mesh = grid.mesh()
@@ -274,14 +279,14 @@ def _bochner_cases():
     ]
 
 
-def _refinement_norms(kind, metric, field_fn, delta, resolutions):
+def _refinement_norms(kind, metric, field_fn, resolutions):
     """Sup norms of the plain and of the weighted residual at each
     resolution.  Both come from one grid, one field and one set of terms
     per resolution."""
     plain, weighted = [], []
     for n in resolutions:
         grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(n, n, 8)), metric)
-        res_plain, res_weighted = bernstein.bochner_residuals(field_fn(grid), delta)
+        res_plain, res_weighted = bernstein.bochner_residuals(field_fn(grid), _DELTA)
         plain.append(float(np.max(np.abs(res_plain.values))))
         weighted.append(float(np.max(np.abs(res_weighted.values))))
     return plain, weighted
@@ -344,11 +349,10 @@ def _exactness_checks() -> list:
 def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("bochner-check", seed)
     resolutions = (32, 64, 128)
-    delta = cfg["experiment"]["delta"]
     rows = []
     results = {}
     for prefix, kind, metric, field_fn, min_order in _bochner_cases():
-        pair = _refinement_norms(kind, metric, field_fn, delta, resolutions)
+        pair = _refinement_norms(kind, metric, field_fn, resolutions)
         for name, norms in zip((prefix + "_plain", prefix + "_weighted"), pair):
             slope = 0.0
             if len(norms) >= 2 and norms[-1] > 0 and norms[-2] > 0:
@@ -388,7 +392,6 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
 
 def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("bernstein-audit", seed)
-    delta = cfg["experiment"]["delta"]
     audit = []
 
     def entry(name, violation, passed):
@@ -398,7 +401,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
         if not passed:
             _fail(report, "audit item failed: " + name)
 
-    tk = bernstein.h_toolkit(delta)
+    tk = bernstein.h_toolkit(_DELTA)
     prof = tk.sample_audit()
     for key in ("root_growth", "convexity_defect", "derivative_recovery"):
         viol = max(0.0, -prof[key])
@@ -420,16 +423,17 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     for name, value, ok in _exactness_checks():
         entry("identity_" + name, value, ok)
 
-    # continuity scalars: maximizer identity and root recovery
+    # continuity scalars: y* is where phi peaks, phi'(y*) = 0 and phi falls
+    # on either side; the roots of phi = level are recovered
     worst_root = 0.0
     worst_peak = 0.0
+    peaked = True
     for d in range(3, 11):
-        tools = bernstein.continuity_tools(d, q=max(3.0, d * 0.9), gamma=2.0, delta=delta)
-        closed_y = ((d - 2.0) / d) ** (d / 2.0)
-        closed_phi = closed_y ** ((d - 2.0) / d) - closed_y
-        worst_peak = max(
-            worst_peak, abs(tools.y_star - closed_y), abs(tools.phi_star - closed_phi)
-        )
+        tools = bernstein.continuity_tools(d, q=max(3.0, d * 0.9), gamma=2.0, delta=_DELTA)
+        y = tools.y_star
+        worst_peak = max(worst_peak, abs((d - 2.0) / d * y ** (-2.0 / d) - 1.0))
+        top = float(tools.phi(y))
+        peaked = peaked and all(top > float(tools.phi(y * (1.0 + s))) for s in (-1e-3, 1e-3))
         for frac in (0.1, 0.5, 0.9):
             level = frac * tools.phi_star
             lo, hi = tools.roots(level)
@@ -438,7 +442,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
                 abs(float(tools.phi(lo)) - level),
                 abs(float(tools.phi(hi)) - level),
             )
-    entry("continuity_peak_closed_form", worst_peak, worst_peak <= 1e-12)
+    entry("continuity_peak_closed_form", worst_peak, worst_peak <= 1e-12 and peaked)
     entry("continuity_root_recovery", worst_root, worst_root <= 1e-12)
 
     # exponent identities on random admissible parameter sets
@@ -467,8 +471,8 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     grid = build_grid(
         DomainSpec(kind="torus", dim=3, resolution=(16, 16, 16)), MetricSpec.euclidean()
     )
-    params = bernstein.maxreg_params(3, 2.0, 3.0, delta)
-    profile = bernstein.h_toolkit(delta)
+    params = bernstein.maxreg_params(3, 2.0, 3.0, _DELTA)
+    profile = bernstein.h_toolkit(_DELTA)
     cheb_viol = 0
     mono_viol = 0
     for i in range(10):
@@ -486,7 +490,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     entry("level_set_volume_bound", float(cheb_viol), cheb_viol == 0)
     entry("level_set_monotone", float(mono_viol), mono_viol == 0)
 
-    report["results"] = {"audit": audit, "delta": delta, "samples": _AUDIT_SAMPLES}
+    report["results"] = {"audit": audit, "delta": _DELTA, "samples": _AUDIT_SAMPLES}
     report["gates"] = estimates.gate_block(grid)
     write_csv(
         os.path.join(out, "audit.csv"),
@@ -498,6 +502,10 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
 
 def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     report = _report_skeleton(kind, seed)
+    _require_none(cfg, kind, {
+        "shift_kind": "the sweep's equation has no shift",
+        "manufactured": "the sweep scales its own source",
+    })
     grid = build_grid(cfg.domain, cfg.metric)
     prob_blk = cfg["problem"]
     exp = cfg["experiment"]
@@ -507,12 +515,12 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     if kind == "thm1-sweep":
         if (exp["q"] is None) != (exp["r"] is None):
             raise ConfigError(
-                "thm1-sweep: set both [experiment] q and r, or neither to take them from p"
+                "thm1-sweep: set both [experiment] q and r, or neither to take them from p = 2"
             )
         if exp["q"] is not None:
             q, r = exp["q"], exp["r"]
         else:
-            expo = estimates.thm1_exponents(grid.dim, exp["p"])
+            expo = estimates.thm1_exponents(grid.dim, 2.0)
             q, r = expo.q, expo.r
         src_kind = prob_blk["source_kind"] if prob_blk["source_kind"] != "none" else "mode"
         f0 = estimates.source_family(grid, src_kind, q)
@@ -581,8 +589,8 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     cz2, cz4 = estimates.cz_ratio(fields_bl, (2.0, 4.0))
     gamma = cfg["problem"]["gamma"]
     q = exp["q"] if exp["q"] is not None else 2.5
-    params = bernstein.maxreg_params(grid.dim, gamma, q, exp["delta"])
-    tools = bernstein.continuity_tools(grid.dim, q, gamma, exp["delta"])
+    params = bernstein.maxreg_params(grid.dim, gamma, q, _DELTA)
+    tools = bernstein.continuity_tools(grid.dim, q, gamma, _DELTA)
     results = {
         "sigma_hat": sigma,
         "cz_ratio_p2": cz2,
@@ -631,22 +639,21 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
 
 def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("mfg", seed)
-    if cfg["problem"]["drift_kind"] != "none":
-        raise ConfigError(
-            "mfg: [problem] drift_kind must be none: the game's value equation has no drift"
-        )
-    if cfg["problem"]["source_kind"] != "none":
-        raise ConfigError(
-            "mfg: [problem] source_kind must be none: the game's source is the coupling V_eps(m)"
-        )
+    _require_none(cfg, "mfg", {
+        "drift_kind": "the game's value equation has no drift",
+        "source_kind": "the game's source is the coupling V_eps(m)",
+        "manufactured": "the game has no exact solution to compare with",
+    })
     grid = build_grid(cfg.domain, cfg.metric)
     blk = cfg["mfg"]
+    # the power coupling's comparison constant, the least (MFG1) admits but at least 2
+    c_v = max(2.0, blk["alpha"], 1.0 / blk["alpha"])
     shift = _build_shift(cfg, grid)
     spec = mfg_mod.MfgSpec(
         grid=grid,
         gamma=cfg["problem"]["gamma"],
         alpha=blk["alpha"],
-        c_v=blk["c_v"],
+        c_v=c_v,
         shift=shift,
         eps=blk["eps"],
     )
@@ -661,7 +668,7 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         _fail(report, "coupling energy exceeds the shift curvature bound")
     if mrep.lp_bounds and not mrep.lp_bounds.get("bound_ok", True):
         _fail(report, "smoothed-density gradient energy exceeds its bound")
-    report["gates"] = estimates.gate_block(grid, c_v=blk["c_v"])
+    report["gates"] = estimates.gate_block(grid, c_v=c_v)
     report["results"] = {
         "converged": mrep.converged,
         "outer_iterations": mrep.outer_iterations,

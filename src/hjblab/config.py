@@ -7,21 +7,21 @@ floats (only the Lebesgue exponents q, r and drift_s take inf).  Scalar
 standing assumptions are checked at parse time and violations are
 reported with the assumption label, e.g. (In1) for the gradient-growth
 gate and (D1) for a disc domain, which no subcommand runs.  The
-conformal metric has one spelling, `[domain] kind = conformal_torus`;
-the `[metric]` keys set its phi, and setting one on any other domain is
-rejected.
+conformal metric has one spelling, `[domain] kind = conformal_torus`,
+with phi = 0.1 cos(2 pi x_1) on the unit torus.
 
 Every key is one row of `_KEYS`: how its value parses, its default, and
 its allowed values when they form a closed list.  No key picks an axis:
 phi and the cosine shift vary along the first lattice axis and the shear
-drift along the second; permuting `resolution` and `extents` reorients a
-field.
+drift along the second; permuting `resolution` reorients a field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+
+import numpy as np
 
 from .geometry import DomainSpec, MetricSpec
 
@@ -37,11 +37,7 @@ _KEYS = {
     "domain": {
         "kind": ("str", "torus", ("box", "torus", "conformal_torus")),
         "dim": ("int", 3, None),
-        "extents": ("floats", (1.0,), None),
         "resolution": ("ints", (16,), None),
-    },
-    "metric": {
-        "phi_amplitude": ("float", 0.1, None),
     },
     "problem": {
         "gamma": ("float", 2.0, None),
@@ -52,20 +48,16 @@ _KEYS = {
         "shift_kind": ("str", "none", ("none", "mode")),
         "shift_amplitude": ("float", 0.5, None),
         "source_kind": ("str", "none", ("none", "mode", "bump", "power")),
-        "source_amplitude": ("float", 1.0, None),
         "manufactured": ("str", "none", ("none", "symbolic", "discrete")),
     },
     "experiment": {
         "amplitudes": ("floats", (1.0, 3.0, 10.0, 30.0, 100.0), None),
-        "p": ("float", 2.0, None),
         "q": ("float", None, None),
         "r": ("float", None, None),
-        "delta": ("float", 0.3, None),
         "resolutions": ("ints", (17, 33, 65), None),
     },
     "mfg": {
         "alpha": ("float", 1.0, None),
-        "c_v": ("float", None, None),
         "eps": ("float", 0.1, None),
     },
     "output": {
@@ -170,12 +162,16 @@ def parse_config(text: str) -> RunConfig:
                 "line " + str(lineno) + ": " + key + " must be one of " + ", ".join(choices)
             )
         sections[current][key] = value
-    return _build(sections, seen)
+    return _build(sections)
 
 
-def _build(sections: dict, seen: set) -> RunConfig:
+def _phi(coords):
+    """The conformal torus's exponent: g = e^(2 phi) id."""
+    return 0.1 * np.cos(2.0 * np.pi * coords[0])
+
+
+def _build(sections: dict) -> RunConfig:
     dom = sections["domain"]
-    met = sections["metric"]
     prob = sections["problem"]
     mfg = sections["mfg"]
     warnings = []
@@ -196,14 +192,6 @@ def _build(sections: dict, seen: set) -> RunConfig:
             )
     if not mfg["alpha"] > 0.0:
         raise ConfigError("mfg block: alpha must be positive")
-    if mfg["c_v"] is None:
-        # For the power coupling the admissible constant is set by alpha, so an
-        # unset c_v tracks alpha instead of pinning a fixed number.
-        mfg["c_v"] = max(2.0, mfg["alpha"], 1.0 / mfg["alpha"])
-    if not mfg["c_v"] > 1.0 or mfg["c_v"] < max(mfg["alpha"], 1.0 / mfg["alpha"]) - 1e-12:
-        raise ConfigError(
-            "assumption gate (MFG1) violated: need C_V > 1 and C_V >= max(alpha, 1/alpha)"
-        )
     from .mfg import exponent_gate
 
     gate = exponent_gate(declared_dim, prob["gamma"], mfg["alpha"])
@@ -220,37 +208,12 @@ def _build(sections: dict, seen: set) -> RunConfig:
         )
 
     try:
-        domain = DomainSpec(
-            kind=dom["kind"],
-            dim=dom["dim"],
-            extents=dom["extents"],
-            resolution=dom["resolution"],
-        )
+        domain = DomainSpec(kind=dom["kind"], dim=dom["dim"], resolution=dom["resolution"])
     except ValueError as exc:
         raise ConfigError("domain block: " + str(exc)) from None
-    if domain.kind == "conformal_torus":
-        import numpy as np
+    metric = MetricSpec.conformal(_phi) if domain.kind == "conformal_torus" else MetricSpec.euclidean()
 
-        amp = met["phi_amplitude"]
-        extent = domain.extents[0]
-
-        def phi(coords, _a=amp, _L=extent):
-            return _a * np.cos(2.0 * np.pi * coords[0] / _L)
-
-        metric = MetricSpec.conformal(phi)
-    else:
-        for key in _KEYS["metric"]:
-            if ("metric", key) in seen:
-                raise ConfigError(
-                    "[metric] " + key + " must be unset: [domain] kind = " + domain.kind
-                    + " carries no conformal factor (only conformal_torus does)"
-                )
-        metric = MetricSpec.euclidean()
-
-    exp = sections["experiment"]
-    if not (0.0 < exp["delta"] < 1.0):
-        raise ConfigError("experiment block: delta must lie in (0, 1)")
-    if any(n < 8 for n in exp["resolutions"]):
+    if any(n < 8 for n in sections["experiment"]["resolutions"]):
         raise ConfigError("experiment block: resolutions must be at least 8")
 
     if mfg["eps"] < 0.0:

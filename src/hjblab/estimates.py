@@ -357,12 +357,17 @@ def sobolev_ratio(u: ScalarField) -> float:
 def sobolev_constant_estimate(grid: Grid) -> float:
     """Lower bound for the embedding constant: the constant field's quotient.
 
-    That quotient is vol^{-1/d} (exactly 1 on the unit box and torus).  No
-    search is run because the constant field is a strict local maximum of
-    R: a mean-zero perturbation raises ||grad u||_2 at first order but
-    moves ||u||_{2d/(d-2)} / ||u||_2 only at second order.
+    That quotient is vol^{1/m} / vol^{1/2} = vol^{-1/d}, m = 2d/(d-2)
+    (exactly 1 on the unit box and torus), taken here from the grid's
+    quadrature volume.  No search is run because the constant field is a
+    strict local maximum of R: a mean-zero perturbation raises ||grad u||_2
+    at first order but moves ||u||_m / ||u||_2 only at second order.
     """
-    return float(sobolev_ratio(ScalarField(grid, np.ones(grid.shape))))
+    d = grid.dim
+    if d < 3:
+        raise ValueError("dimension must be at least 3")
+    m = 2.0 * d / (d - 2.0)
+    return float(grid.vol ** (1.0 / m) / grid.vol ** 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -813,8 +813,10 @@ def _preconditioner(grid: Grid, b: np.ndarray, adjoint: bool = False):
 
 
 def _weighted_norm(ops: _Ops, vals: np.ndarray) -> float:
-    sq = np.square(vals, out=ops.work(0))
-    sq *= ops.grid.weights
+    # an overflow to inf is reported by the caller as a non-finite norm
+    with np.errstate(over="ignore"):
+        sq = np.square(vals, out=ops.work(0))
+        sq *= ops.grid.weights
     return float(np.sqrt(np.sum(sq)))
 
 

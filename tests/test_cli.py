@@ -1,14 +1,17 @@
 """Command-line interface: config parsing, assumption-gate citations, exit
 codes, report schema, output files, and determinism."""
 
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from hjblab import bernstein
 from hjblab.cli import _SUBCOMMANDS, main, run
 from hjblab.config import _KEYS, ConfigError, parse_config
 
@@ -30,7 +33,7 @@ def test_defaults_parse_and_build():
     assert cfg.domain.kind == "torus"
     assert cfg.domain.dim == 3
     assert cfg["problem"]["gamma"] == 2.0
-    assert cfg["mfg"]["c_v"] >= 2.0
+    assert cfg.domain.extents == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +51,6 @@ def test_defaults_parse_and_build():
         ("dim = 3\n", "outside any"),
         ("[domain]\nkind = sphere\n", "must be one of"),
         ("[problem]\ndrift_kind = sin\n", "must be one of"),
-        ("[experiment]\ndelta = 1.5\n", "delta must lie in"),
         ("[experiment]\nresolutions = 4\n", "at least 8"),
         ("[domain]\ndim = 5\n", "dimension must be 2 or 3"),
         ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "unknown key 'shift_axis'"),
@@ -59,20 +61,15 @@ def test_defaults_parse_and_build():
         ("[domain]\nradius = 1.0\n", "unknown key 'radius'"),
         ("[problem]\nshift_axis = 1\n", "unknown key 'shift_axis' in \\[problem\\]"),
         ("[problem]\ndrift_axis = 2\n", "unknown key 'drift_axis' in \\[problem\\]"),
-        ("[metric]\nphi_axis = 1\n", "unknown key 'phi_axis' in \\[metric\\]"),
         ("[experiment]\nsamples = 100000\n", "unknown key 'samples' in \\[experiment\\]"),
         ("[output]\nplots = true\n", "unknown key 'plots' in \\[output\\]"),
         ("[mfg]\nouter_tol = 1e-9\n", "unknown key 'outer_tol' in \\[mfg\\]"),
         ("[mfg]\nmax_outer = 60\n", "unknown key 'max_outer' in \\[mfg\\]"),
-        ("[metric]\nkind = conformal\n", "unknown key 'kind' in \\[metric\\]"),
-        ("[metric]\nphi_amplitude = 0.4\n", r"\[metric\] phi_amplitude must be unset: \[domain\] kind = torus "),
-        ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", "unknown key 'phi_frequency' in \\[metric\\]"),
+        ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", r"line 3: unknown section \[metric\]"),
         ("[experiment]\nzeta_c = 1.0\n", "unknown key 'zeta_c' in \\[experiment\\]"),
         ("[mfg]\neps = nan\n", r"line 2: \[mfg\] eps must be finite, got nan"),
         ("[experiment]\namplitudes = 1, inf\n", r"line 2: \[experiment\] amplitudes must be finite, got inf"),
         ("[problem]\nshift_amplitude = inf\n", r"line 2: \[problem\] shift_amplitude must be finite, got inf"),
-        ("[domain]\nextents = inf\n", r"line 2: \[domain\] extents must be finite, got inf"),
-        ("[experiment]\np = inf\n", r"line 2: \[experiment\] p must be finite, got inf"),
         ("[problem]\ngamma = -inf\n", r"line 2: \[problem\] gamma must be finite, got -inf"),
         ("[experiment]\nq = nan\n", r"line 2: \[experiment\] q must be finite or inf, got nan"),
         ("[experiment]\nr = -inf\n", r"line 2: \[experiment\] r must be finite or inf, got -inf"),
@@ -118,26 +115,39 @@ def test_readme_key_reference_is_the_parser_table():
 
 
 def test_every_key_written_at_its_default_parses_like_no_config():
-    # an unset default has no spelling, and [metric] keys parse only on a
-    # conformal torus, so that block is compared on one
-    def text(sections):
-        return "".join(
-            "[" + section + "]\n"
-            + "".join(
-                key + " = " + _cell(default) + "\n"
-                for key, (_, default, _) in _KEYS[section].items()
-                if default is not None
-            )
-            for section in sections
+    # an unset default has no spelling
+    text = "".join(
+        "[" + section + "]\n"
+        + "".join(
+            key + " = " + _cell(default) + "\n"
+            for key, (_, default, _) in rows.items()
+            if default is not None
         )
-
-    flat = [section for section in _KEYS if section != "metric"]
-    assert parse_config(text(flat)).sections == parse_config("").sections
-    conformal = "[domain]\nkind = conformal_torus\n"
-    assert (
-        parse_config(conformal + text(["metric"])).sections
-        == parse_config(conformal).sections
+        for section, rows in _KEYS.items()
     )
+    assert parse_config(text).sections == parse_config("").sections
+
+
+@pytest.mark.parametrize(
+    "text,line,key",
+    [
+        ("[domain]\nextents = 2.0\n", 2, "key 'extents' in [domain]"),
+        ("[domain]\nkind = conformal_torus\n[metric]\nphi_amplitude = 0.2\n", 3, "section [metric]"),
+        ("[problem]\nsource_kind = mode\nsource_amplitude = 3.0\n", 3, "key 'source_amplitude' in [problem]"),
+        ("[experiment]\np = 3.0\n", 2, "key 'p' in [experiment]"),
+        ("[experiment]\ndelta = 0.5\n", 2, "key 'delta' in [experiment]"),
+        ("[mfg]\nalpha = 0.5\nc_v = 3.0\n", 3, "key 'c_v' in [mfg]"),
+    ],
+    ids=["extents", "phi_amplitude", "source_amplitude", "p", "delta", "c_v"],
+)
+def test_keys_that_became_constants_exit_two_as_unknown(tmp_path, capsys, text, line, key):
+    # the values these keys set are constants: unit sides, phi = 0.1 cos(2 pi x_1),
+    # a unit-norm source, p = 2, delta = 0.3 and C_V = max(2, alpha, 1/alpha)
+    cfg = write(tmp_path, "gone.ini", text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "rejected: line %d: unknown %s" % (line, key) in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +176,18 @@ def test_coupling_gate_cited_before_structural_checks():
         parse_config(text)
 
 
-def test_comparison_constant_gate_cited_for_explicit_values():
-    with pytest.raises(ConfigError, match=r"\(MFG1\)"):
-        parse_config("[mfg]\nalpha = 1.5\nc_v = 1.2\n")
-
-
-def test_unset_comparison_constant_tracks_the_coupling_exponent():
-    cfg = parse_config("[domain]\ndim = 3\n[mfg]\nalpha = 0.25\n")
-    assert cfg["mfg"]["c_v"] == 4.0
-    cfg2 = parse_config("[domain]\ndim = 3\n[mfg]\nalpha = 1.0\n")
-    assert cfg2["mfg"]["c_v"] == 2.0
+def test_unset_comparison_constant_tracks_the_coupling_exponent(tmp_path):
+    # the game takes C_V = max(2, alpha, 1/alpha), the least (MFG1) admits but at least 2
+    for alpha, c_v in ((0.25, 4.0), (1.0, 2.0)):
+        cfg = write(
+            tmp_path,
+            "g.ini",
+            "[domain]\ndim = 2\nresolution = 16\n[problem]\nshift_kind = mode\n"
+            "[mfg]\nalpha = %r\n" % alpha,
+        )
+        out = tmp_path / str(alpha)
+        assert main(["mfg", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["gates"]["C_V"] == c_v
 
 
 def test_unenforced_gamma_condition_is_recorded_as_warning():
@@ -252,13 +264,13 @@ def test_conformal_box_solves_are_rejected(tmp_path, capsys, subcommand):
     out = tmp_path / "out"
     rc = main([subcommand, "--config", cfg, "--out", str(out)])
     assert rc == 2
-    assert "rejected: line 4: unknown key 'kind' in [metric]" in capsys.readouterr().err
+    assert "rejected: line 3: unknown section [metric]" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("given", ["q = 3.0", "r = 18.0"])
 def test_gradient_sweep_rejects_a_lone_exponent(tmp_path, capsys, given):
-    # q and r come as a pair, or both from p; a lone one is not dropped silently
+    # q and r come as a pair, or both from p = 2; a lone one is not dropped silently
     cfg = write(tmp_path, "lone.ini", "[domain]\ndim = 3\nresolution = 12\n[experiment]\n" + given + "\n")
     out = tmp_path / "out"
     assert main(["thm1-sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -279,6 +291,30 @@ def test_drifted_maximal_sweep_is_rejected_at_dispatch(tmp_path, capsys):
     assert "In2" in capsys.readouterr().err
 
 
+_DROPPED = [
+    ("thm1-sweep", "shift_kind = mode\nshift_amplitude = 50\n", "shift_kind"),
+    ("thm2-sweep", "shift_kind = mode\nshift_amplitude = 50\n", "shift_kind"),
+    ("thm1-sweep", "manufactured = symbolic\n", "manufactured"),
+    ("thm2-sweep", "manufactured = symbolic\n", "manufactured"),
+    ("solve", "manufactured = symbolic\ndrift_kind = shear\ndrift_s = 4.0\n", "drift_kind"),
+    ("solve", "manufactured = symbolic\nshift_kind = mode\n", "shift_kind"),
+    ("solve", "manufactured = symbolic\nsource_kind = mode\n", "source_kind"),
+    ("ergodic", "manufactured = symbolic\n", "manufactured"),
+    ("mfg", "manufactured = symbolic\n", "manufactured"),
+]
+
+
+@pytest.mark.parametrize("subcommand,block,key", _DROPPED, ids=[c[0] + "-" + c[2] for c in _DROPPED])
+def test_runs_reject_problem_data_they_would_drop(tmp_path, capsys, subcommand, block, key):
+    # the sweeps have no shift, a manufactured study makes its own data and
+    # runs under solve only, and a game compares with no exact solution
+    cfg = write(tmp_path, "d.ini", "[domain]\nkind = box\nresolution = 12\n[problem]\n" + block)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert "rejected: " + subcommand + ": [problem] " + key + " must be none: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_run_rejects_unknown_subcommand_name():
     cfg = parse_config("")
     assert run("not-a-thing", cfg, "/tmp/hjblab-nowhere") == 2
@@ -291,7 +327,7 @@ def test_run_rejects_unknown_subcommand_name():
 def small_torus_text(dim=3, n=12):
     return (
         "[domain]\nkind = torus\ndim = %d\nresolution = %d\n"
-        "[problem]\nsource_kind = mode\nsource_amplitude = 1.0\n"
+        "[problem]\nsource_kind = mode\n"
         % (dim, n)
     )
 
@@ -412,7 +448,7 @@ def test_hamiltonian_coefficient_is_rejected(tmp_path, capsys, subcommand):
     "block,key",
     [
         ("drift_kind = shear\ndrift_amplitude = 5\ndrift_s = 3.0\n", "drift_kind"),
-        ("source_kind = mode\nsource_amplitude = 100\n", "source_kind"),
+        ("source_kind = mode\n", "source_kind"),
     ],
 )
 def test_game_rejects_value_equation_data_it_has_no_place_for(tmp_path, capsys, block, key):
@@ -469,7 +505,9 @@ def test_overflowed_sweep_names_the_non_finite_residual_norm(tmp_path):
         "[problem]\ngamma = 3.0\n[experiment]\namplitudes = 1, 1e300\n",
     )
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the overflow is the solver's to report, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["thm2-sweep", "--config", cfg, "--out", str(out)]) == 1
     failures = json.loads((out / "report.json").read_text())["failures"]
     assert failures == [
@@ -518,3 +556,21 @@ def test_constants_writes_the_closed_form_continuity_scalars(tmp_path):
     assert cont["t_star"] is None
     assert cont["zeta_C"] == 1.0 and isinstance(cont["zeta_C"], float)
     assert "t_star,none" in (out / "constants.csv").read_text().splitlines()
+
+
+def test_continuity_peak_entry_fails_off_the_maximizer(tmp_path, monkeypatch):
+    # the audit checks phi'(y*) = 0 and that phi falls on either side of y*,
+    # so a y* moved by 1% fails the entry
+    real = bernstein.continuity_tools
+
+    def shifted(*args, **kwargs):
+        tools = real(*args, **kwargs)
+        return dataclasses.replace(tools, y_star=1.01 * tools.y_star)
+
+    monkeypatch.setattr(bernstein, "continuity_tools", shifted)
+    out = tmp_path / "out"
+    assert main(["bernstein-audit", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    entry = next(a for a in report["results"]["audit"] if a["name"] == "continuity_peak_closed_form")
+    assert entry["passed"] is False and entry["max_violation"] > 1e-3
+    assert "audit item failed: continuity_peak_closed_form" in report["failures"]
