@@ -14,6 +14,8 @@ import pytest
 from hjblab import bernstein
 from hjblab.cli import _SUBCOMMANDS, main, run
 from hjblab.config import _KEYS, ConfigError, parse_config
+from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.mfg import MfgSpec
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -66,6 +68,7 @@ def test_defaults_parse_and_build():
         ("[mfg]\nouter_tol = 1e-9\n", "unknown key 'outer_tol' in \\[mfg\\]"),
         ("[mfg]\nmax_outer = 60\n", "unknown key 'max_outer' in \\[mfg\\]"),
         ("[domain]\nkind = box\n[metric]\nphi_frequency = 2\n", r"line 3: unknown section \[metric\]"),
+        ("[metric]\nphi_amplitude = 0.4\n", r"\[metric\]$"),
         ("[experiment]\nzeta_c = 1.0\n", "unknown key 'zeta_c' in \\[experiment\\]"),
         ("[mfg]\neps = nan\n", r"line 2: \[mfg\] eps must be finite, got nan"),
         ("[experiment]\namplitudes = 1, inf\n", r"line 2: \[experiment\] amplitudes must be finite, got inf"),
@@ -174,6 +177,16 @@ def test_coupling_gate_cited_before_structural_checks():
     text = "[domain]\ndim = 5\n[problem]\ngamma = 2\n[mfg]\nalpha = 2.1\n"
     with pytest.raises(ConfigError, match=r"\(MFG3\)"):
         parse_config(text)
+
+
+def test_comparison_constant_gate_cited_for_explicit_values():
+    # no config sets C_V, so an explicit value reaches only the game spec,
+    # whose own (MFG1) gate refuses one below max(alpha, 1/alpha)
+    with pytest.raises(ConfigError, match=r"line 3: unknown key 'c_v' in \[mfg\]"):
+        parse_config("[mfg]\nalpha = 1.5\nc_v = 1.2\n")
+    grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)), MetricSpec.euclidean())
+    with pytest.raises(ValueError, match=r"\(MFG1\)"):
+        MfgSpec(grid, gamma=2.0, alpha=1.5, c_v=1.2)
 
 
 def test_unset_comparison_constant_tracks_the_coupling_exponent(tmp_path):
