@@ -129,6 +129,7 @@ def _report_skeleton(subcommand: str, seed: int) -> dict:
         "seed": seed,
         "failures": [],
         "passed": True,
+        "warnings": [],
     }
 
 
@@ -509,8 +510,6 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
     grid = build_grid(cfg.domain, cfg.metric)
     prob_blk = cfg["problem"]
     exp = cfg["experiment"]
-    gamma = prob_blk["gamma"]
-    amplitudes = exp["amplitudes"]
 
     if kind == "thm1-sweep":
         if (exp["q"] is None) != (exp["r"] is None):
@@ -522,37 +521,31 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
         else:
             expo = estimates.thm1_exponents(grid.dim, 2.0)
             q, r = expo.q, expo.r
-        src_kind = prob_blk["source_kind"] if prob_blk["source_kind"] != "none" else "mode"
-        f0 = estimates.source_family(grid, src_kind, q)
-        spec = estimates.SweepSpec(
-            grid=grid,
-            gamma=gamma,
-            source=f0,
-            amplitudes=amplitudes,
-            q=q,
-            r=r,
-            drift=_build_drift(cfg, grid),
-            drift_s=prob_blk["drift_s"],
-            drift_theta=prob_blk["drift_theta"],
-        )
-        sweep = estimates.thm1_sweep(spec)
+        default_source = "mode"
     else:
-        if prob_blk["drift_kind"] != "none":
-            raise ConfigError(
-                "assumption gate (~In2) violated: this sweep requires zero drift"
-            )
         q = exp["q"] if exp["q"] is not None else 2.5
-        src_kind = prob_blk["source_kind"] if prob_blk["source_kind"] != "none" else "bump"
-        f0 = estimates.source_family(grid, src_kind, q)
-        spec = estimates.SweepSpec(grid=grid, gamma=gamma, source=f0, amplitudes=amplitudes, q=q)
-        sweep = estimates.thm2_sweep(spec)
+        r = None
+        default_source = "bump"
+    src_kind = prob_blk["source_kind"] if prob_blk["source_kind"] != "none" else default_source
+    spec = estimates.SweepSpec(
+        grid=grid,
+        gamma=prob_blk["gamma"],
+        source=estimates.source_family(grid, src_kind, q),
+        amplitudes=exp["amplitudes"],
+        q=q,
+        r=r,
+        drift=_build_drift(cfg, grid),
+        drift_s=prob_blk["drift_s"],
+        drift_theta=prob_blk["drift_theta"],
+    )
+    sweep = (estimates.thm1_sweep if kind == "thm1-sweep" else estimates.thm2_sweep)(spec)
 
     if sweep.aborted:
         _fail(report, "sweep aborted: " + sweep.message)
     report["gates"] = sweep.gates
     report["results"] = {
         "q": q,
-        "r": getattr(spec, "r", None),
+        "r": r,
         "amplitudes": list(sweep.amplitudes),
         "ratios": list(sweep.ratios),
         "lambdas": list(sweep.lambdas),
@@ -646,18 +639,18 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
     })
     grid = build_grid(cfg.domain, cfg.metric)
     blk = cfg["mfg"]
-    # the power coupling's comparison constant, the least (MFG1) admits but at least 2
-    c_v = max(2.0, blk["alpha"], 1.0 / blk["alpha"])
-    shift = _build_shift(cfg, grid)
     spec = mfg_mod.MfgSpec(
         grid=grid,
         gamma=cfg["problem"]["gamma"],
         alpha=blk["alpha"],
-        c_v=c_v,
-        shift=shift,
+        shift=_build_shift(cfg, grid),
         eps=blk["eps"],
     )
     state, mrep = mfg_mod.mfg_fixed_point(spec)
+    if not mrep.gate["gamma_ok"]:
+        report["warnings"].append(
+            "gate (MFG3) gamma condition not met (gamma <= d/(d-2)); recorded, not enforced"
+        )
     if not mrep.converged:
         _fail(report, "outer iteration did not converge: " + mrep.message)
     if abs(mrep.mass - 1.0) > 1e-10:
@@ -668,7 +661,7 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         _fail(report, "coupling energy exceeds the shift curvature bound")
     if mrep.lp_bounds and not mrep.lp_bounds.get("bound_ok", True):
         _fail(report, "smoothed-density gradient energy exceeds its bound")
-    report["gates"] = estimates.gate_block(grid, c_v=c_v)
+    report["gates"] = estimates.gate_block(grid, c_v=spec.c_v)
     report["results"] = {
         "converged": mrep.converged,
         "outer_iterations": mrep.outer_iterations,
@@ -716,7 +709,6 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int = 0) -> int:
     except (ConfigError, ValueError) as exc:
         print("rejected: " + str(exc), file=sys.stderr)
         return 2
-    report["warnings"] = list(cfg.warnings) + report.get("warnings", [])
     _write_json(os.path.join(out_dir, "report.json"), report)
     return 0 if report["passed"] else 1
 

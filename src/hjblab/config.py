@@ -3,12 +3,12 @@
 Format: `[section]` headers with `key = value` lines, full-line comments
 starting with `#` or `;`.  Unknown sections or keys are rejected with
 their line number, as are duplicates, type errors and NaN or infinite
-floats (only the Lebesgue exponents q, r and drift_s take inf).  Scalar
-standing assumptions are checked at parse time and violations are
-reported with the assumption label, e.g. (In1) for the gradient-growth
-gate and (D1) for a disc domain, which no subcommand runs.  The
-conformal metric has one spelling, `[domain] kind = conformal_torus`,
-with phi = 0.1 cos(2 pi x_1) on the unit torus.
+floats (only the Lebesgue exponents q, r and drift_s take inf), and a
+disc domain, which no subcommand runs, citing (D1).  The module only
+parses: each standing assumption, such as (In1) on gamma or (In2) on the
+drift, is checked by the run that reads the value.  The conformal metric
+has one spelling, `[domain] kind = conformal_torus`, with
+phi = 0.1 cos(2 pi x_1) on the unit torus.
 
 Every key is one row of `_KEYS`: how its value parses, its default, and
 its allowed values when they form a closed list.  No key picks an axis:
@@ -19,7 +19,7 @@ drift along the second; permuting `resolution` reorients a field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .geometry import DomainSpec, MetricSpec
 
 
 class ConfigError(ValueError):
-    """Raised for syntax errors, unknown keys, and assumption gates."""
+    """Raised for syntax errors, unknown keys, and invalid values."""
 
 
 # One row per key: (kind, default, choices).  `kind` names how the value
@@ -78,7 +78,6 @@ class RunConfig:
     sections: dict
     domain: DomainSpec = None
     metric: MetricSpec = None
-    warnings: list = dataclass_field(default_factory=list)
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
@@ -172,41 +171,6 @@ def _phi(coords):
 
 def _build(sections: dict) -> RunConfig:
     dom = sections["domain"]
-    prob = sections["problem"]
-    mfg = sections["mfg"]
-    warnings = []
-
-    # Named assumption gates run before any structural bound so that a config
-    # violating one is always rejected citing that assumption, even when the
-    # declared dimension or resolution would also fail a plumbing check.
-    declared_dim = dom["dim"]
-    if not prob["gamma"] > 1.0:
-        raise ConfigError(
-            "assumption gate (In1) violated: need gamma > 1, got " + repr(prob["gamma"])
-        )
-    if prob["drift_kind"] != "none":
-        s = prob["drift_s"]
-        if s is None or not s > declared_dim:
-            raise ConfigError(
-                "assumption gate (In2) violated: drift needs integrability s > d"
-            )
-    if not mfg["alpha"] > 0.0:
-        raise ConfigError("mfg block: alpha must be positive")
-    from .mfg import exponent_gate
-
-    gate = exponent_gate(declared_dim, prob["gamma"], mfg["alpha"])
-    if not gate["alpha_ok"]:
-        raise ConfigError(
-            "assumption gate (MFG3) violated: alpha = "
-            + repr(mfg["alpha"])
-            + " must stay below "
-            + repr(gate["alpha_threshold"])
-        )
-    if not gate["gamma_ok"]:
-        warnings.append(
-            "gate (MFG3) gamma condition not met (gamma <= d/(d-2)); recorded, not enforced"
-        )
-
     try:
         domain = DomainSpec(kind=dom["kind"], dim=dom["dim"], resolution=dom["resolution"])
     except ValueError as exc:
@@ -216,7 +180,4 @@ def _build(sections: dict) -> RunConfig:
     if any(n < 8 for n in sections["experiment"]["resolutions"]):
         raise ConfigError("experiment block: resolutions must be at least 8")
 
-    if mfg["eps"] < 0.0:
-        raise ConfigError("mfg block: eps must be nonnegative")
-
-    return RunConfig(sections=sections, domain=domain, metric=metric, warnings=warnings)
+    return RunConfig(sections=sections, domain=domain, metric=metric)

@@ -289,11 +289,11 @@ def thm1_sweep(spec: SweepSpec) -> ScalingReport:
 def thm2_sweep(spec: SweepSpec) -> ScalingReport:
     """Amplitude sweep of Laplacian + gradient-power norms in L^q.
 
-    Rejects the request unless (d, gamma, q) pass the integrability gate of
-    `maxreg_params`; delta does not enter that gate.
+    Rejects a drift, citing (~In2), and (d, gamma, q) that fail the
+    integrability gate of `maxreg_params`; delta does not enter that gate.
     """
     if spec.drift is not None:
-        raise ValueError("maximal-integrability sweeps require zero drift")
+        raise ValueError("assumption gate (~In2) violated: this sweep requires zero drift")
     maxreg_params(spec.grid.dim, spec.gamma, spec.q, 0.1)
     return _run_sweep(spec, "maximal-integrability")
 

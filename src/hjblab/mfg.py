@@ -70,12 +70,14 @@ class MfgSpec:
     undamped density.  Both solve only as tightly as the outer loop has
     converged (see `mfg_fixed_point`); the iteration the loop stops on
     meets `SolverConfig().residual_tol` and the density solve's 1e-10.
+    The coupling comparison constant C_V defaults to max(2, alpha,
+    1/alpha), the least that gate (MFG1) admits but at least 2.
     """
 
     grid: Grid
     gamma: float
     alpha: float
-    c_v: float = 2.0
+    c_v: Optional[float] = None           # coupling comparison constant C_V
     shift: Optional[ScalarField] = None   # b; must have d_nu b >= 0 on boxes
     eps: float = 0.1                      # mollifier radius
     outer_tol: float = 1e-9
@@ -84,7 +86,9 @@ class MfgSpec:
         if not self.gamma > 1.0:
             raise ValueError("gradient growth gate (In1): need gamma > 1")
         if not self.alpha > 0.0:
-            raise ValueError("coupling exponent must be positive")
+            raise ValueError("coupling exponent alpha must be positive, got " + repr(self.alpha))
+        if self.c_v is None:
+            self.c_v = max(2.0, self.alpha, 1.0 / self.alpha)
         if not self.c_v > 1.0:
             raise ValueError("coupling comparison constant must exceed 1")
         if self.c_v < max(self.alpha, 1.0 / self.alpha) - 1e-12:
@@ -92,7 +96,7 @@ class MfgSpec:
                 "coupling comparison gate (MFG1): need C_V >= max(alpha, 1/alpha)"
             )
         if self.eps < 0.0:
-            raise ValueError("mollifier radius must be nonnegative")
+            raise ValueError("mollifier radius eps must be nonnegative, got " + repr(self.eps))
         g = self.grid
         if g.coord_system != "cartesian" or not g.is_flat:
             raise ValueError("mean-field solves run on flat box/torus lattices only")

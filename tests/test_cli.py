@@ -157,26 +157,44 @@ def test_keys_that_became_constants_exit_two_as_unknown(tmp_path, capsys, text, 
 # standing-assumption citations
 
 
-def test_growth_gate_cited_for_sublinear_gamma():
-    with pytest.raises(ConfigError, match=r"\(In1\)"):
-        parse_config("[problem]\ngamma = 0.9\n")
+_GAMMA = "[problem]\ngamma = 0.9\n"
+_SHEAR = "[problem]\ndrift_kind = shear\n"
+_EPS = "[mfg]\neps = -1\n"
+_MANUFACTURED = (
+    "[domain]\nkind = box\ndim = 2\nresolution = 17\n[experiment]\nresolutions = 17, 33\n"
+    "[problem]\nmanufactured = symbolic\ngamma = 0.9\n"
+)
+
+# (subcommand, config, exit status, what the rejection cites): each gate is
+# checked by the runs that read the gated value, and by no other run
+_GATES = [
+    *(pytest.param(sub, _GAMMA, 2, "(In1)", id=sub + "-gamma")
+      for sub in ("solve", "ergodic", "thm1-sweep", "thm2-sweep", "constants", "mfg")),
+    pytest.param("solve", _MANUFACTURED, 2, "(In1)", id="manufactured-gamma"),
+    pytest.param("bochner-check", _GAMMA, 0, None, id="bochner-check-gamma"),
+    pytest.param("bernstein-audit", _GAMMA, 0, None, id="bernstein-audit-gamma"),
+    *(pytest.param(sub, _SHEAR, 2, "(In2)", id=sub + "-drift") for sub in ("solve", "ergodic", "thm1-sweep")),
+    pytest.param("solve", _SHEAR + "drift_s = 2.5\n", 2, "(In2)", id="solve-drift-s-below-d"),
+    pytest.param("thm2-sweep", _SHEAR, 2, "(~In2)", id="thm2-sweep-drift"),
+    pytest.param("constants", _SHEAR, 0, None, id="constants-drift"),
+    pytest.param("constants", _EPS, 0, None, id="constants-eps"),
+    pytest.param("mfg", _EPS, 2, "eps must be nonnegative", id="mfg-eps"),
+]
 
 
-def test_drift_gate_cited_when_integrability_is_missing():
-    with pytest.raises(ConfigError, match=r"\(In2\)"):
-        parse_config("[problem]\ndrift_kind = shear\n")
-    with pytest.raises(ConfigError, match=r"\(In2\)"):
-        parse_config("[problem]\ndrift_kind = shear\ndrift_s = 2.5\n")
-    cfg = parse_config("[problem]\ndrift_kind = shear\ndrift_s = 4.0\n")
-    assert cfg["problem"]["drift_s"] == 4.0
-
-
-def test_coupling_gate_cited_before_structural_checks():
-    # the declared dimension is itself out of range, but the named
-    # assumption about the coupling exponent takes precedence
-    text = "[domain]\ndim = 5\n[problem]\ngamma = 2\n[mfg]\nalpha = 2.1\n"
-    with pytest.raises(ConfigError, match=r"\(MFG3\)"):
-        parse_config(text)
+@pytest.mark.parametrize("subcommand,text,status,cited", _GATES)
+def test_gates_are_checked_by_the_runs_that_read_them(tmp_path, capsys, subcommand, text, status, cited):
+    if "[domain]" not in text:
+        text = "[domain]\nresolution = 12\n" + text
+    cfg = write(tmp_path, "gate.ini", text)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == status
+    err = capsys.readouterr().err
+    if status == 2:
+        assert err.startswith("rejected: ") and cited in err, err
+        assert not (out / "report.json").exists()
+    else:
+        assert json.loads((out / "report.json").read_text())["passed"] is True
 
 
 def test_comparison_constant_gate_cited_for_explicit_values():
@@ -203,11 +221,53 @@ def test_unset_comparison_constant_tracks_the_coupling_exponent(tmp_path):
         assert json.loads((out / "report.json").read_text())["gates"]["C_V"] == c_v
 
 
-def test_unenforced_gamma_condition_is_recorded_as_warning():
-    cfg = parse_config("[domain]\ndim = 3\n[problem]\ngamma = 2\n")
-    assert any("MFG3" in w for w in cfg.warnings)
-    quiet = parse_config("[domain]\ndim = 3\n[problem]\ngamma = 4\n")
-    assert quiet.warnings == []
+def test_unenforced_gamma_condition_is_recorded_as_warning(tmp_path):
+    # gamma = 2 in d = 3 misses the growth side of (MFG3), which only a game reads
+    cfg = write(tmp_path, "g.ini", "[domain]\nresolution = 12\n[problem]\nshift_kind = mode\n")
+    out = tmp_path / "out"
+    assert main(["mfg", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["gate"]["gamma_ok"] is False
+    assert report["warnings"] == [
+        "gate (MFG3) gamma condition not met (gamma <= d/(d-2)); recorded, not enforced"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("alpha = 0\n", "coupling exponent alpha must be positive, got 0.0"),
+        ("alpha = -1\n", "coupling exponent alpha must be positive, got -1.0"),
+        ("eps = -1\n", "mollifier radius eps must be nonnegative, got -1.0"),
+    ],
+    ids=["alpha-zero", "alpha-negative", "eps-negative"],
+)
+def test_game_rejects_an_invalid_coupling(tmp_path, capsys, text, fragment):
+    cfg = write(tmp_path, "g.ini", "[domain]\nresolution = 12\n[mfg]\n" + text)
+    out = tmp_path / "out"
+    assert main(["mfg", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "rejected: " + fragment + "\n"
+    assert not (out / "report.json").exists()
+
+
+def test_parsing_loads_no_game_code():
+    # config only parses: a fresh interpreter registers the package without
+    # its __init__, which imports every module, and parses a game's keys
+    src = os.path.join(os.path.dirname(README), "src", "hjblab")
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('hjblab')\n"
+        "pkg.__path__ = [%r]\n"
+        "sys.modules['hjblab'] = pkg\n"
+        "from hjblab.config import parse_config\n"
+        "parse_config('[domain]\\ndim = 3\\n[problem]\\ngamma = 2\\n[mfg]\\nalpha = 0.5\\neps = 0.05\\n')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hjblab'))))\n"
+    ) % src
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "hjblab.config" in loaded and "hjblab.mfg" not in loaded, loaded
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +361,7 @@ def test_drifted_maximal_sweep_is_rejected_at_dispatch(tmp_path, capsys):
     )
     rc = main(["thm2-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "In2" in capsys.readouterr().err
+    assert "(~In2)" in capsys.readouterr().err
 
 
 _DROPPED = [
@@ -358,8 +418,8 @@ def test_ergodic_report_schema_and_outputs(tmp_path):
     assert report["failures"] == []
     assert report["passed"] is True
     assert '"passed": true' in text  # booleans survive serialization
-    # gamma = 2 in d = 3 misses the unenforced growth side of (MFG3)
-    assert any("MFG3" in w for w in report["warnings"])
+    # (MFG3) belongs to the game, so no other run warns about it
+    assert not any("MFG3" in w for w in report["warnings"])
     for key in ("C_V", "K", "kappa", "rho", "s", "sigma_hat", "theta"):
         assert key in report["gates"]
     assert report["results"]["converged"] is True
@@ -429,6 +489,22 @@ def test_dumped_fields_end_lines_like_every_other_table(tmp_path):
         data = (out / name).read_bytes()
         assert data.startswith(b"node,x1,x2,value\n0,0.0,0.0,") and b"\r" not in data, name
         assert data.count(b"\n") == 1 + 16 * 16, name
+
+
+def test_game_inside_the_coupling_gate_converges_without_warnings(tmp_path):
+    # gamma = 3.5 beats d/(d-2) = 3 in d = 3, so (MFG3) holds in full
+    cfg = write(
+        tmp_path,
+        "mfg.ini",
+        "[domain]\nkind = torus\ndim = 3\nresolution = 16\n"
+        "[problem]\ngamma = 3.5\nshift_kind = mode\nshift_amplitude = 2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["mfg", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["gate"]["passed"] is True
+    assert report["warnings"] == []
+    assert report["results"]["converged"] is True
 
 
 def test_game_subcommand_dumps_no_fields_by_default(tmp_path):
