@@ -13,6 +13,18 @@ Modules:
              without importing SciPy's packages
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import bernstein, estimates, fields, geometry, hjb, mfg  # noqa: F401
+_SUBMODULES = (
+    "bernstein", "cli", "config", "estimates", "fields", "geometry", "hjb", "mfg", "stencils", "svg", "_kernels",
+)
+
+
+def __getattr__(name):
+    # hjblab.<module> loads that module on first use (PEP 562), so importing
+    # one module, say the config parser, loads only what it imports
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -75,7 +75,8 @@ def thm1_exponents(d: int, p: float) -> ThmOneExponents:
 
 @dataclass
 class SweepSpec:
-    """Inputs of one amplitude sweep over f = t * f0."""
+    """Inputs of one amplitude sweep over f = t * f0; gamma must pass (In1)
+    here, before any sweep builds its gates or starts a solve."""
 
     grid: Grid
     gamma: float
@@ -89,6 +90,8 @@ class SweepSpec:
     cfg: Optional[SolverConfig] = None
 
     def __post_init__(self):
+        if not self.gamma > 1.0:
+            raise ValueError("gradient growth gate (In1): need gamma > 1")
         amps = tuple(float(t) for t in self.amplitudes)
         if any(t < 0 for t in amps):
             raise ValueError("amplitudes must be nonnegative")

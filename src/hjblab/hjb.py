@@ -140,7 +140,8 @@ _MAX_ITERATIONS = 2000
 # K + 1 ... 2K, which a longer cycle overwrites with basis vectors, as it
 # would anyway, before it applies M once more at its end.  With the flat M alone the bench
 # game's cycles ran at most 5 steps and the 48^3 sweep's up to 46; with the
-# line solved exactly both run one.
+# line solved exactly, the Richardson step that starts a solve ends it,
+# but for one density solve of the game, which goes on for a cycle of two.
 _KEPT = 8
 
 _ddot, _axpy, _nrm2, _scal, _ger = (
@@ -415,6 +416,9 @@ class _FlatInverter:
     them too, and replaces one axis' line of the scaled spectrum in between.
     """
 
+    # M inverts L alone, so `bordered_solve` starts GMRES at once
+    richardson_first = False
+
     def __init__(self, grid: Grid):
         self.grid = grid
         self.periodic = all(grid.periodic)
@@ -587,8 +591,13 @@ class _AxisLine:
     C y, and `subtract_correction` takes it off an R apply, so that
     `bordered_solve` forms A M v = v + R M v - C P_a M v.  When b varies
     along a only, C P_a is the transport term on the line functions, so
-    there Jbar is the Jacobian itself and A M v = v.
+    there Jbar is the Jacobian itself and A M v = v on them.  This M is
+    built only where the line carries nearly all of b, so A M is I or near
+    it, and `richardson_first` has `bordered_solve` try x += M r before
+    any Arnoldi step.
     """
+
+    richardson_first = True
 
     def __init__(self, inv: _FlatInverter, line: _Line, abar: np.ndarray, adjoint: bool):
         self.inv = inv
@@ -893,6 +902,15 @@ def bordered_solve(
     apply), and a start that already meets the tolerance is returned at
     once.  The test stays relative to ||b||, not to the start's residual,
     so a started solve is judged exactly like one from zero.
+    When inv.richardson_first is set (an `_AxisLine`, whose A M is I or
+    near it), one preconditioned Richardson step x += M r comes first:
+    x = M b from zero, x0 + M (b - A x0) from a start.  It costs one
+    preconditioner apply and its true residual, and counts as one
+    iteration.  On one-axis data A M = I on the right-hand sides, and the
+    step solves the system; otherwise GMRES goes on from it, as from a
+    start.  The Krylov rows, H and the Givens rotations are allocated only
+    then.  The flag is read as an attribute, so a proxy that forwards
+    attributes to the preconditioner takes the same path.
     Every R apply is one apply_fn call and every preconditioner apply one
     inv.solve call.
     Returns (x, mu, info): info = 0 on convergence, else a `KrylovFailure`,
@@ -912,12 +930,6 @@ def bordered_solve(
     if bnorm == 0.0:
         return np.zeros(shape), 0.0, 0
     tol = rtol * bnorm
-    m = min(_RESTART, b.size)
-    kept = min(_KEPT, m // 2)
-    # v_0, v_1 and z_0, with Z from row zk
-    V = np.empty((2 + min(kept, 1), b.size))
-    zk = 2
-    H = np.zeros((1, 1))  # rotated Hessenberg columns; subdiagonal entry hn
     r = np.empty_like(b)
     z = np.empty_like(b)  # M (V y), and the true residual's L x and w x
 
@@ -942,10 +954,22 @@ def bordered_solve(
         beta = true_residual(x, r)
         if beta <= tol:
             return x[:-1].reshape(shape), float(x[-1]), 0
+    iters = 0
+    if inv.richardson_first:
+        x += _precondition(inv, shape, r, z)
+        iters = 1
+        beta = true_residual(x, r)
+        if beta <= tol:
+            return x[:-1].reshape(shape), float(x[-1]), 0
+    m = min(_RESTART, b.size)
+    kept = min(_KEPT, m // 2)
+    # v_0, v_1 and z_0, with Z from row zk
+    V = np.empty((2 + min(kept, 1), b.size))
+    zk = 2
+    H = np.zeros((1, 1))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
-    iters = 0
     while True:
         np.multiply(r, 1.0 / beta, out=V[0])
         g[:] = 0.0

@@ -42,7 +42,9 @@ print(json.dumps(metrics))
 # one of a density solve one `_Ops.adjoint_rest` call; both are counted here
 # independently of the tracer, and so is every Laplacian apply
 # (`_FlatInverter.apply`), each of which pairs with one R apply in a true
-# residual, and every line solve of a line-corrected preconditioner.
+# residual, every line solve of a line-corrected preconditioner, and every
+# line-corrected preconditioner built.  Each is built for one linear solve,
+# which starts with one Richardson step.
 _GAME_TEMPLATE = """
 import json, sys
 import numpy as np
@@ -50,12 +52,13 @@ sys.path.insert(0, sys.argv[1])
 from tracing import Tracer, per_layer_metrics
 from hjblab import hjb
 
-applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0, "line": 0}
+applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0, "line": 0, "line_built": 0}
 for cls, name, key in (
     (hjb._Ops, "jacobian_rest", "jacobian_rest"),
     (hjb._Ops, "adjoint_rest", "adjoint_rest"),
     (hjb._FlatInverter, "apply", "laplacian"),
     (hjb._AxisLine, "solve", "line"),
+    (hjb._AxisLine, "__init__", "line_built"),
 ):
     def counted(self, *args, _orig=getattr(cls, name), _key=key):
         applies[_key] += 1
@@ -90,6 +93,46 @@ MIXED_GAME_SCRIPTS = {
 }
 
 
+# One ergodic solve on one-axis data, run twice in one process: untraced,
+# then with the tracer installed, so that the tracer's stand-in for the
+# preconditioner is what `bordered_solve` sees.  The initial guess varies
+# along x, so every Newton step's coefficient does and M solves its x line.
+# Each run's R applies are counted on `_Ops.jacobian_rest`.
+ONE_AXIS_SOLVE_SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, per_layer_metrics
+from hjblab import hjb
+from hjblab.fields import ScalarField
+from hjblab.geometry import DomainSpec, build_grid
+
+applies = []
+orig = hjb._Ops.jacobian_rest
+def counted(self, *args):
+    applies.append(1)
+    return orig(self, *args)
+hjb._Ops.jacobian_rest = counted
+
+grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(12,)))
+x = grid.mesh()[0]
+spec = hjb.ProblemSpec(grid, gamma=3.0, source=ScalarField(grid, np.cos(2.0 * np.pi * x)), ergodic=True)
+cfg = hjb.SolverConfig(initial_guess=ScalarField(grid, 0.1 * np.cos(2.0 * np.pi * x)))
+untraced = hjb.solve_ergodic(spec, cfg)
+counts = [len(applies)]
+tracer = Tracer()
+tracer.install()
+applies.clear()
+traced = hjb.solve_ergodic(spec, cfg)
+counts.append(len(applies))
+metrics = per_layer_metrics(tracer.spans, tracer.counts)
+metrics["converged"] = untraced.converged and traced.converged
+metrics["newton_steps"] = [untraced.iterations, traced.iterations]
+metrics["applies"] = counts
+print(json.dumps(metrics))
+"""
+
+
 @functools.lru_cache(maxsize=None)
 def _run_traced(script):
     env = dict(os.environ)
@@ -121,6 +164,18 @@ def test_bench_tracer_installs_and_records_every_hooked_layer():
     assert m["stencils.apply_along_axis.calls"] > 0
 
 
+def test_traced_and_untraced_one_axis_solves_take_the_same_path():
+    # The tracer hands `bordered_solve` a stand-in for the preconditioner,
+    # which must still start each solve with the Richardson step x = M b:
+    # one R apply per Newton step, in the true residual, traced or not
+    m = _run_traced(ONE_AXIS_SOLVE_SCRIPT)
+    assert m["converged"]
+    steps = m["hjb.solve.newton_steps"]
+    assert steps >= 2 and m["newton_steps"] == [steps, steps]
+    assert m["hjb.bordered_solve.calls"] == steps
+    assert m["hjb.jacobian_apply.calls"] == m["applies"][1] == m["applies"][0] == steps
+
+
 def test_game_density_solves_are_traced_as_adjoint_applies():
     m = _run_traced(GAME_SCRIPT)
     assert m["converged"] and m["outer_iterations"] >= 2
@@ -132,36 +187,47 @@ def test_game_density_solves_are_traced_as_adjoint_applies():
 
 def _assert_cycles_end_without_a_preconditioner_apply(m):
     # Every cycle of this game ends within the kept window, so each
-    # preconditioner apply belongs to one Arnoldi step.  An R apply is either
-    # an Arnoldi step or half of a true residual L + R, so the steps are the
-    # R applies less the L applies.
+    # preconditioner apply belongs to one Arnoldi step or to the Richardson
+    # step that starts each line-corrected solve.  An R apply is either an
+    # Arnoldi step or half of a true residual L + R, so the steps are the R
+    # applies less the L applies.
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
-    assert steps > m["hjb.bordered_solve.calls"] > 0
-    assert m["hjb.precond.calls"] == steps
+    assert steps > 0
+    assert m["hjb.precond.calls"] == steps + a["line_built"]
     return steps
 
 
 def test_game_cycles_end_without_a_preconditioner_apply():
     m = _run_traced(MIXED_GAME_SCRIPTS[False])
-    _assert_cycles_end_without_a_preconditioner_apply(m)
-    assert m["applies"]["line"] == 0
+    steps = _assert_cycles_end_without_a_preconditioner_apply(m)
+    assert steps > m["hjb.bordered_solve.calls"]
+    assert m["applies"]["line"] == m["applies"]["line_built"] == 0
 
 
 def test_line_corrected_game_cycles_end_without_a_preconditioner_apply():
+    # The first Newton step, at b = 0, takes one Arnoldi step with the flat
+    # M; every later solve starts with its Richardson step, and a solve that
+    # it leaves short goes on with Arnoldi steps, which some here need.
     m = _run_traced(MIXED_GAME_SCRIPTS[True])
     steps = _assert_cycles_end_without_a_preconditioner_apply(m)
-    assert m["applies"]["line"] >= steps - 1  # all but the first Newton step's M, at b = 0
+    a = m["applies"]
+    assert a["line_built"] == m["hjb.bordered_solve.calls"] - 1
+    assert a["line"] == a["line_built"] + steps - 1
+    assert steps > 1
 
 
-def test_one_axis_game_solves_every_linear_system_in_one_arnoldi_step():
+def test_one_axis_game_solves_every_linear_system_in_one_preconditioner_apply():
     # On one-axis data the line-corrected M inverts each value Jacobian and
     # density operator on the functions of x, where the game's right-hand
-    # sides lie: one step per solve, and one M apply per step
+    # sides lie: its Richardson step x += M r solves the system, and no
+    # Arnoldi step runs.  The first Newton step, at b = 0, takes one Arnoldi
+    # step with the flat M instead.
     m = _run_traced(GAME_SCRIPT)
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
-    assert steps == m["hjb.bordered_solve.calls"] == m["hjb.precond.calls"] > 0
-    assert a["line"] >= steps - 1
+    assert steps == 1
+    assert m["hjb.bordered_solve.calls"] == m["hjb.precond.calls"] == a["line_built"] + 1 > 1
+    assert a["line"] == a["line_built"]

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from hjblab import bernstein
+from hjblab import bernstein, estimates
 from hjblab.cli import _SUBCOMMANDS, main, run
 from hjblab.config import _KEYS, ConfigError, parse_config
 from hjblab.geometry import DomainSpec, MetricSpec, build_grid
@@ -183,7 +183,14 @@ _GATES = [
 
 
 @pytest.mark.parametrize("subcommand,text,status,cited", _GATES)
-def test_gates_are_checked_by_the_runs_that_read_them(tmp_path, capsys, subcommand, text, status, cited):
+def test_gates_are_checked_by_the_runs_that_read_them(tmp_path, capsys, monkeypatch, subcommand, text, status, cited):
+    if subcommand.endswith("-sweep") and cited == "(In1)":
+        # a sweep's spec rejects gamma before the drift gate or any solve runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran past its (In1) gate")
+
+        monkeypatch.setattr(estimates, "drift_gate", unreachable)
+        monkeypatch.setattr(estimates, "solve_ergodic", unreachable)
     if "[domain]" not in text:
         text = "[domain]\nresolution = 12\n" + text
     cfg = write(tmp_path, "gate.ini", text)
@@ -252,22 +259,25 @@ def test_game_rejects_an_invalid_coupling(tmp_path, capsys, text, fragment):
 
 
 def test_parsing_loads_no_game_code():
-    # config only parses: a fresh interpreter registers the package without
-    # its __init__, which imports every module, and parses a game's keys
-    src = os.path.join(os.path.dirname(README), "src", "hjblab")
+    # config only parses, and the package loads a module on first use: in a
+    # fresh interpreter, parsing a game's keys loads config and what it
+    # imports, and the package still reaches the game code by name
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(README), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     code = (
-        "import sys, types\n"
-        "pkg = types.ModuleType('hjblab')\n"
-        "pkg.__path__ = [%r]\n"
-        "sys.modules['hjblab'] = pkg\n"
+        "import sys\n"
         "from hjblab.config import parse_config\n"
         "parse_config('[domain]\\ndim = 3\\n[problem]\\ngamma = 2\\n[mfg]\\nalpha = 0.5\\neps = 0.05\\n')\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('hjblab'))))\n"
-    ) % src
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        "import hjblab\n"
+        "print(hjblab.mfg.__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert "hjblab.config" in loaded and "hjblab.mfg" not in loaded, loaded
+    loaded, game = proc.stdout.splitlines()
+    assert loaded.split() == ["hjblab", "hjblab.config", "hjblab.geometry", "hjblab.stencils"], loaded
+    assert game == "hjblab.mfg"
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,14 @@ def test_sweep_spec_validates_amplitudes():
         SweepSpec(g, 2.0, f0, (1.0, 1.0), q=2.0)
 
 
+def test_sweep_spec_rejects_gamma_at_most_one_citing_in1():
+    g = torus(8)
+    f0 = source_family(g, "mode", 2.0)
+    for gamma in (1.0, 0.9):
+        with pytest.raises(ValueError, match=r"\(In1\)"):
+            SweepSpec(g, gamma, f0, (1.0, 3.0), q=2.0)
+
+
 def test_gradient_integrability_sweep_reports_ratios_and_gates():
     g = torus(16)
     exps = thm1_exponents(3, 2)

@@ -1067,29 +1067,98 @@ def _traced_peak(call):
     return result, peak
 
 
-def test_one_step_bordered_solve_allocates_fewer_than_eight_fields():
-    # One-axis data with the axis line solved exactly take one Arnoldi step,
-    # which uses three basis rows.  Beside them stand the right side, the
-    # residual, the solution and one scratch row; a basis reserved whole,
-    # m + 1 = 121 rows, would take 121 fields.
+def _spied_on(monkeypatch, M, events):
+    """M with its L applies and preconditioner applies logged as "L" and "M"."""
+    for attr, name in (("apply", "L"), ("solve", "M")):
+        def wrapped(*args, _fn=getattr(M, attr), _name=name):
+            events.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(M, attr, wrapped)
+    return M
+
+
+def test_one_richardson_step_bordered_solve_allocates_four_fields(monkeypatch):
+    # One-axis data with the axis line solved exactly are solved by one
+    # preconditioned Richardson step x = M b, which the true residual L + R
+    # confirms: one M apply and one R apply, and no Krylov basis.  The solve
+    # holds the right side, the residual, M b and the solution; a basis of
+    # three rows would add three fields.
     grid = torus(24, dim=3)
     x = grid.mesh()[0]
     ops = hjb._ops_for(grid)
     coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), 10.0 * np.cos(TWO_PI * x))
-    inv = hjb._preconditioner(grid, coeff)
+    events = []
+    inv = _spied_on(monkeypatch, hjb._preconditioner(grid, coeff), events)
     assert isinstance(inv, hjb._AxisLine)
-    calls = []
 
     def apply_fn(v, out):
-        calls.append(1)
+        events.append("R")
         return ops.jacobian_rest(v, coeff, out)
 
     rhs = np.cos(TWO_PI * x) + np.sin(3.0 * TWO_PI * x)
     hjb.bordered_solve(grid, apply_fn, inv, rhs, 0.0, 1e-10)  # the grid's work arrays
-    calls.clear()
+    events.clear()
     (_, _, info), peak = _traced_peak(lambda: hjb.bordered_solve(grid, apply_fn, inv, rhs, 0.0, 1e-10))
-    assert info == 0 and len(calls) == 2  # one Arnoldi step, then the true residual
-    assert peak < 8 * rhs.nbytes, peak / rhs.nbytes
+    assert info == 0 and "".join(events) == "MLR"  # x = M b, then the true residual
+    assert peak < 4.5 * rhs.nbytes, peak / rhs.nbytes
+
+
+def _csr_bordered_jacobian(grid, coeff):
+    """The bordered Newton Jacobian [[L + sum_a diag(b_a) D_a, 1], [w^T, 0]]
+    of a flat torus, assembled from the CSR stencils."""
+    import scipy.sparse as sp
+
+    def along(axis, mat):
+        out = sp.identity(1, format="csr")
+        for b, n in enumerate(grid.shape):
+            out = sp.kron(out, mat if b == axis else sp.identity(n), format="csr")
+        return out
+
+    n = grid.weights.size
+    op = sp.csr_matrix((n, n))
+    for a, (m, h) in enumerate(zip(grid.shape, grid.spacings)):
+        op = op - along(a, d2_matrix(m, h, "periodic"))
+        op = op + sp.diags(coeff[a].reshape(-1)) @ along(a, d1_matrix(m, h, "periodic"))
+    return sp.bmat([[op, np.ones((n, 1))], [grid.weights.reshape(1, -1), None]], format="csc")
+
+
+def test_a_richardson_step_that_falls_short_goes_on_with_gmres(monkeypatch):
+    # Data nearly along x: the x line carries more than 0.99 of the
+    # coefficient's energy, so M solves that line, but A M is not I.  The
+    # step x = M b and its true residual leave the tolerance unmet, and
+    # GMRES goes on from x in cycles of Arnoldi steps M R, each closed by
+    # the update (x += M (V y) past the kept window) and a true residual.
+    # Starting with one Arnoldi step instead took 18 R applies here.
+    import scipy.sparse.linalg as spla
+
+    grid = torus(16, dim=3)
+    x, y, z = grid.mesh()
+    ops = hjb._ops_for(grid)
+    u = np.cos(TWO_PI * x) + 0.05 * np.cos(TWO_PI * (y + z))
+    coeff = hjb.transport_coefficient(ProblemSpec(grid, gamma=3.0), u)
+    events = []
+    inv = _spied_on(monkeypatch, hjb._preconditioner(grid, coeff), events)
+    assert isinstance(inv, hjb._AxisLine)
+
+    def apply_fn(v, out):
+        events.append("R")
+        return ops.jacobian_rest(v, coeff, out)
+
+    rhs = np.cos(TWO_PI * x) + np.sin(3.0 * TWO_PI * x)
+    rtol = 1e-10
+    xs, mu, info = hjb.bordered_solve(grid, apply_fn, inv, rhs, 0.0, rtol)
+    seq = "".join(events)
+    assert info == 0
+    assert re.fullmatch(r"MLR(?:(?:MR)+M?LR)+", seq), seq
+    assert seq.count("R") <= 18
+    # oracle: a direct solve of the bordered matrix built from the stencils
+    A = _csr_bordered_jacobian(grid, coeff)
+    b = np.concatenate([rhs.reshape(-1), [0.0]])
+    sol = np.concatenate([xs.reshape(-1), [mu]])
+    assert np.linalg.norm(A @ sol - b) <= rtol * np.linalg.norm(b)
+    want = spla.spsolve(A, b)
+    assert np.max(np.abs(sol - want)) <= rtol * np.max(np.abs(want))
 
 
 def test_a_long_first_cycle_grows_the_basis_once(monkeypatch):
