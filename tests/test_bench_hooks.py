@@ -187,35 +187,37 @@ def test_game_density_solves_are_traced_as_adjoint_applies():
 
 def _assert_cycles_end_without_a_preconditioner_apply(m):
     # Every cycle of this game ends within the kept window, so each
-    # preconditioner apply belongs to one Arnoldi step or to the Richardson
-    # step that starts each line-corrected solve.  An R apply is either an
-    # Arnoldi step or half of a true residual L + R, so the steps are the R
-    # applies less the L applies.
+    # preconditioner apply belongs to one Arnoldi step.  An R apply is either
+    # an Arnoldi step or half of a true residual L + R, so the steps are the
+    # R applies less the L applies.
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
-    assert steps > 0
-    assert m["hjb.precond.calls"] == steps + a["line_built"]
+    assert steps > m["hjb.bordered_solve.calls"] > 0
+    assert m["hjb.precond.calls"] == steps
     return steps
 
 
 def test_game_cycles_end_without_a_preconditioner_apply():
     m = _run_traced(MIXED_GAME_SCRIPTS[False])
-    steps = _assert_cycles_end_without_a_preconditioner_apply(m)
-    assert steps > m["hjb.bordered_solve.calls"]
-    assert m["applies"]["line"] == m["applies"]["line_built"] == 0
+    _assert_cycles_end_without_a_preconditioner_apply(m)
+    assert m["applies"]["line"] == 0
 
 
 def test_line_corrected_game_cycles_end_without_a_preconditioner_apply():
-    # The first Newton step, at b = 0, takes one Arnoldi step with the flat
-    # M; every later solve starts with its Richardson step, and a solve that
-    # it leaves short goes on with Arnoldi steps, which some here need.
+    # Each preconditioner apply belongs to one Arnoldi step or to the
+    # Richardson step that starts each line-corrected solve.  The first
+    # Newton step, at b = 0, takes one Arnoldi step with the flat M; every
+    # later solve solves the line, and one that its Richardson step leaves
+    # short goes on with Arnoldi steps, which some here need.
     m = _run_traced(MIXED_GAME_SCRIPTS[True])
-    steps = _assert_cycles_end_without_a_preconditioner_apply(m)
+    assert m["converged"]
     a = m["applies"]
+    steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
+    assert steps > 1
+    assert m["hjb.precond.calls"] == steps + a["line_built"]
     assert a["line_built"] == m["hjb.bordered_solve.calls"] - 1
     assert a["line"] == a["line_built"] + steps - 1
-    assert steps > 1
 
 
 def test_one_axis_game_solves_every_linear_system_in_one_preconditioner_apply():

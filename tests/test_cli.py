@@ -183,7 +183,9 @@ _GATES = [
 
 
 @pytest.mark.parametrize("subcommand,text,status,cited", _GATES)
-def test_gates_are_checked_by_the_runs_that_read_them(tmp_path, capsys, monkeypatch, subcommand, text, status, cited):
+def test_gates_are_checked_by_the_runs_that_read_them(
+    tmp_path, capsys, monkeypatch, subcommand, text, status, cited
+):
     if subcommand.endswith("-sweep") and cited == "(In1)":
         # a sweep's spec rejects gamma before the drift gate or any solve runs
         def unreachable(*args, **kwargs):
