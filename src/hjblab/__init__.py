@@ -1,7 +1,7 @@
 """Finite-difference laboratory for viscous Hamilton-Jacobi problems.
 
 Modules:
-  geometry   domains, metrics, grids, quadrature, boundary curvature
+  geometry   domains, the conformal exponent phi, grids, quadrature, boundary curvature
   fields     nodal fields and metric-aware discrete calculus
   hjb        damped-Newton solver for the stationary equations
   bernstein  gradient-bound machinery: Bochner identities, level sets,

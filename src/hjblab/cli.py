@@ -30,7 +30,7 @@ from .fields import (
     lq_norm,
     write_csv,
 )
-from .geometry import DomainSpec, MetricSpec, build_grid
+from .geometry import DomainSpec, build_grid
 from .hjb import (
     ProblemSpec,
     manufactured_source,
@@ -157,7 +157,7 @@ def _cmd_solve(cfg: RunConfig, out: str, seed: int, ergodic: bool) -> dict:
         _require_none(cfg, "ergodic", {"manufactured": "a manufactured study runs under solve"})
     elif prob_blk["manufactured"] != "none":
         return _manufactured_study(cfg, out, seed, report)
-    grid = build_grid(cfg.domain, cfg.metric)
+    grid = build_grid(cfg.domain, cfg.phi)
     drift = _build_drift(cfg, grid)
     drift_info = estimates.drift_gate(grid, drift, prob_blk["drift_s"], prob_blk["drift_theta"])
     shift = _build_shift(cfg, grid)
@@ -214,7 +214,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
     last_grid = None
     for n in resolutions:
         domain = DomainSpec(kind="box", dim=cfg.domain.dim, resolution=(n,) * cfg.domain.dim)
-        grid = build_grid(domain, MetricSpec.euclidean())
+        grid = build_grid(domain)
         last_grid = grid
         ustar, f = manufactured_source(grid, gamma, symbolic=symbolic)
         spec = ProblemSpec(grid=grid, gamma=gamma, source=f)
@@ -260,11 +260,9 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
 
 
 def _bochner_cases():
-    """Canonical refinement cases: (name prefix, domain kind, metric, field
-    maker, least order).  Each case audits the plain and the weighted
-    identity on the same fields."""
-    flat_metric = MetricSpec.euclidean()
-    conf_metric = MetricSpec.conformal(_phi)
+    """Canonical refinement cases on tori: (name prefix, conformal exponent
+    or None, field maker, least order).  Each case audits the plain and the
+    weighted identity on the same fields."""
 
     def u_flat(grid):
         mesh = grid.mesh()
@@ -275,18 +273,18 @@ def _bochner_cases():
         return ScalarField(grid, np.sin(2.0 * np.pi * mesh[1]))
 
     return [
-        ("flat", "torus", flat_metric, u_flat, 1.5),
-        ("conformal", "conformal_torus", conf_metric, u_conf, 0.9),
+        ("flat", None, u_flat, 1.5),
+        ("conformal", _phi, u_conf, 0.9),
     ]
 
 
-def _refinement_norms(kind, metric, field_fn, resolutions):
+def _refinement_norms(phi, field_fn, resolutions):
     """Sup norms of the plain and of the weighted residual at each
     resolution.  Both come from one grid, one field and one set of terms
     per resolution."""
     plain, weighted = [], []
     for n in resolutions:
-        grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(n, n, 8)), metric)
+        grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(n, n, 8)), phi)
         res_plain, res_weighted = bernstein.bochner_residuals(field_fn(grid), _DELTA)
         plain.append(float(np.max(np.abs(res_plain.values))))
         weighted.append(float(np.max(np.abs(res_weighted.values))))
@@ -317,7 +315,7 @@ def _exactness_checks() -> list:
     rows; the second-difference identities are exact on quadratics.
     """
     domain = DomainSpec(kind="box", dim=3, resolution=(17, 17, 17))
-    grid = build_grid(domain, MetricSpec.euclidean())
+    grid = build_grid(domain)
     x, y, z = grid.mesh()
     inner = interior_mask(grid)
     fields = {
@@ -336,7 +334,7 @@ def _exactness_checks() -> list:
             checks.append(("weighted_" + name, wmax, wmax <= 1e-12))
     # affine-profile limit agrees with the plain identity
     tdom = DomainSpec(kind="torus", dim=3, resolution=(16, 16, 8))
-    tgrid = build_grid(tdom, MetricSpec.euclidean())
+    tgrid = build_grid(tdom)
     mesh = tgrid.mesh()
     u = ScalarField(
         tgrid, 0.1 * np.cos(2.0 * np.pi * mesh[0]) * np.sin(2.0 * np.pi * mesh[1])
@@ -352,8 +350,8 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
     resolutions = (32, 64, 128)
     rows = []
     results = {}
-    for prefix, kind, metric, field_fn, min_order in _bochner_cases():
-        pair = _refinement_norms(kind, metric, field_fn, resolutions)
+    for prefix, phi, field_fn, min_order in _bochner_cases():
+        pair = _refinement_norms(phi, field_fn, resolutions)
         for name, norms in zip((prefix + "_plain", prefix + "_weighted"), pair):
             slope = 0.0
             if len(norms) >= 2 and norms[-1] > 0 and norms[-2] > 0:
@@ -373,7 +371,7 @@ def _cmd_bochner_check(cfg: RunConfig, out: str, seed: int) -> dict:
         if not ok:
             _fail(report, "exactness check failed: " + n)
     report["results"] = results
-    grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(16, 16, 8)), MetricSpec.euclidean())
+    grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(16, 16, 8)))
     report["gates"] = estimates.gate_block(grid)
     write_csv(os.path.join(out, "refinement.csv"), ("case", "n", "residual_sup"), rows)
     series = [
@@ -469,9 +467,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     entry("exponent_identity_bo2", worst_bo2, worst_bo2 <= 1e-12)
 
     # level-set bound on random smooth fields
-    grid = build_grid(
-        DomainSpec(kind="torus", dim=3, resolution=(16, 16, 16)), MetricSpec.euclidean()
-    )
+    grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(16, 16, 16)))
     params = bernstein.maxreg_params(3, 2.0, 3.0, _DELTA)
     profile = bernstein.h_toolkit(_DELTA)
     cheb_viol = 0
@@ -507,7 +503,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
         "shift_kind": "the sweep's equation has no shift",
         "manufactured": "the sweep scales its own source",
     })
-    grid = build_grid(cfg.domain, cfg.metric)
+    grid = build_grid(cfg.domain, cfg.phi)
     prob_blk = cfg["problem"]
     exp = cfg["experiment"]
 
@@ -575,7 +571,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
 
 def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     report = _report_skeleton("constants", seed)
-    grid = build_grid(cfg.domain, cfg.metric)
+    grid = build_grid(cfg.domain, cfg.phi)
     exp = cfg["experiment"]
     sigma = estimates.sobolev_constant_estimate(grid)
     fields_bl = [estimates.random_band_limited(grid, seed=seed + i) for i in range(50)]
@@ -637,7 +633,7 @@ def _cmd_mfg(cfg: RunConfig, out: str, seed: int) -> dict:
         "source_kind": "the game's source is the coupling V_eps(m)",
         "manufactured": "the game has no exact solution to compare with",
     })
-    grid = build_grid(cfg.domain, cfg.metric)
+    grid = build_grid(cfg.domain, cfg.phi)
     blk = cfg["mfg"]
     spec = mfg_mod.MfgSpec(
         grid=grid,

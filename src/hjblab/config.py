@@ -7,8 +7,8 @@ floats (only the Lebesgue exponents q, r and drift_s take inf), and a
 disc domain, which no subcommand runs, citing (D1).  The module only
 parses: each standing assumption, such as (In1) on gamma or (In2) on the
 drift, is checked by the run that reads the value.  The conformal metric
-has one spelling, `[domain] kind = conformal_torus`, with
-phi = 0.1 cos(2 pi x_1) on the unit torus.
+has one spelling, `[domain] kind = conformal_torus`: a torus domain with
+phi = 0.1 cos(2 pi x_1), g = e^(2 phi) id.
 
 Every key is one row of `_KEYS`: how its value parses, its default, and
 its allowed values when they form a closed list.  No key picks an axis:
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import DomainSpec, MetricSpec
+from .geometry import DomainSpec
 
 
 class ConfigError(ValueError):
@@ -77,7 +78,7 @@ class RunConfig:
 
     sections: dict
     domain: DomainSpec = None
-    metric: MetricSpec = None
+    phi: Optional[Callable] = None   # the conformal exponent, None when flat
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
@@ -171,13 +172,14 @@ def _phi(coords):
 
 def _build(sections: dict) -> RunConfig:
     dom = sections["domain"]
+    conformal = dom["kind"] == "conformal_torus"
+    kind = "torus" if conformal else dom["kind"]
     try:
-        domain = DomainSpec(kind=dom["kind"], dim=dom["dim"], resolution=dom["resolution"])
+        domain = DomainSpec(kind=kind, dim=dom["dim"], resolution=dom["resolution"])
     except ValueError as exc:
         raise ConfigError("domain block: " + str(exc)) from None
-    metric = MetricSpec.conformal(_phi) if domain.kind == "conformal_torus" else MetricSpec.euclidean()
 
     if any(n < 8 for n in sections["experiment"]["resolutions"]):
         raise ConfigError("experiment block: resolutions must be at least 8")
 
-    return RunConfig(sections=sections, domain=domain, metric=metric)
+    return RunConfig(sections=sections, domain=domain, phi=_phi if conformal else None)

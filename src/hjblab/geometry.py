@@ -1,4 +1,4 @@
-"""Domains, metrics, grids, quadrature, and boundary geometry.
+"""Domains, the conformal exponent phi, grids, quadrature, and boundary geometry.
 
 Supported domains are axis-aligned boxes, flat tori (optionally carrying a
 conformal metric g = e^{2 phi} * id with smooth periodic phi), and a polar
@@ -23,14 +23,14 @@ import numpy as np
 
 from .stencils import apply_along_axis
 
-DOMAIN_KINDS = ("box", "torus", "conformal_torus", "disc")
+DOMAIN_KINDS = ("box", "torus", "disc")
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """What region we discretize.
 
-    kind: one of box | torus | conformal_torus | disc.
+    kind: one of box | torus | disc.
     dim: manifold dimension, 2 or 3 (disc is always 2).
     extents: side lengths per axis for box/torus.
     resolution: nodes per axis; for the disc (n_r, n_theta).
@@ -73,27 +73,6 @@ class DomainSpec:
                 if L <= 0:
                     raise ValueError("extents must be positive")
             object.__setattr__(self, "extents", tuple(float(L) for L in ext))
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Flat metric (phi None) or a conformal one, g = e^{2 phi} id.
-
-    phi is a callable taking a (d, ...) coordinate array and returning
-    nodal values; it must be smooth and periodic on tori.
-    """
-
-    phi: Optional[Callable] = None
-
-    @staticmethod
-    def euclidean() -> "MetricSpec":
-        return MetricSpec()
-
-    @staticmethod
-    def conformal(phi: Callable) -> "MetricSpec":
-        if phi is None:
-            raise ValueError("conformal metric needs a phi callable")
-        return MetricSpec(phi=phi)
 
 
 @dataclass
@@ -163,18 +142,20 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
-    """Assemble lattice, masks, normals and Riemannian quadrature weights."""
-    metric = metric or MetricSpec.euclidean()
+def build_grid(domain: DomainSpec, phi: Optional[Callable] = None) -> Grid:
+    """Assemble lattice, masks, normals and Riemannian quadrature weights.
+
+    phi, when given, makes the metric conformal, g = e^{2 phi} id: a
+    callable taking a (d, ...) coordinate array and returning nodal values,
+    smooth and periodic.  Only tori carry one.
+    """
+    if phi is not None and domain.kind != "torus":
+        raise ValueError("a conformal metric needs a torus, not a " + domain.kind)
     if domain.kind == "disc":
-        if metric.phi is not None:
-            raise ValueError("conformal metric on the disc is unsupported")
         return _build_disc(domain)
-    if domain.kind == "conformal_torus" and metric.phi is None:
-        raise ValueError("conformal_torus domain requires a conformal metric")
 
     d = domain.dim
-    per = domain.kind in ("torus", "conformal_torus")
+    per = domain.kind == "torus"
     axes, spacings, wlists = [], [], []
     for L, n in zip(domain.extents, domain.resolution):
         if per:
@@ -191,10 +172,9 @@ def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
     for w in wlists[1:]:
         weights = np.multiply.outer(weights, w)
 
-    phi = None
-    if metric.phi is not None:
+    if phi is not None:
         coords = np.stack(np.meshgrid(*axes, indexing="ij"))
-        phi = np.asarray(metric.phi(coords), dtype=float)
+        phi = np.asarray(phi(coords), dtype=float)  # nodal values from here on
         if phi.shape != shape:
             phi = np.broadcast_to(phi, shape).copy()
         weights = weights * np.exp(d * phi)
@@ -213,13 +193,10 @@ def build_grid(domain: DomainSpec, metric: Optional[MetricSpec] = None) -> Grid:
                 extreme_count[sl] += 1
                 normals[(a,) + sl] += side
         face_interior = boundary & (extreme_count == 1)
-        # normalize to unit g-length (diagonal normals at edges/corners)
+        # normalize to unit length (diagonal normals at edges/corners)
         norm2 = np.sum(normals**2, axis=0)
         norm2[norm2 == 0] = 1.0
-        scale = 1.0 / np.sqrt(norm2)
-        if phi is not None:
-            scale = scale * np.exp(-phi)
-        normals *= scale
+        normals *= 1.0 / np.sqrt(norm2)
         normals[:, ~boundary] = 0.0
 
     grid = Grid(

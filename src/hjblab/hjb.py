@@ -52,9 +52,9 @@ the Jacobian applies by 81% at rho = 1 but by 2-18% at rho from 0.5 to
 0.999, and below rho = 0.99 its set-up and line solves cost the games'
 short solves more time than they saved (the `_LINE_SHARE` comment).  On
 one-axis data, the bench's sweep and games, C P_a is the transport term
-on the line functions, where the right-hand sides lie, so each linear
-solve takes one Arnoldi step: the 48^3 bench sweep makes 74 Jacobian
-applies instead of 563.  On 3-D data such as the 32^3 `power` and `bump`
+on the line functions, where the right-hand sides lie, so the
+preconditioned Richardson step that starts each linear solve solves it:
+the 48^3 bench sweep makes 38 Jacobian applies instead of 563.  On 3-D data such as the 32^3 `power` and `bump`
 sweeps, rho stays below 0.27 and the counts are unchanged (1059 and 3291
 applies).  The density solves use the adjoint line operator
 W_a^{-1} D_a^T (abar W_a .).
@@ -115,8 +115,6 @@ class ProblemSpec:
             raise ValueError("gradient growth gate (In1): need gamma > 1")
         if self.grid.coord_system != "cartesian":
             raise ValueError("solver runs on box/torus lattices only")
-        if not self.grid.is_flat and not all(self.grid.periodic):
-            raise ValueError("conformal solving is supported on tori only")
 
 
 # eps in (|grad u|^2 + eps^2)^{(gamma-2)/2} of `transport_coefficient`,

@@ -133,6 +133,37 @@ print(json.dumps(metrics))
 """
 
 
+# The bench's inputs, built as `bench/run.py` builds them: every workload
+# at seed 0 (Sweep rebinds `estimates.solve_ergodic`, so this too runs in a
+# fresh interpreter), every `lab` config parsed, and the conformal `lab`
+# run's grid next to a torus built with the config's phi.
+BENCH_INPUTS_SCRIPT = """
+import json, os, sys, tempfile
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import workloads
+from hjblab import config
+from hjblab.geometry import DomainSpec, build_grid
+
+built = []
+with tempfile.TemporaryDirectory() as tmp:
+    for name, cls in sorted(workloads.WORKLOADS.items()):
+        cls(0, os.path.join(tmp, name))
+        built.append(name)
+kinds = {name: config.parse_config(text).domain.kind for name, (_, text, _) in workloads.Lab.CONFIGS.items()}
+cfg = config.parse_config(workloads.Lab.CONFIGS["ergodic-conformal24"][1])
+grid = build_grid(cfg.domain, cfg.phi)
+ref = build_grid(DomainSpec(kind="torus", dim=3, resolution=(24,)), config._phi)
+print(json.dumps({
+    "built": built,
+    "kinds": kinds,
+    "flat": grid.is_flat,
+    "same_weights": bool(np.array_equal(grid.weights, ref.weights)),
+    "same_phi": bool(np.array_equal(grid.phi, ref.phi)),
+}))
+"""
+
+
 @functools.lru_cache(maxsize=None)
 def _run_traced(script):
     env = dict(os.environ)
@@ -147,6 +178,13 @@ def _run_traced(script):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_bench_inputs_build_and_the_conformal_spelling_keeps_its_grid():
+    m = _run_traced(BENCH_INPUTS_SCRIPT)
+    assert m["built"] == ["game", "lab", "sweep"]
+    assert m["kinds"] == {"ergodic-conformal24": "torus", "thm1-sweep-drift16": "torus", "mfg-over-advected": "torus"}
+    assert not m["flat"] and m["same_weights"] and m["same_phi"]
 
 
 def test_bench_tracer_installs_and_records_every_hooked_layer():

@@ -24,13 +24,13 @@ from hjblab.bernstein import (
 from hjblab.cli import _bochner_cases
 from hjblab.estimates import random_band_limited
 from hjblab.fields import ScalarField, gradient, hessian, laplace_beltrami, pointwise_norm
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid, conformal_ricci
+from hjblab.geometry import DomainSpec, build_grid, conformal_ricci
 
 TWO_PI = 2.0 * np.pi
 
 
-def torus(n, dim=2, metric=None):
-    return build_grid(DomainSpec(kind="torus", dim=dim, resolution=(n,)), metric)
+def torus(n, dim=2, phi=None):
+    return build_grid(DomainSpec(kind="torus", dim=dim, resolution=(n,)), phi)
 
 
 def box(n, dim=3):
@@ -165,9 +165,9 @@ def test_shared_terms_equal_the_whole_array_expressions_bit_for_bit(kind):
     if kind == "box":
         g = box(11)
     else:
-        g = torus(10, dim=3, metric=MetricSpec.conformal(
-            lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
-        ))
+        g = torus(
+            10, dim=3, phi=lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
+        )
     u = random_band_limited(g, seed=12)
     plain, weighted = bochner_residuals(u, 0.4)
     expected = _whole_array_residuals(u, 0.4)
@@ -180,8 +180,8 @@ def test_bochner_terms_hold_few_field_sized_arrays(case, bound):
     # `bochner-check`'s cases at 64 x 64 x 8.  Whole-array terms held 27
     # (flat) and 53 (conformal) field-sized arrays at once, counting the
     # grid caches the call fills and its two results.
-    _, kind, metric, field_fn, _ = next(c for c in _bochner_cases() if c[0] == case)
-    grid = build_grid(DomainSpec(kind=kind, dim=3, resolution=(64, 64, 8)), metric)
+    _, phi, field_fn, _ = next(c for c in _bochner_cases() if c[0] == case)
+    grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(64, 64, 8)), phi)
     u = field_fn(grid)
     tracemalloc.start()
     try:
@@ -213,7 +213,7 @@ def test_identity_refines_on_conformal_smooth_data():
     for n in ns:
         g = build_grid(
             DomainSpec(kind="torus", dim=3, resolution=(n, n, 8)),
-            MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0])),
+            lambda c: 0.1 * np.cos(TWO_PI * c[0]),
         )
         mesh = g.mesh()
         u = ScalarField(g, np.sin(TWO_PI * mesh[1]))

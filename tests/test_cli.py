@@ -13,8 +13,8 @@ import pytest
 
 from hjblab import bernstein, estimates
 from hjblab.cli import _SUBCOMMANDS, main, run
-from hjblab.config import _KEYS, ConfigError, parse_config
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.config import _KEYS, ConfigError, _phi, parse_config
+from hjblab.geometry import DomainSpec, build_grid
 from hjblab.mfg import MfgSpec
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -76,6 +76,8 @@ def test_defaults_parse_and_build():
         ("[problem]\ngamma = -inf\n", r"line 2: \[problem\] gamma must be finite, got -inf"),
         ("[experiment]\nq = nan\n", r"line 2: \[experiment\] q must be finite or inf, got nan"),
         ("[experiment]\nr = -inf\n", r"line 2: \[experiment\] r must be finite or inf, got -inf"),
+        ("[output]\ndump_fields = maybe\n", r"^line 2: cannot parse 'maybe' as bool$"),
+        ("[domain]\nkind = conformal_box\n", r"^line 2: kind must be one of box, torus, conformal_torus$"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
@@ -171,6 +173,9 @@ _GATES = [
     *(pytest.param(sub, _GAMMA, 2, "(In1)", id=sub + "-gamma")
       for sub in ("solve", "ergodic", "thm1-sweep", "thm2-sweep", "constants", "mfg")),
     pytest.param("solve", _MANUFACTURED, 2, "(In1)", id="manufactured-gamma"),
+    *(pytest.param("solve", "[domain]\nkind = " + kind + "\nresolution = 12\n[problem]\nmanufactured = symbolic\n",
+                   2, "manufactured studies need a box domain", id="manufactured-" + kind)
+      for kind in ("torus", "conformal_torus")),
     pytest.param("bochner-check", _GAMMA, 0, None, id="bochner-check-gamma"),
     pytest.param("bernstein-audit", _GAMMA, 0, None, id="bernstein-audit-gamma"),
     *(pytest.param(sub, _SHEAR, 2, "(In2)", id=sub + "-drift") for sub in ("solve", "ergodic", "thm1-sweep")),
@@ -211,7 +216,7 @@ def test_comparison_constant_gate_cited_for_explicit_values():
     # whose own (MFG1) gate refuses one below max(alpha, 1/alpha)
     with pytest.raises(ConfigError, match=r"line 3: unknown key 'c_v' in \[mfg\]"):
         parse_config("[mfg]\nalpha = 1.5\nc_v = 1.2\n")
-    grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)), MetricSpec.euclidean())
+    grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)))
     with pytest.raises(ValueError, match=r"\(MFG1\)"):
         MfgSpec(grid, gamma=2.0, alpha=1.5, c_v=1.2)
 
@@ -351,6 +356,15 @@ def test_conformal_box_solves_are_rejected(tmp_path, capsys, subcommand):
     assert rc == 2
     assert "rejected: line 3: unknown section [metric]" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_the_conformal_spelling_is_a_torus_carrying_phi():
+    cfg = parse_config("[domain]\nkind = conformal_torus\ndim = 2\nresolution = 12\n")
+    assert cfg.domain == DomainSpec(kind="torus", dim=2, resolution=(12,))
+    assert cfg.phi is _phi
+    assert cfg["domain"]["kind"] == "conformal_torus"
+    for kind in ("box", "torus"):
+        assert parse_config("[domain]\nkind = " + kind + "\n").phi is None
 
 
 @pytest.mark.parametrize("given", ["q = 3.0", "r = 18.0"])

@@ -22,7 +22,7 @@ from hjblab.estimates import (
     thm2_sweep,
 )
 from hjblab.fields import ScalarField, VectorField, lq_norm
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.geometry import DomainSpec, build_grid
 from hjblab.hjb import SolverConfig
 
 TWO_PI = 2.0 * np.pi
@@ -364,8 +364,8 @@ def test_quotient_input_gates():
 
 def test_constant_estimate_is_the_constant_field_quotient():
     conformal = build_grid(
-        DomainSpec(kind="conformal_torus", dim=3, resolution=(10,)),
-        MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0])),
+        DomainSpec(kind="torus", dim=3, resolution=(10,)),
+        lambda c: 0.1 * np.cos(TWO_PI * c[0]),
     )
     for g in (box(10), torus(10), conformal):
         assert sobolev_constant_estimate(g) == sobolev_ratio(ScalarField(g, np.ones(g.shape)))

@@ -19,13 +19,13 @@ from hjblab.fields import (
     pointwise_norm,
     _sum_of_squares,
 )
-from hjblab.geometry import DomainSpec, Grid, MetricSpec, build_grid
+from hjblab.geometry import DomainSpec, Grid, build_grid
 
 TWO_PI = 2.0 * np.pi
 
 
-def torus(n, dim=2, metric=None):
-    return build_grid(DomainSpec(kind="torus", dim=dim, resolution=(n,)), metric)
+def torus(n, dim=2, phi=None):
+    return build_grid(DomainSpec(kind="torus", dim=dim, resolution=(n,)), phi)
 
 
 def box(n, dim=3):
@@ -118,21 +118,20 @@ def test_laplacian_second_order_on_single_mode():
     assert _pair_order(errs, ns) >= 1.9
 
 
-def conformal_metric(amp=0.1):
-    return MetricSpec.conformal(lambda coords, _a=amp: _a * np.cos(TWO_PI * coords[0]))
+def conformal_phi(amp=0.1):
+    return lambda coords, _a=amp: _a * np.cos(TWO_PI * coords[0])
 
 
 # phi varies along every axis, so every conformal correction is nonzero
-ALL_AXES_METRIC = MetricSpec.conformal(
-    lambda c: 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
-)
+def all_axes_phi(c):
+    return 0.1 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 2.0 * c[2]))
 
 
 def test_conformal_hessian_second_order_against_fine_grid_oracle():
     # the seeded band-limited profile samples one fixed smooth function at
     # every resolution, so a 4x finer evaluation acts as the reference
     def hess_at(n):
-        g = torus(n, dim=2, metric=conformal_metric())
+        g = torus(n, dim=2, phi=conformal_phi())
         return hessian(random_band_limited(g, seed=7)).values
 
     errs = []
@@ -148,7 +147,7 @@ def test_conformal_hessian_second_order_against_fine_grid_oracle():
 
 def test_constant_conformal_factor_rescales_laplacian():
     c = 0.4
-    gc = torus(24, dim=3, metric=MetricSpec.conformal(lambda coords: np.full(coords[0].shape, c)))
+    gc = torus(24, dim=3, phi=lambda coords: np.full(coords[0].shape, c))
     gf = torus(24, dim=3)
     vals = random_band_limited(gf, seed=3).values
     lap_conf = laplace_beltrami(ScalarField(gc, vals.copy())).values
@@ -157,7 +156,7 @@ def test_constant_conformal_factor_rescales_laplacian():
 
 
 def test_trace_identity_between_hessian_and_laplacian():
-    g = torus(16, dim=3, metric=conformal_metric())
+    g = torus(16, dim=3, phi=conformal_phi())
     u = random_band_limited(g, seed=1)
     H = hessian(u).values
     tr = (H[0, 0] + H[1, 1] + H[2, 2]) * g.conformal_factor(-2.0)
@@ -170,7 +169,7 @@ def test_laplacian_is_the_metric_trace_of_the_hessian_bit_for_bit(kind):
     g = {
         "flat torus": torus(12, dim=3),
         "box": box(11),  # one-sided rows on every face
-        "conformal torus": torus(12, dim=3, metric=conformal_metric()),
+        "conformal torus": torus(12, dim=3, phi=conformal_phi()),
     }[kind]
     u = ScalarField(g, np.random.default_rng(4).normal(size=g.shape))
     H = hessian(u).values
@@ -263,7 +262,7 @@ def test_norm_absolute_homogeneity(c, q):
 
 
 def test_vector_norm_uses_metric_frame():
-    g = torus(16, dim=2, metric=conformal_metric(0.3))
+    g = torus(16, dim=2, phi=conformal_phi(0.3))
     X = VectorField(g, np.stack([np.ones(g.shape), np.zeros(g.shape)]))
     # contravariant unit coordinate vector has metric length e^{phi}
     assert np.max(np.abs(pointwise_norm(X) - g.conformal_factor(1.0))) <= 1e-12
@@ -313,7 +312,7 @@ def test_symmetric_tensors_are_kept_and_round_off_asymmetry_is_averaged():
 
 
 def test_conformal_hessian_takes_the_exact_symmetry_path(monkeypatch):
-    g = torus(10, dim=3, metric=ALL_AXES_METRIC)
+    g = torus(10, dim=3, phi=all_axes_phi)
     u = random_band_limited(g, seed=3)
     calls = []
     allclose = np.allclose
@@ -337,7 +336,7 @@ def test_component_squares_sum_as_numpy_reduces_leading_axes(lead):
 
 
 def test_frame_norms_equal_their_whole_array_expressions_bit_for_bit():
-    g = torus(10, dim=3, metric=ALL_AXES_METRIC)
+    g = torus(10, dim=3, phi=all_axes_phi)
     u = random_band_limited(g, seed=5)
     v = gradient(u).values
     T = hessian(u).values
@@ -348,7 +347,7 @@ def test_frame_norms_equal_their_whole_array_expressions_bit_for_bit():
 
 
 def test_gradient_and_hessian_equal_their_stacked_expressions_bit_for_bit():
-    g = torus(10, dim=3, metric=ALL_AXES_METRIC)
+    g = torus(10, dim=3, phi=all_axes_phi)
     u = random_band_limited(g, seed=6)
     du = np.stack([g.partial(u.values, a) for a in range(3)])
     assert np.array_equal(gradient(u).values, du * g.conformal_factor(-2.0))

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hjblab.geometry import (
+    DOMAIN_KINDS,
     DomainSpec,
-    MetricSpec,
     build_grid,
     conformal_ricci,
     ricci_lower_bound,
@@ -18,10 +18,8 @@ PHI_AMP = 0.2
 PHI_FREQ = 2.0 * np.pi
 
 
-def conformal_metric(amp, shift=0.0):
-    return MetricSpec.conformal(
-        lambda coords, _a=amp, _c=shift: _a * np.cos(PHI_FREQ * coords[0]) + _c
-    )
+def conformal_phi(amp, shift=0.0):
+    return lambda coords, _a=amp, _c=shift: _a * np.cos(PHI_FREQ * coords[0]) + _c
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +61,7 @@ def test_conformal_volume_matches_quadrature_oracle():
     for n in (16, 32):
         grid = build_grid(
             DomainSpec(kind="torus", dim=3, resolution=(n, n, 8)),
-            conformal_metric(0.1),
+            conformal_phi(0.1),
         )
         assert abs(float(np.sum(grid.weights)) - oracle) <= 1e-10
 
@@ -82,8 +80,31 @@ def test_resolution_floor_enforced():
 
 
 def test_disc_rejects_conformal_metric():
-    with pytest.raises(ValueError):
-        build_grid(DomainSpec(kind="disc", resolution=(16, 32)), conformal_metric(0.1))
+    with pytest.raises(ValueError, match="a conformal metric needs a torus, not a disc"):
+        build_grid(DomainSpec(kind="disc", resolution=(16, 32)), conformal_phi(0.1))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec(kind="box", dim=3, resolution=(9,)),
+        DomainSpec(kind="box", dim=2, resolution=(9, 11), extents=(1.0, 2.0)),
+    ],
+    ids=["3-box", "2-box"],
+)
+def test_boxes_reject_conformal_phi(domain):
+    # only tori carry phi: a conformal box has no spelling
+    with pytest.raises(ValueError, match="a conformal metric needs a torus, not a box"):
+        build_grid(domain, conformal_phi(0.1))
+    assert build_grid(domain).is_flat
+
+
+@pytest.mark.parametrize("kind", ["conformal_torus", "conformal_box", "conformal-box", "conformal"])
+def test_conformal_spellings_are_not_domain_kinds(kind):
+    # the conformal metric is build_grid's phi, not a kind of domain
+    assert DOMAIN_KINDS == ("box", "torus", "disc")
+    with pytest.raises(ValueError, match="unknown domain kind"):
+        DomainSpec(kind=kind)
 
 
 def test_dimension_bounds_enforced():
@@ -105,7 +126,7 @@ def test_flat_curvature_bound_is_exactly_zero():
 def test_constant_conformal_factor_is_flat():
     grid = build_grid(
         DomainSpec(kind="torus", dim=3, resolution=(16,)),
-        MetricSpec.conformal(lambda coords: 0.7 * np.ones_like(coords[0])),
+        lambda coords: 0.7 * np.ones_like(coords[0]),
     )
     assert ricci_lower_bound(grid) == 0.0
 
@@ -117,11 +138,11 @@ def test_constant_conformal_factor_is_flat():
 )
 def test_curvature_bound_invariant_under_constant_factor_shifts(amp, shift):
     base = build_grid(
-        DomainSpec(kind="torus", dim=3, resolution=(16, 8, 8)), conformal_metric(amp)
+        DomainSpec(kind="torus", dim=3, resolution=(16, 8, 8)), conformal_phi(amp)
     )
     shifted = build_grid(
         DomainSpec(kind="torus", dim=3, resolution=(16, 8, 8)),
-        conformal_metric(amp, shift),
+        conformal_phi(amp, shift),
     )
     assert abs(ricci_lower_bound(base) - ricci_lower_bound(shifted)) <= 1e-10
 
@@ -185,7 +206,7 @@ def _curvature_oracle(n_fine):
 def test_curvature_bound_matches_independent_tensor_oracle():
     n = 1024
     grid = build_grid(
-        DomainSpec(kind="torus", dim=3, resolution=(n, 8, 8)), conformal_metric(PHI_AMP)
+        DomainSpec(kind="torus", dim=3, resolution=(n, 8, 8)), conformal_phi(PHI_AMP)
     )
     kappa = ricci_lower_bound(grid)
     oracle = _curvature_oracle(4 * n)
@@ -196,10 +217,10 @@ def test_curvature_bound_matches_independent_tensor_oracle():
 def test_conformal_ricci_equals_its_tensor_expression_bit_for_bit(d):
     # Ric = -(d-2)(Hess phi - dphi x dphi) - (Lap phi + (d-2)|dphi|^2) id,
     # with the Hessian's entries a <= b formed once and mirrored
-    metric = MetricSpec.conformal(
-        lambda c: 0.2 * np.cos(PHI_FREQ * c[0]) * np.sin(PHI_FREQ * (c[1] + c[-1]))
+    grid = build_grid(
+        DomainSpec(kind="torus", dim=d, resolution=(12, 10, 9)[:d]),
+        lambda c: 0.2 * np.cos(PHI_FREQ * c[0]) * np.sin(PHI_FREQ * (c[1] + c[-1])),
     )
-    grid = build_grid(DomainSpec(kind="conformal_torus", dim=d, resolution=(12, 10, 9)[:d]), metric)
     dphi = grid.phi_gradient()
     hess = np.empty((d, d) + grid.shape)
     for a in range(d):

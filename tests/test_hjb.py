@@ -17,7 +17,7 @@ import scipy.fft as sfft
 
 from hjblab import hjb
 from hjblab.fields import ScalarField, VectorField, gradient, lq_norm
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.geometry import DomainSpec, build_grid
 from hjblab.hjb import (
     ProblemSpec,
     manufactured_solution,
@@ -149,7 +149,10 @@ def test_residual_rejects_mismatched_grids():
     # other extents change h alone; a conformal torus keeps h but not the
     # metric.  Each would give a silently wrong residual.
     flat16 = torus(16, dim=2)
-    phi = MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0]))
+
+    def phi(c):
+        return 0.1 * np.cos(TWO_PI * c[0])
+
     for field_grid, spec_grid in [
         (box(16, dim=2), flat16),
         (flat16, box(16, dim=2)),
@@ -272,8 +275,9 @@ def test_stronger_sources_steepen_the_solution():
 
 
 def test_conformal_metric_problem_converges_and_certifies():
-    phi = MetricSpec.conformal(lambda coords: 0.1 * np.cos(TWO_PI * coords[0]))
-    grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(24,)), phi)
+    grid = build_grid(
+        DomainSpec(kind="torus", dim=2, resolution=(24,)), lambda coords: 0.1 * np.cos(TWO_PI * coords[0])
+    )
     mesh = grid.mesh()
     spec = ProblemSpec(
         grid,
@@ -294,7 +298,7 @@ def test_mesh_peclet_weighs_the_metric_jacobian_on_conformal_tori():
     a = 0.1
     grid = build_grid(
         DomainSpec(kind="torus", dim=3, resolution=(8,)),
-        MetricSpec.conformal(lambda coords: a * np.cos(TWO_PI * coords[0])),
+        lambda coords: a * np.cos(TWO_PI * coords[0]),
     )
     coeff = np.zeros((3,) + grid.shape)
     # the metric's own term: max |D phi| h / 2 = sqrt(2) a / 4
@@ -334,9 +338,9 @@ def _advected_case(grid, peclet=None):
 
 
 def _conformal_torus(n=8):
-    phi = MetricSpec.conformal(
-        lambda coords: 0.1 * np.cos(TWO_PI * coords[0]) + 0.05 * np.sin(TWO_PI * (coords[1] + coords[2]))
-    )
+    def phi(coords):
+        return 0.1 * np.cos(TWO_PI * coords[0]) + 0.05 * np.sin(TWO_PI * (coords[1] + coords[2]))
+
     return build_grid(DomainSpec(kind="torus", dim=3, resolution=(n,)), phi)
 
 
@@ -736,6 +740,17 @@ def test_bordered_solve_started_at_its_solution_returns_at_once(monkeypatch, kin
     assert info == 0
     assert len(calls) == 1 and not solves  # the true residual b - A x0, and nothing else
     assert np.array_equal(np.concatenate([x.reshape(-1), [mu]]), sol)
+
+
+@pytest.mark.parametrize("kind", ["2-torus", "3-torus", "3-box"])
+def test_bordered_solve_of_a_zero_right_hand_side_returns_zeros_at_once(monkeypatch, kind):
+    grid, apply_fn, calls, _, _ = _bordered_case(kind)
+    inv, solves = _counting_inverter(monkeypatch, grid)
+    calls.clear()
+    x, mu, info = hjb.bordered_solve(grid, apply_fn, inv, np.zeros(grid.shape), 0.0, 1e-10)
+    assert info == 0 and mu == 0.0
+    assert not calls and not solves  # no R apply and no preconditioner apply
+    assert x.shape == grid.shape and not np.any(x)
 
 
 @pytest.mark.parametrize("kind", ["2-torus", "3-torus", "3-box"])
@@ -1364,6 +1379,15 @@ def test_overflowed_residual_norm_stops_newton_before_the_linear_solve(monkeypat
         rep = solve_ergodic(huge)
     assert not rep.converged and rep.iterations == 0
     assert rep.message == "residual norm inf is not finite at Newton step 1"
+
+
+def test_newton_budget_spent_short_of_the_tolerance_is_named():
+    spec = _source_spec()
+    assert solve_ergodic(spec).iterations > 1
+    rep = solve_ergodic(spec, hjb.SolverConfig(max_iter=1))
+    assert not rep.converged and rep.iterations == 1
+    assert rep.residual > hjb.SolverConfig().residual_tol
+    assert rep.message == "iteration budget exhausted"
 
 
 def test_zero_newton_step_stops_at_the_backtracking_floor(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from hjblab import hjb, mfg
 from hjblab.fields import ScalarField, gradient, hessian
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.geometry import DomainSpec, build_grid
 from hjblab.mfg import (
     MfgSpec,
     MfgState,
@@ -205,7 +205,7 @@ def test_density_solve_runs_on_boxes_with_positive_output():
 def test_density_solve_input_gates():
     conf = build_grid(
         DomainSpec(kind="torus", dim=2, resolution=(16,)),
-        MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0])),
+        lambda c: 0.1 * np.cos(TWO_PI * c[0]),
     )
     with pytest.raises(ValueError, match="flat box/torus"):
         fp_solve(ScalarField(conf, np.zeros(conf.shape)))
@@ -364,7 +364,7 @@ def test_game_spec_gates():
         MfgSpec(g, gamma=2.0, alpha=1.0, eps=-0.1)
     conf = build_grid(
         DomainSpec(kind="torus", dim=2, resolution=(16,)),
-        MetricSpec.conformal(lambda c: 0.1 * np.cos(TWO_PI * c[0])),
+        lambda c: 0.1 * np.cos(TWO_PI * c[0]),
     )
     with pytest.raises(ValueError, match="flat box/torus"):
         MfgSpec(conf, gamma=2.0, alpha=1.0)
@@ -686,6 +686,19 @@ def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
     assert not report.converged
     assert report.outer_iterations == 0
     assert report.message == "density linear solve did not converge at mollifier radius 0.1"
+    assert report.duality == {} and report.lp_bounds == {}
+
+
+def test_spent_outer_budget_stops_the_game_with_its_radius(monkeypatch):
+    g = torus(16, dim=2)
+    spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
+    _, full = mfg_fixed_point(spec)
+    assert full.converged and full.outer_iterations > 3
+    monkeypatch.setattr(mfg, "_MAX_OUTER", 3)
+    _, report = mfg_fixed_point(spec)
+    assert not report.converged
+    assert report.outer_iterations == 3
+    assert report.message == "outer iteration budget exhausted at radius 0.1"
     assert report.duality == {} and report.lp_bounds == {}
 
 

@@ -16,7 +16,7 @@ import scipy.fft as sfft
 
 from hjblab import hjb
 from hjblab.fields import ScalarField, VectorField
-from hjblab.geometry import DomainSpec, MetricSpec, build_grid
+from hjblab.geometry import DomainSpec, build_grid
 from hjblab.hjb import ProblemSpec
 from hjblab.stencils import apply_along_axis, d1_rows, d1_scale, d1t_rows, d2_rows, d2_scale
 
@@ -106,8 +106,10 @@ def _grid(kind):
         return build_grid(DomainSpec(kind="box", dim=3, resolution=(9, 8, 10)))
     if kind == "2-box":
         return build_grid(DomainSpec(kind="box", dim=2, resolution=(9, 11), extents=(1.0, 2.0)))
-    phi = MetricSpec.conformal(lambda c: 0.1 * np.cos(2.0 * np.pi * c[0]) + 0.05 * np.sin(2.0 * np.pi * c[1]))
-    return build_grid(DomainSpec(kind="torus", dim=3, resolution=(12, 9, 8)), phi)
+    return build_grid(
+        DomainSpec(kind="torus", dim=3, resolution=(12, 9, 8)),
+        lambda c: 0.1 * np.cos(2.0 * np.pi * c[0]) + 0.05 * np.sin(2.0 * np.pi * c[1]),
+    )
 
 
 def _matrices(grid):
