@@ -16,14 +16,14 @@ CONFIG = """\
 [domain]
 kind = box
 dim = {dim}
-resolution = {base}
+resolution = 17
 
 [problem]
 gamma = 2.0
-manufactured = {mode}
+manufactured = symbolic
 
 [experiment]
-resolutions = {resolutions}
+resolutions = 17, 33, 65
 """
 
 
@@ -31,32 +31,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/manufactured", help="output directory")
     ap.add_argument("--dim", type=int, default=3, choices=(2, 3))
-    ap.add_argument(
-        "--resolutions",
-        default="17,33,65",
-        help="comma-separated nodes-per-axis ladder",
-    )
-    ap.add_argument(
-        "--mode",
-        default="symbolic",
-        choices=("symbolic", "discrete"),
-        help="symbolic: continuum source, order check; discrete: operator-generated source, round-off check",
-    )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    resolutions = [int(tok) for tok in args.resolutions.split(",")]
     os.makedirs(args.out, exist_ok=True)
     cfg_path = os.path.join(args.out, "run.ini")
     with open(cfg_path, "w") as fh:
-        fh.write(
-            CONFIG.format(
-                dim=args.dim,
-                base=resolutions[0],
-                mode=args.mode,
-                resolutions=", ".join(str(n) for n in resolutions),
-            )
-        )
+        fh.write(CONFIG.format(dim=args.dim))
     rc = cli_main(
         ["solve", "--config", cfg_path, "--out", args.out, "--seed", str(args.seed)]
     )

@@ -21,11 +21,11 @@ resolution = {n}
 [problem]
 gamma = 2.0
 shift_kind = mode
-shift_amplitude = {amp}
+shift_amplitude = 0.5
 
 [mfg]
-alpha = {alpha}
-eps = {eps}
+alpha = 1.0
+eps = 0.05
 
 [output]
 dump_fields = true
@@ -37,24 +37,13 @@ def main(argv=None):
     ap.add_argument("--out", default="out/game", help="output directory")
     ap.add_argument("--dim", type=int, default=3, choices=(2, 3))
     ap.add_argument("--resolution", type=int, default=32)
-    ap.add_argument("--alpha", type=float, default=1.0, help="coupling power")
-    ap.add_argument("--eps", type=float, default=0.05, help="mollifier radius")
-    ap.add_argument("--amp", type=float, default=0.5, help="shift amplitude")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
     cfg_path = os.path.join(args.out, "run.ini")
     with open(cfg_path, "w") as fh:
-        fh.write(
-            CONFIG.format(
-                dim=args.dim,
-                n=args.resolution,
-                alpha=args.alpha,
-                eps=args.eps,
-                amp=args.amp,
-            )
-        )
+        fh.write(CONFIG.format(dim=args.dim, n=args.resolution))
     rc = cli_main(
         ["mfg", "--config", cfg_path, "--out", args.out, "--seed", str(args.seed)]
     )

@@ -546,10 +546,10 @@ def _bisect(fn, lo: float, hi: float, increasing: bool) -> float:
     return 0.5 * (lo + hi)
 
 
-def continuity_tools(d: int, q: float, gamma: float, delta: float) -> ContinuityTools:
-    """phi's closed-form peak in dimension d; (d, q, gamma, delta) must pass
-    `maxreg_params`'s admissibility gates."""
-    maxreg_params(d, gamma, q, delta)
+def continuity_tools(d: int) -> ContinuityTools:
+    """phi's closed-form peak in dimension d >= 3."""
+    if d < 3:
+        raise ValueError("dimension must be at least 3")
     y_star = ((d - 2.0) / d) ** (d / 2.0)
     phi_star = y_star ** ((d - 2.0) / d) - y_star
     return ContinuityTools(d=d, y_star=y_star, phi_star=phi_star)

@@ -428,7 +428,7 @@ def _cmd_bernstein_audit(cfg: RunConfig, out: str, seed: int) -> dict:
     worst_peak = 0.0
     peaked = True
     for d in range(3, 11):
-        tools = bernstein.continuity_tools(d, q=max(3.0, d * 0.9), gamma=2.0, delta=_DELTA)
+        tools = bernstein.continuity_tools(d)
         y = tools.y_star
         worst_peak = max(worst_peak, abs((d - 2.0) / d * y ** (-2.0 / d) - 1.0))
         top = float(tools.phi(y))
@@ -579,7 +579,7 @@ def _cmd_constants(cfg: RunConfig, out: str, seed: int) -> dict:
     gamma = cfg["problem"]["gamma"]
     q = exp["q"] if exp["q"] is not None else 2.5
     params = bernstein.maxreg_params(grid.dim, gamma, q, _DELTA)
-    tools = bernstein.continuity_tools(grid.dim, q, gamma, _DELTA)
+    tools = bernstein.continuity_tools(grid.dim)
     results = {
         "sigma_hat": sigma,
         "cz_ratio_p2": cz2,

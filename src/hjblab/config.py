@@ -179,7 +179,10 @@ def _build(sections: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("domain block: " + str(exc)) from None
 
-    if any(n < 8 for n in sections["experiment"]["resolutions"]):
+    ladder = sections["experiment"]["resolutions"]
+    if any(n < 8 for n in ladder):
         raise ConfigError("experiment block: resolutions must be at least 8")
+    if any(a >= b for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("experiment block: resolutions must be strictly increasing")
 
     return RunConfig(sections=sections, domain=domain, phi=_phi if conformal else None)

@@ -45,19 +45,20 @@ take a bordered 1-D solve on n_a + 1 unknowns, factored once per Newton
 step, and every other mode L^{-1} (`_AxisLine`).  The Krylov step then
 forms A M = I + (R - C P_a) M.  The correction runs only when one axis'
 line carries nearly all of the coefficient's weighted energy,
-rho = ||P_a b_a||_w^2 / ||b||_w^2 >= 0.99 (`_preconditioner`); otherwise,
-and on conformal tori, M is the flat inverse as before.  Off rho = 1 the
-line buys little: measured solve by solve on 24^3 torus sweeps, it cut
-the Jacobian applies by 81% at rho = 1 but by 2-18% at rho from 0.5 to
-0.999, and below rho = 0.99 its set-up and line solves cost the games'
-short solves more time than they saved (the `_LINE_SHARE` comment).  On
-one-axis data, the bench's sweep and games, C P_a is the transport term
-on the line functions, where the right-hand sides lie, so the
-preconditioned Richardson step that starts each linear solve solves it:
-the 48^3 bench sweep makes 38 Jacobian applies instead of 563.  On 3-D data such as the 32^3 `power` and `bump`
-sweeps, rho stays below 0.27 and the counts are unchanged (1059 and 3291
-applies).  The density solves use the adjoint line operator
-W_a^{-1} D_a^T (abar W_a .).
+rho = ||P_a b_a||_w^2 / ||b||_w^2 >= 0.99, or the coefficient is zero
+(`_preconditioner`); otherwise, and on conformal tori, M is the flat
+inverse as before.  Off rho = 1 the line buys little: measured solve by
+solve on 24^3 torus sweeps, it cut the Jacobian applies by 81% at rho = 1
+but by 2-18% at rho from 0.5 to 0.999, and below rho = 0.99 its set-up
+and line solves cost the games' short solves more time than they saved
+(the `_LINE_SHARE` comment).  On one-axis data, the bench's sweep and
+games, C P_a is the transport term on the line functions, where the
+right-hand sides lie, so the preconditioned Richardson step that starts
+each linear solve solves it, as it does at a zero coefficient (R = 0):
+the 48^3 bench sweep makes 37 Jacobian applies instead of 563.  On the
+32^3 `power` and `bump` sweeps, rho stays below 0.27 and only the first
+Newton step, from u = 0, takes the line (`power` makes 1061 applies).
+The density solves use the adjoint line operator W_a^{-1} D_a^T (abar W_a .).
 
 Each Newton step solves its linear system only as tightly as the Newton
 stop needs (inexact Newton with Kelley's termination safeguard).  A Newton
@@ -793,7 +794,8 @@ def _preconditioner(grid: Grid, b: np.ndarray, adjoint: bool = False):
     it is the flat inverse of L alone.  Since ||P_a b_a||_w <= ||b_a||_w,
     only the axis of b's largest component can pass, so the line mean is
     formed for that axis alone.  On tori the weights are uniform and cancel
-    from rho, so there the energies are plain sums of squares."""
+    from rho, so there the energies are plain sums of squares.  A zero b
+    passes (0 >= 0) as axis 0's line with abar = 0: A = L, solved exactly."""
     inv = _inverter_for(grid)
     if not grid.is_flat:
         return inv
@@ -806,7 +808,7 @@ def _preconditioner(grid: Grid, b: np.ndarray, adjoint: bool = False):
         scale = 1.0
     a = int(np.argmax(energy))
     total = sum(energy)
-    if not energy[a] >= _LINE_SHARE * total or total == 0.0:
+    if not energy[a] >= _LINE_SHARE * total:
         return inv
     line = _lines_for(grid)[a]
     abar = line.mean(b[a])

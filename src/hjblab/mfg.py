@@ -311,17 +311,17 @@ _DENSITY_RTOL = 1e-10
 
 
 def fp_solve(
-    u: ScalarField,
-    gamma: float = 2.0,
+    grid: Grid,
+    drift: np.ndarray,
     *,
-    drift: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
     rtol: float = _DENSITY_RTOL,
 ) -> ScalarField:
-    """Invariant density of the transport generated by the value field.
+    """Invariant density of the transport with the given drift on grid.
 
-    The drift is `transport_coefficient` of the plain value problem with
-    exponent gamma, and the operator is its quadrature adjoint W^{-1} J^T W,
+    The drift is a first-order coefficient, one node array per axis: in the
+    game, `transport_coefficient` of the value field.  The operator is the
+    quadrature adjoint W^{-1} J^T W of the Jacobian with that coefficient,
     solved with unit-mass constraint.  `bordered_solve` takes its transport
     part `_Ops.adjoint_rest`: the diffusion part is the Laplacian that its
     preconditioner inverts, and where one axis' lines carry most of the
@@ -331,20 +331,15 @@ def fp_solve(
     Positivity is an M-matrix consequence, checked via the advection mesh
     number, never enforced by clipping.
 
-    A caller that has already formed that drift from u passes it as
-    `drift`; it is checked all the same.  `start` is a density to start the
-    solve from (with multiplier 0) instead of zero; the game loop passes
-    the previous one.  The solve stops on the same tolerance either way:
-    the bordered residual at most `rtol`, relative to the unit mass
-    constraint.  The game loop loosens `rtol` while its own change is
-    large.
+    `start` is a density to start the solve from (with multiplier 0)
+    instead of zero; the game loop passes the previous one.  The solve
+    stops on the same tolerance either way: the bordered residual at most
+    `rtol`, relative to the unit mass constraint.  The game loop loosens
+    `rtol` while its own change is large.
     """
-    grid = u.grid
     if not grid.is_flat or grid.coord_system != "cartesian":
         raise ValueError("density solves run on flat box/torus lattices only")
     ops = _ops_for(grid)
-    if drift is None:
-        drift = transport_coefficient(ProblemSpec(grid, gamma), u.values)
     pec = fp_peclet(grid, drift)
     if pec > 1.0:
         raise ValueError(
@@ -483,9 +478,7 @@ def mfg_fixed_point(spec: MfgSpec):
                 )
                 break
             try:
-                m_new = fp_solve(
-                    rep.u, spec.gamma, drift=drift, start=m_start, rtol=max(_DENSITY_RTOL, slack)
-                )
+                m_new = fp_solve(grid, drift, start=m_start, rtol=max(_DENSITY_RTOL, slack))
             except RuntimeError as exc:
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break

@@ -141,8 +141,7 @@ def test_criterion_05_continuity_argument_scalars():
     start = time.perf_counter()
     # closed forms of the profile maximum, dimensions three through ten
     for d in range(3, 11):
-        q = max(2.0, 2.0 * d / 3.0) + 0.5
-        tools = continuity_tools(d=d, q=q, gamma=3.0, delta=0.5)
+        tools = continuity_tools(d=d)
         y_ref = ((d - 2.0) / d) ** (d / 2.0)
         assert abs(tools.y_star - y_ref) <= 1e-12
         assert abs(tools.phi_star - (y_ref ** ((d - 2.0) / d) - y_ref)) <= 1e-12

@@ -29,7 +29,7 @@ source = ScalarField(grid, np.cos(2.0 * np.pi * grid.mesh()[0]))
 spec = hjb.ProblemSpec(grid, gamma=2.0, source=source, ergodic=True)
 rep = hjb.solve_ergodic(spec)
 hjb.solution_norm_table(spec, rep.u)
-mfg.fp_solve(rep.u, 2.0)
+mfg.fp_solve(grid, hjb.transport_coefficient(spec, rep.u.values))
 metrics = per_layer_metrics(tracer.spans, tracer.counts)
 metrics["converged"] = rep.converged
 print(json.dumps(metrics))
@@ -223,51 +223,48 @@ def test_game_density_solves_are_traced_as_adjoint_applies():
     assert m["hjb.jacobian_apply.calls"] == m["applies"]["jacobian_rest"]
 
 
-def _assert_cycles_end_without_a_preconditioner_apply(m):
+def test_game_cycles_end_without_a_preconditioner_apply():
     # Every cycle of this game ends within the kept window, so each
-    # preconditioner apply belongs to one Arnoldi step.  An R apply is either
-    # an Arnoldi step or half of a true residual L + R, so the steps are the
-    # R applies less the L applies.
+    # preconditioner apply belongs to one Arnoldi step or to the Richardson
+    # step of the one line-corrected solve: the first Newton step, at b = 0,
+    # where M is the line with abar = 0 and that step solves A = L.  An R
+    # apply is either an Arnoldi step or half of a true residual L + R, so
+    # the steps are the R applies less the L applies.
+    m = _run_traced(MIXED_GAME_SCRIPTS[False])
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
     assert steps > m["hjb.bordered_solve.calls"] > 0
-    assert m["hjb.precond.calls"] == steps
-    return steps
-
-
-def test_game_cycles_end_without_a_preconditioner_apply():
-    m = _run_traced(MIXED_GAME_SCRIPTS[False])
-    _assert_cycles_end_without_a_preconditioner_apply(m)
-    assert m["applies"]["line"] == 0
+    assert a["line_built"] == a["line"] == 1
+    assert m["hjb.precond.calls"] == steps + 1
 
 
 def test_line_corrected_game_cycles_end_without_a_preconditioner_apply():
     # Each preconditioner apply belongs to one Arnoldi step or to the
-    # Richardson step that starts each line-corrected solve.  The first
-    # Newton step, at b = 0, takes one Arnoldi step with the flat M; every
-    # later solve solves the line, and one that its Richardson step leaves
-    # short goes on with Arnoldi steps, which some here need.
+    # Richardson step that starts each line-corrected solve.  Every solve
+    # solves the line, the first Newton step's at b = 0 with abar = 0, and
+    # one that its Richardson step leaves short goes on with Arnoldi steps,
+    # which some here need.
     m = _run_traced(MIXED_GAME_SCRIPTS[True])
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
     assert steps > 1
     assert m["hjb.precond.calls"] == steps + a["line_built"]
-    assert a["line_built"] == m["hjb.bordered_solve.calls"] - 1
-    assert a["line"] == a["line_built"] + steps - 1
+    assert a["line_built"] == m["hjb.bordered_solve.calls"]
+    assert a["line"] == a["line_built"] + steps
 
 
 def test_one_axis_game_solves_every_linear_system_in_one_preconditioner_apply():
     # On one-axis data the line-corrected M inverts each value Jacobian and
     # density operator on the functions of x, where the game's right-hand
     # sides lie: its Richardson step x += M r solves the system, and no
-    # Arnoldi step runs.  The first Newton step, at b = 0, takes one Arnoldi
-    # step with the flat M instead.
+    # Arnoldi step runs.  The first Newton step, at b = 0, is no exception:
+    # there M is the line with abar = 0 and A M = I.
     m = _run_traced(GAME_SCRIPT)
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
-    assert steps == 1
-    assert m["hjb.bordered_solve.calls"] == m["hjb.precond.calls"] == a["line_built"] + 1 > 1
+    assert steps == 0
+    assert m["hjb.bordered_solve.calls"] == m["hjb.precond.calls"] == a["line_built"] > 1
     assert a["line"] == a["line_built"]

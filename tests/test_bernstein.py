@@ -424,19 +424,17 @@ def test_exponent_bookkeeping_input_gates():
 
 
 def test_shape_function_peak_location_and_height():
-    tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.5)
+    tools = continuity_tools(d=3)
     assert abs(tools.y_star - 3.0**-1.5) <= 1e-15
     assert abs(tools.phi_star - 2.0 * 3.0**-1.5) <= 1e-15
-    tools4 = continuity_tools(d=4, q=3.0, gamma=2.0, delta=0.5)
+    tools4 = continuity_tools(d=4)
     assert abs(tools4.y_star - 0.25) <= 1e-15
     assert abs(tools4.phi_star - 0.25) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8, 9, 10])
 def test_shape_function_maximum_agrees_with_dense_scan(d):
-    gamma = 2.0
-    q = max(2.0, d * (gamma - 1.0) / gamma) + 0.5
-    tools = continuity_tools(d=d, q=q, gamma=gamma, delta=0.5)
+    tools = continuity_tools(d=d)
     y = np.linspace(0.0, 1.0, 200_001)
     scan = float(np.max(tools.phi(y)))
     assert scan <= tools.phi_star + 1e-12
@@ -446,7 +444,7 @@ def test_shape_function_maximum_agrees_with_dense_scan(d):
 
 @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
 def test_root_pair_brackets_the_maximizer(frac):
-    tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.5)
+    tools = continuity_tools(d=3)
     level = frac * tools.phi_star
     lo, hi = tools.roots(level)
     assert 0.0 <= lo < tools.y_star < hi <= 1.0
@@ -455,8 +453,14 @@ def test_root_pair_brackets_the_maximizer(frac):
 
 
 def test_roots_reject_levels_at_or_above_the_peak():
-    tools = continuity_tools(d=3, q=2.5, gamma=3.0, delta=0.5)
+    tools = continuity_tools(d=3)
     with pytest.raises(ValueError, match="maximum"):
         tools.roots(tools.phi_star)
     with pytest.raises(ValueError):
         tools.roots(-0.1)
+
+
+def test_shape_function_needs_dimension_three():
+    # phi(y) = y^{(d-2)/d} - y peaks inside (0, 1) only for d >= 3
+    with pytest.raises(ValueError, match="at least 3"):
+        continuity_tools(d=2)

@@ -54,6 +54,8 @@ def test_defaults_parse_and_build():
         ("[domain]\nkind = sphere\n", "must be one of"),
         ("[problem]\ndrift_kind = sin\n", "must be one of"),
         ("[experiment]\nresolutions = 4\n", "at least 8"),
+        ("[experiment]\nresolutions = 9, 9\n", "resolutions must be strictly increasing"),
+        ("[experiment]\nresolutions = 17, 9\n", "resolutions must be strictly increasing"),
         ("[domain]\ndim = 5\n", "dimension must be 2 or 3"),
         ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "unknown key 'shift_axis'"),
         ("[problem]\nshift_kind = mode\nshift_axis = 4\n", "unknown key 'shift_axis'"),

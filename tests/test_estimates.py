@@ -166,23 +166,25 @@ def test_power_sweep_stays_within_its_jacobian_apply_budget():
 def test_power_sweep_keeps_the_flat_preconditioner():
     # No line of the 3-D `power` coefficient carries the 0.99 of its
     # weighted energy that the gate asks (at most 0.27 at 32^3), so every
-    # Newton step keeps the flat inverse of L and makes the applies it made
-    # before the line correction existed
+    # Newton step keeps the flat inverse of L but the first, from u = 0,
+    # where b = 0 and M is the line with abar = 0
     _, applies, lines = _power_sweep()
-    assert lines == 0
-    assert applies == 1049
+    assert lines == 1
+    assert applies == 1046
 
 
 def test_one_axis_sweep_takes_one_arnoldi_step_per_newton_step():
     # The `mode` source varies along x only, so each Newton step's M inverts
-    # its Jacobian on the functions of x: one Arnoldi step and the true
-    # residual, two R applies, up to t = 3000 (mesh Peclet number about 7)
+    # its Jacobian on the functions of x: the Richardson step that starts
+    # the solve ends it, one R apply in its true residual, up to t = 3000
+    # (mesh Peclet number about 7).  That step replaced the Arnoldi step of
+    # the name, which took a second R apply.
     rep, applies, lines = _counted_sweep(torus(24), "mode")
     assert not rep.aborted and all(rep.converged)
     steps = sum(row["iterations"] for row in rep.norm_rows)
     assert rep.norm_rows[-1]["peclet"] > 1.0
-    assert lines == steps - 1  # all but the first, from u = 0, where b = 0
-    assert applies <= 2 * steps
+    assert lines == steps  # the first too, from u = 0, where b = 0 and abar = 0
+    assert applies == steps
 
 
 def test_sweep_rows_carry_the_peclet_number_and_warn_above_one():

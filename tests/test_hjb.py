@@ -423,12 +423,47 @@ def test_bordered_solve_converges_across_restarts(monkeypatch):
     assert np.linalg.norm(b - A @ sol) <= rtol * np.linalg.norm(b)
 
 
+def _stop_reason(info):
+    """(stop, residual reached, target) named by a failed solve's info."""
+    assert isinstance(info, hjb.KrylovFailure)
+    stop, reached, target = re.fullmatch(r"(.+) at (\S+) against target (\S+)", info.reason).groups()
+    return stop, float(reached), float(target)
+
+
 def test_bordered_solve_stops_at_its_iteration_budget(monkeypatch):
+    # an advected case with the flat inverse, whose first cycle needs more
+    # than ten steps; the reason names the true residual at the returned
+    # iterate and the target rtol ||b||, both to the three digits it prints
     monkeypatch.setattr(hjb, "_MAX_ITERATIONS", 10)
     grid, apply_fn, calls, rhs, c = _bordered_case("3-torus")
-    _, _, info = hjb.bordered_solve(grid, apply_fn, hjb._inverter_for(grid), rhs, c, 1e-14)
+    x, mu, info = hjb.bordered_solve(grid, apply_fn, hjb._inverter_for(grid), rhs, c, 1e-14)
     assert info == 10
     assert len(calls) == 10 + 1  # ten iterations, then the true residual
+    A = _dense_bordered(grid, apply_fn)
+    b = np.concatenate([rhs.reshape(-1), [c]])
+    stop, reached, target = _stop_reason(info)
+    assert stop == "iteration budget spent"
+    assert reached == pytest.approx(np.linalg.norm(b - A @ np.append(x, mu)), rel=5e-3)
+    assert target == pytest.approx(1e-14 * np.linalg.norm(b), rel=5e-3)
+    assert reached > target
+
+
+def test_bordered_solve_stops_on_an_invariant_krylov_space():
+    # R = -L makes A = L + R zero on the fields.  The checkerboard is the
+    # Nyquist mode of the 8^2 torus, where the transforms and the stencil
+    # are exact in binary: with c = 0, M v_0 = (v_0 / lambda, 0) with zero
+    # mean and R M v_0 = -v_0, so A M v_0 = 0 exactly.  The first Arnoldi
+    # step drops its column and updates nothing, and the solve stops at
+    # x = 0 with the residual ||b||.
+    grid = torus(8, dim=2)
+    rhs = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+    x, mu, info = hjb.bordered_solve(grid, hjb._ops_for(grid).lap_flat, hjb._inverter_for(grid), rhs, 0.0, 1e-10)
+    assert info == 1
+    assert not np.any(x) and mu == 0.0
+    stop, reached, target = _stop_reason(info)
+    assert stop == "Krylov space invariant"
+    assert reached == pytest.approx(np.linalg.norm(rhs), rel=5e-3)
+    assert target == pytest.approx(1e-10 * np.linalg.norm(rhs), rel=5e-3)
 
 
 def test_singular_bordered_system_fails_fast():
@@ -623,7 +658,9 @@ def test_line_correction_runs_only_where_one_line_carries_nearly_all_the_energy(
     for s in (0.12, 0.9):
         b = np.stack([np.cos(TWO_PI * x), s * np.cos(TWO_PI * z), zero])
         assert hjb._preconditioner(grid, b) is hjb._inverter_for(grid), s
-    assert hjb._preconditioner(grid, np.zeros((3,) + grid.shape)) is hjb._inverter_for(grid)
+    # a zero coefficient passes the gate (0 >= 0.99 * 0): axis 0's line, abar = 0
+    M = hjb._preconditioner(grid, np.zeros((3,) + grid.shape))
+    assert isinstance(M, hjb._AxisLine) and M.line.axis == 0 and not np.any(M.C)
     conformal = _conformal_torus()
     b = np.stack([np.cos(TWO_PI * conformal.mesh()[0]), zero[:8, :8, :8], zero[:8, :8, :8]])
     assert hjb._preconditioner(conformal, b) is hjb._inverter_for(conformal)

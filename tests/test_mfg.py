@@ -132,6 +132,11 @@ def _circulant_d2(n, h):
     return mat
 
 
+def _density_of(u, gamma=2.0):
+    """fp_solve with the drift of the value field u, as the game forms it."""
+    return fp_solve(u.grid, hjb.transport_coefficient(hjb.ProblemSpec(u.grid, gamma), u.values))
+
+
 def oracle_invariant_density(grid, uvals, gamma):
     n0, n1 = grid.shape
     h0, h1 = grid.spacings
@@ -164,7 +169,7 @@ def test_invariant_density_matches_dense_oracle(gamma):
     g = torus(16, dim=2)
     mesh = g.mesh()
     u = ScalarField(g, 0.3 * np.cos(TWO_PI * mesh[0]) + 0.1 * np.sin(TWO_PI * mesh[1]))
-    got = fp_solve(u, gamma=gamma).values
+    got = _density_of(u, gamma).values
     want, mu = oracle_invariant_density(g, u.values, gamma)
     assert abs(mu) <= 1e-8
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -178,7 +183,7 @@ def test_invariant_density_of_quadratic_transport_is_gibbs():
         g = torus(n, dim=2)
         mesh = g.mesh()
         u = ScalarField(g, 0.3 * np.cos(TWO_PI * mesh[0]))
-        m = fp_solve(u, gamma=2.0).values
+        m = _density_of(u).values
         gibbs = np.exp(-u.values)
         gibbs = gibbs / float(np.sum(g.weights * gibbs))
         devs.append(float(np.max(np.abs(m - gibbs))))
@@ -188,7 +193,7 @@ def test_invariant_density_of_quadratic_transport_is_gibbs():
 
 def test_flat_value_field_gives_uniform_density():
     g = torus(16, dim=2)
-    m = fp_solve(ScalarField(g, np.zeros(g.shape)), gamma=2.0)
+    m = fp_solve(g, np.zeros((2,) + g.shape))
     assert np.max(np.abs(m.values - 1.0 / g.vol)) <= 1e-12
     assert abs(float(np.sum(g.weights * m.values)) - 1.0) <= 1e-15
 
@@ -197,7 +202,7 @@ def test_density_solve_runs_on_boxes_with_positive_output():
     g = box(17)
     mesh = g.mesh()
     u = ScalarField(g, 0.3 * np.cos(np.pi * mesh[0]))
-    m = fp_solve(u, gamma=2.0)
+    m = _density_of(u)
     assert abs(float(np.sum(g.weights * m.values)) - 1.0) <= 1e-14
     assert float(np.min(m.values)) > 0.0
 
@@ -208,7 +213,7 @@ def test_density_solve_input_gates():
         lambda c: 0.1 * np.cos(TWO_PI * c[0]),
     )
     with pytest.raises(ValueError, match="flat box/torus"):
-        fp_solve(ScalarField(conf, np.zeros(conf.shape)))
+        fp_solve(conf, np.zeros((2,) + conf.shape))
 
 
 def test_strong_advection_is_rejected_not_clipped():
@@ -218,7 +223,7 @@ def test_strong_advection_is_rejected_not_clipped():
     drift = hjb.transport_coefficient(hjb.ProblemSpec(g, gamma=2.0), u.values)
     assert fp_peclet(g, drift) > 1.0
     with pytest.raises(ValueError, match="advection mesh number"):
-        fp_solve(u, gamma=2.0)
+        fp_solve(g, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +422,28 @@ def first_mode_shift(grid, amp=0.3, offset=0.0):
     return ScalarField(grid, amp * np.cos(TWO_PI * mesh[0]) + offset)
 
 
+def test_state_validation_rejects_small_faults_in_a_converged_game():
+    # Each of the three checks fires on a converged game's state with one
+    # fault just past its tolerance: the mass off by 1e-9, one density node
+    # at 0 (its mass moved to a neighbour, so the total stays 1), and u
+    # shifted off zero mean by 1e-8
+    g = torus(16, dim=2)
+    state, report = mfg_fixed_point(MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1))
+    assert report.converged
+    state.validate()
+    m = state.m.values
+    with pytest.raises(ValueError, match="^density mass deviates from 1$"):
+        MfgState(state.u, state.lam, ScalarField(g, m * (1.0 + 1e-9))).validate()
+    hole = m.copy()
+    hole[3, 4] += hole[3, 5]
+    hole[3, 5] = 0.0
+    assert abs(float(np.sum(g.weights * hole)) - 1.0) <= 1e-14
+    with pytest.raises(ValueError, match="^density must be positive node-wise$"):
+        MfgState(state.u, state.lam, ScalarField(g, hole)).validate()
+    with pytest.raises(ValueError, match="^value function must have zero quadrature mean$"):
+        MfgState(ScalarField(g, state.u.values + 1e-8), state.lam, state.m).validate()
+
+
 def test_critical_constant_moves_opposite_to_shift_offsets():
     g = torus(16, dim=2)
     base = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
@@ -540,9 +567,9 @@ def test_later_game_iterations_leave_earlier_arrays_unchanged(monkeypatch):
         seen.extend((name, arr, arr.copy()) for name, arr in (("u", rep.u.values), ("gradient", rep.gradient)))
         return rep
 
-    def fp_spy(u, gamma, **kwargs):
-        m = fp(u, gamma, **kwargs)
-        seen.extend((name, arr, arr.copy()) for name, arr in (("drift", kwargs["drift"]), ("density", m.values)))
+    def fp_spy(grid, drift, **kwargs):
+        m = fp(grid, drift, **kwargs)
+        seen.extend((name, arr, arr.copy()) for name, arr in (("drift", drift), ("density", m.values)))
         return m
 
     monkeypatch.setattr(mfg, "solve_ergodic", solve_spy)
@@ -563,9 +590,9 @@ def test_game_forms_one_drift_per_outer_iteration(monkeypatch):
         drifts.append(tc(*args))
         return drifts[-1]
 
-    def fp_spy(u, gamma, **kwargs):
-        handed.append(kwargs.get("drift"))
-        return fp(u, gamma, **kwargs)
+    def fp_spy(grid, drift, **kwargs):
+        handed.append(drift)
+        return fp(grid, drift, **kwargs)
 
     # the value solve forms its coefficients through hjb's own binding, not these
     monkeypatch.setattr(mfg, "transport_coefficient", coefficient_spy)
@@ -597,9 +624,9 @@ def _spy_on_inner_tolerances(monkeypatch, change=None):
         log["value"].append(cfg.residual_tol)
         return se(prob, cfg)
 
-    def density_spy(u, gamma, **kwargs):
+    def density_spy(grid, drift, **kwargs):
         log["density"].append(kwargs["rtol"])
-        return fp(u, gamma, **kwargs)
+        return fp(grid, drift, **kwargs)
 
     def change_spy(a, b):
         c = sc(a, b)
@@ -717,7 +744,7 @@ def test_density_solve_at_its_round_off_floor_stops_with_the_residuals(monkeypat
 
     monkeypatch.setattr(hjb._Ops, "adjoint_rest", spy)
     with pytest.raises(RuntimeError) as exc:
-        fp_solve(u, 2.0)
+        _density_of(u)
     msg = str(exc.value)
     assert msg.startswith("density linear solve did not converge: true residual stalled at ")
     attained, target = (float(v) for v in re.fullmatch(r".* at (\S+) against target (\S+)", msg).groups())
