@@ -204,9 +204,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
         "shift_kind": "a manufactured study solves the plain equation",
         "source_kind": "a manufactured study builds its source from its exact solution",
     })
-    prob_blk = cfg["problem"]
-    symbolic = prob_blk["manufactured"] == "symbolic"
-    gamma = prob_blk["gamma"]
+    gamma = cfg["problem"]["gamma"]
     resolutions = cfg["experiment"]["resolutions"]
     rows = []
     errors = []
@@ -216,7 +214,7 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
         domain = DomainSpec(kind="box", dim=cfg.domain.dim, resolution=(n,) * cfg.domain.dim)
         grid = build_grid(domain)
         last_grid = grid
-        ustar, f = manufactured_source(grid, gamma, symbolic=symbolic)
+        ustar, f = manufactured_source(grid, gamma)
         spec = ProblemSpec(grid=grid, gamma=gamma, source=f)
         rep = solve(spec)
         if not rep.converged:
@@ -239,15 +237,11 @@ def _manufactured_study(cfg: RunConfig, out: str, seed: int, report: dict) -> di
         "resolutions": list(resolutions),
         "errors": errors,
         "orders": orders,
-        "symbolic_source": symbolic,
+        "symbolic_source": True,
     }
     report["gates"] = estimates.gate_block(last_grid) if last_grid is not None else {}
-    if symbolic:
-        if not orders or orders[-1] < 1.9:
-            _fail(report, "convergence order below 1.9")
-    else:
-        if errors and max(errors) > 1e-8:
-            _fail(report, "discrete manufactured solve not exact to tolerance")
+    if not orders or orders[-1] < 1.9:
+        _fail(report, "convergence order below 1.9")
     if errors:
         line_plot(
             os.path.join(out, "convergence.svg"),

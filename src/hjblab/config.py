@@ -49,7 +49,7 @@ _KEYS = {
         "shift_kind": ("str", "none", ("none", "mode")),
         "shift_amplitude": ("float", 0.5, None),
         "source_kind": ("str", "none", ("none", "mode", "bump", "power")),
-        "manufactured": ("str", "none", ("none", "symbolic", "discrete")),
+        "manufactured": ("str", "none", ("none", "symbolic")),
     },
     "experiment": {
         "amplitudes": ("floats", (1.0, 3.0, 10.0, 30.0, 100.0), None),

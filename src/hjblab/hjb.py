@@ -134,13 +134,12 @@ _MAX_ITERATIONS = 2000
 # A cycle keeps the preconditioned directions M v_j of its first K =
 # min(_KEPT, m // 2) Arnoldi steps, so a cycle that ends within K steps
 # updates x without a preconditioner apply (flexible GMRES keeps them all;
-# Saad 1993).  Until a cycle takes a second step, z_0 = M v_0 sits in the row
-# after basis rows 0 and 1; in the full basis the kept directions are rows
-# K + 1 ... 2K, which a longer cycle overwrites with basis vectors, as it
-# would anyway, before it applies M once more at its end.  With the flat M alone the bench
-# game's cycles ran at most 5 steps and the 48^3 sweep's up to 46; with the
-# line solved exactly, the Richardson step that starts a solve ends it,
-# but for one density solve of the game, which goes on for a cycle of two.
+# Saad 1993).  The kept directions are basis rows K + 1 ... 2K, which a
+# longer cycle overwrites with basis vectors, as it would anyway, before it
+# applies M once more at its end.  With the flat M alone the bench game's
+# cycles ran at most 5 steps and the 48^3 sweep's up to 46; with the line
+# solved exactly, the Richardson step that starts a solve ends it, but for
+# one density solve of the game, which goes on for a cycle of two.
 _KEPT = 8
 
 _ddot, _axpy, _nrm2, _scal, _ger = (
@@ -885,17 +884,15 @@ def bordered_solve(
     also subtracts the line correction C P_a x that the M apply left, so
     A M = I + [R - C P_a; 0] M holds exactly (`_arnoldi_product`).  The
     step orthonormalizes the row against the basis by modified Gram-Schmidt
-    in place.  The first K = min(_KEPT, m // 2) steps of a cycle keep
-    z_j = M v_j.  A call starts with what a cycle of one Arnoldi step uses:
-    the rows v_0, v_1 and z_0, and one entry of the Hessenberg matrix H.
-    The first cycle to take a second step allocates the full (m + 1, n + 1)
-    basis and m x m H, once per call, and moves z_0 to row K + 1; z_j then
-    lives in row K + 1 + j.  A cycle that ends
-    within K steps updates x += Z y, which equals M (V y) because M is a
-    fixed linear map; a longer cycle has overwritten those rows and updates
-    x += M (V y), one more preconditioner apply.  Every cycle ends with the
-    true residual b - A x, recomputed with the full operator L + R; only that
-    residual decides convergence: ||b - A x|| <= rtol ||b||.
+    in place.  The (m + 1, n + 1) basis and the m x m Hessenberg matrix H
+    are allocated once per call, when GMRES starts.  The first
+    K = min(_KEPT, m // 2) steps of a cycle keep z_j = M v_j in basis row
+    K + 1 + j.  A cycle that ends within K steps updates x += Z y, which
+    equals M (V y) because M is a fixed linear map; a longer cycle has
+    overwritten those rows and updates x += M (V y), one more
+    preconditioner apply.  Every cycle ends with the true residual b - A x,
+    recomputed with the full operator L + R; only that residual decides
+    convergence: ||b - A x|| <= rtol ||b||.
     The solve starts from x = 0, or from x0 = (field, mu) when one is
     given.  Its first residual is then the true b - A x0, formed like the
     residual at the end of a cycle (one apply_fn call, no preconditioner
@@ -908,8 +905,8 @@ def bordered_solve(
     preconditioner apply and its true residual, and counts as one
     iteration.  On one-axis data A M = I on the right-hand sides, and the
     step solves the system; otherwise GMRES goes on from it, as from a
-    start.  The Krylov rows, H and the Givens rotations are allocated only
-    then.  The flag is read as an attribute, so a proxy that forwards
+    start, and only then allocates its basis, H and the Givens rotations.
+    The flag is read as an attribute, so a proxy that forwards
     attributes to the preconditioner takes the same path.
     Every R apply is one apply_fn call and every preconditioner apply one
     inv.solve call.
@@ -963,10 +960,10 @@ def bordered_solve(
             return x[:-1].reshape(shape), float(x[-1]), 0
     m = min(_RESTART, b.size)
     kept = min(_KEPT, m // 2)
-    # v_0, v_1 and z_0, with Z from row zk
-    V = np.empty((2 + min(kept, 1), b.size))
-    zk = 2
-    H = np.zeros((1, 1))  # rotated Hessenberg columns; subdiagonal entry hn
+    # v_0 ... v_m, with z_j in row zk + j; a row is touched only when the loop reaches it
+    V = np.empty((m + 1, b.size))
+    zk = kept + 1
+    H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
@@ -977,14 +974,6 @@ def bordered_solve(
         k = 0
         invariant = estimated = False
         for j in range(min(m, _MAX_ITERATIONS - iters)):
-            if j == 1 and len(H) < m:
-                # the first cycle to take a second step: the full H and basis, once
-                H = np.pad(H, (0, m - 1))
-                full = np.empty((m + 1, b.size))  # rows are touched only as the loop reaches them
-                full[:2] = V[:2]
-                if kept:
-                    full[kept + 1] = V[2]
-                V, zk = full, kept + 1
             vj = V[j + 1]
             short = j < kept  # every step of the cycle so far kept its M v_j
             _arnoldi_product(inv, apply_fn, shape, V[j], vj, V[zk + j] if short else z)
@@ -1002,7 +991,8 @@ def bordered_solve(
                 H[i + 1, j] = cs[i] * H[i + 1, j] - sn[i] * H[i, j]
                 H[i, j] = t
             rjj = math.hypot(H[j, j], hn)
-            if rjj > 0.0:  # else A M v_j = 0 and column j is dropped
+            # a column whose rotated norm is round-off adds nothing to A M's range and is dropped
+            if rjj > _INVARIANCE_TOL * (1.0 + h0):
                 cs[j] = H[j, j] / rjj
                 sn[j] = hn / rjj
                 H[j, j] = rjj
@@ -1203,18 +1193,12 @@ def manufactured_solution(grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def manufactured_source(spec_grid: Grid, gamma: float, symbolic: bool = True):
-    """Source that makes the cosine product an exact (symbolic=True:
-    continuum; else discrete) solution of the plain equation."""
-    grid = spec_grid
+def manufactured_source(grid: Grid, gamma: float):
+    """Source that makes the cosine product an exact continuum solution of
+    the plain equation."""
     mesh = grid.mesh()
     Ls = grid.domain.extents
     ustar = manufactured_solution(grid)
-    if not symbolic:
-        spec = ProblemSpec(grid, gamma=gamma)
-        ops = _ops_for(grid)
-        vals, _ = _residual_core(spec, ops, ustar.values)
-        return ustar, ScalarField(grid, vals)
     lap = np.zeros(grid.shape)
     grad_sq = np.zeros(grid.shape)
     for a, (x, L) in enumerate(zip(mesh, Ls)):

@@ -80,6 +80,7 @@ def test_defaults_parse_and_build():
         ("[experiment]\nr = -inf\n", r"line 2: \[experiment\] r must be finite or inf, got -inf"),
         ("[output]\ndump_fields = maybe\n", r"^line 2: cannot parse 'maybe' as bool$"),
         ("[domain]\nkind = conformal_box\n", r"^line 2: kind must be one of box, torus, conformal_torus$"),
+        ("[problem]\nmanufactured = discrete\n", r"^line 2: manufactured must be one of none, symbolic$"),
     ],
 )
 def test_rejections_carry_the_offending_detail(text, fragment):
