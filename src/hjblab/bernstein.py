@@ -13,7 +13,8 @@ consistency residual expected to vanish under grid refinement; nothing
 mutates its inputs.  The plain and the weighted curvature residuals take
 the terms they share (w, the pairing of grad(Lap u) with grad u,
 |Hess u|^2, |Hess u (grad u)|^2 and the Ricci term) from one helper,
-which holds the Hessian only until it has those three reductions of it.
+which streams the Hessian and Ricci components instead of holding either
+tensor.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ import numpy as np
 
 from .fields import (
     ScalarField,
-    _metric_trace,
+    _frame_norm,
     _sum_of_products,
-    _sum_of_squares,
     gradient,
-    hessian,
+    hessian_reductions,
     laplace_beltrami,
     normal_derivative,
     pointwise_norm,
 )
-from .geometry import Grid, conformal_ricci, second_fundamental_form
+from .geometry import Grid, ricci_quadratic, second_fundamental_form
 
 
 # ---------------------------------------------------------------------------
@@ -135,45 +135,29 @@ def _half_square(mag: np.ndarray) -> np.ndarray:
     return mag
 
 
-def _ricci_quadratic(grid: Grid, gradu_vals: np.ndarray) -> np.ndarray:
-    """Ric(X, X) for the contravariant vector X on this grid."""
-    if grid.is_flat:
-        return np.zeros(grid.shape)
-    ric = conformal_ricci(grid)  # covariant components
-    return np.einsum("ij...,i...,j...->...", ric, gradu_vals, gradu_vals)
-
-
 def _bochner_terms(u: ScalarField) -> tuple:
     """(w, inner, hsq, ric, nub): w and the three terms both identities set
     against a Laplacian, inner = g(grad(Lap u), grad u), hsq = |Hess u|^2
     and ric = Ric(grad u, grad u), plus nub = |Hess u (grad u)|^2 for the
-    weighted one, with few field-sized arrays alive at a time.
+    weighted one, with no second-order tensor held.
 
-    w is `energy_density(u)`, taken from the gradient already held.  Hess u
-    is reduced to the three quantities the identities use (its metric
-    trace, |Hess u|^2 and |Hess u (grad u)|^2) and dropped, with
-    grad(Lap u), before the Ricci term builds its tensor.  Every sum runs in
-    the order of the numpy reductions it replaces (`fields._sum_of_products`,
-    `fields._sum_of_squares`), so the terms are those of the whole-array
-    expressions bit for bit.
+    w is `energy_density(u)`, taken from the gradient already held.  One
+    streamed pass over the Hessian's components (`hessian_reductions`)
+    gives Lap u, |Hess u|^2 and nub, and the Ricci term is summed one
+    component at a time (`ricci_quadratic`).  Every sum runs in the order
+    of the whole-array expression it replaces, so the terms are those of
+    the full Hessian and Ricci tensors bit for bit.
     """
     grid = u.grid
-    flat = grid.is_flat
     gradu = gradient(u)
-    w = _half_square(pointwise_norm(gradu))
-    hess = hessian(u)
-    inner = _sum_of_products(gradient(_metric_trace(hess)).values, gradu.values)
-    if not flat:
+    lap, hsq, nub = hessian_reductions(u, gradu.values)
+    inner = _sum_of_products(gradient(lap).values, gradu.values)
+    del lap
+    if not grid.is_flat:
         inner *= grid.conformal_factor(2.0)
-    hsq = pointwise_norm(hess)
-    np.square(hsq, out=hsq)
-    # |Hess u (grad u)|^2 in the metric, from covariant Hessian and
-    # contravariant gradient components, one covector component at a time
-    nub = _sum_of_squares(_sum_of_products(row, gradu.values) for row in hess.values)
-    if not flat:
-        nub *= grid.conformal_factor(-2.0)
-    del hess
-    ric = _ricci_quadratic(grid, gradu.values)
+    np.square(_frame_norm(grid, hsq, -2.0), out=hsq)
+    w = _half_square(pointwise_norm(gradu))
+    ric = ricci_quadratic(grid, gradu.values)
     return w, inner, hsq, ric, nub
 
 

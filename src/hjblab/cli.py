@@ -282,6 +282,9 @@ def _refinement_norms(phi, field_fn, resolutions):
         res_plain, res_weighted = bernstein.bochner_residuals(field_fn(grid), _DELTA)
         plain.append(float(np.max(np.abs(res_plain.values))))
         weighted.append(float(np.max(np.abs(res_weighted.values))))
+        # the residuals and the grid, with its conformal caches, die before
+        # the next grid is built
+        del grid, res_plain, res_weighted
     return plain, weighted
 
 

@@ -23,9 +23,10 @@ from .bernstein import maxreg_params
 from .fields import (
     ScalarField,
     VectorField,
-    _metric_trace,
+    _frame_norm,
+    _lq,
     gradient,
-    hessian,
+    hessian_reductions,
     laplace_beltrami,
     lq_norm,
     pointwise_norm,
@@ -383,19 +384,20 @@ def cz_ratio(samples, exponents) -> tuple:
 
     An empirical lower bound for the norm-conversion constant; exactly 1
     at p = 2 on flat tori, where both sides share one Fourier symbol.
-    Each field's Hessian is formed once and serves every exponent.
+    One pass over each field's Hessian components gives its Laplacian and
+    its frame norm, which serve every exponent.
     """
     if any(p <= 1 for p in exponents):
         raise ValueError("norm exponent must exceed 1")
     best = [None] * len(exponents)
     for u in samples:
-        H = hessian(u)
-        trace = _metric_trace(H)
+        trace, squares, _ = hessian_reductions(u)
+        norm = _frame_norm(u.grid, squares, -2.0)
         for i, p in enumerate(exponents):
             lap = lq_norm(trace, p)
             if lap <= 1e-300:
                 continue
-            val = lq_norm(H, p) / lap
+            val = _lq(u.grid, norm, p) / lap
             best[i] = val if best[i] is None else max(best[i], val)
     if any(b is None for b in best):
         raise ValueError("all samples are harmonic: the ratio is undefined")

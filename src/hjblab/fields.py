@@ -8,11 +8,11 @@ applications.  The composition choice is what makes two structural
 identities hold to round-off rather than to O(h^2):
 
   * laplacian == metric trace of the Hessian, node-wise and bit for bit:
-    `laplace_beltrami` builds only the diagonal entries, in the operation
-    order `hessian` uses for them, so the off-diagonal second partials are
-    never formed to take a Laplacian; callers that need both operators of
-    one field take the trace of the Hessian they already hold
-    (`_metric_trace`),
+    every Hessian entry comes from one formula (`_hessian_component`);
+    `laplace_beltrami` forms only the diagonal entries, so the
+    off-diagonal second partials are never formed to take a Laplacian,
+    and callers that need both operators of one field take the trace
+    from the pass that gives them the rest (`hessian_reductions`),
   * the L^2 tensor norm of the Hessian equals the L^2 norm of the
     laplacian on flat tori (discrete Calderon-Zygmund ratio exactly 1).
 
@@ -20,7 +20,11 @@ Memory.  The operators write each partial into its place in the result,
 scale in place, and form sums over components one component at a time
 (`_sum_of_products`, `_sum_of_squares`) in the order numpy reduces a
 leading axis, so results equal the whole-array expressions bit for bit
-while no squared or stacked copy of a field is held.
+while no squared or stacked copy of a field is held.  No caller holds a
+Hessian to reduce it: `hessian_reductions` streams its components in C
+order into the metric trace, the squares of the frame norm and
+|Hess u (X)|^2, keeping an off-diagonal entry only until its mirror's
+row; `hessian` itself is the tensor form the tests compare against.
 
 Vector fields store contravariant components; symmetric 2-tensor fields
 store covariant components.  Pointwise norms insert the conformal factors
@@ -156,64 +160,135 @@ def gradient(u: ScalarField) -> VectorField:
     return VectorField(g, parts)
 
 
+def _cartesian_only(g: Grid, name: str) -> None:
+    if g.coord_system == "polar":
+        raise NotImplementedError(name + " on the polar disc is not supported")
+
+
+def _correction(u: ScalarField):
+    """What the conformal correction of the Hessian reads: (dphi, du,
+    <dphi, du>, a work array), du the lattice partials of u; None when flat."""
+    g = u.grid
+    if g.is_flat:
+        return None
+    du = _partials(u.values, g)
+    dphi = g.phi_gradient()
+    return dphi, du, _sum_of_products(dphi, du), np.empty(g.shape)
+
+
+def _first_partial(u: ScalarField, a: int, corr) -> np.ndarray:
+    """d_a u: held by the correction on conformal grids, formed when flat."""
+    return u.grid.partial(u.values, a) if corr is None else corr[1][a]
+
+
+def _hessian_component(g: Grid, du_a: np.ndarray, a: int, b: int, corr) -> np.ndarray:
+    """H_ab, a <= b, of the covariant metric Hessian, du_a = d_a u.
+
+    The one formula of a Hessian component: d_b(d_a u), and on conformal
+    grids Hess_g u = Hess u - dphi x du - du x dphi + <dphi, du> id, so
+    less d_a phi d_b u and d_a u d_b phi, plus <dphi, du> when a == b.
+    corr is `_correction(u)`.
+    """
+    h = g.partial(du_a, b)
+    if corr is not None:
+        dphi, du, inner, tmp = corr
+        h -= np.multiply(dphi[a], du[b], out=tmp)
+        h -= np.multiply(du_a, dphi[b], out=tmp)
+        if a == b:
+            h += inner
+    return h
+
+
 def hessian(u: ScalarField) -> SymTensorField:
     """Covariant metric Hessian.
 
-    Conformal correction: Hess_g u = Hess u - dphi x du - du x dphi
-    + <dphi, du> id, all in lattice components.  Each entry with a <= b is
-    formed once, corrected in place and mirrored, so the result is
-    symmetric bit for bit.
+    Each entry with a <= b is formed once by `_hessian_component` and
+    mirrored, so the result is symmetric bit for bit.
     """
     g = u.grid
-    if g.coord_system == "polar":
-        raise NotImplementedError("hessian on the polar disc is not supported")
+    _cartesian_only(g, "hessian")
     d = g.dim
-    du = _partials(u.values, g)
+    corr = _correction(u)
     out = np.empty((d, d) + g.shape)
-    if not g.is_flat:
-        dphi = g.phi_gradient()
-        inner = _sum_of_products(dphi, du)
-        tmp = np.empty(g.shape)
     for a in range(d):
+        du_a = _first_partial(u, a, corr)
         for b in range(a, d):
-            out[a, b] = g.partial(du[a], b)
-            if not g.is_flat:
-                out[a, b] -= np.multiply(dphi[a], du[b], out=tmp)
-                out[a, b] -= np.multiply(du[a], dphi[b], out=tmp)
-                if a == b:
-                    out[a, a] += inner
-            out[b, a] = out[a, b]
-    del du  # before the symmetry check allocates its mask
+            out[a, b] = out[b, a] = _hessian_component(g, du_a, a, b, corr)
+    del du_a, corr  # before the symmetry check allocates its mask
     return SymTensorField(g, out)
+
+
+def hessian_reductions(u: ScalarField, X=None) -> tuple:
+    """(trace, squares, along): what callers reduce Hess u to, from one pass
+    over its components with no second-order tensor held.
+
+      * trace: the metric trace, a ScalarField; `laplace_beltrami(u)`,
+      * squares: the sum of the squared lattice components H_ab, in C
+        order; `_frame_norm(grid, squares, -2.0)` makes |Hess u| of it,
+      * along: |Hess u (X)|^2 for the contravariant components X, the sum
+        over rows a of (sum_b H_ab X^b)^2 scaled by e^{-2 phi}; None
+        without X.
+
+    The pass visits H_ab in C order.  Each entry with a <= b is formed once
+    by `_hessian_component`, and one with a < b is kept only until row b
+    reads it.  Every sum adds in the order of the tensor expression it
+    replaces (`_metric_trace`, `pointwise_norm`'s squares and
+    `_sum_of_squares` of each row's `_sum_of_products`), so all three
+    equal those of `hessian(u)` bit for bit.
+    """
+    g = u.grid
+    _cartesian_only(g, "hessian_reductions")
+    corr = _correction(u)
+    work = np.empty(g.shape) if corr is None else corr[3]
+    trace = np.zeros(g.shape)
+    squares = along = None
+    later = {}  # H_ab with a < b, until row b
+    for a in range(g.dim):
+        du_a = _first_partial(u, a, corr)
+        row = None if X is None else np.zeros(g.shape)
+        for b in range(g.dim):
+            h = later.pop((b, a)) if b < a else _hessian_component(g, du_a, a, b, corr)
+            if b == a:
+                trace += h
+            if squares is None:
+                squares = np.square(h)
+            else:
+                squares += np.square(h, out=work)
+            if row is not None:
+                row += np.multiply(h, X[b], out=work)
+            if b > a:
+                later[a, b] = h
+            del h
+        del du_a
+        if row is not None:
+            np.square(row, out=row)
+            if along is None:
+                along = row
+            else:
+                along += row
+            del row
+    if corr is not None:
+        trace *= g.conformal_factor(-2.0)
+        if along is not None:
+            along *= g.conformal_factor(-2.0)
+    return ScalarField(g, trace), squares, along
 
 
 def laplace_beltrami(u: ScalarField) -> ScalarField:
     """Laplace-Beltrami operator: the metric trace of `hessian(u)`.
 
-    Only the diagonal second partials d_a(d_a u) are formed.  On conformal
-    grids each one takes the diagonal of the Hessian's correction,
-    -2 d_a phi d_a u + <dphi, du>, in the order `hessian` applies it, so the
-    result equals `_metric_trace(hessian(u))` bit for bit.
+    Only the diagonal entries are formed, by `_hessian_component` and
+    summed in `_metric_trace`'s order, so the result equals
+    `_metric_trace(hessian(u))` bit for bit.
     """
     g = u.grid
-    if g.coord_system == "polar":
-        raise NotImplementedError("laplace_beltrami on the polar disc is not supported")
+    _cartesian_only(g, "laplace_beltrami")
+    corr = _correction(u)
     tr = np.zeros(g.shape)
-    if g.is_flat:
-        for a in range(g.dim):
-            tr += g.partial(g.partial(u.values, a), a)
-        return ScalarField(g, tr)
-    du = _partials(u.values, g)
-    dphi = g.phi_gradient()
-    inner = _sum_of_products(dphi, du)
-    tmp = np.empty(g.shape)
     for a in range(g.dim):
-        term = g.partial(du[a], a)
-        term -= np.multiply(dphi[a], du[a], out=tmp)
-        term -= np.multiply(du[a], dphi[a], out=tmp)
-        term += inner
-        tr += term
-    tr *= g.conformal_factor(-2.0)
+        tr += _hessian_component(g, _first_partial(u, a, corr), a, a, corr)
+    if corr is not None:
+        tr *= g.conformal_factor(-2.0)
     return ScalarField(g, tr)
 
 
@@ -266,20 +341,31 @@ def pointwise_norm(field) -> np.ndarray:
         scale = -2.0
     else:
         raise TypeError(f"unsupported field type {type(field)!r}")
-    np.sqrt(mag, out=mag)
+    return _frame_norm(g, mag, scale)
+
+
+def _frame_norm(g: Grid, squares: np.ndarray, power: float) -> np.ndarray:
+    """sqrt(squares) e^{power phi}, formed in squares' storage: the frame
+    norm of lattice components whose squares sum to `squares`, with power
+    1 for a vector and -2 for a covariant 2-tensor."""
+    np.sqrt(squares, out=squares)
     if not g.is_flat:
-        mag *= g.conformal_factor(scale)
-    return mag
+        squares *= g.conformal_factor(power)
+    return squares
 
 
 def lq_norm(field, q: float) -> float:
     """Quadrature L^q norm of the pointwise frame norm, q in [1, inf]."""
+    return _lq(field.grid, pointwise_norm(field), q)
+
+
+def _lq(g: Grid, mag: np.ndarray, q: float) -> float:
+    """Quadrature L^q norm of a pointwise magnitude, q in [1, inf]."""
     if q != np.inf and q < 1:
         raise ValueError("norm exponent must be >= 1 (or inf)")
-    mag = pointwise_norm(field)
     if q == np.inf:
         return float(np.max(mag))
-    return float(np.sum(field.grid.weights * mag**q) ** (1.0 / q))
+    return float(np.sum(g.weights * mag**q) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------

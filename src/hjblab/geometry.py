@@ -261,6 +261,36 @@ def _build_disc(domain: DomainSpec) -> Grid:
 # curvature
 
 
+def _ricci_shift(grid: Grid, dphi: np.ndarray) -> np.ndarray:
+    """Lap phi + (d-2)|dphi|^2, which every diagonal Ricci component
+    subtracts; Lap phi is summed from the diagonal partials in axis order."""
+    d = grid.dim
+    lap = np.zeros(grid.shape)
+    for a in range(d):
+        lap += grid.partial(dphi[a], a)
+    grad2 = np.square(dphi[0])
+    sq = np.empty(grid.shape)
+    for a in range(1, d):
+        grad2 += np.square(dphi[a], out=sq)
+    grad2 *= d - 2
+    lap += grad2
+    return lap
+
+
+def _ricci_component(
+    grid: Grid, dphi: np.ndarray, shift: np.ndarray, a: int, b: int, tmp: np.ndarray
+) -> np.ndarray:
+    """Ric_ab, a <= b, of g = e^{2 phi} id: the one formula of a Ricci
+    component, -(d-2)(d_b d_a phi - d_a phi d_b phi), less `_ricci_shift`
+    when a == b."""
+    ric = grid.partial(dphi[a], b)
+    ric -= np.multiply(dphi[a], dphi[b], out=tmp)
+    ric *= -(grid.dim - 2)
+    if a == b:
+        ric -= shift
+    return ric
+
+
 def conformal_ricci(grid: Grid) -> np.ndarray:
     """Covariant Ricci components of g = e^{2 phi} id in lattice coordinates.
 
@@ -270,37 +300,50 @@ def conformal_ricci(grid: Grid) -> np.ndarray:
     `ricci_lower_bound` normalizes eigenvalues in the mean-zero gauge, so
     reported curvature bounds are invariant under them.
 
-    Each component with a <= b is built in its place in the result and
-    mirrored; the Euclidean Hessian of phi is never held whole, and its
-    trace is summed from the diagonal partials as they are formed.
+    Each component with a <= b is formed once by `_ricci_component` and
+    mirrored.
     """
     if grid.coord_system != "cartesian":
         raise ValueError("curvature is only computed on cartesian lattices")
     d = grid.dim
-    shape = grid.shape
     if grid.phi is None:
-        return np.zeros((d, d) + shape)
+        return np.zeros((d, d) + grid.shape)
     dphi = grid.phi_gradient()
-    ric = np.empty((d, d) + shape)
-    lap = np.zeros(shape)
+    shift = _ricci_shift(grid, dphi)
+    tmp = np.empty(grid.shape)
+    ric = np.empty((d, d) + grid.shape)
     for a in range(d):
         for b in range(a, d):
-            hab = grid.partial(dphi[a], b)
-            if a == b:
-                lap += hab
-            comp = np.multiply(dphi[a], dphi[b], out=ric[a, b])
-            np.subtract(hab, comp, out=comp)
-            comp *= -(d - 2)
-            ric[b, a] = comp
-    grad2 = np.square(dphi[0])
-    sq = np.empty(shape)
-    for a in range(1, d):
-        grad2 += np.square(dphi[a], out=sq)
-    grad2 *= d - 2
-    lap += grad2  # the diagonal term Lap phi + (d-2)|dphi|^2
-    for a in range(d):
-        ric[a, a] -= lap
+            ric[a, b] = ric[b, a] = _ricci_component(grid, dphi, shift, a, b, tmp)
     return ric
+
+
+def ricci_quadratic(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """Ric(X, X) for the contravariant components X, with no tensor held.
+
+    Sums (Ric_ab X^a) X^b over (a, b) in C order, as
+    np.einsum("ij...,i...,j...->...", conformal_ricci(grid), X, X) does, so
+    the two agree bit for bit.  Each component with a <= b is formed once
+    by `_ricci_component`, and one with a < b is kept only until row b
+    reads it.  Zero on flat grids.
+    """
+    total = np.zeros(grid.shape)
+    if grid.phi is None:
+        return total
+    dphi = grid.phi_gradient()
+    shift = _ricci_shift(grid, dphi)
+    work = np.empty(grid.shape)
+    later = {}  # Ric_ab with a < b, until row b
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            ric = later.pop((b, a)) if b < a else _ricci_component(grid, dphi, shift, a, b, work)
+            np.multiply(ric, X[a], out=work)
+            work *= X[b]
+            total += work
+            if b > a:
+                later[a, b] = ric
+            del ric
+    return total
 
 
 def ricci_lower_bound(grid: Grid) -> float:

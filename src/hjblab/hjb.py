@@ -90,9 +90,10 @@ from ._kernels import pocketfft as _pocketfft
 from .fields import (
     ScalarField,
     VectorField,
-    _metric_trace,
+    _frame_norm,
+    _lq,
     gradient,
-    hessian,
+    hessian_reductions,
     lq_norm,
     pointwise_norm,
 )
@@ -1170,14 +1171,14 @@ def solution_norm_table(spec: ProblemSpec, u: ScalarField) -> dict:
     """L^2 norms of grad u, Lap u, |grad u|^gamma and Hess u via the
     analysis calculus, as {family: {"2.0": norm}}."""
     gradu = gradient(u)
-    hess = hessian(u)
-    families = {
-        "grad": gradu,
-        "lap": _metric_trace(hess),
-        "grad_pow_gamma": ScalarField(u.grid, pointwise_norm(gradu) ** spec.gamma),
-        "hess": hess,
+    lap, squares, _ = hessian_reductions(u)
+    norms = {
+        "grad": lq_norm(gradu, 2.0),
+        "lap": lq_norm(lap, 2.0),
+        "grad_pow_gamma": lq_norm(ScalarField(u.grid, pointwise_norm(gradu) ** spec.gamma), 2.0),
+        "hess": _lq(u.grid, _frame_norm(u.grid, squares, -2.0), 2.0),
     }
-    return {name: {"2.0": lq_norm(f, 2.0)} for name, f in families.items()}
+    return {name: {"2.0": v} for name, v in norms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ import numpy as np
 from ._kernels import pocketfft as _pocketfft
 from .fields import (
     ScalarField,
+    _frame_norm,
     _sum_of_products,
     _sum_of_squares,
     gradient,
-    hessian,
+    hessian_reductions,
     lq_norm,
     normal_derivative,
-    pointwise_norm,
 )
 from .geometry import Grid
 from .hjb import (
@@ -492,10 +492,14 @@ def mfg_fixed_point(spec: MfgSpec):
             total_iters += 1
             # a loose iteration counts when what its solves returned meets the
             # final tolerances anyway; otherwise one more runs at them
-            if change < spec.outer_tol and (
+            done = change < spec.outer_tol and (
                 final
                 or (rep.residual <= value_tol and _density_residual(grid, m_new.values, drift) <= _DENSITY_RTOL)
-            ):
+            )
+            # the report's gradient, the drift, the coupling and the specs
+            # die here, before the next mollification and value solve
+            del v_eps, prob, cfg, rep, drift, m_new, m_next
+            if done:
                 stage_converged = True
                 break
         if message:
@@ -537,7 +541,7 @@ def mfg_fixed_point(spec: MfgSpec):
 def _hessian_sup_norm(b: Optional[ScalarField]) -> float:
     if b is None:
         return 0.0
-    return float(np.max(pointwise_norm(hessian(b))))
+    return float(np.max(_frame_norm(b.grid, hessian_reductions(b)[1], -2.0)))
 
 
 def duality_identity_residual(state: MfgState, spec: MfgSpec) -> dict:
@@ -558,12 +562,10 @@ def duality_identity_residual(state: MfgState, spec: MfgSpec) -> dict:
         raise NotImplementedError("the pairing identity is evaluated on tori only")
     w = grid.weights
     gradu = gradient(state.u).values
-    hess = hessian(state.u).values
-    # ||Hess u||^2, |H grad u|^2 and |grad u|^2 formed one component at a
-    # time, each the numpy reduction over the leading axes bit for bit
-    hess_sq_frob = _sum_of_squares(hess.reshape((-1,) + grid.shape))
-    p_h2_p = _sum_of_squares(_sum_of_products(row, gradu) for row in hess)
-    del hess
+    # ||Hess u||^2 and |H grad u|^2 from one pass over the Hessian's
+    # components, and |grad u|^2 one component at a time, each the numpy
+    # reduction over the leading axes bit for bit (the grid is flat)
+    _, hess_sq_frob, p_h2_p = hessian_reductions(state.u, gradu)
     p_sq = _sum_of_squares(gradu)
     del gradu
     amp = (p_sq + EPS_REG**2) ** ((spec.gamma - 2.0) / 2.0)

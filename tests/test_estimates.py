@@ -21,7 +21,7 @@ from hjblab.estimates import (
     thm1_sweep,
     thm2_sweep,
 )
-from hjblab.fields import ScalarField, VectorField, lq_norm
+from hjblab.fields import ScalarField, VectorField, _metric_trace, hessian, lq_norm
 from hjblab.geometry import DomainSpec, build_grid
 from hjblab.hjb import SolverConfig
 
@@ -397,6 +397,28 @@ def test_ratio_away_from_two_stays_finite():
     samples = [random_band_limited(g, seed=s) for s in range(10)]
     (val,) = cz_ratio(samples, (4.0,))
     assert np.isfinite(val) and val > 0.0
+
+
+@pytest.mark.parametrize("kind", ["torus", "box", "conformal"])
+def test_cz_ratio_equals_its_tensor_form_bit_for_bit(kind):
+    # the ratio as the full Hessian gives it: max over the samples of
+    # ||Hess u||_p / ||trace Hess u||_p, one Hessian per sample
+    if kind == "box":
+        g = box(10)
+    else:
+        phi = (lambda c: 0.2 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * c[2])) if kind == "conformal" else None
+        g = build_grid(DomainSpec(kind="torus", dim=3, resolution=(10, 9, 8)), phi)
+    rng = np.random.default_rng(17)
+    samples = [ScalarField(g, rng.normal(size=g.shape)) for _ in range(3)]
+    exponents = (2.0, 3.5, np.inf)
+    want = []
+    for p in exponents:
+        ratios = []
+        for u in samples:
+            H = hessian(u)
+            ratios.append(lq_norm(H, p) / lq_norm(_metric_trace(H), p))
+        want.append(max(ratios))
+    assert cz_ratio(samples, exponents) == tuple(want)
 
 
 def test_harmonic_samples_are_rejected():

@@ -1,5 +1,7 @@
 """Discrete calculus: exactness, refinement orders, norms, dumps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,14 @@ from hjblab.fields import (
     dump_field_csv,
     gradient,
     hessian,
+    hessian_reductions,
     laplace_beltrami,
     lq_norm,
     normal_derivative,
     pointwise_norm,
+    _frame_norm,
+    _metric_trace,
+    _sum_of_products,
     _sum_of_squares,
 )
 from hjblab.geometry import DomainSpec, Grid, build_grid
@@ -359,6 +365,59 @@ def test_gradient_and_hessian_equal_their_stacked_expressions_bit_for_bit():
             H[a, b] = H[b, a] = g.partial(du[a], b) - dphi[a] * du[b] - du[a] * dphi[b]
         H[a, a] += inner
     assert np.array_equal(hessian(u).values, H)
+
+
+# lattices of every kind the Hessian runs on, with unequal sides
+STREAM_GRIDS = {
+    "torus-2d": lambda: build_grid(DomainSpec(kind="torus", dim=2, resolution=(9, 12))),
+    "torus-3d": lambda: build_grid(DomainSpec(kind="torus", dim=3, resolution=(8, 9, 10))),
+    "box-2d": lambda: build_grid(DomainSpec(kind="box", dim=2, resolution=(11, 9))),
+    "box-3d": lambda: build_grid(DomainSpec(kind="box", dim=3, resolution=(9, 10, 8))),
+    "conformal-2d": lambda: build_grid(
+        DomainSpec(kind="torus", dim=2, resolution=(12, 10)),
+        lambda c: 0.2 * np.cos(TWO_PI * c[0]) * np.sin(TWO_PI * (c[1] + 0.3)),
+    ),
+    "conformal-3d": lambda: build_grid(DomainSpec(kind="torus", dim=3, resolution=(10, 8, 9)), all_axes_phi),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_GRIDS))
+def test_hessian_reductions_equal_the_tensor_expressions_bit_for_bit(kind):
+    g = STREAM_GRIDS[kind]()
+    rng = np.random.default_rng(sorted(STREAM_GRIDS).index(kind))
+    for _ in range(3):
+        u = ScalarField(g, rng.normal(size=g.shape) * 10.0 ** rng.uniform(-3, 3))
+        X = rng.normal(size=(g.dim,) + g.shape)
+        H = hessian(u)
+        along = _sum_of_squares(_sum_of_products(row, X) for row in H.values)
+        if not g.is_flat:
+            along *= g.conformal_factor(-2.0)
+        trace, squares, got = hessian_reductions(u, X)
+        assert np.array_equal(trace.values, _metric_trace(H).values)
+        assert np.array_equal(trace.values, laplace_beltrami(u).values)
+        assert np.array_equal(_frame_norm(g, squares, -2.0), pointwise_norm(H))
+        assert np.array_equal(got, along)
+        trace, squares, none = hessian_reductions(u)
+        assert none is None
+        assert np.array_equal(trace.values, _metric_trace(H).values)
+        assert np.array_equal(squares, np.sum(H.values**2, axis=(0, 1)))
+
+
+def test_hessian_reductions_hold_no_second_order_tensor():
+    # The tensor forms (`hessian`, then its trace, frame norm and rows
+    # against X) hold 16 fields at once here; the pass holds one first
+    # partial, two kept off-diagonals, its sums and the stencil's
+    # temporaries, 9.1.
+    g = torus(32, dim=3)
+    u = random_band_limited(g, seed=8)
+    X = gradient(u).values
+    tracemalloc.start()
+    try:
+        hessian_reductions(u, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / u.values.nbytes <= 10, peak / u.values.nbytes
 
 
 def test_tensor_symmetry_is_enforced():

@@ -11,6 +11,7 @@ from hjblab.geometry import (
     build_grid,
     conformal_ricci,
     ricci_lower_bound,
+    ricci_quadratic,
     second_fundamental_form,
 )
 
@@ -231,6 +232,26 @@ def test_conformal_ricci_equals_its_tensor_expression_bit_for_bit(d):
     for a in range(d):
         ric[a, a] -= diag
     assert np.array_equal(conformal_ricci(grid), ric)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ricci_quadratic_equals_the_einsum_contraction_bit_for_bit(d):
+    grid = build_grid(
+        DomainSpec(kind="torus", dim=d, resolution=(12, 10, 9)[:d]),
+        lambda c: 0.2 * np.cos(PHI_FREQ * c[0]) * np.sin(PHI_FREQ * (c[1] + c[-1])),
+    )
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        X = rng.normal(size=(d,) + grid.shape) * 10.0 ** rng.uniform(-3, 3)
+        want = np.einsum("ij...,i...,j...->...", conformal_ricci(grid), X, X)
+        assert np.array_equal(ricci_quadratic(grid, X), want)
+
+
+@pytest.mark.parametrize("kind", ["torus", "box", "disc"])
+def test_ricci_quadratic_is_zero_on_flat_grids(kind):
+    grid = build_grid(DomainSpec(kind=kind, dim=2, resolution=(9,)))
+    X = np.random.default_rng(5).normal(size=(2,) + grid.shape)
+    assert np.array_equal(ricci_quadratic(grid, X), np.zeros(grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 import scipy.fft as sfft
 
 from hjblab import hjb
-from hjblab.fields import ScalarField, VectorField, gradient, lq_norm
+from hjblab.fields import ScalarField, VectorField, _metric_trace, gradient, hessian, lq_norm, pointwise_norm
 from hjblab.geometry import DomainSpec, build_grid
 from hjblab.hjb import (
     ProblemSpec,
@@ -257,6 +257,28 @@ def test_superquadratic_problem_with_drift_converges():
         for val in table.values():
             assert np.isfinite(val)
     assert lq_norm(gradient(rep.u), np.inf) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["torus", "box", "conformal"])
+def test_solution_norm_table_equals_its_tensor_form_bit_for_bit(kind):
+    if kind == "box":
+        grid = box(10, dim=3)
+    else:
+        phi = (lambda c: 0.2 * np.cos(TWO_PI * c[1]) * np.sin(TWO_PI * c[2])) if kind == "conformal" else None
+        grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(9, 10, 8)), phi)
+    spec = ProblemSpec(grid, gamma=1.5)
+    u = ScalarField(grid, np.random.default_rng(19).normal(size=grid.shape))
+    gradu = gradient(u)
+    hess = hessian(u)
+    families = {
+        "grad": gradu,
+        "lap": _metric_trace(hess),
+        "grad_pow_gamma": ScalarField(grid, pointwise_norm(gradu) ** spec.gamma),
+        "hess": hess,
+    }
+    want = {name: {"2.0": lq_norm(f, 2.0)} for name, f in families.items()}
+    got = solution_norm_table(spec, u)
+    assert list(got) == list(want) and got == want
 
 
 def test_stronger_sources_steepen_the_solution():

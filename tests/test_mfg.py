@@ -5,12 +5,13 @@ checked against an oracle built from first principles inside this file."""
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hjblab import hjb, mfg
-from hjblab.fields import ScalarField, gradient, hessian
+from hjblab.fields import ScalarField, gradient, hessian, pointwise_norm
 from hjblab.geometry import DomainSpec, build_grid
 from hjblab.mfg import (
     MfgSpec,
@@ -303,6 +304,36 @@ def test_duality_terms_equal_the_einsum_contractions_bit_for_bit(gamma, alpha):
     spec = MfgSpec(g, gamma=gamma, alpha=alpha, shift=ScalarField(g, 0.5 * np.cos(TWO_PI * z)), eps=0.2)
     got = duality_identity_residual(state, spec)
     assert (got["identity_lhs"], got["identity_rhs"], got["coupling_energy"]) == _einsum_duality_terms(state, spec)
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_hessian_sup_norm_equals_its_tensor_form_bit_for_bit(kind):
+    rng = np.random.default_rng(47)
+    for dim in (2, 3):
+        g = torus(10, dim) if kind == "torus" else box(11, dim)
+        b = ScalarField(g, rng.normal(size=g.shape))
+        assert mfg._hessian_sup_norm(b) == float(np.max(pointwise_norm(hessian(b))))
+    assert mfg._hessian_sup_norm(None) == 0.0
+
+
+def test_duality_identity_residual_holds_no_hessian():
+    # On this 32^3 game state the full Hessian and its reductions held 18
+    # field-sized arrays at once; the streamed pass holds 12.1.
+    g = torus(32, dim=3)
+    x, y, z = g.mesh()
+    rng = np.random.default_rng(43)
+    u = np.cos(TWO_PI * x) * np.sin(TWO_PI * (y + z)) + 0.01 * rng.normal(size=g.shape)
+    m = 1.0 + 0.3 * np.cos(TWO_PI * y)
+    state = MfgState(u=ScalarField(g, u), lam=0.0, m=ScalarField(g, m / float(np.sum(g.weights * m))))
+    spec = MfgSpec(g, gamma=3.0, alpha=1.5, shift=ScalarField(g, 0.5 * np.cos(TWO_PI * z)), eps=0.2)
+    duality_identity_residual(state, spec)  # fills the grid's caches
+    tracemalloc.start()
+    try:
+        duality_identity_residual(state, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / u.nbytes <= 13, peak / u.nbytes
 
 
 def test_smoothing_preserves_mass_on_tori():
