@@ -186,12 +186,13 @@ def gate_block(grid: Grid, drift_info: Optional[dict] = None, K=None, c_v=None) 
 
 
 def _sweep_row(spec: SweepSpec, kind: str, cfg: SolverConfig, t: float, warm):
-    """Solve at amplitude t from the warm start and measure the row.
+    """Solve at amplitude t, resumed from `warm`, the previous amplitude's
+    report (None for the first), and measure the row.
 
-    Returns (u, row) for a converged solve and (None, the solver's message)
-    otherwise.  The solve's report, with its lattice gradient, the source,
-    |grad u| and its gamma-th power are locals, so they die on return.
-    |grad u| is formed once and serves every norm of the row."""
+    Returns (report, row) for a converged solve and (None, the solver's
+    message) otherwise.  The source, |grad u| and its gamma-th power are
+    locals, so they die on return.  |grad u| is formed once and serves
+    every norm of the row."""
     f_field = ScalarField(spec.grid, t * spec.source.values)
     prob = ProblemSpec(
         grid=spec.grid,
@@ -212,7 +213,7 @@ def _sweep_row(spec: SweepSpec, kind: str, cfg: SolverConfig, t: float, warm):
         lap_q = lq_norm(laplace_beltrami(rep.u), spec.q)
         ham_q = lq_norm(ScalarField(spec.grid, speed.values ** spec.gamma), spec.q)
         num = lap_q + ham_q
-    return rep.u, {
+    return rep, {
         "t": t,
         "ratio": num / (1.0 + fq),
         "lambda": rep.lam,
@@ -230,9 +231,15 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
     first differences no longer keep the M-matrix sign pattern, and the
     discretization runs outside the regime it is valid in.
 
-    Between amplitudes the loop carries only the last solution, the next
-    solve's warm start, and the row's scalars: `_sweep_row` holds the rest
-    and drops it before the next solve starts."""
+    Between amplitudes the loop carries the row's scalars and the last
+    solve's report, from which the next solve resumes: it takes over the
+    report's last iterate, the residual formed there, with the source
+    t f replaced by t' f, and that iterate's gradient and |grad u|^2 as
+    its own arrays, so it evaluates no stencil before its first Newton
+    step.  The report keeps only its u until the next one replaces it.
+    `_sweep_row` holds the rest of a row's arrays and drops them before
+    the next solve starts, and the last report is dropped before the gate
+    block."""
     # fail fast before any solve
     drift_info = drift_gate(spec.grid, spec.drift, spec.drift_s, spec.drift_theta)
     cfg = spec.cfg or SolverConfig()
@@ -242,13 +249,13 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
     aborted = False
     message = ""
     for t in spec.amplitudes:
-        u, row = _sweep_row(spec, kind, cfg, t, warm)
-        convs.append(u is not None)
-        if u is None:
+        rep, row = _sweep_row(spec, kind, cfg, t, warm)
+        convs.append(rep is not None)
+        if rep is None:
             aborted = True
             message = "solve failed to converge at amplitude " + repr(t) + ": " + row
             break
-        warm = u
+        warm = rep
         K = max(K, row["f_q"] + row["grad_l1"])
         ts.append(t)
         ratios.append(row["ratio"])
@@ -259,6 +266,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
                 "mesh Peclet number " + format(row["peclet"], ".3g") + " exceeds 1 at amplitude "
                 + repr(t) + ": the discretization is outside its M-matrix regime"
             )
+    warm = rep = None  # the last report, with its carried arrays
     gates = gate_block(spec.grid, drift_info, K=K)
     ratio_at_one = None
     for t, r in zip(ts, ratios):

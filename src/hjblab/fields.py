@@ -187,7 +187,7 @@ def _hessian_component(g: Grid, du_a: np.ndarray, a: int, b: int, corr) -> np.nd
     The one formula of a Hessian component: d_b(d_a u), and on conformal
     grids Hess_g u = Hess u - dphi x du - du x dphi + <dphi, du> id, so
     less d_a phi d_b u and d_a u d_b phi, plus <dphi, du> when a == b.
-    corr is `_correction(u)`.
+    corr is `_correction(u)`, or its like whose du holds only d_b u.
     """
     h = g.partial(du_a, b)
     if corr is not None:
@@ -279,16 +279,26 @@ def laplace_beltrami(u: ScalarField) -> ScalarField:
 
     Only the diagonal entries are formed, by `_hessian_component` and
     summed in `_metric_trace`'s order, so the result equals
-    `_metric_trace(hessian(u))` bit for bit.
+    `_metric_trace(hessian(u))` bit for bit.  A diagonal entry H_aa reads
+    d_a u alone besides <dphi, du>, so on conformal grids that sum is
+    formed first, one partial at a time, and each d_a u is formed again
+    for its entry: one partial is held at a time, for d more partials.
     """
     g = u.grid
     _cartesian_only(g, "laplace_beltrami")
-    corr = _correction(u)
     tr = np.zeros(g.shape)
+    if g.is_flat:
+        for a in range(g.dim):
+            tr += _hessian_component(g, g.partial(u.values, a), a, a, None)
+        return ScalarField(g, tr)
+    dphi = g.phi_gradient()
+    inner, tmp = np.zeros(g.shape), np.empty(g.shape)
     for a in range(g.dim):
-        tr += _hessian_component(g, _first_partial(u, a, corr), a, a, corr)
-    if corr is not None:
-        tr *= g.conformal_factor(-2.0)
+        inner += np.multiply(dphi[a], g.partial(u.values, a), out=tmp)
+    for a in range(g.dim):
+        du_a = g.partial(u.values, a)
+        tr += _hessian_component(g, du_a, a, a, (dphi, {a: du_a}, inner, tmp))
+    tr *= g.conformal_factor(-2.0)
     return ScalarField(g, tr)
 
 

@@ -57,7 +57,7 @@ right-hand sides lie, so the preconditioned Richardson step that starts
 each linear solve solves it, as it does at a zero coefficient (R = 0):
 the 48^3 bench sweep makes 37 Jacobian applies instead of 563.  On the
 32^3 `power` and `bump` sweeps, rho stays below 0.27 and only the first
-Newton step, from u = 0, takes the line (`power` makes 1061 applies).
+Newton step, from u = 0, takes the line (`power` makes 1058 applies).
 The density solves use the adjoint line operator W_a^{-1} D_a^T (abar W_a .).
 
 Each Newton step solves its linear system only as tightly as the Newton
@@ -70,18 +70,27 @@ On flat grids a Krylov step allocates no field-sized array and moves no
 axis: R writes into the next basis row and M into a given array.  On
 conformal tori R allocates none either; there each Newton step forms the
 Jacobian's first-order coefficient once, and M's mean shift allocates.  The
-residual and the transport coefficient write into arrays each solve
-allocates once, and every operator keeps its temporaries in the work
-arrays of the grid's operators (`_Ops.work`).  What leaves the solver is
-fresh: a report's u and gradient, a transport coefficient asked for
-without `out` (the game's drift), and every result of `residual`.
+residual, its gradient and |grad u|^2 and the transport coefficient write
+into arrays each solve allocates once, and every operator keeps its
+temporaries in the work arrays of the grid's operators (`_Ops.work`).  A
+bordered solve reads its right-hand side from the caller's array.  What
+leaves the solver is fresh: a report's u and gradient, a transport
+coefficient asked for without `out` (the game's drift), and every result
+of `residual`.  A report also carries its solve's last iterate before the
+gauge shift, the residual formed there without its source and multiplier,
+and its |grad u|^2.  A solve resumed from the report (passed as
+`SolverConfig.initial_guess`) takes these and the gradient over as its
+own arrays, changes the source and evaluates no stencil before its first
+Newton step; the report keeps u and its scalars, and its gradient becomes
+None.  So the sweeps and the game loop, which resume each solve from the
+last, hold no more arrays than when every solve allocated its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field as dataclass_field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -187,9 +196,33 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class SolverConfig:
+    """Newton stop and budget, and where the solve starts.
+
+    `initial_guess` is a field, started from with its quadrature mean
+    removed, or the `SolveReport` of an earlier solve whose problem had
+    the same grid, drift and shift objects and the same gamma (the source
+    may differ): the solve then resumes from that report's last iterate,
+    as `solve` describes.  None starts from u = 0."""
+
     residual_tol: float = 1e-10
     max_iter: int = 60
-    initial_guess: Optional[ScalarField] = None
+    initial_guess: Optional[Union[ScalarField, SolveReport]] = None
+
+
+@dataclass
+class _Carry:
+    """What a report hands the one solve resumed from it: the operator the
+    solve had and, at its last iterate u before the gauge shift, the
+    residual with its source and multiplier removed (`rest`) and the
+    lattice |grad u|^2 (`sq`).  The gradient is the report's own."""
+
+    grid: Grid
+    gamma: float
+    drift: Optional[VectorField]
+    shift: Optional[ScalarField]
+    u: np.ndarray
+    rest: np.ndarray
+    sq: np.ndarray
 
 
 @dataclass
@@ -197,7 +230,15 @@ class SolveReport:
     """What `solve` returns.  `gradient` is the lattice gradient of the last
     accepted iterate, before the gauge shift (which changes it only by
     round-off), and `peclet` the mesh Peclet number of the last Jacobian
-    the solve formed, 0 when it formed none."""
+    the solve formed, 0 when it formed none.
+
+    A report also carries that iterate itself, the residual formed there
+    with the source and multiplier removed, and its lattice |grad u|^2:
+    three field-sized arrays besides `u` and `gradient`.  Passed as
+    `SolverConfig.initial_guess`, it seeds one solve, which takes these
+    and the gradient over as its own buffers; the report then keeps its
+    scalars and `u`, unchanged, and its `gradient` is None.  A report
+    seeds at most one solve."""
 
     converged: bool
     iterations: int
@@ -208,6 +249,7 @@ class SolveReport:
     message: str = ""
     gradient: Optional[np.ndarray] = None
     peclet: float = 0.0
+    _carry: Optional[_Carry] = dataclass_field(default=None, repr=False, compare=False)
 
 
 class KrylovFailure(int):
@@ -315,10 +357,13 @@ class _Ops:
         corr = (d - 2.0) * np.sum(self.grid.phi_gradient() * dvals, axis=0)
         return self.grid.conformal_factor(-2.0) * (flat + corr)
 
-    def pairing(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_i a[i] b[i] over the leading axis, in work(0), summed as
-        np.sum(a * b, axis=0); with a = b it is np.sum(b**2, axis=0)."""
-        out, part = self.work(0), self.work(1)
+    def pairing(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """sum_i a[i] b[i] over the leading axis, summed as
+        np.sum(a * b, axis=0); with a = b it is np.sum(b**2, axis=0).  It
+        is written into out when given, else into work(0)."""
+        if out is None:
+            out = self.work(0)
+        part = self.work(1)
         np.multiply(a[0], b[0], out=out)
         for i in range(1, self.naxes):
             out += np.multiply(a[i], b[i], out=part)
@@ -687,23 +732,29 @@ def _residual_core(
     uvals: np.ndarray,
     out: Optional[np.ndarray] = None,
     dvals: Optional[np.ndarray] = None,
+    sq: Optional[np.ndarray] = None,
 ):
     """-Lap_g u + (1/gamma)|grad u|^gamma + g(B, grad u) + b - f, and the
     lattice gradient ops.grad(u) it was formed from, written into out and
-    dvals when given (fresh arrays otherwise)."""
+    dvals when given (fresh arrays otherwise).  The lattice |grad u|^2,
+    sum_a (D_a u)^2, is written into sq when one is given, for
+    `transport_coefficient` to take; otherwise it is not kept."""
     dvals = ops.grad(uvals, dvals)
     if spec.grid.is_flat:
         out = ops.lap_flat(uvals, out)
         np.negative(out, out=out)
-        gn2 = ops.pairing(dvals, dvals)
     else:
         lap = ops.lap_metric(uvals, dvals)
         out = np.negative(lap, out=lap if out is None else out)
-        gn2 = spec.grid.conformal_factor(-2.0) * ops.pairing(dvals, dvals)
+    # the Hamiltonian's term in work(0), which also holds sq when none is given
+    gn2 = sq = ops.pairing(dvals, dvals, sq)
+    ham = ops.work(0)
+    if not spec.grid.is_flat:
+        gn2 = np.multiply(spec.grid.conformal_factor(-2.0), sq, out=ham)
     if spec.gamma != 2.0:  # x ** 1.0 is x bit for bit
-        gn2 **= spec.gamma / 2.0
-    gn2 *= 1.0 / spec.gamma
-    out += gn2
+        gn2 = np.power(gn2, spec.gamma / 2.0, out=ham)
+    np.multiply(gn2, 1.0 / spec.gamma, out=ham)
+    out += ham
     if spec.drift is not None:
         # g(B, grad u) reduces to B^i du_i for conformal metrics as well
         out += ops.pairing(spec.drift.values, dvals)
@@ -719,6 +770,7 @@ def transport_coefficient(
     uvals: np.ndarray,
     dvals: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
+    sq: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lattice coefficient of the linearized first-order term.
 
@@ -728,9 +780,11 @@ def transport_coefficient(
     the power is x ** 0.0 = 1 for every x, so on flat grids a = du + B,
     formed without the power.
     A caller that already holds the lattice gradient of u (the one
-    `_residual_core` returns) passes it as dvals, and it is not formed again.
-    The coefficient is written into out when one is given, else into a
-    fresh array.
+    `_residual_core` returns) passes it as dvals, and it is not formed again;
+    one that also holds its sum of squares sum_a (D_a u)^2 (the sq
+    `_residual_core` writes) passes that as sq, and |du|^2 is not summed
+    again.  The coefficient is written into out when one is given, else
+    into a fresh array.
     """
     ops = _ops_for(spec.grid)
     if dvals is None:
@@ -740,8 +794,11 @@ def transport_coefficient(
     if spec.gamma == 2.0 and spec.grid.is_flat:
         np.copyto(out, dvals)
     else:
-        amp = ops.pairing(dvals, dvals)
-        amp += EPS_REG**2
+        if sq is None:
+            amp = ops.pairing(dvals, dvals)
+            amp += EPS_REG**2
+        else:
+            amp = np.add(sq, EPS_REG**2, out=ops.work(0))
         amp **= (spec.gamma - 2.0) / 2.0
         if not spec.grid.is_flat:
             amp = amp * spec.grid.conformal_factor(-spec.gamma)
@@ -902,7 +959,8 @@ def bordered_solve(
     so a started solve is judged exactly like one from zero.
     When inv.richardson_first is set (an `_AxisLine`, whose A M is I or
     near it), one preconditioned Richardson step x += M r comes first:
-    x = M b from zero, x0 + M (b - A x0) from a start.  It costs one
+    from zero it writes x = M b straight into x, from a start it forms
+    x0 + M (b - A x0).  It costs one
     preconditioner apply and its true residual, and counts as one
     iteration.  On one-axis data A M = I on the right-hand sides, and the
     step solves the system; otherwise GMRES goes on from it, as from a
@@ -923,13 +981,16 @@ def bordered_solve(
     """
     shape = grid.shape
     w = grid.weights
-    b = np.concatenate([rhs_field.reshape(-1), [rhs_constraint]])
-    bnorm = _nrm2(b)
+    # b = (rhs_field, rhs_constraint) is read from the caller's array; the
+    # bordered copy lives only as long as its norm takes
+    rhs = np.ravel(rhs_field)
+    size = rhs.size + 1
+    bnorm = _nrm2(np.concatenate([rhs, [rhs_constraint]]))
     if bnorm == 0.0:
         return np.zeros(shape), 0.0, 0
     tol = rtol * bnorm
-    r = np.empty_like(b)
-    z = np.empty_like(b)  # M (V y), and the true residual's L x and w x
+    r = np.empty(size)
+    z = np.empty(size)  # M (V y), and the true residual's L x and w x
 
     def true_residual(x, r):
         # r = b - A x: L x into z, then R x and the multiplier added to it
@@ -939,30 +1000,34 @@ def bordered_solve(
         apply_fn(v, av)
         av += lv
         av += x[-1]
-        r[-1] = np.sum(np.multiply(w, v, out=lv))
-        np.subtract(b, r, out=r)
+        r[-1] = rhs_constraint - np.sum(np.multiply(w, v, out=lv))
+        np.subtract(rhs, r[:-1], out=r[:-1])
         return _nrm2(r)
 
-    if x0 is None:
-        x = np.zeros_like(b)
-        np.copyto(r, b)
+    iters = 0
+    if x0 is None and inv.richardson_first:
+        x = np.empty(size)
+        _, x[-1] = inv.solve(rhs.reshape(shape), rhs_constraint, x[:-1].reshape(shape))
+        iters = 1
+        beta = true_residual(x, r)
+    elif x0 is None:
+        x = np.zeros(size)
+        r[:-1] = rhs
+        r[-1] = rhs_constraint
         beta = bnorm
     else:
         x = np.concatenate([np.ravel(x0[0]), [x0[1]]])
         beta = true_residual(x, r)
-        if beta <= tol:
-            return x[:-1].reshape(shape), float(x[-1]), 0
-    iters = 0
-    if inv.richardson_first:
-        x += _precondition(inv, shape, r, z)
-        iters = 1
-        beta = true_residual(x, r)
-        if beta <= tol:
-            return x[:-1].reshape(shape), float(x[-1]), 0
-    m = min(_RESTART, b.size)
+        if beta > tol and inv.richardson_first:
+            x += _precondition(inv, shape, r, z)
+            iters = 1
+            beta = true_residual(x, r)
+    if beta <= tol:
+        return x[:-1].reshape(shape), float(x[-1]), 0
+    m = min(_RESTART, size)
     kept = min(_KEPT, m // 2)
     # v_0 ... v_m, with z_j in row zk + j; a row is touched only when the loop reaches it
-    V = np.empty((m + 1, b.size))
+    V = np.empty((m + 1, size))
     zk = kept + 1
     H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
@@ -1036,6 +1101,33 @@ def bordered_solve(
         return x[:-1].reshape(shape), float(x[-1]), KrylovFailure(iters, reason)
 
 
+def _take_over(report: SolveReport, spec: ProblemSpec):
+    """(u, residual, gradient, |grad u|^2) of the last iterate of the
+    solve that made `report`, as the buffers of a solve of spec.
+
+    spec must share the report's grid, drift and shift objects and its
+    gamma.  The residual is the carried one with spec's source applied
+    and the multiplier at 0.  The report gives up all four: afterwards it
+    keeps no solver state, and its gradient is None."""
+    carry = report._carry
+    if carry is None:
+        raise ValueError("this report carries no solver state: a report seeds at most one resumed solve")
+    for name, same in (
+        ("grid", carry.grid is spec.grid),
+        ("gamma", carry.gamma == spec.gamma),
+        ("drift", carry.drift is spec.drift),
+        ("shift", carry.shift is spec.shift),
+    ):
+        if not same:
+            raise ValueError("a solve resumes only from a report with its own operator: the " + name + " differs")
+    report._carry = None
+    dvals, report.gradient = report.gradient, None
+    res = carry.rest
+    if spec.source is not None:
+        res -= spec.source.values
+    return carry.u, res, dvals, carry.sq
+
+
 def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     """Damped Newton with mean constraint and additive multiplier.
 
@@ -1058,36 +1150,52 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     but never changes when the solve stops.  A residual norm that is not
     finite, as when squaring its entries overflows, stops the solve before
     its linear solve, with a message that names the norm.
+
+    Each residual evaluation forms the gradient and the lattice |grad u|^2
+    of its iterate, and the Newton step forms the Jacobian's coefficient
+    from both.  A solve started from a field, or from zero, evaluates the
+    residual there first.  A solve resumed from the report of an earlier
+    solve with the same grid, gamma, drift and shift evaluates nothing
+    there: it starts from that solve's last iterate, before its gauge
+    shift, with multiplier 0, and takes the residual carried there, its
+    source and multiplier removed and spec's source applied, with the
+    gradient and |grad u|^2 (`_take_over`).  A report from another
+    operator, or one that has seeded a solve already, raises ValueError.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
     ops = _ops_for(grid)
     grad_shape = (ops.naxes,) + grid.shape
 
-    if cfg.initial_guess is not None:
-        uvals = np.array(cfg.initial_guess.values, dtype=float)
-        uvals -= float(np.sum(grid.weights * uvals)) / grid.vol
+    def F(uv, lv):
+        # the residual at (uv, lv) into res, with the gradient of uv in
+        # dvals and its |grad u|^2 in sq
+        _residual_core(spec, ops, uv, res, dvals, sq)
+        np.add(res, lv, out=res)
+
+    lam = 0.0
+    guess = cfg.initial_guess
+    if isinstance(guess, SolveReport):
+        uvals, res, dvals, sq = _take_over(guess, spec)
     else:
-        uvals = np.zeros(grid.shape)
-    # The solve's arrays, reused by every Newton step.  A line-search trial
-    # is formed in u_next, res_next (the step's right-hand side until then)
-    # and dvals itself; an accepted trial swaps u_next and res_next in.  A
-    # search that accepts nothing forms the gradient of uvals again.
+        if guess is not None:
+            uvals = np.array(guess.values, dtype=float)
+            uvals -= float(np.sum(grid.weights * uvals)) / grid.vol
+        else:
+            uvals = np.zeros(grid.shape)
+        res, dvals, sq = np.empty(grid.shape), np.empty(grad_shape), np.empty(grid.shape)
+        F(uvals, lam)
+    # The solve's arrays, reused by every Newton step.  The step's
+    # right-hand side is formed in u_next; a line-search trial is formed in
+    # u_next, and in res, dvals and sq themselves, and an accepted trial
+    # swaps u_next in.  A search that accepts nothing forms the residual
+    # of uvals again.
     u_next = np.empty(grid.shape)
-    res_next = np.empty(grid.shape)
     coeff_buf = np.empty(grad_shape)
     # the Jacobian's first-order coefficient b: a itself on flat grids
     b = coeff_buf if grid.is_flat else np.empty(grad_shape)
-    lam = 0.0
     message = ""
 
-    def F(uv, lv, out, dv):
-        # the residual at (uv, lv) and the gradient of uv it was formed from
-        res, dvals = _residual_core(spec, ops, uv, out, dv)
-        res += lv
-        return res, dvals
-
-    res, dvals = F(uvals, lam, np.empty(grid.shape), np.empty(grad_shape))
     res_norm = _weighted_norm(ops, res)
     res0 = max(res_norm, 1e-30)
     iters = 0
@@ -1099,7 +1207,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             # an overflowed residual leaves the linear solve no finite target
             message = "residual norm " + repr(res_norm) + " is not finite at Newton step " + str(iters + 1)
             break
-        coeff = transport_coefficient(spec, uvals, dvals, coeff_buf)
+        coeff = transport_coefficient(spec, uvals, dvals, coeff_buf, sq)
         if not grid.is_flat:
             np.subtract(coeff, ops.conformal_drift, out=b)
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
@@ -1109,7 +1217,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             grid,
             lambda v, out: ops.jacobian_rest(v, b, out),
             _preconditioner(grid, b),
-            np.negative(res, out=res_next),
+            np.negative(res, out=u_next),
             -float(np.sum(np.multiply(grid.weights, uvals, out=ops.work(0)))),
             rtol,
         )
@@ -1126,25 +1234,29 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             trial_u = np.multiply(delta_u, alpha, out=u_next)
             trial_u += uvals
             trial_lam = lam + alpha * delta_lam
-            trial_res, _ = F(trial_u, trial_lam, res_next, dvals)
-            trial_norm = _weighted_norm(ops, trial_res)
+            F(trial_u, trial_lam)
+            trial_norm = _weighted_norm(ops, res)
             if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm <= cfg.residual_tol:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
-            ops.grad(uvals, dvals)
+            F(uvals, lam)
             message = "stalled: backtracking floor reached"
             break
         uvals, u_next = trial_u, uvals
-        res, res_next = trial_res, res
         lam, res_norm = trial_lam, trial_norm
         iters += 1
         converged = res_norm <= cfg.residual_tol
 
+    # what a solve resumed from the report takes over: the residual without
+    # its source and multiplier, at the iterate before the gauge shift
+    res -= lam
+    if spec.source is not None:
+        res += spec.source.values
+    carry = _Carry(grid, spec.gamma, spec.drift, spec.shift, uvals, res, sq)
     # exact gauge fix: constants do not change the residual
     mean = float(np.sum(grid.weights * uvals)) / grid.vol
-    uvals = uvals - mean
 
     if not converged and not message:
         message = "iteration budget exhausted"
@@ -1152,12 +1264,13 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         converged=bool(converged),
         iterations=iters,
         residual=res_norm,
-        u=ScalarField(grid, uvals),
+        u=ScalarField(grid, uvals - mean),
         lam=float(lam) if spec.ergodic else 0.0,
         compat_defect=0.0 if spec.ergodic else float(lam),
         message=message,
         gradient=dvals,
         peclet=0.0 if coeff is None else mesh_peclet(grid, coeff),
+        _carry=carry,
     )
 
 

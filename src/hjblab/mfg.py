@@ -65,11 +65,12 @@ class MfgSpec:
     The outer loop damps its density update by a weight that starts at
     `_TAU` = 0.5, runs at most `_MAX_OUTER` = 60 iterations at each
     mollifier radius and stops on an outer change below `outer_tol`.
-    The inner value solves are warm-started from the previous outer
-    iterate, and each density solve after the first from the previous
-    undamped density.  Both solve only as tightly as the outer loop has
-    converged (see `mfg_fixed_point`); the iteration the loop stops on
-    meets `SolverConfig().residual_tol` and the density solve's 1e-10.
+    Each inner value solve after the first resumes from the previous
+    one's report, and each density solve after the first starts from the
+    previous undamped density.  Both solve only as tightly as the outer
+    loop has converged (see `mfg_fixed_point`); the iteration the loop
+    stops on meets `SolverConfig().residual_tol` and the density solve's
+    1e-10.
     The coupling comparison constant C_V defaults to max(2, alpha,
     1/alpha), the least that gate (MFG1) admits but at least 2.
     """
@@ -402,10 +403,16 @@ def mfg_fixed_point(spec: MfgSpec):
 
     Each outer iteration forms the drift of the new value function once,
     from the gradient the value solve formed for its last iterate, checks
-    its Péclet number and hands it to the density solve.  The value
-    solve starts from the previous value function and the density solve
-    from the previous undamped density, across mollifier stages too; the
-    first density solve of a game starts from zero.
+    its Péclet number and hands it to the density solve.  The value solve
+    resumes from the previous value solve's report, across mollifier
+    stages too: it takes over that solve's last iterate, the residual
+    formed there, with the new coupling in place of the old, and the
+    iterate's gradient and |grad u|^2, so it evaluates no stencil before
+    its first Newton step.  The report is the only state the loop carries
+    for it; the coupling and the problem spec are dropped before the
+    density solve.  The density solve starts from the previous undamped
+    density.  The first value and density solves of a game start from
+    zero.
 
     The inner solves run only as tightly as the loop has converged.  After
     an outer change c, the value solve's residual tolerance is
@@ -437,6 +444,7 @@ def mfg_fixed_point(spec: MfgSpec):
     lam = 0.0
     mvals = np.full(grid.shape, 1.0 / vol)
     m_start = None  # the last undamped density, where the next density solve starts
+    value_rep = None  # the last value solve's report, which the next value solve resumes from
     total_iters = 0
     converged = False
     change = math.inf
@@ -461,12 +469,14 @@ def mfg_fixed_point(spec: MfgSpec):
                 source=v_eps,
                 ergodic=True,
             )
-            cfg = SolverConfig(residual_tol=max(value_tol, slack), initial_guess=ScalarField(grid, uvals))
+            cfg = SolverConfig(residual_tol=max(value_tol, slack), initial_guess=value_rep)
             rep = solve_ergodic(prob, cfg)
             if not rep.converged:
                 message = "inner value solve failed to converge: " + rep.message
                 break
             drift = transport_coefficient(prob, rep.u.values, rep.gradient)
+            # the coupling and the specs die before the density solve
+            del v_eps, prob, cfg
             pec = fp_peclet(grid, drift)
             peclet = max(peclet, pec)
             # The density solve rejects such a drift; a valid request that
@@ -496,9 +506,9 @@ def mfg_fixed_point(spec: MfgSpec):
                 final
                 or (rep.residual <= value_tol and _density_residual(grid, m_new.values, drift) <= _DENSITY_RTOL)
             )
-            # the report's gradient, the drift, the coupling and the specs
-            # die here, before the next mollification and value solve
-            del v_eps, prob, cfg, rep, drift, m_new, m_next
+            value_rep = rep
+            # the drift and the density die before the next mollification
+            del rep, drift, m_new, m_next
             if done:
                 stage_converged = True
                 break
@@ -508,6 +518,7 @@ def mfg_fixed_point(spec: MfgSpec):
             message = "outer iteration budget exhausted at radius " + repr(eps)
             break
     converged = not message
+    value_rep = None  # its carried arrays are not needed past the loop
 
     state = MfgState(
         u=ScalarField(grid, uvals - float(np.sum(grid.weights * uvals)) / vol),

@@ -268,3 +268,88 @@ def test_one_axis_game_solves_every_linear_system_in_one_preconditioner_apply():
     assert steps == 0
     assert m["hjb.bordered_solve.calls"] == m["hjb.precond.calls"] == a["line_built"] > 1
     assert a["line"] == a["line_built"]
+
+
+# The bench's `sweep` workload at seed 0, one pass and its checks.  Its hook
+# rebinds `estimates.solve_ergodic` to `capture(spec, cfg=None)`, so a sweep
+# that called the solver any other way would fail every operation here.
+SWEEP_HOOK_SCRIPT = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import workloads
+
+with tempfile.TemporaryDirectory() as tmp:
+    sweep = workloads.Sweep(0, tmp)
+    outcome = sweep.verify(sweep.run(), workloads.load_reference())
+print(json.dumps({"attempted": outcome.attempted, "failed": outcome.failed, "problems": outcome.problems}))
+"""
+
+
+def test_bench_sweep_hook_sees_every_amplitude_solve():
+    m = _run_traced(SWEEP_HOOK_SCRIPT)
+    assert m["attempted"] == 8 and m["failed"] == 0, m["problems"]
+
+
+# Every value solve of a small one-axis sweep (gamma = 3) and of a small game
+# (gamma = 2), with the residual evaluations (`hjb._residual_core`) and the
+# |grad u|^2 contractions (`_Ops.pairing` of an array with itself) made
+# during it.  After its first solve, each solve of a sweep or a game resumes
+# from the report of the one before, so it forms no residual at its start.
+# At these amplitudes no line search backtracks, so each Newton step forms
+# one residual, at the trial it accepts.
+RESUME_COUNT_SCRIPT = """
+import json, sys
+import numpy as np
+from hjblab import estimates, hjb, mfg
+from hjblab.fields import ScalarField
+from hjblab.geometry import DomainSpec, build_grid
+
+counts = {"residual": 0, "grad_sq": 0}
+core, pairing, solve = hjb._residual_core, hjb._Ops.pairing, hjb.solve
+
+def counted_core(*args):
+    counts["residual"] += 1
+    return core(*args)
+
+def counted_pairing(self, a, b, *out):
+    counts["grad_sq"] += a is b
+    return pairing(self, a, b, *out)
+
+solves = []
+def counted_solve(spec, cfg=None):
+    before = dict(counts)
+    rep = solve(spec, cfg)
+    solves.append([rep.iterations] + [counts[k] - before[k] for k in ("residual", "grad_sq")])
+    return rep
+
+hjb._residual_core, hjb._Ops.pairing, hjb.solve = counted_core, counted_pairing, counted_solve
+
+grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(12,)))
+source = estimates.source_family(grid, "mode", 2.5)
+rep = estimates.thm2_sweep(estimates.SweepSpec(grid, 3.0, source, (1.0, 2.0, 4.0, 8.0, 16.0), q=2.5))
+sweep, solves = solves, []
+grid = build_grid(DomainSpec(kind="torus", dim=2, resolution=(16,)))
+shift = ScalarField(grid, 0.3 * np.cos(2.0 * np.pi * grid.mesh()[0]))
+_, report = mfg.mfg_fixed_point(mfg.MfgSpec(grid, gamma=2.0, alpha=1.0, shift=shift, eps=0.05))
+print(json.dumps({
+    "converged": all(rep.converged) and report.converged,
+    "stages": len(report.stages),
+    "sweep": sweep,
+    "game": solves,
+}))
+"""
+
+
+def test_resumed_solves_form_one_residual_per_newton_step():
+    m = _run_traced(RESUME_COUNT_SCRIPT)
+    assert m["converged"] and m["stages"] == 2
+    for solves in (m["sweep"], m["game"]):
+        assert len(solves) >= 4
+        # the first solve starts from zero and forms its residual there
+        assert solves[0][1] == solves[0][0] + 1
+        for steps, residuals, _ in solves[1:]:
+            assert residuals == steps
+        # each residual sums |grad u|^2 once, and nothing else sums it
+        for _, residuals, grad_sq in solves:
+            assert grad_sq == residuals
+    assert sum(steps for steps, _, _ in m["sweep"]) >= 2 * len(m["sweep"])

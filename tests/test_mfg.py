@@ -590,11 +590,15 @@ def test_later_game_iterations_leave_earlier_arrays_unchanged(monkeypatch):
     # Every iteration's value report, drift and density must survive the
     # iterations after it: they are fresh arrays, never the solver's work
     # arrays.  Each is copied when it is handed on and compared at the end.
-    seen = []
+    # The one exception is a report's gradient, which the next value solve
+    # takes over as its own buffer: that report then holds None for it, so
+    # every report but the last must have handed it on.
+    seen, reports = [], []
     solve, fp = mfg.solve_ergodic, mfg.fp_solve
 
     def solve_spy(prob, cfg=None):
         rep = solve(prob, cfg)
+        reports.append(rep)
         seen.extend((name, arr, arr.copy()) for name, arr in (("u", rep.u.values), ("gradient", rep.gradient)))
         return rep
 
@@ -608,8 +612,11 @@ def test_later_game_iterations_leave_earlier_arrays_unchanged(monkeypatch):
     g = torus(16, dim=2)
     _, report = mfg_fixed_point(MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1))
     assert report.converged and report.outer_iterations >= 3
-    assert len(seen) == 4 * report.outer_iterations
+    assert len(seen) == 4 * report.outer_iterations == 4 * len(reports)
+    assert all(rep.gradient is None for rep in reports[:-1]) and reports[-1].gradient is not None
     for i, (name, arr, copy) in enumerate(seen):
+        if name == "gradient" and i // 4 < len(reports) - 1:
+            continue  # handed on to the next value solve
         assert np.array_equal(arr, copy), (i // 4, name)
 
 
