@@ -544,7 +544,7 @@ def _sweep_common(cfg: RunConfig, out: str, seed: int, kind: str) -> dict:
         "lambdas": list(sweep.lambdas),
         "slope": sweep.slope,
         "slope_top_decade": sweep.slope_top_decade,
-        "slope_bounded": bool(sweep.slope_top_decade <= 0.05),
+        "slope_bounded": None if sweep.slope_top_decade is None else sweep.slope_top_decade <= 0.05,
         "max_ratio": sweep.max_ratio,
         "ratio_at_one": sweep.ratio_at_one,
         "K": sweep.K,

@@ -184,5 +184,7 @@ def _build(sections: dict) -> RunConfig:
         raise ConfigError("experiment block: resolutions must be at least 8")
     if any(a >= b for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("experiment block: resolutions must be strictly increasing")
+    if len(ladder) < 2:
+        raise ConfigError("experiment block: resolutions must list at least two, to measure an order")
 
     return RunConfig(sections=sections, domain=domain, phi=_phi if conformal else None)

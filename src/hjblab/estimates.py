@@ -94,6 +94,8 @@ class SweepSpec:
         if not self.gamma > 1.0:
             raise ValueError("gradient growth gate (In1): need gamma > 1")
         amps = tuple(float(t) for t in self.amplitudes)
+        if not amps:
+            raise ValueError("amplitudes must not be empty")
         if any(t < 0 for t in amps):
             raise ValueError("amplitudes must be nonnegative")
         if any(b <= a for a, b in zip(amps, amps[1:])):
@@ -106,8 +108,8 @@ class ScalingReport:
     kind: str
     amplitudes: tuple
     ratios: tuple
-    slope: float
-    slope_top_decade: float
+    slope: Optional[float]                  # None when fewer than two rows fit
+    slope_top_decade: Optional[float]
     max_ratio: float
     ratio_at_one: Optional[float]
     lambdas: tuple
@@ -121,10 +123,11 @@ class ScalingReport:
 
 
 def _fit_slope(ts, ratios):
-    """Least-squares slope of log ratio vs log t over usable points."""
+    """Least-squares slope of log ratio vs log t over the points with t > 0
+    and ratio > 0; None when fewer than two are left, so no slope is fit."""
     pts = [(t, r) for t, r in zip(ts, ratios) if t > 0 and r > 0]
     if len(pts) < 2:
-        return 0.0
+        return None
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     x = x - x.mean()
@@ -277,7 +280,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
         amplitudes=tuple(ts),
         ratios=tuple(ratios),
         slope=_fit_slope(ts, ratios),
-        slope_top_decade=_top_decade_slope(ts, ratios) if ts else 0.0,
+        slope_top_decade=_top_decade_slope(ts, ratios) if ts else None,
         max_ratio=max(ratios) if ratios else 0.0,
         ratio_at_one=ratio_at_one,
         lambdas=tuple(lambdas),

@@ -22,17 +22,16 @@ keeps the classical M-matrix sparsity.  Linear solves are matrix-free
 restarted GMRES, right-preconditioned by the exact fast-transform inverse
 M of the bordered flat Laplacian L (FFT on tori, DCT-I on boxes).  A
 linear operator is passed as its remainder R = A - L: since A M = I + R M,
-a Krylov step costs one M and one R apply and no Laplacian.  A short
-cycle keeps each step's M v and so ends without another M apply.  M takes
-the multiplier and the mean constraint from the transform's zero mode.
-Right preconditioning makes the residual GMRES minimizes the true one; a
-solve still stops only on the true residual, recomputed with the full
-operator L + R at the end of each restart cycle.  A total iteration
-budget bounds it, and so does a stall test: a cycle that ended early,
-its Arnoldi estimate meeting the tolerance or its Krylov space invariant,
-while the true residual fell by less than half has reached round-off, and
-the solve stops there with a named reason; one whose true residual at
-least halved restarts from it.
+a Krylov step costs one M and one R apply and no Laplacian, and a cycle
+ends with one more M apply, x += M (V y).  M takes the multiplier and the
+mean constraint from the transform's zero mode.  Right preconditioning
+makes the residual GMRES minimizes the true one; a solve still stops only
+on the true residual, recomputed with the full operator L + R at the end
+of each restart cycle.  A total iteration budget bounds it, and so does a
+stall test: a cycle that ended early, its Arnoldi estimate meeting the
+tolerance or its Krylov space invariant, while the true residual fell by
+less than half has reached round-off, and the solve stops there with a
+named reason; one whose true residual at least halved restarts from it.
 
 The flat inverse leaves advection to GMRES, and at mesh Peclet numbers
 near 10 that took 20-46 Arnoldi steps per Newton step.  So on flat grids
@@ -57,7 +56,7 @@ right-hand sides lie, so the preconditioned Richardson step that starts
 each linear solve solves it, as it does at a zero coefficient (R = 0):
 the 48^3 bench sweep makes 37 Jacobian applies instead of 563.  On the
 32^3 `power` and `bump` sweeps, rho stays below 0.27 and only the first
-Newton step, from u = 0, takes the line (`power` makes 1058 applies).
+Newton step, from u = 0, takes the line (`power` makes 1059 applies).
 The density solves use the adjoint line operator W_a^{-1} D_a^T (abar W_a .).
 
 Each Newton step solves its linear system only as tightly as the Newton
@@ -141,16 +140,6 @@ EPS_REG = 1e-8
 # stops with its named reason instead of running on.
 _RESTART = 120
 _MAX_ITERATIONS = 2000
-# A cycle keeps the preconditioned directions M v_j of its first K =
-# min(_KEPT, m // 2) Arnoldi steps, so a cycle that ends within K steps
-# updates x without a preconditioner apply (flexible GMRES keeps them all;
-# Saad 1993).  The kept directions are basis rows K + 1 ... 2K, which a
-# longer cycle overwrites with basis vectors, as it would anyway, before it
-# applies M once more at its end.  With the flat M alone the bench game's
-# cycles ran at most 5 steps and the 48^3 sweep's up to 46; with the line
-# solved exactly, the Richardson step that starts a solve ends it, but for
-# one density solve of the game, which goes on for a cycle of two.
-_KEPT = 8
 
 _ddot, _axpy, _nrm2, _scal, _ger = (
     _kernels.fblas.ddot, _kernels.fblas.daxpy, _kernels.fblas.dnrm2, _kernels.fblas.dscal, _kernels.fblas.dger
@@ -943,11 +932,9 @@ def bordered_solve(
     A M = I + [R - C P_a; 0] M holds exactly (`_arnoldi_product`).  The
     step orthonormalizes the row against the basis by modified Gram-Schmidt
     in place.  The (m + 1, n + 1) basis and the m x m Hessenberg matrix H
-    are allocated once per call, when GMRES starts.  The first
-    K = min(_KEPT, m // 2) steps of a cycle keep z_j = M v_j in basis row
-    K + 1 + j.  A cycle that ends within K steps updates x += Z y, which
-    equals M (V y) because M is a fixed linear map; a longer cycle has
-    overwritten those rows and updates x += M (V y), one more
+    are allocated once per call, when GMRES starts; a cycle of k steps
+    writes basis rows 0 ... k only, each step's M v_j goes into one
+    field-sized array, and the cycle updates x += M (V y), one more
     preconditioner apply.  Every cycle ends with the true residual b - A x,
     recomputed with the full operator L + R; only that residual decides
     convergence: ||b - A x|| <= rtol ||b||.
@@ -990,7 +977,7 @@ def bordered_solve(
         return np.zeros(shape), 0.0, 0
     tol = rtol * bnorm
     r = np.empty(size)
-    z = np.empty(size)  # M (V y), and the true residual's L x and w x
+    z = np.empty(size)  # each step's M v_j, M (V y), and the true residual's L x and w x
 
     def true_residual(x, r):
         # r = b - A x: L x into z, then R x and the multiplier added to it
@@ -1025,10 +1012,7 @@ def bordered_solve(
     if beta <= tol:
         return x[:-1].reshape(shape), float(x[-1]), 0
     m = min(_RESTART, size)
-    kept = min(_KEPT, m // 2)
-    # v_0 ... v_m, with z_j in row zk + j; a row is touched only when the loop reaches it
-    V = np.empty((m + 1, size))
-    zk = kept + 1
+    V = np.empty((m + 1, size))  # v_0 ... v_m; a row is touched only when the loop reaches it
     H = np.zeros((m, m))  # rotated Hessenberg columns; subdiagonal entry hn
     cs = np.zeros(m)
     sn = np.zeros(m)
@@ -1041,8 +1025,7 @@ def bordered_solve(
         invariant = estimated = False
         for j in range(min(m, _MAX_ITERATIONS - iters)):
             vj = V[j + 1]
-            short = j < kept  # every step of the cycle so far kept its M v_j
-            _arnoldi_product(inv, apply_fn, shape, V[j], vj, V[zk + j] if short else z)
+            _arnoldi_product(inv, apply_fn, shape, V[j], vj, z)
             iters += 1
             h0 = _nrm2(vj)
             for i in range(j + 1):
@@ -1075,14 +1058,11 @@ def bordered_solve(
         start = beta
         if k:
             y = _solve_upper(H[:k, :k], g[:k])
-            # Z y and V y by elementwise numpy arithmetic, not a BLAS gemv: a
-            # threaded gemv rounds differently at different positions, which
-            # breaks exact lattice symmetries of the data (a one-axis
-            # solution picks up variation along its constant axes)
-            if short:
-                x += np.einsum("ij,i->j", V[zk : zk + k], y, out=z)
-            else:
-                x += _precondition(inv, shape, np.einsum("ij,i->j", V[:k], y, out=z), z)
+            # V y by elementwise numpy arithmetic, not a BLAS gemv: a threaded
+            # gemv rounds differently at different positions, which breaks
+            # exact lattice symmetries of the data (a one-axis solution picks
+            # up variation along its constant axes)
+            x += _precondition(inv, shape, np.einsum("ij,i->j", V[:k], y, out=z), z)
             beta = true_residual(x, r)
             if beta <= tol:
                 return x[:-1].reshape(shape), float(x[-1]), 0

@@ -42,9 +42,10 @@ print(json.dumps(metrics))
 # one of a density solve one `_Ops.adjoint_rest` call; both are counted here
 # independently of the tracer, and so is every Laplacian apply
 # (`_FlatInverter.apply`), each of which pairs with one R apply in a true
-# residual, every line solve of a line-corrected preconditioner, and every
-# line-corrected preconditioner built.  Each is built for one linear solve,
-# which starts with one Richardson step.
+# residual, every line solve of a line-corrected preconditioner, every
+# line-corrected preconditioner built, and every GMRES cycle that updates x
+# (one `_solve_upper` call).  Each line-corrected preconditioner is built for
+# one linear solve, which starts with one Richardson step.
 _GAME_TEMPLATE = """
 import json, sys
 import numpy as np
@@ -52,7 +53,7 @@ sys.path.insert(0, sys.argv[1])
 from tracing import Tracer, per_layer_metrics
 from hjblab import hjb
 
-applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0, "line": 0, "line_built": 0}
+applies = {"jacobian_rest": 0, "adjoint_rest": 0, "laplacian": 0, "line": 0, "line_built": 0, "cycles": 0}
 for cls, name, key in (
     (hjb._Ops, "jacobian_rest", "jacobian_rest"),
     (hjb._Ops, "adjoint_rest", "adjoint_rest"),
@@ -64,6 +65,11 @@ for cls, name, key in (
         applies[_key] += 1
         return _orig(self, *args)
     setattr(cls, name, counted)
+
+def solve_upper(R, g, _orig=hjb._solve_upper):
+    applies["cycles"] += 1
+    return _orig(R, g)
+hjb._solve_upper = solve_upper
 
 tracer = Tracer()
 tracer.install()
@@ -223,36 +229,37 @@ def test_game_density_solves_are_traced_as_adjoint_applies():
     assert m["hjb.jacobian_apply.calls"] == m["applies"]["jacobian_rest"]
 
 
-def test_game_cycles_end_without_a_preconditioner_apply():
-    # Every cycle of this game ends within the kept window, so each
-    # preconditioner apply belongs to one Arnoldi step or to the Richardson
-    # step of the one line-corrected solve: the first Newton step, at b = 0,
-    # where M is the line with abar = 0 and that step solves A = L.  An R
-    # apply is either an Arnoldi step or half of a true residual L + R, so
-    # the steps are the R applies less the L applies.
+def test_game_cycles_end_with_one_preconditioner_apply():
+    # Each preconditioner apply belongs to one Arnoldi step, to the update
+    # x += M (V y) that ends a cycle, or to the Richardson step of the one
+    # line-corrected solve: the first Newton step, at b = 0, where M is the
+    # line with abar = 0 and that step solves A = L.  An R apply is either
+    # an Arnoldi step or half of a true residual L + R, so the steps are the
+    # R applies less the L applies.
     m = _run_traced(MIXED_GAME_SCRIPTS[False])
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
     assert steps > m["hjb.bordered_solve.calls"] > 0
+    assert steps > a["cycles"] > 0
     assert a["line_built"] == a["line"] == 1
-    assert m["hjb.precond.calls"] == steps + 1
+    assert m["hjb.precond.calls"] == steps + 1 + a["cycles"]
 
 
-def test_line_corrected_game_cycles_end_without_a_preconditioner_apply():
-    # Each preconditioner apply belongs to one Arnoldi step or to the
-    # Richardson step that starts each line-corrected solve.  Every solve
-    # solves the line, the first Newton step's at b = 0 with abar = 0, and
-    # one that its Richardson step leaves short goes on with Arnoldi steps,
-    # which some here need.
+def test_line_corrected_game_cycles_end_with_one_preconditioner_apply():
+    # Each preconditioner apply belongs to one Arnoldi step, to the update
+    # that ends a cycle, or to the Richardson step that starts each
+    # line-corrected solve.  Every solve solves the line, the first Newton
+    # step's at b = 0 with abar = 0, and one that its Richardson step leaves
+    # short goes on with Arnoldi steps, which some here need.
     m = _run_traced(MIXED_GAME_SCRIPTS[True])
     assert m["converged"]
     a = m["applies"]
     steps = a["jacobian_rest"] + a["adjoint_rest"] - a["laplacian"]
-    assert steps > 1
-    assert m["hjb.precond.calls"] == steps + a["line_built"]
+    assert steps > 1 and a["cycles"] > 0
+    assert m["hjb.precond.calls"] == steps + a["line_built"] + a["cycles"]
     assert a["line_built"] == m["hjb.bordered_solve.calls"]
-    assert a["line"] == a["line_built"] + steps
+    assert a["line"] == a["line_built"] + steps + a["cycles"]
 
 
 def test_one_axis_game_solves_every_linear_system_in_one_preconditioner_apply():

@@ -56,6 +56,8 @@ def test_defaults_parse_and_build():
         ("[experiment]\nresolutions = 4\n", "at least 8"),
         ("[experiment]\nresolutions = 9, 9\n", "resolutions must be strictly increasing"),
         ("[experiment]\nresolutions = 17, 9\n", "resolutions must be strictly increasing"),
+        ("[experiment]\nresolutions = 17\n", "resolutions must list at least two"),
+        ("[experiment]\nresolutions =\n", "resolutions must list at least two"),
         ("[domain]\ndim = 5\n", "dimension must be 2 or 3"),
         ("[problem]\nshift_kind = mode\nshift_axis = 0\n", "unknown key 'shift_axis'"),
         ("[problem]\nshift_kind = mode\nshift_axis = 4\n", "unknown key 'shift_axis'"),
@@ -391,6 +393,31 @@ def test_drifted_maximal_sweep_is_rejected_at_dispatch(tmp_path, capsys):
     rc = main(["thm2-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "(~In2)" in capsys.readouterr().err
+
+
+def test_an_empty_amplitude_list_is_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, "empty.ini", "[problem]\ngamma = 3.0\n[experiment]\namplitudes =\n")
+    out = tmp_path / "out"
+    assert main(["thm2-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "rejected: amplitudes must not be empty" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("amplitudes", ["0", "1, 1000"])
+def test_a_slope_of_fewer_than_two_rows_is_null(tmp_path, amplitudes):
+    # t = 0 has no logarithm, and the top decade of 1, 1000 holds one row:
+    # neither fits a slope, so neither certifies one
+    cfg = write(
+        tmp_path,
+        "few.ini",
+        "[domain]\nkind = torus\ndim = 3\nresolution = 8\n"
+        "[problem]\ngamma = 3.0\nsource_kind = mode\n[experiment]\namplitudes = " + amplitudes + "\n",
+    )
+    out = tmp_path / "out"
+    assert main(["thm2-sweep", "--config", cfg, "--out", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["slope_top_decade"] is None and results["slope_bounded"] is None
+    assert (results["slope"] is None) == (amplitudes == "0")
 
 
 _DROPPED = [

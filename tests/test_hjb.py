@@ -743,52 +743,54 @@ def _call_sequence(monkeypatch, grid, apply_fn, rhs, c, rtol):
     return "".join(events)
 
 
-def test_a_cycle_within_the_kept_window_ends_without_a_preconditioner_apply(monkeypatch):
-    # weak advection: one cycle of a few Arnoldi steps M R, then x += Z y
-    # from the kept directions and the true residual L + R
+def test_a_short_cycle_ends_with_one_preconditioner_apply(monkeypatch):
+    # weak advection: one cycle of a few Arnoldi steps M R, then the update
+    # x += M (V y) and the true residual L + R
     grid = torus(8, dim=3)
     apply_fn, _, rhs, c = _advected_case(grid, 0.05)
     seq = _call_sequence(monkeypatch, grid, apply_fn, rhs, c, 1e-10)
-    assert re.fullmatch(r"(?:MR)+LR", seq), seq
-    assert 3 <= seq.count("MR") <= hjb._KEPT
+    assert re.fullmatch(r"(?:MR)+MLR", seq), seq
+    assert 3 <= seq.count("MR") <= 8
 
 
-@pytest.mark.parametrize("restart, kept", [(5, None), (8, 3)])
-def test_a_cycle_past_the_kept_window_ends_with_one_preconditioner_apply(monkeypatch, restart, kept):
-    # With _RESTART = 5 the window is min(_KEPT, 5 // 2) = 2 steps, so every
-    # full cycle of 5 runs past it and ends with x += M (V y).
+@pytest.mark.parametrize("restart", [5, 8])
+def test_every_cycle_ends_with_one_preconditioner_apply(monkeypatch, restart):
+    # Short restarts split the solve into several full cycles, and each ends
+    # with x += M (V y), one M apply, whatever its length.
     monkeypatch.setattr(hjb, "_RESTART", restart)
-    if kept is not None:
-        monkeypatch.setattr(hjb, "_KEPT", kept)
-    window = min(hjb._KEPT, restart // 2)
     grid, apply_fn, _, rhs, c = _bordered_case("3-torus")
     seq = _call_sequence(monkeypatch, grid, apply_fn, rhs, c, 1e-10)
-    assert re.fullmatch(r"(?:(?:MR)+M?LR)+", seq), seq
-    cycles = re.findall(r"((?:MR)+)(M?)LR", seq)
-    assert len(cycles) >= 3
-    for steps, end in cycles:
-        assert (end == "M") == (len(steps) // 2 > window), seq
+    assert re.fullmatch(r"(?:(?:MR)+MLR)+", seq), seq
+    assert len(re.findall(r"(?:MR)+MLR", seq)) >= 3
 
 
-@pytest.mark.parametrize("kind", list(_GRIDS))
-def test_kept_directions_update_like_the_preconditioned_basis(monkeypatch, kind):
-    # Z y equals M (V y) because M is a fixed linear map.  Half the restart
-    # length, the widest window a cycle can keep, covers these solves, so
-    # each ends within it; _KEPT = 0 forces every cycle onto M (V y).
-    runs = []
-    for kept in (hjb._RESTART // 2, 0):
-        monkeypatch.setattr(hjb, "_KEPT", kept)
-        grid, apply_fn, calls, rhs, c = _bordered_case(kind)
-        inv, solves = _counting_inverter(monkeypatch, grid)
-        x, mu, info = hjb.bordered_solve(grid, apply_fn, inv, rhs, c, 1e-12)
-        runs.append((np.concatenate([x.reshape(-1), [mu]]), info, len(calls), len(solves)))
-        monkeypatch.undo()
-    (kept_x, kept_info, kept_r, kept_m), (fb_x, fb_info, fb_r, fb_m) = runs
-    assert kept_info == fb_info == 0
-    assert kept_r == fb_r
-    assert kept_m == kept_r - 1  # one per Arnoldi step; the true residual needs none
-    assert fb_m == fb_r  # one per step, and one more at the end of the cycle
-    assert np.linalg.norm(kept_x - fb_x) <= 1e-12 * np.linalg.norm(fb_x)
+def test_a_cycle_writes_no_basis_row_past_its_steps(monkeypatch):
+    # The basis comes NaN-filled.  A cycle of k Arnoldi steps writes
+    # v_0 ... v_k into rows 0 ... k, and each step's M v_j goes elsewhere,
+    # so rows k + 1 ... m stay as they were allocated.
+    grid = torus(8, dim=3)
+    apply_fn, calls, rhs, c = _advected_case(grid, 0.05)
+    inv = hjb._inverter_for(grid)
+    empty = np.empty
+    bases = []
+
+    def nan_filled(shape, *args, **kwargs):
+        out = empty(shape, *args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+            if out.ndim == 2:
+                bases.append(out)
+        return out
+
+    monkeypatch.setattr(hjb.np, "empty", nan_filled)
+    _, _, info = hjb.bordered_solve(grid, apply_fn, inv, rhs, c, 1e-10)
+    monkeypatch.undo()
+    assert info == 0
+    (V,) = bases
+    k = len(calls) - 1  # the last R apply is the true residual
+    assert V.shape == (hjb._RESTART + 1, rhs.size + 1) and k >= 3
+    assert np.isfinite(V[: k + 1]).all()
+    assert np.isnan(V[k + 1 :]).all()
 
 
 def _counting_inverter(monkeypatch, grid):
@@ -952,11 +954,9 @@ def test_newton_forms_one_gradient_per_residual_bit_for_bit(monkeypatch):
 # One-axis data on a 48^3 torus: the exact solution is constant along axes
 # 1 and 2.  Rounding that depends on the lattice position, as a threaded BLAS
 # product's does, shows as spread along those axes (about 2e-20 for the first
-# two).  The first two solves run cycles past the kept window and end them
-# with x += M (V y).  The last two end their one cycle within the window,
-# with x += Z y: a weakly advected solve, and the first solve again with the
-# window widened to half the restart length.  Each line prints info, the
-# spread, the number of Arnoldi steps and the window.
+# two).  The first two solves run cycles of many Arnoldi steps, the third
+# one cycle of a few, a weakly advected solve; each ends its cycles with
+# x += M (V y).  Each line prints info and the spread.
 ONE_AXIS_SOLVES = """
 import sys
 import numpy as np
@@ -966,24 +966,18 @@ from hjblab.geometry import DomainSpec, build_grid
 grid = build_grid(DomainSpec(kind="torus", dim=3, resolution=(48,)))
 x = grid.mesh()[0]
 ops = hjb._ops_for(grid)
-default = hjb._KEPT
-for gamma, amp, kept in ((2.0, 1000.0, default), (3.0, 10.0, default), (2.0, 0.01, default),
-                         (2.0, 1000.0, hjb._RESTART // 2)):
-    hjb._KEPT = kept
+for gamma, amp in ((2.0, 1000.0), (3.0, 10.0), (2.0, 0.01)):
     u = amp * (np.cos(2.0 * np.pi * x) + 0.1 * np.sin(4.0 * np.pi * x))
     coeff = hjb.transport_coefficient(hjb.ProblemSpec(grid, gamma=gamma), u)
-    calls = []
 
     def apply_fn(z, out):
-        calls.append(1)
         return ops.jacobian_rest(z, coeff, out)
 
     v, mu, info = hjb.bordered_solve(
         grid, apply_fn, hjb._inverter_for(grid),
         np.cos(2.0 * np.pi * x) + np.sin(6.0 * np.pi * x), 0.0, 1e-10,
     )
-    # the last R apply is the true residual
-    print(info, float(np.max(np.ptp(v, axis=(1, 2)))), len(calls) - 1, kept)
+    print(info, float(np.max(np.ptp(v, axis=(1, 2)))))
 """
 
 
@@ -997,12 +991,11 @@ def test_krylov_update_keeps_one_axis_symmetry_under_threaded_blas():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
-    for i, line in enumerate(lines):
-        info, spread, steps, window = line.split()
+    assert len(lines) == 3
+    for line in lines:
+        info, spread = line.split()
         assert int(info) == 0
         assert float(spread) == 0.0, line
-        assert (int(steps) > int(window)) == (i < 2), line
 
 
 # Ergodic solves on a 24^3 torus, whose bordered systems have 13 825
@@ -1224,7 +1217,7 @@ def test_a_richardson_step_that_falls_short_goes_on_with_gmres(monkeypatch):
     # coefficient's energy, so M solves that line, but A M is not I.  The
     # step x = M b and its true residual leave the tolerance unmet, and
     # GMRES goes on from x in cycles of Arnoldi steps M R, each closed by
-    # the update (x += M (V y) past the kept window) and a true residual.
+    # the update x += M (V y) and a true residual.
     # Starting with one Arnoldi step instead took 18 R applies here.
     import scipy.sparse.linalg as spla
 
@@ -1246,7 +1239,7 @@ def test_a_richardson_step_that_falls_short_goes_on_with_gmres(monkeypatch):
     xs, mu, info = hjb.bordered_solve(grid, apply_fn, inv, rhs, 0.0, rtol)
     seq = "".join(events)
     assert info == 0
-    assert re.fullmatch(r"MLR(?:(?:MR)+M?LR)+", seq), seq
+    assert re.fullmatch(r"MLR(?:(?:MR)+MLR)+", seq), seq
     assert seq.count("R") <= 18
     # oracle: a direct solve of the bordered matrix built from the stencils
     A = _csr_bordered_jacobian(grid, coeff)
@@ -1258,10 +1251,9 @@ def test_a_richardson_step_that_falls_short_goes_on_with_gmres(monkeypatch):
 
 
 def test_a_long_first_cycle_allocates_the_basis_once(monkeypatch):
-    # With the flat M on 3-D data the first cycle runs past its K = 8 kept
-    # steps to the restart at m = 20.  The basis is allocated once, m + 1
-    # rows that also hold the kept directions, and only a few fields stand
-    # beside it.
+    # With the flat M on 3-D data the first cycle runs to the restart at
+    # m = 20.  The basis is allocated once, m + 1 rows, and only a few
+    # fields stand beside it.
     monkeypatch.setattr(hjb, "_RESTART", 20)
     grid = torus(16, dim=3)
     apply_fn, calls, rhs, c = _advected_case(grid)
