@@ -110,10 +110,10 @@ class ScalingReport:
     ratios: tuple
     slope: Optional[float]                  # None when fewer than two rows fit
     slope_top_decade: Optional[float]
-    max_ratio: float
+    max_ratio: Optional[float]              # None when no row was measured
     ratio_at_one: Optional[float]
     lambdas: tuple
-    K: float
+    K: Optional[float]                      # None when no row was measured
     gates: dict
     converged: tuple
     aborted: bool = False
@@ -242,12 +242,11 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
     step.  The report keeps only its u until the next one replaces it.
     `_sweep_row` holds the rest of a row's arrays and drops them before
     the next solve starts, and the last report is dropped before the gate
-    block."""
+    block.  A sweep that measured no row reports max_ratio and K as None."""
     # fail fast before any solve
     drift_info = drift_gate(spec.grid, spec.drift, spec.drift_s, spec.drift_theta)
     cfg = spec.cfg or SolverConfig()
     ts, ratios, lambdas, convs, rows, warnings = [], [], [], [], [], []
-    K = 0.0
     warm = None
     aborted = False
     message = ""
@@ -259,7 +258,6 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
             message = "solve failed to converge at amplitude " + repr(t) + ": " + row
             break
         warm = rep
-        K = max(K, row["f_q"] + row["grad_l1"])
         ts.append(t)
         ratios.append(row["ratio"])
         lambdas.append(row["lambda"])
@@ -270,6 +268,8 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
                 + repr(t) + ": the discretization is outside its M-matrix regime"
             )
     warm = rep = None  # the last report, with its carried arrays
+    # a sweep that measured no row has no data-plus-gradient size
+    K = max(row["f_q"] + row["grad_l1"] for row in rows) if rows else None
     gates = gate_block(spec.grid, drift_info, K=K)
     ratio_at_one = None
     for t, r in zip(ts, ratios):
@@ -281,7 +281,7 @@ def _run_sweep(spec: SweepSpec, kind: str) -> ScalingReport:
         ratios=tuple(ratios),
         slope=_fit_slope(ts, ratios),
         slope_top_decade=_top_decade_slope(ts, ratios) if ts else None,
-        max_ratio=max(ratios) if ratios else 0.0,
+        max_ratio=max(ratios) if ratios else None,
         ratio_at_one=ratio_at_one,
         lambdas=tuple(lambdas),
         K=K,

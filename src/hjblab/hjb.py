@@ -67,10 +67,12 @@ backtracking floor.
 
 On flat grids a Krylov step allocates no field-sized array and moves no
 axis: R writes into the next basis row and M into a given array.  On
-conformal tori R allocates none either; there each Newton step forms the
-Jacobian's first-order coefficient once, and M's mean shift allocates.  The
-residual, its gradient and |grad u|^2 and the transport coefficient write
-into arrays each solve allocates once, and every operator keeps its
+conformal tori R allocates none either, and M's mean shift allocates.  A
+solve allocates four arrays once, d + 3 fields in all: the residual, the
+iterate's gradient, its |grad u|^2 and the next iterate.  Each Newton
+step forms the Jacobian's first-order coefficient in the gradient, which
+no step reads after it: each line-search trial forms its own, and a step
+that accepts nothing forms the iterate's again.  Every operator keeps its
 temporaries in the work arrays of the grid's operators (`_Ops.work`).  A
 bordered solve reads its right-hand side from the caller's array.  What
 leaves the solver is fresh: a report's u and gradient, a transport
@@ -219,7 +221,9 @@ class SolveReport:
     """What `solve` returns.  `gradient` is the lattice gradient of the last
     accepted iterate, before the gauge shift (which changes it only by
     round-off), and `peclet` the mesh Peclet number of the last Jacobian
-    the solve formed, 0 when it formed none.
+    the solve formed, 0 when it formed none; each Newton step measures it
+    as it forms the coefficient, before the coefficient's array goes on
+    to hold trial gradients.
 
     A report also carries that iterate itself, the residual formed there
     with the source and multiplier removed, and its lattice |grad u|^2:
@@ -773,7 +777,8 @@ def transport_coefficient(
     one that also holds its sum of squares sum_a (D_a u)^2 (the sq
     `_residual_core` writes) passes that as sq, and |du|^2 is not summed
     again.  The coefficient is written into out when one is given, else
-    into a fresh array.
+    into a fresh array; out may be dvals itself, which a Newton step
+    passes, since it reads its iterate's gradient no more.
     """
     ops = _ops_for(spec.grid)
     if dvals is None:
@@ -781,7 +786,8 @@ def transport_coefficient(
     if out is None:
         out = np.empty(dvals.shape)
     if spec.gamma == 2.0 and spec.grid.is_flat:
-        np.copyto(out, dvals)
+        if out is not dvals:
+            np.copyto(out, dvals)
     else:
         if sq is None:
             amp = ops.pairing(dvals, dvals)
@@ -805,12 +811,19 @@ def mesh_peclet(grid: Grid, coeff: np.ndarray) -> float:
     pattern of the linearized operator, and of its adjoint, exactly when
     it is <= 1.  On flat grids b = a and k = 1.  On conformal tori
     -Lap_g = -e^{-2 phi} (Lap_flat + (d - 2) grad phi . grad), so
-    b = a - (d - 2) e^{-2 phi} grad phi and k = e^{-2 phi}."""
-    if not grid.is_flat:
-        coeff = (coeff - _ops_for(grid).conformal_drift) * grid.conformal_factor(2.0)
+    b = a - (d - 2) e^{-2 phi} grad phi and k = e^{-2 phi}.
+
+    max |b_a| / k is read as max(max b_a / k, -min b_a / k), the same
+    float, so no |b| is formed; on conformal tori each b_a / k is formed
+    in the work array `_Ops.work(0)`, and the call allocates nothing."""
+    ops = None if grid.is_flat else _ops_for(grid)
     pec = 0.0
     for a, h in enumerate(grid.spacings):
-        pec = max(pec, float(np.max(np.abs(coeff[a]))) * h / 2.0)
+        ba = coeff[a]
+        if ops is not None:
+            ba = np.subtract(ba, ops.conformal_drift[a], out=ops.work(0))
+            ba *= grid.conformal_factor(2.0)
+        pec = max(pec, max(float(np.max(ba)), -float(np.min(ba))) * h / 2.0)
     return pec
 
 
@@ -968,15 +981,17 @@ def bordered_solve(
     """
     shape = grid.shape
     w = grid.weights
-    # b = (rhs_field, rhs_constraint) is read from the caller's array; the
-    # bordered copy lives only as long as its norm takes
+    # b = (rhs_field, rhs_constraint) is read from the caller's array; r
+    # holds it until the first residual replaces it, for its norm
     rhs = np.ravel(rhs_field)
     size = rhs.size + 1
-    bnorm = _nrm2(np.concatenate([rhs, [rhs_constraint]]))
+    r = np.empty(size)
+    r[:-1] = rhs
+    r[-1] = rhs_constraint
+    bnorm = _nrm2(r)
     if bnorm == 0.0:
         return np.zeros(shape), 0.0, 0
     tol = rtol * bnorm
-    r = np.empty(size)
     z = np.empty(size)  # each step's M v_j, M (V y), and the true residual's L x and w x
 
     def true_residual(x, r):
@@ -999,8 +1014,6 @@ def bordered_solve(
         beta = true_residual(x, r)
     elif x0 is None:
         x = np.zeros(size)
-        r[:-1] = rhs
-        r[-1] = rhs_constraint
         beta = bnorm
     else:
         x = np.concatenate([np.ravel(x0[0]), [x0[1]]])
@@ -1133,14 +1146,15 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
 
     Each residual evaluation forms the gradient and the lattice |grad u|^2
     of its iterate, and the Newton step forms the Jacobian's coefficient
-    from both.  A solve started from a field, or from zero, evaluates the
-    residual there first.  A solve resumed from the report of an earlier
-    solve with the same grid, gamma, drift and shift evaluates nothing
-    there: it starts from that solve's last iterate, before its gauge
-    shift, with multiplier 0, and takes the residual carried there, its
-    source and multiplier removed and spec's source applied, with the
-    gradient and |grad u|^2 (`_take_over`).  A report from another
-    operator, or one that has seeded a solve already, raises ValueError.
+    from both, in the gradient's own array.  A solve started from a field,
+    or from zero, evaluates the residual there first.  A solve resumed from
+    the report of an earlier solve with the same grid, gamma, drift and
+    shift evaluates nothing there: it starts from that solve's last
+    iterate, before its gauge shift, with multiplier 0, and takes the
+    residual carried there, its source and multiplier removed and spec's
+    source applied, with the gradient and |grad u|^2 (`_take_over`).  A
+    report from another operator, or one that has seeded a solve already,
+    raises ValueError.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -1165,15 +1179,13 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             uvals = np.zeros(grid.shape)
         res, dvals, sq = np.empty(grid.shape), np.empty(grad_shape), np.empty(grid.shape)
         F(uvals, lam)
-    # The solve's arrays, reused by every Newton step.  The step's
-    # right-hand side is formed in u_next; a line-search trial is formed in
+    # The solve's arrays, reused by every Newton step.  The step forms the
+    # Jacobian's first-order coefficient b in dvals, which it reads no more,
+    # and its right-hand side in u_next; a line-search trial is formed in
     # u_next, and in res, dvals and sq themselves, and an accepted trial
-    # swaps u_next in.  A search that accepts nothing forms the residual
-    # of uvals again.
+    # swaps u_next in.  A step that accepts nothing, its linear solve
+    # failed or its search rejected, forms the residual of uvals again.
     u_next = np.empty(grid.shape)
-    coeff_buf = np.empty(grad_shape)
-    # the Jacobian's first-order coefficient b: a itself on flat grids
-    b = coeff_buf if grid.is_flat else np.empty(grad_shape)
     message = ""
 
     res_norm = _weighted_norm(ops, res)
@@ -1181,15 +1193,18 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
     iters = 0
     converged = res_norm <= cfg.residual_tol
 
-    coeff = None
+    peclet = 0.0
     while not converged and iters < cfg.max_iter:
         if not math.isfinite(res_norm):
             # an overflowed residual leaves the linear solve no finite target
             message = "residual norm " + repr(res_norm) + " is not finite at Newton step " + str(iters + 1)
             break
-        coeff = transport_coefficient(spec, uvals, dvals, coeff_buf, sq)
+        # b = a, the transport coefficient, on flat grids; on conformal tori
+        # the metric's own first-order term is folded in
+        b = transport_coefficient(spec, uvals, dvals, dvals, sq)
+        peclet = mesh_peclet(grid, b)
         if not grid.is_flat:
-            np.subtract(coeff, ops.conformal_drift, out=b)
+            b -= ops.conformal_drift
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         # Kelley's safeguard: no tighter than the Newton stop needs
         rtol = max(rtol, min(0.5, 0.5 * cfg.residual_tol / res_norm))
@@ -1202,6 +1217,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
             rtol,
         )
         if info != 0:
+            F(uvals, lam)
             message = with_reason(
                 "linear solve failed at Newton step " + str(iters + 1)
                 + " (GMRES info " + str(info) + ")",
@@ -1249,7 +1265,7 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         compat_defect=0.0 if spec.ergodic else float(lam),
         message=message,
         gradient=dvals,
-        peclet=0.0 if coeff is None else mesh_peclet(grid, coeff),
+        peclet=peclet,
         _carry=carry,
     )
 

@@ -493,7 +493,9 @@ def mfg_fixed_point(spec: MfgSpec):
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break
             m_start = m_new.values
-            m_next = (1.0 - tau) * mvals + tau * m_new.values
+            # the damped update in one array, with tau m_new in a work array
+            m_next = np.multiply(mvals, 1.0 - tau)
+            m_next += np.multiply(m_new.values, tau, out=_ops_for(grid).work(0))
             change = _state_change((rep.u.values, rep.lam, m_next), (uvals, lam, mvals))
             if change > prev_change and tau > 2.0**-10:
                 tau *= 0.5

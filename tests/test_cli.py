@@ -662,6 +662,22 @@ def test_overflowed_sweep_names_the_non_finite_residual_norm(tmp_path):
     assert "nan" not in failures[0]
 
 
+def test_a_sweep_that_measures_no_row_reports_no_numbers(tmp_path):
+    # its only amplitude overflows, so there is no ratio and no data size
+    cfg = write(
+        tmp_path,
+        "huge.ini",
+        "[domain]\nkind = torus\ndim = 3\nresolution = 8\n"
+        "[problem]\ngamma = 3.0\n[experiment]\namplitudes = 1e300\n",
+    )
+    out = tmp_path / "out"
+    assert main(["thm2-sweep", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    results = report["results"]
+    assert results["amplitudes"] == [] and results["slope"] is None
+    assert results["max_ratio"] is None and results["K"] is None and report["gates"]["K"] is None
+
+
 def test_constants_runs_are_deterministic(tmp_path):
     cfg = write(tmp_path, "c.ini", "[domain]\nkind = torus\ndim = 3\nresolution = 12\n")
     outs = []

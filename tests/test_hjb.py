@@ -333,6 +333,35 @@ def test_mesh_peclet_weighs_the_metric_jacobian_on_conformal_tori():
     assert hjb.mesh_peclet(torus(8, dim=3), coeff) == 1.0 / 16.0
 
 
+def _absolute_peclet(grid, coeff):
+    """max_a max |b_a| h_a / (2 k), with |b| formed."""
+    if not grid.is_flat:
+        coeff = (coeff - hjb._ops_for(grid).conformal_drift) * grid.conformal_factor(2.0)
+    pec = 0.0
+    for a, h in enumerate(grid.spacings):
+        pec = max(pec, float(np.max(np.abs(coeff[a]))) * h / 2.0)
+    return pec
+
+
+@pytest.mark.parametrize("kind", ["torus", "box", "conformal"])
+def test_mesh_peclet_equals_its_absolute_value_form_bit_for_bit(kind):
+    # max(max b_a, -min b_a) in place of max |b_a|, on coefficients of mixed
+    # signs with exact zeros, components of one sign, and zero
+    grid = {"torus": lambda: torus(8, dim=3), "box": lambda: box(9, dim=3), "conformal": _conformal_torus}[kind]()
+    rng = np.random.default_rng(17)
+    coeff = rng.normal(size=(3,) + grid.shape)
+    coeff[0][coeff[0] > 0.5] = 0.0
+    coeff[1] = -np.abs(coeff[1])
+    coeff[2] = np.abs(coeff[2])
+    coeff[2].flat[::5] = 0.0
+    for scale in (1.0, -3.0, 0.0):
+        got, want = hjb.mesh_peclet(grid, scale * coeff), _absolute_peclet(grid, scale * coeff)
+        assert got == want and np.signbit(got) == np.signbit(want), (scale, got, want)
+    # no |b| is formed, nor on conformal tori b / k
+    _, peak = _traced_peak(lambda: hjb.mesh_peclet(grid, coeff))
+    assert peak < coeff[0].nbytes, peak
+
+
 def test_ergodic_entry_point_requires_the_flag():
     grid = torus(12, dim=2)
     with pytest.raises(ValueError):
@@ -1584,3 +1613,56 @@ def test_a_report_of_another_operator_is_rejected():
     # a rejected report keeps its state and still seeds a solve of its own operator
     assert first.gradient is not None
     assert solve_ergodic(spec, hjb.SolverConfig(initial_guess=first)).converged
+
+
+@pytest.mark.parametrize("kind", ["torus", "conformal"])
+def test_a_failed_linear_solve_reports_and_hands_on_its_iterate(monkeypatch, kind):
+    # Newton step 1 formed its coefficient in the iterate's gradient and its
+    # trials overwrote it; when step 2's linear solve fails, the solve forms
+    # the residual, gradient and |grad u|^2 at its iterate again, so the
+    # report describes that iterate and a solve resumed from it starts where
+    # a fresh solve from its u starts
+    spec = _resume_specs(kind, "sweep")[1]
+    grid, ops = spec.grid, hjb._ops_for(spec.grid)
+    real, calls = hjb.bordered_solve, []
+
+    def failing_at_step_two(grid, *args):
+        calls.append(1)
+        if len(calls) == 2:
+            return np.zeros(grid.shape), 0.0, hjb.KrylovFailure(7, "iteration budget spent")
+        return real(grid, *args)
+
+    monkeypatch.setattr(hjb, "bordered_solve", failing_at_step_two)
+    failed = solve_ergodic(spec)
+    monkeypatch.undo()
+    assert failed.iterations == 1
+    assert failed.message.startswith("linear solve failed at Newton step 2")
+    carry = failed._carry
+    assert np.array_equal(failed.gradient, ops.grad(carry.u))
+    want = hjb._residual_core(spec, ops, carry.u)[0]
+    want += failed.lam
+    want -= failed.lam
+    want += spec.source.values
+    assert np.array_equal(carry.rest, want)
+    assert np.array_equal(carry.sq, ops.pairing(failed.gradient, failed.gradient, np.empty(grid.shape)))
+    fresh = solve_ergodic(spec, hjb.SolverConfig(initial_guess=failed.u))
+    resumed = solve_ergodic(spec, hjb.SolverConfig(initial_guess=failed))
+    assert fresh.converged and resumed.converged and resumed.iterations == fresh.iterations >= 1
+    assert np.max(np.abs(resumed.u.values - fresh.u.values)) <= 1e-12 * np.max(np.abs(fresh.u.values))
+
+
+def test_a_resumed_solve_allocates_no_coefficient_array():
+    # A solve resumed from its predecessor's report takes the residual,
+    # gradient and |grad u|^2 over, and each Newton step forms the Jacobian's
+    # coefficient in that gradient.  So a 24^3 sweep step allocates the next
+    # iterate, its bordered solves' residual, work vector and solution, and
+    # the report's u: 5.3 field-sized arrays at its peak, where a separate
+    # coefficient array held three fields more (8.3).
+    grid = torus(24, dim=3)
+    f = np.cos(TWO_PI * grid.mesh()[0])
+    specs = [ProblemSpec(grid, gamma=3.0, source=ScalarField(grid, t * f), ergodic=True) for t in (10.0, 30.0, 100.0)]
+    first = solve_ergodic(specs[0])
+    second = solve_ergodic(specs[1], hjb.SolverConfig(initial_guess=first))
+    rep, peak = _traced_peak(lambda: solve_ergodic(specs[2], hjb.SolverConfig(initial_guess=second)))
+    assert rep.converged and rep.iterations >= 2
+    assert peak < 5.75 * f.nbytes, peak / f.nbytes
