@@ -32,7 +32,7 @@ from .fields import (
     pointwise_norm,
 )
 from .geometry import Grid, ricci_lower_bound
-from .hjb import ProblemSpec, SolverConfig, solve_ergodic
+from .hjb import ProblemSpec, SolverConfig, growth_gate, solve_ergodic
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,7 @@ class SweepSpec:
     cfg: Optional[SolverConfig] = None
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError("gradient growth gate (In1): need gamma > 1")
+        growth_gate(self.gamma)
         amps = tuple(float(t) for t in self.amplitudes)
         if not amps:
             raise ValueError("amplitudes must not be empty")

@@ -116,24 +116,25 @@ class Grid:
     def is_flat(self) -> bool:
         return self.phi is None
 
+    def cached(self, key, build):
+        """The value kept on this grid under key, made by build() on first
+        use.  Every per-grid cache (solver operators, preconditioners,
+        mollifier transforms, conformal factors) goes through here."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def conformal_factor(self, power: float) -> np.ndarray:
         """e^{power * phi}, cached; ones when flat."""
         if self.phi is None:
             return np.ones(self.shape)
-        key = ("exp", float(power))
-        if key not in self._cache:
-            self._cache[key] = np.exp(power * self.phi)
-        return self._cache[key]
+        return self.cached(("exp", float(power)), lambda: np.exp(power * self.phi))
 
     def phi_gradient(self) -> np.ndarray:
         """(d, *shape) lattice partials of phi (zeros when flat)."""
         if self.phi is None:
             return np.zeros((len(self.shape),) + self.shape)
-        if "dphi" not in self._cache:
-            self._cache["dphi"] = np.stack(
-                [self.partial(self.phi, a) for a in range(len(self.shape))]
-            )
-        return self._cache["dphi"]
+        return self.cached("dphi", lambda: np.stack([self.partial(self.phi, a) for a in range(len(self.shape))]))
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -18,73 +18,56 @@ up to truncation, for manufactured sources).
 
 Solver stencils are narrow: three-point second differences and centered
 first differences with mirror (even-reflection) closures, so the Jacobian
-keeps the classical M-matrix sparsity.  Linear solves are matrix-free
-restarted GMRES, right-preconditioned by the exact fast-transform inverse
-M of the bordered flat Laplacian L (FFT on tori, DCT-I on boxes).  A
-linear operator is passed as its remainder R = A - L: since A M = I + R M,
-a Krylov step costs one M and one R apply and no Laplacian, and a cycle
-ends with one more M apply, x += M (V y).  M takes the multiplier and the
-mean constraint from the transform's zero mode.  Right preconditioning
-makes the residual GMRES minimizes the true one; a solve still stops only
-on the true residual, recomputed with the full operator L + R at the end
-of each restart cycle.  A total iteration budget bounds it, and so does a
-stall test: a cycle that ended early, its Arnoldi estimate meeting the
-tolerance or its Krylov space invariant, while the true residual fell by
-less than half has reached round-off, and the solve stops there with a
-named reason; one whose true residual at least halved restarts from it.
+keeps the classical M-matrix sparsity.
 
-The flat inverse leaves advection to GMRES, and at mesh Peclet numbers
-near 10 that took 20-46 Arnoldi steps per Newton step.  So on flat grids
-M also solves one axis' line exactly, a semicirculant preconditioner
-(Holmgren-Otto 1994): circulant across the other axes, exact along axis a.
-M inverts L + C P_a, where P_a is the quadrature mean over the other axes
-and C the transport term with its coefficient replaced by its mean along
-a's lines; P_a commutes with L, so the line functions, those of x_a alone,
-take a bordered 1-D solve on n_a + 1 unknowns, factored once per Newton
-step, and every other mode L^{-1} (`_AxisLine`).  The Krylov step then
-forms A M = I + (R - C P_a) M.  The correction runs only when one axis'
-line carries nearly all of the coefficient's weighted energy,
-rho = ||P_a b_a||_w^2 / ||b||_w^2 >= 0.99, or the coefficient is zero
-(`_preconditioner`); otherwise, and on conformal tori, M is the flat
-inverse as before.  Off rho = 1 the line buys little: measured solve by
-solve on 24^3 torus sweeps, it cut the Jacobian applies by 81% at rho = 1
-but by 2-18% at rho from 0.5 to 0.999, and below rho = 0.99 its set-up
-and line solves cost the games' short solves more time than they saved
-(the `_LINE_SHARE` comment).  On one-axis data, the bench's sweep and
-games, C P_a is the transport term on the line functions, where the
-right-hand sides lie, so the preconditioned Richardson step that starts
-each linear solve solves it, as it does at a zero coefficient (R = 0):
-the 48^3 bench sweep makes 37 Jacobian applies instead of 563.  On the
-32^3 `power` and `bump` sweeps, rho stays below 0.27 and only the first
-Newton step, from u = 0, takes the line (`power` makes 1059 applies).
-The density solves use the adjoint line operator W_a^{-1} D_a^T (abar W_a .).
+Linear solves.  Every linear system is bordered by the mean constraint
+and the multiplier: [[A, 1], [w^T, 0]] [x; mu] = [r; c].  A is the Newton
+Jacobian J of the value equation, its transport coefficient frozen, or
+its quadrature adjoint W^{-1} J^T W, the density operator of `mfg`.  Both
+split as A = L + R, with L = -Lap_flat, which the preconditioner M
+inverts exactly, and R the transport remainder (`_Ops.jacobian_rest`,
+`_Ops.adjoint_rest`).  `transport_solve` is the one entry for both: it
+pairs R with its M (`_preconditioner`) and runs `bordered_solve`,
+matrix-free restarted GMRES right-preconditioned by M, where a Krylov
+step forms A M v = v + R M v with no Laplacian.  `transport_residual`
+is the norm of (L + R) x for the same pairing.
 
-Each Newton step solves its linear system only as tightly as the Newton
-stop needs (inexact Newton with Kelley's termination safeguard).  A Newton
-solve either converges or stops with a named reason: the Newton budget is
-exhausted, a linear solve fails, or the line search reaches its
-backtracking floor.
+M is one of two preconditioners.  `_FlatInverter` inverts the bordered L
+by a fast transform (FFT on tori, DCT-I on boxes).  `_AxisLine`, on flat
+grids only, also solves one axis' line exactly, a semicirculant
+preconditioner (Holmgren-Otto 1994); it is chosen where that line
+carries at least `_LINE_SHARE` of the coefficient's weighted energy, or
+the coefficient is zero, and makes A M the identity or near it, so a
+solve with it takes one preconditioned Richardson step before any
+Arnoldi step.
 
-On flat grids a Krylov step allocates no field-sized array and moves no
-axis: R writes into the next basis row and M into a given array.  On
-conformal tori R allocates none either, and M's mean shift allocates.  A
-solve allocates four arrays once, d + 3 fields in all: the residual, the
-iterate's gradient, its |grad u|^2 and the next iterate.  Each Newton
-step forms the Jacobian's first-order coefficient in the gradient, which
-no step reads after it: each line-search trial forms its own, and a step
-that accepts nothing forms the iterate's again.  Every operator keeps its
-temporaries in the work arrays of the grid's operators (`_Ops.work`).  A
-bordered solve reads its right-hand side from the caller's array.  What
-leaves the solver is fresh: a report's u and gradient, a transport
-coefficient asked for without `out` (the game's drift), and every result
-of `residual`.  A report also carries its solve's last iterate before the
-gauge shift, the residual formed there without its source and multiplier,
-and its |grad u|^2.  A solve resumed from the report (passed as
-`SolverConfig.initial_guess`) takes these and the gradient over as its
-own arrays, changes the source and evaluates no stencil before its first
-Newton step; the report keeps u and its scalars, and its gradient becomes
-None.  So the sweeps and the game loop, which resume each solve from the
-last, hold no more arrays than when every solve allocated its own.
+Stops.  A bordered solve judges only its true residual,
+||b - A x|| <= rtol ||b||, or fails with a `KrylovFailure` that names
+why: its iteration budget is spent, or a cycle that ended early lowered
+the true residual by less than half (a stalled residual or an invariant
+Krylov space).  Each
+Newton step solves its system only as tightly as the Newton stop needs
+(inexact Newton with Kelley's termination safeguard).  A Newton solve
+either converges or stops with a named reason: the residual norm is not
+finite, the Newton budget is exhausted, a linear solve fails, or the
+line search reaches its backtracking floor.
+
+Allocation.  On flat grids a Krylov step allocates no field-sized array
+and moves no axis: R writes into the next basis row and M into a given
+array.  On conformal tori R allocates none either, and M's mean shift
+allocates.  A solve allocates four arrays once, d + 3 fields in all: the
+residual, the iterate's gradient, its |grad u|^2 and the next iterate.
+Each Newton step forms the Jacobian's first-order coefficient in the
+gradient, which no step reads after it.  Every operator keeps its
+temporaries in the work arrays of the grid's operators (`_Ops.work`).
+A bordered solve reads its right-hand side from the caller's array.
+What leaves the solver is fresh: a report's u and gradient, a transport
+coefficient asked for without `out` (the game's drift), and every
+result of `residual`.  A solve resumed from a report takes the report's
+carried arrays over as its own (`solve`), so the sweeps and the game
+loop, which resume each solve from the last, hold no more arrays than
+when every solve allocated its own.  Counts and times of these solves
+are in README's solver section and the `BENCH_*.json` records.
 """
 
 from __future__ import annotations
@@ -111,6 +94,12 @@ from .geometry import Grid
 from .stencils import d1_rows, d1_scale, d1t_rows, d2_rows, d2_scale
 
 
+def growth_gate(gamma: float) -> None:
+    """Raise the ValueError of gate (In1) unless gamma > 1."""
+    if not gamma > 1.0:
+        raise ValueError("gradient growth gate (In1): need gamma > 1")
+
+
 @dataclass
 class ProblemSpec:
     """Data of one stationary problem on a fixed grid."""
@@ -123,8 +112,7 @@ class ProblemSpec:
     ergodic: bool = False
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError("gradient growth gate (In1): need gamma > 1")
+        growth_gate(self.gamma)
         if self.grid.coord_system != "cartesian":
             raise ValueError("solver runs on box/torus lattices only")
 
@@ -601,9 +589,7 @@ class _Line:
 def _lines_for(grid: Grid) -> list:
     """The `_Line` of each axis of a flat grid, built on first use and kept
     on the grid."""
-    if "lines" not in grid._cache:
-        grid._cache["lines"] = [_Line(grid, a) for a in range(len(grid.shape))]
-    return grid._cache["lines"]
+    return grid.cached("lines", lambda: [_Line(grid, a) for a in range(len(grid.shape))])
 
 
 class _AxisLine:
@@ -829,16 +815,12 @@ def mesh_peclet(grid: Grid, coeff: np.ndarray) -> float:
 
 def _ops_for(grid: Grid) -> _Ops:
     """Solver operators of `grid`, built on first use and kept on the grid."""
-    if "solver_ops" not in grid._cache:
-        grid._cache["solver_ops"] = _Ops(grid)
-    return grid._cache["solver_ops"]
+    return grid.cached("solver_ops", lambda: _Ops(grid))
 
 
 def _inverter_for(grid: Grid) -> _FlatInverter:
     """Preconditioner of `grid`, built on first use and kept on the grid."""
-    if "flat_inverter" not in grid._cache:
-        grid._cache["flat_inverter"] = _FlatInverter(grid)
-    return grid._cache["flat_inverter"]
+    return grid.cached("flat_inverter", lambda: _FlatInverter(grid))
 
 
 def _preconditioner(grid: Grid, b: np.ndarray, adjoint: bool = False):
@@ -951,22 +933,22 @@ def bordered_solve(
     preconditioner apply.  Every cycle ends with the true residual b - A x,
     recomputed with the full operator L + R; only that residual decides
     convergence: ||b - A x|| <= rtol ||b||.
-    The solve starts from x = 0, or from x0 = (field, mu) when one is
-    given.  Its first residual is then the true b - A x0, formed like the
-    residual at the end of a cycle (one apply_fn call, no preconditioner
-    apply), and a start that already meets the tolerance is returned at
-    once.  The test stays relative to ||b||, not to the start's residual,
-    so a started solve is judged exactly like one from zero.
-    When inv.richardson_first is set (an `_AxisLine`, whose A M is I or
-    near it), one preconditioned Richardson step x += M r comes first:
-    from zero it writes x = M b straight into x, from a start it forms
-    x0 + M (b - A x0).  It costs one
-    preconditioner apply and its true residual, and counts as one
-    iteration.  On one-axis data A M = I on the right-hand sides, and the
-    step solves the system; otherwise GMRES goes on from it, as from a
-    start, and only then allocates its basis, H and the Givens rotations.
-    The flag is read as an attribute, so a proxy that forwards
-    attributes to the preconditioner takes the same path.
+    The solve starts from x = 0 with residual r = b, which costs no
+    operator apply, or from x0 = (field, mu) when one is given, with the
+    true residual r = b - A x0, formed like the residual at the end of a
+    cycle (one apply_fn call, no preconditioner apply).  The test stays
+    relative to ||b||, not to the start's residual, so a started solve is
+    judged exactly like one from zero.  Whatever the start, when it misses
+    the tolerance and inv.richardson_first is set (an `_AxisLine`, whose
+    A M is I or near it), one preconditioned Richardson step x += M r
+    follows.  It costs one preconditioner apply and its true residual,
+    and counts as one iteration.  On one-axis data A M = I on the
+    right-hand sides, and the step solves the system.  A start that meets
+    the tolerance, or a Richardson step that does, is returned at once;
+    otherwise GMRES goes on from there, and only then allocates its
+    basis, H and the Givens rotations.  The flag is read as an attribute,
+    so a proxy that forwards attributes to the preconditioner takes the
+    same path.
     Every R apply is one apply_fn call and every preconditioner apply one
     inv.solve call.
     Returns (x, mu, info): info = 0 on convergence, else a `KrylovFailure`,
@@ -1006,22 +988,17 @@ def bordered_solve(
         np.subtract(rhs, r[:-1], out=r[:-1])
         return _nrm2(r)
 
-    iters = 0
-    if x0 is None and inv.richardson_first:
-        x = np.empty(size)
-        _, x[-1] = inv.solve(rhs.reshape(shape), rhs_constraint, x[:-1].reshape(shape))
-        iters = 1
-        beta = true_residual(x, r)
-    elif x0 is None:
+    if x0 is None:
         x = np.zeros(size)
         beta = bnorm
     else:
         x = np.concatenate([np.ravel(x0[0]), [x0[1]]])
         beta = true_residual(x, r)
-        if beta > tol and inv.richardson_first:
-            x += _precondition(inv, shape, r, z)
-            iters = 1
-            beta = true_residual(x, r)
+    iters = 0
+    if beta > tol and inv.richardson_first:
+        x += _precondition(inv, shape, r, z)
+        iters = 1
+        beta = true_residual(x, r)
     if beta <= tol:
         return x[:-1].reshape(shape), float(x[-1]), 0
     m = min(_RESTART, size)
@@ -1092,6 +1069,33 @@ def bordered_solve(
             continue
         reason = "%s at %.3g against target %.3g" % (stop, beta, tol)
         return x[:-1].reshape(shape), float(x[-1]), KrylovFailure(iters, reason)
+
+
+def transport_solve(
+    grid: Grid, b: np.ndarray, rhs: np.ndarray, c: float, rtol: float, *, adjoint: bool = False, x0=None
+):
+    """(x, mu, info) of the bordered system [[L + R, 1], [w^T, 0]] [x; mu]
+    = [rhs; c], solved by `bordered_solve` to the relative tolerance rtol.
+
+    R is the transport remainder with first-order coefficient b: the
+    Newton Jacobian's, `_Ops.jacobian_rest`, or with adjoint set that of
+    its quadrature adjoint, the density operator, `_Ops.adjoint_rest`.
+    This is the one place that pairs R with its preconditioner.  x0 =
+    (field, mu) starts the solve, as `bordered_solve` describes."""
+    ops = _ops_for(grid)
+    rest = ops.adjoint_rest if adjoint else ops.jacobian_rest
+    inv = _preconditioner(grid, b, adjoint)
+    return bordered_solve(grid, lambda v, out: rest(v, b, out), inv, rhs, c, rtol, x0)
+
+
+def transport_residual(grid: Grid, b: np.ndarray, x: np.ndarray, adjoint: bool = False) -> float:
+    """||(L + R) x||_2 for the operator `transport_solve` solves with the
+    same b and adjoint: the field part of its bordered residual at x with
+    multiplier 0 and right-hand side 0, in the norm of its stopping test."""
+    ops = _ops_for(grid)
+    r = _inverter_for(grid).apply(x)
+    r += (ops.adjoint_rest if adjoint else ops.jacobian_rest)(x, b)
+    return float(np.linalg.norm(r))
 
 
 def _take_over(report: SolveReport, spec: ProblemSpec):
@@ -1208,14 +1212,8 @@ def solve(spec: ProblemSpec, cfg: Optional[SolverConfig] = None) -> SolveReport:
         rtol = float(np.clip(res_norm / res0, 1e-10, 1e-2))
         # Kelley's safeguard: no tighter than the Newton stop needs
         rtol = max(rtol, min(0.5, 0.5 * cfg.residual_tol / res_norm))
-        delta_u, delta_lam, info = bordered_solve(
-            grid,
-            lambda v, out: ops.jacobian_rest(v, b, out),
-            _preconditioner(grid, b),
-            np.negative(res, out=u_next),
-            -float(np.sum(np.multiply(grid.weights, uvals, out=ops.work(0)))),
-            rtol,
-        )
+        c = -float(np.sum(np.multiply(grid.weights, uvals, out=ops.work(0))))
+        delta_u, delta_lam, info = transport_solve(grid, b, np.negative(res, out=u_next), c, rtol)
         if info != 0:
             F(uvals, lam)
             message = with_reason(
@@ -1305,7 +1303,8 @@ def manufactured_solution(grid: Grid) -> ScalarField:
 
 def manufactured_source(grid: Grid, gamma: float):
     """Source that makes the cosine product an exact continuum solution of
-    the plain equation."""
+    the plain equation; gamma must pass (In1)."""
+    growth_gate(gamma)
     mesh = grid.mesh()
     Ls = grid.domain.extents
     ustar = manufactured_solution(grid)

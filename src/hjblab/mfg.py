@@ -11,7 +11,7 @@ power coupling V(m) = m^alpha by a double convolution with a compact
 symmetric bump, applied by FFT.  The drift is the value solver's own
 transport coefficient, `hjb.transport_coefficient`, and the density
 operator is the quadrature adjoint W^{-1} J^T W of the solver's Newton
-Jacobian J (its transport part is `hjb._Ops.adjoint_rest`).  That makes
+Jacobian J, solved by `hjb.transport_solve` with adjoint=True.  That makes
 the discrete duality identity hold up to truncation error and lets
 positivity emerge from the M-matrix structure instead of clipping.
 """
@@ -40,18 +40,24 @@ from .hjb import (
     EPS_REG,
     ProblemSpec,
     SolverConfig,
-    _inverter_for,
-    _ops_for,
-    _preconditioner,
-    bordered_solve,
+    growth_gate,
+    mesh_peclet,
     solve_ergodic,
     transport_coefficient,
+    transport_residual,
+    transport_solve,
     with_reason,
 )
+
+
 # Kept under this name: bench/tracing.py wraps `mfg.fp_peclet` by name, and
 # tests/test_bench_hooks.py installs that tracer, so every traced bench run
-# needs the alias.
-from .hjb import mesh_peclet as fp_peclet
+# needs it.  It is a function of its own, not an alias of `mesh_peclet`: the
+# tracer wraps every module attribute bound to the function it wraps, and an
+# alias would record each value solve's Newton steps as density drifts too.
+def fp_peclet(grid: Grid, drift: np.ndarray) -> float:
+    """`hjb.mesh_peclet` of a density solve's drift."""
+    return mesh_peclet(grid, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +90,7 @@ class MfgSpec:
     outer_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError("gradient growth gate (In1): need gamma > 1")
+        growth_gate(self.gamma)
         if not self.alpha > 0.0:
             raise ValueError("coupling exponent alpha must be positive, got " + repr(self.alpha))
         if self.c_v is None:
@@ -163,8 +168,7 @@ def exponent_gate(d: int, gamma: float, alpha: float) -> dict:
     stay below gamma'/(d-2-gamma'), read as +inf when the denominator is
     nonpositive (always the case for d = 3).
     """
-    if not gamma > 1.0:
-        raise ValueError("gradient growth gate (In1): need gamma > 1")
+    growth_gate(gamma)
     gamma_conj = gamma / (gamma - 1.0)
     gamma_threshold = d / (d - 2.0) if d > 2 else math.inf
     denom = d - 2.0 - gamma_conj
@@ -221,26 +225,26 @@ def _kernel_transform(grid: Grid, eps: float):
     half width, so nothing wraps onto the n nodes kept.  The box
     denominator is the kernel mass each node sees inside the box.
     """
-    key = ("mollifier", float(eps))
-    if key not in grid._cache:
-        kern = _mollifier_kernel(grid, eps)
-        if kern is None:
-            grid._cache[key] = None
-        else:
-            halves = [(k - 1) // 2 for k in kern.shape]
-            if all(grid.periodic):
-                fshape = grid.shape
-            else:
-                fshape = tuple(_pocketfft.good_size(n + hw, True) for n, hw in zip(grid.shape, halves))
-            emb = np.zeros(fshape)
-            # add.at: on a torus as narrow as the kernel, offsets +-n/2 land on one node
-            np.add.at(emb, np.ix_(*[np.arange(-hw, hw + 1) % n for hw, n in zip(halves, fshape)]), kern)
-            khat = _pocketfft.r2c(emb, tuple(range(emb.ndim)), True, 0, None, 1)
-            den = None
-            if not all(grid.periodic):
-                den = _fft_convolve(np.ones(grid.shape), khat, fshape)
-            grid._cache[key] = (khat, fshape, den)
-    return grid._cache[key]
+    return grid.cached(("mollifier", float(eps)), lambda: _build_kernel_transform(grid, eps))
+
+
+def _build_kernel_transform(grid: Grid, eps: float):
+    kern = _mollifier_kernel(grid, eps)
+    if kern is None:
+        return None
+    halves = [(k - 1) // 2 for k in kern.shape]
+    if all(grid.periodic):
+        fshape = grid.shape
+    else:
+        fshape = tuple(_pocketfft.good_size(n + hw, True) for n, hw in zip(grid.shape, halves))
+    emb = np.zeros(fshape)
+    # add.at: on a torus as narrow as the kernel, offsets +-n/2 land on one node
+    np.add.at(emb, np.ix_(*[np.arange(-hw, hw + 1) % n for hw, n in zip(halves, fshape)]), kern)
+    khat = _pocketfft.r2c(emb, tuple(range(emb.ndim)), True, 0, None, 1)
+    den = None
+    if not all(grid.periodic):
+        den = _fft_convolve(np.ones(grid.shape), khat, fshape)
+    return khat, fshape, den
 
 
 def _fft_convolve(vals: np.ndarray, khat: np.ndarray, fshape: tuple) -> np.ndarray:
@@ -323,11 +327,11 @@ def fp_solve(
     The drift is a first-order coefficient, one node array per axis: in the
     game, `transport_coefficient` of the value field.  The operator is the
     quadrature adjoint W^{-1} J^T W of the Jacobian with that coefficient,
-    solved with unit-mass constraint.  `bordered_solve` takes its transport
-    part `_Ops.adjoint_rest`: the diffusion part is the Laplacian that its
+    solved with unit-mass constraint by `hjb.transport_solve` with
+    adjoint=True: the diffusion part is the Laplacian that its
     preconditioner inverts, and where one axis' lines carry most of the
     drift the preconditioner also solves those lines' adjoint transport
-    exactly (`hjb._preconditioner`).  The bordered multiplier comes out zero
+    exactly.  The bordered multiplier comes out zero
     automatically because constants annihilate the forward operator.
     Positivity is an M-matrix consequence, checked via the advection mesh
     number, never enforced by clipping.
@@ -340,7 +344,6 @@ def fp_solve(
     """
     if not grid.is_flat or grid.coord_system != "cartesian":
         raise ValueError("density solves run on flat box/torus lattices only")
-    ops = _ops_for(grid)
     pec = fp_peclet(grid, drift)
     if pec > 1.0:
         raise ValueError(
@@ -348,14 +351,8 @@ def fp_solve(
             + repr(pec)
             + " exceeds 1"
         )
-    mvals, mu, info = bordered_solve(
-        grid,
-        lambda m, out: ops.adjoint_rest(m, drift, out),
-        _preconditioner(grid, drift, adjoint=True),
-        np.zeros(grid.shape),
-        1.0,
-        rtol,
-        x0=None if start is None else (start, 0.0),
+    mvals, mu, info = transport_solve(
+        grid, drift, np.zeros(grid.shape), 1.0, rtol, adjoint=True, x0=None if start is None else (start, 0.0)
     )
     if info != 0:
         raise RuntimeError(with_reason("density linear solve did not converge", info))
@@ -377,14 +374,6 @@ _FORCING = 1e-2
 _TAU = 0.5
 # Outer iterations allowed at each mollifier radius.
 _MAX_OUTER = 60
-
-
-def _density_residual(grid: Grid, mvals: np.ndarray, drift: np.ndarray) -> float:
-    """||(L + R) m||_2: the residual of `fp_solve`'s bordered system at a
-    unit-mass m with multiplier 0, in the norm of its stopping test."""
-    r = _inverter_for(grid).apply(mvals)
-    r += _ops_for(grid).adjoint_rest(mvals, drift)
-    return float(np.linalg.norm(r))
 
 
 def _state_change(a, b) -> float:
@@ -493,9 +482,10 @@ def mfg_fixed_point(spec: MfgSpec):
                 message = str(exc) + " at mollifier radius " + repr(eps)
                 break
             m_start = m_new.values
-            # the damped update in one array, with tau m_new in a work array
+            # the damped update; tau m_new is a temporary, made after the
+            # density solve has freed its arrays
             m_next = np.multiply(mvals, 1.0 - tau)
-            m_next += np.multiply(m_new.values, tau, out=_ops_for(grid).work(0))
+            m_next += m_new.values * tau
             change = _state_change((rep.u.values, rep.lam, m_next), (uvals, lam, mvals))
             if change > prev_change and tau > 2.0**-10:
                 tau *= 0.5
@@ -506,7 +496,10 @@ def mfg_fixed_point(spec: MfgSpec):
             # final tolerances anyway; otherwise one more runs at them
             done = change < spec.outer_tol and (
                 final
-                or (rep.residual <= value_tol and _density_residual(grid, m_new.values, drift) <= _DENSITY_RTOL)
+                or (
+                    rep.residual <= value_tol
+                    and transport_residual(grid, drift, m_new.values, adjoint=True) <= _DENSITY_RTOL
+                )
             )
             value_rep = rep
             # the drift and the density die before the next mollification

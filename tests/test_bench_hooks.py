@@ -32,8 +32,11 @@ hjb.solution_norm_table(spec, rep.u)
 mfg.fp_solve(grid, hjb.transport_coefficient(spec, rep.u.values))
 metrics = per_layer_metrics(tracer.spans, tracer.counts)
 metrics["converged"] = rep.converged
+metrics["fp_peclet_spans"] = sum(1 for s in tracer.spans if s[0] == "mfg.fp_peclet")
 print(json.dumps(metrics))
 """
+# The same ergodic solve with no density solve after it
+VALUE_ONLY_SCRIPT = SCRIPT.replace("mfg.fp_solve(grid, hjb.transport_coefficient(spec, rep.u.values))\n", "")
 
 
 # A game's density solves count as `hjb.adjoint_apply` only inside an
@@ -206,6 +209,15 @@ def test_bench_tracer_installs_and_records_every_hooked_layer():
     assert m["mfg.fp_solve.calls"] == 1
     assert m["mfg.peclet_max"] > 0.0
     assert m["stencils.apply_along_axis.calls"] > 0
+
+
+def test_a_traced_value_solve_records_no_density_peclet():
+    # `mfg.fp_peclet` measures density drifts only: the value solve's own
+    # Peclet numbers (`hjb.mesh_peclet`) leave `mfg.peclet_max` at 0
+    m = _run_traced(VALUE_ONLY_SCRIPT)
+    assert m["converged"] and m["hjb.solve.newton_steps"] >= 1
+    assert m["mfg.fp_solve.calls"] == 0
+    assert m["fp_peclet_spans"] == 0 and m["mfg.peclet_max"] == 0.0
 
 
 def test_traced_and_untraced_one_axis_solves_take_the_same_path():

@@ -178,6 +178,10 @@ _GATES = [
     *(pytest.param(sub, _GAMMA, 2, "(In1)", id=sub + "-gamma")
       for sub in ("solve", "ergodic", "thm1-sweep", "thm2-sweep", "constants", "mfg")),
     pytest.param("solve", _MANUFACTURED, 2, "(In1)", id="manufactured-gamma"),
+    # the manufactured source divides by gamma, so (In1) is checked before it is built
+    pytest.param("solve", _MANUFACTURED.replace("0.9", "0"), 2, "(In1)", id="manufactured-gamma-zero"),
+    pytest.param("solve", _MANUFACTURED.replace("0.9", "-1"), 2, "(In1)", id="manufactured-gamma-negative",
+                 marks=pytest.mark.filterwarnings("error")),
     *(pytest.param("solve", "[domain]\nkind = " + kind + "\nresolution = 12\n[problem]\nmanufactured = symbolic\n",
                    2, "manufactured studies need a box domain", id="manufactured-" + kind)
       for kind in ("torus", "conformal_torus")),

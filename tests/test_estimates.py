@@ -302,7 +302,7 @@ def test_maximal_integrability_sweep_runs_and_rejects_drift():
 
 
 def test_failed_solve_names_its_reason_in_the_sweep_report(monkeypatch):
-    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return np.zeros(grid.shape), 0.0, 1
 
     monkeypatch.setattr(hjb, "bordered_solve", failing)

@@ -2,6 +2,7 @@
 an independent time-marching oracle for the ergodic pair (u, lambda)."""
 
 import gc
+import math
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import given, settings, strategies as st
 
 from hjblab import hjb
 from hjblab.fields import ScalarField, VectorField, _metric_trace, gradient, hessian, lq_norm, pointwise_norm
@@ -888,6 +890,60 @@ def test_bordered_solve_from_a_near_start_meets_the_same_bound_in_fewer_applies(
     assert len(calls) < cold_applies
 
 
+def _csr_transport(grid, x, coeff, adjoint):
+    """(L + R) x from the sparse stencil matrices: the Jacobian
+    -sum_a D2_a x + sum_a b_a D1_a x, or its quadrature adjoint."""
+    if adjoint:
+        return _full_density_operator(hjb._ops_for(grid), x, coeff)
+    out = np.zeros(x.shape)
+    for a in range(len(grid.shape)):
+        d1, d2 = _solver_matrices(grid, a)
+        out -= csr_along_axis(d2, x, a)
+        out += coeff[a] * csr_along_axis(d1, x, a)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["torus", "box"]),
+    n=st.integers(8, 12),
+    one_axis=st.booleans(),
+    amp=st.floats(0.1, 8.0),
+    adjoint=st.booleans(),
+    started=st.booleans(),
+    rtol=st.sampled_from([1e-2, 1e-6, 1e-10]),
+    seed=st.integers(0, 2**16),
+)
+def test_transport_solve_meets_its_tolerance_or_names_why_not(kind, n, one_axis, amp, adjoint, started, rtol, seed):
+    # A coefficient that varies along x alone has M solve the x line; one
+    # drawn at every node and on both axes leaves M the flat inverse.  Each
+    # returned x is finite, and either the true residual, formed here from
+    # the sparse stencil matrices, meets rtol or the failure names its reason.
+    grid = torus(n) if kind == "torus" else box(n)
+    rng = np.random.default_rng(seed)
+    coeff = np.zeros((2,) + grid.shape)
+    if one_axis:
+        coeff[0] = rng.normal(size=(n, 1))
+    else:
+        coeff[:] = rng.normal(size=coeff.shape)
+    coeff *= amp
+    assert isinstance(hjb._preconditioner(grid, coeff, adjoint), hjb._AxisLine) == one_axis
+    rhs, c = rng.normal(size=grid.shape), float(rng.normal())
+    x0 = (rng.normal(size=grid.shape), float(rng.normal())) if started else None
+    x, mu, info = hjb.transport_solve(grid, coeff, rhs, c, rtol, adjoint=adjoint, x0=x0)
+    assert x.shape == grid.shape and np.isfinite(x).all() and math.isfinite(mu)
+    if info != 0:
+        assert isinstance(info, hjb.KrylovFailure)
+        assert info.reason.startswith(("true residual stalled", "Krylov space invariant", "iteration budget spent"))
+        return
+    ax = _csr_transport(grid, x, coeff, adjoint)
+    assert hjb.transport_residual(grid, coeff, x, adjoint) == pytest.approx(np.linalg.norm(ax), rel=1e-12)
+    true = math.hypot(np.linalg.norm(rhs - ax - mu), c - float(np.sum(grid.weights * x)))
+    # round-off in forming A x, on the scale of ||L|| ||x||
+    roundoff = 1e-12 * (np.linalg.norm(rhs) + np.linalg.norm(x) / min(grid.spacings) ** 2)
+    assert true <= rtol * math.hypot(np.linalg.norm(rhs), c) + roundoff
+
+
 def test_newton_step_near_convergence_solves_only_as_tightly_as_the_stop_needs(monkeypatch):
     # u* solves the gamma = 3 equation with the source it induces, lam = 0;
     # the start lies off it along a smooth direction, at ||F|| = 3 residual_tol
@@ -923,7 +979,7 @@ def test_newton_step_near_convergence_solves_only_as_tightly_as_the_stop_needs(m
 
 
 def test_failed_krylov_solve_names_its_reason_in_the_newton_message(monkeypatch):
-    def stalled(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+    def stalled(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return np.zeros(grid.shape), 0.0, hjb.KrylovFailure(3, "true residual stalled at 2e-10 against target 1e-10")
 
     monkeypatch.setattr(hjb, "bordered_solve", stalled)
@@ -1417,7 +1473,7 @@ def _source_spec():
 
 
 def _fake_bordered_solve(info):
-    def fake(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+    def fake(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return np.zeros(grid.shape), 0.0, info
 
     return fake
@@ -1509,7 +1565,7 @@ def test_a_rejected_line_search_reports_the_gradient_of_the_last_iterate(monkeyp
     start = solve_ergodic(spec).u.values + 1e-3 * np.sin(TWO_PI * grid.mesh()[1])
     rng = np.random.default_rng(31)
 
-    def wild(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+    def wild(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return rng.normal(size=grid.shape), 1e6, 0
 
     monkeypatch.setattr(hjb, "bordered_solve", wild)

@@ -567,17 +567,17 @@ def test_started_density_solves_leave_the_game_unchanged(monkeypatch):
     g = torus(16, dim=2)
     spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
     starts = []
-    orig = mfg.bordered_solve
+    orig = mfg.transport_solve
 
-    def counting(*args, x0=None):
+    def counting(*args, x0=None, **kwargs):
         starts.append(x0 is not None)
-        return orig(*args, x0=x0)
+        return orig(*args, x0=x0, **kwargs)
 
-    monkeypatch.setattr(mfg, "bordered_solve", counting)
+    monkeypatch.setattr(mfg, "transport_solve", counting)
     _, warm = mfg_fixed_point(spec)
     # every density solve but the first starts from the last density
     assert starts == [False] + [True] * (warm.outer_iterations - 1)
-    monkeypatch.setattr(mfg, "bordered_solve", lambda *args, x0=None: orig(*args))
+    monkeypatch.setattr(mfg, "transport_solve", lambda *args, x0=None, **kwargs: orig(*args, **kwargs))
     _, cold = mfg_fixed_point(spec)
     assert warm.converged and cold.converged
     pairs = [(warm.lam, cold.lam), (warm.mass, cold.mass)]
@@ -741,10 +741,10 @@ def test_inexact_inner_solves_leave_the_game_unchanged(monkeypatch):
 
 
 def test_failed_density_solve_stops_the_game_with_a_named_reason(monkeypatch):
-    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
+    def failing(grid, b, rhs, c, rtol, *, adjoint=False, x0=None):
         return np.zeros(grid.shape), 0.0, 1
 
-    monkeypatch.setattr(mfg, "bordered_solve", failing)
+    monkeypatch.setattr(mfg, "transport_solve", failing)
     g = torus(16, dim=2)
     spec = MfgSpec(g, gamma=2.0, alpha=1.0, shift=first_mode_shift(g), eps=0.1)
     _, report = mfg_fixed_point(spec)
@@ -812,7 +812,7 @@ def test_game_drift_reuses_the_value_solves_gradient(monkeypatch):
 
 
 def test_failed_value_solve_stops_the_game_with_its_reason(monkeypatch):
-    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol):
+    def failing(grid, apply_fn, inv, rhs_field, rhs_constraint, rtol, x0=None):
         return np.zeros(grid.shape), 0.0, 1
 
     monkeypatch.setattr(hjb, "bordered_solve", failing)
